@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ledger import ChainTx
 from .protocol import SERVER, Simulation
 from .terms import (
     ASYM,
@@ -143,22 +142,9 @@ def can_spend(knowledge, bundle_id: str) -> SpendDecision:
 def replay_witness(sim: Simulation, decision: SpendDecision, square_id: str, dest: str, cents: int) -> int:
     """Execute a positive verdict as a real spend on the staged run's chain."""
     assert decision.possible, "nothing to replay for a negative verdict"
-    square = sim.squares[square_id]
     sig_u = sim.value_of[decision.sig_user_term]
     sig_s = sim.value_of[decision.sig_server_term]
-    sim.ledger.ensure_plain_account(dest)
-    nonce = sim.ledger.fresh_nonce()
-    tx = ChainTx(square.address_value, dest, cents, nonce)
-    message = tx.signing_message()
-    signed = ChainTx(
-        square.address_value,
-        dest,
-        cents,
-        nonce,
-        sig_user=sim.backend.sign(sig_u, message),
-        sig_server=sim.backend.sign(sig_s, message),
-    )
-    return sim.ledger.spend(signed)
+    return sim._submit_spend(sim.squares[square_id], sig_u, sig_s, dest, cents)
 
 
 # ---------------------------------------------------------------------------

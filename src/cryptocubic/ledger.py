@@ -75,6 +75,7 @@ class Ledger:
         self.confirmation_delay = confirmation_delay
         self._clock = 0
         self._pending: list[tuple[int, ChainTx]] = []
+        self.version = 0  # bumped by every call that may move a balance
 
     # -- accounts --------------------------------------------------------
 
@@ -104,6 +105,7 @@ class Ledger:
         if account is None:
             raise UnknownAddress(f"no account {address!r}")
         account.balance += amount_cents
+        self.version += 1
 
     # -- spending --------------------------------------------------------
 
@@ -138,6 +140,7 @@ class Ledger:
         account.balance -= tx.amount_cents
         tx_id = self._next_tx_id
         self._next_tx_id += 1
+        self.version += 1
         if self.confirmation_delay > 0:
             self._pending.append((self._clock + self.confirmation_delay, tx))
         else:
@@ -146,6 +149,7 @@ class Ledger:
 
     def tick(self) -> None:
         self._clock += 1
+        self.version += 1
         still_pending = []
         for due, tx in self._pending:
             if due <= self._clock:

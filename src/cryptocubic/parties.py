@@ -4,35 +4,18 @@ A party holds named values in insertion-ordered memory and may run dynamic
 procedures: transient scopes whose bindings never touch memory, are
 invisible to knowledge snapshots, and are erased when the scope terminates.
 
+Memory changes only through `Party.remember`, `forget` and `restore`, which
+keep a knowledge term per name and the party's snapshot in step with it.
+
 Messages travel through a single in-process transport that records every
-transmission (the wiretap transcript) and can encode any message to a
-versioned length-prefixed binary record.
+transmission (the wiretap transcript).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backend import CryptoBackend
+from .backend import term_of
 from .terms import Term
-
-WIRE_VERSION = 1
-
-MESSAGE_TYPES = {
-    "share_public_key": 1,
-    "square_payload": 2,
-    "handover": 3,
-    "approve": 4,
-    "request_private_key": 5,
-    "private_key": 6,
-    "challenge": 7,
-    "challenge_reply": 8,
-    "hash_share": 9,
-    "transfer_notice": 10,
-    "redeem_request": 11,
-    "redeem_payload": 12,
-    "take_request": 13,
-    "take_payload": 14,
-}
 
 
 class TransportFailure(Exception):
@@ -73,13 +56,57 @@ class Party:
         self.name = name
         self.role = role  # "user" or "server"
         self.memory: dict[str, object] = {}
+        self._terms: dict[str, Term] = {}  # term of each remembered value, in memory order
+        self._term_counts: dict[Term, int] = {}  # names holding each term
+        self._snapshot: frozenset[Term] | None = frozenset()
+        # names changed since the last take_changes(), mapped to True when the
+        # name left memory meanwhile (it now sits at the end, or is gone)
+        self._changes: dict[str, bool] = {}
         self.procedures: list[DynamicProcedure] = []
         # harness switch: a silent party never answers requests, which is
         # how timeouts are injected
         self.silent = False
 
     def remember(self, name: str, value: object) -> None:
+        term = term_of(value)
+        if name in self.memory:
+            self._release(name)
+            self._changes.setdefault(name, False)
+        else:
+            self._moved(name)
         self.memory[name] = value
+        self._terms[name] = term
+        self._term_counts[term] = self._term_counts.get(term, 0) + 1
+        self._snapshot = None
+
+    def forget(self, name: str) -> None:
+        if name in self.memory:
+            self._release(name)
+            self._moved(name)
+            del self.memory[name], self._terms[name]
+            self._snapshot = None
+
+    def restore(self, memory: dict[str, object]) -> None:
+        """Replace the whole memory, as a rollback does."""
+        for name in list(self.memory):
+            self.forget(name)
+        for name, value in memory.items():
+            self.remember(name, value)
+
+    def _release(self, name: str) -> None:
+        term = self._terms[name]
+        self._term_counts[term] -= 1
+        if not self._term_counts[term]:
+            del self._term_counts[term]
+
+    def _moved(self, name: str) -> None:
+        self._changes.pop(name, None)
+        self._changes[name] = True
+
+    def take_changes(self) -> dict[str, bool]:
+        """Names changed since the last call, in the order they last moved."""
+        changes, self._changes = self._changes, {}
+        return changes
 
     def recall(self, name: str) -> object:
         return self.memory[name]
@@ -96,11 +123,13 @@ class Party:
         """Knowledge visible to the attacker oracle: memory only.
 
         Dynamic-procedure bindings are deliberately absent; a snapshot taken
-        mid-procedure must not see them.
+        mid-procedure must not see them.  The same frozenset comes back until
+        memory changes.
         """
-        from .backend import term_of
-
-        return frozenset(term_of(v) for v in self.memory.values())
+        if self._snapshot is None:
+            # built from the dict, so the stored hashes are reused
+            self._snapshot = frozenset(self._term_counts)
+        return self._snapshot
 
 
 @dataclass(frozen=True)
@@ -130,32 +159,3 @@ class Transport:
             raise TransportFailure(f"link dropped while sending {msg.msg_type}")
         self.transcript.append(msg)
         return msg
-
-    def encode(self, backend: CryptoBackend, msg: Message) -> bytes:
-        body = b"".join(
-            len(part).to_bytes(4, "big") + part
-            for part in (backend.export_bytes(v) for v in msg.payload)
-        )
-        record = (
-            bytes([WIRE_VERSION, MESSAGE_TYPES[msg.msg_type]])
-            + msg.session_id.to_bytes(8, "big")
-            + len(body).to_bytes(4, "big")
-            + body
-        )
-        return len(record).to_bytes(4, "big") + record
-
-
-def decode_frame(data: bytes) -> tuple[int, int, int, list[bytes]]:
-    """Inverse of Transport.encode for one frame: (version, type, session, parts)."""
-    record_len = int.from_bytes(data[:4], "big")
-    record = data[4 : 4 + record_len]
-    version, type_tag = record[0], record[1]
-    session_id = int.from_bytes(record[2:10], "big")
-    body = record[14 : 14 + int.from_bytes(record[10:14], "big")]
-    parts = []
-    i = 0
-    while i < len(body):
-        n = int.from_bytes(body[i : i + 4], "big")
-        parts.append(body[i + 4 : i + 4 + n])
-        i += 4 + n
-    return version, type_tag, session_id, parts

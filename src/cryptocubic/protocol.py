@@ -25,11 +25,13 @@ import random
 from dataclasses import dataclass
 
 from .backend import (
+    Address,
     AsymPublicKey,
     Cypher,
     CryptoBackend,
     Digest,
     KeyMismatch,
+    SigningKey,
     SymKey,
     Token,
     get_backend,
@@ -123,6 +125,15 @@ class StepRecord:
     transcript_len: int
 
 
+class _MemoryColumn:
+    """One party's annotated memory items, kept in step with its memory."""
+
+    def __init__(self) -> None:
+        self.items: dict[str, str] = {}
+        self.ledger_version = 0
+        self.rendered: list[str] = []  # never mutated once handed out
+
+
 @dataclass
 class _SquarePrivate:
     """Harness-only registry: lets oracle checks and witness replays look up
@@ -161,11 +172,14 @@ class Simulation:
         self._user_order: list[str] = []
         self.squares: dict[str, CryptoSquareRecord] = {}
         self._squares_private: dict[str, _SquarePrivate] = {}
+        self._square_at: dict[str, tuple[int, CryptoSquareRecord]] = {}  # by address
         self._cap_by_square: dict[str, object] = {}
         self._keypairs: dict[str, object] = {}  # party name -> AsymKeyPair
         self.value_of: dict[Term, object] = {}
         self.events: list[TraceEvent] = []
         self.step_records: list[StepRecord] = []
+        self._memory_columns: dict[str, _MemoryColumn] = {}
+        self._leaks: set[str] = set()  # parties to check for a resting signing key
         self._slot_order: list[str] = []
         self._slot_display: dict[str, str] = {}
         self._challenge_counts: dict[str, int] = {}
@@ -205,8 +219,6 @@ class Simulation:
             self.value_of[term_of(v)] = v
 
     def _annotate(self, name: str, value: object) -> str:
-        from .backend import Address
-
         if isinstance(value, Address):
             try:
                 balance = self.ledger.balance(value.value)
@@ -231,9 +243,34 @@ class Simulation:
                 display = self._slot_display[slot_id]
                 if display not in pending and self.store.ping(slot_id):
                     items.append(f"[{display}]")
-        for name, value in party.memory.items():
-            items.append(self._annotate(name, value))
-        return items
+        memory_items = self._memory_items(party)
+        return items + memory_items if items else memory_items
+
+    def _memory_items(self, party: Party) -> list[str]:
+        """Annotated memory items, re-annotating only the names the party
+        changed, and its addresses once the ledger has moved a balance."""
+        column = self._memory_columns.get(party.name)
+        if column is None:
+            column = self._memory_columns[party.name] = _MemoryColumn()
+        changes = party.take_changes()
+        if column.ledger_version != self.ledger.version:
+            column.ledger_version = self.ledger.version
+            for name, value in party.memory.items():
+                if isinstance(value, Address):
+                    changes.setdefault(name, False)
+        if not changes:
+            return column.rendered
+        memory, items = party.memory, column.items
+        for name, moved in changes.items():
+            if moved:
+                items.pop(name, None)
+            if name in memory:
+                value = memory[name]
+                items[name] = self._annotate(name, value)
+                if isinstance(value, SigningKey) and self.mode != "baseline3":
+                    self._leaks.add(party.name)
+        column.rendered = list(items.values())
+        return column.rendered
 
     def holdings(self, party_name: str, include_transients: bool = False) -> list[str]:
         """Current rendered holdings of one party.
@@ -241,7 +278,7 @@ class Simulation:
         Transient scope contents only show up when explicitly requested;
         outside callers see what a state inspection would see.
         """
-        return self._column_items(self.parties[party_name], include_transients)
+        return list(self._column_items(self.parties[party_name], include_transients))
 
     def _emit(self, label: str) -> None:
         self.clock += 1
@@ -261,11 +298,10 @@ class Simulation:
         for party in self.parties.values():
             for proc in party.procedures:
                 assert proc.active
-            if self.mode != "baseline3":
-                from .backend import SigningKey
-
+            if party.name in self._leaks:
                 leaked = [n for n, v in party.memory.items() if isinstance(v, SigningKey)]
                 assert not leaked, f"signing key in {party.name} memory: {leaked}"
+                self._leaks.discard(party.name)
         # clear one-shot insert annotations once their table is out
         for party in self.parties.values():
             for proc in party.procedures:
@@ -288,12 +324,12 @@ class Simulation:
     # square lookup
 
     def _square_for(self, party_name: str) -> CryptoSquareRecord:
-        holder = self.parties[party_name]
-        for square in self.squares.values():
-            for value in holder.memory.values():
-                if getattr(value, "value", None) == square.address_value:
-                    return square
-        raise UnknownSquare(f"{party_name} holds no square address")
+        """The earliest-established square whose address the party holds."""
+        held = [self._square_at[v.value] for v in self.parties[party_name].memory.values()
+                if isinstance(v, Address) and v.value in self._square_at]
+        if not held:
+            raise UnknownSquare(f"{party_name} holds no square address")
+        return min(held, key=lambda entry: entry[0])[1]
 
     def _owned_square(self, party_name: str) -> CryptoSquareRecord:
         square = self._square_for(party_name)
@@ -336,24 +372,9 @@ class Simulation:
 
         proc.terminate()
         self.ledger.register(bundle.address.value, bundle.verify_user, bundle.verify_server)
-        self.squares[square_id] = CryptoSquareRecord(
-            square_id,
-            a.name,
-            None,
-            None,
-            slot_id,
-            None,
-            None,
-            bundle.address.value,
-        )
-        self._squares_private[square_id] = _SquarePrivate(
-            bundle.bundle_id,
-            bundle.sig_user,
-            bundle.sig_server,
-            bundle.verify_user,
-            bundle.verify_server,
-            es=None,
-        )
+        self._record_square(CryptoSquareRecord(
+            square_id, a.name, None, None, slot_id, None, None, bundle.address.value,
+        ), bundle, es=None)
         self._emit("the procedure terminates")
         return square_id
 
@@ -413,8 +434,7 @@ class Simulation:
             if proc is not None:
                 proc.terminate()
             for party in self.parties.values():
-                party.memory.clear()
-                party.memory.update(memory_before.get(party.name, {}))
+                party.restore(memory_before.get(party.name, {}))
             self._emit("the link drops; establishment rolls back")
             raise
 
@@ -430,27 +450,21 @@ class Simulation:
 
         proc.terminate()
         self.ledger.register(bundle.address.value, bundle.verify_user, bundle.verify_server)
-        self.squares[square_id] = CryptoSquareRecord(
-            square_id,
-            a.name,
-            pair.public,
-            ks,
-            slot_id,
-            es_hash,
-            self.backend.fingerprint(bundle.sig_user),
-            bundle.address.value,
-        )
-        self._squares_private[square_id] = _SquarePrivate(
-            bundle.bundle_id,
-            bundle.sig_user,
-            bundle.sig_server,
-            bundle.verify_user,
-            bundle.verify_server,
-            es,
-        )
+        self._record_square(CryptoSquareRecord(
+            square_id, a.name, pair.public, ks, slot_id, es_hash,
+            self.backend.fingerprint(bundle.sig_user), bundle.address.value,
+        ), bundle, es)
         self._emit("the procedure terminates")
         self._emit("a square now stands between the user and the server")
         return square_id
+
+    def _record_square(self, square: CryptoSquareRecord, bundle, es: Cypher | None) -> None:
+        self.squares[square.square_id] = square
+        self._square_at[square.address_value] = (len(self._square_at), square)
+        self._squares_private[square.square_id] = _SquarePrivate(
+            bundle.bundle_id, bundle.sig_user, bundle.sig_server,
+            bundle.verify_user, bundle.verify_server, es,
+        )
 
     def _new_square_id(self) -> str:
         self._square_seq += 1
@@ -768,7 +782,7 @@ class Simulation:
         square.owner_party = session.receiver
         square.owner_pub = kb_pub
         if self.wipe_sender_key:
-            s.memory.pop(ka_name, None)
+            s.forget(ka_name)
         self._send("transfer_notice", SERVER, session.sender, (b"done",), session.session_id)
         self._send("transfer_notice", SERVER, session.receiver, (b"done",), session.session_id)
         session.advance("completed")

@@ -11,6 +11,7 @@ afterwards; golden-file comparisons are byte-exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 
 @dataclass(frozen=True)
@@ -30,21 +31,15 @@ def format_money(cents: int) -> str:
 
 
 def render_table(event: TraceEvent) -> str:
-    headers = list(event.columns)
-    widths = [
-        max(len(h), *(len(item) for item in event.columns[h]), 0) if event.columns[h] else len(h)
-        for h in headers
-    ]
-    depth = max((len(items) for items in event.columns.values()), default=0)
-    lines = [f"== {event.step}. {event.label} =="]
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    for row in range(depth):
-        cells = []
-        for h, w in zip(headers, widths):
-            items = event.columns[h]
-            cells.append((items[row] if row < len(items) else "").ljust(w))
-        lines.append(" | ".join(cells).rstrip())
-    return "\n".join(lines)
+    columns = event.columns
+    depth = max(map(len, columns.values()), default=0)
+    padded = []
+    for header, items in columns.items():
+        cells = [header, *items, *[""] * (depth - len(items))]
+        padded.append(map(str.ljust, cells, repeat(max(map(len, cells)))))
+    # an event with no columns still renders its (empty) header line
+    rows = map(str.rstrip, map(" | ".join, zip(*padded))) if padded else [""]
+    return "\n".join([f"== {event.step}. {event.label} ==", *rows])
 
 
 def render_run(events) -> str:

@@ -172,6 +172,21 @@ class TestOwnership:
         sim.redeem("d", "ext", 700)
         assert sim.ledger.balance("ext") == 700
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_square_lookup_picks_the_earliest_established(self, mode):
+        sim = Simulation(mode=mode)
+        first, second = sim.setup("a"), sim.setup("b")
+        c = sim.user("c")
+        # C holds both addresses, the later square's first
+        c.remember("ADD_later", sim.user("b").recall("ADD"))
+        c.remember("ADD_earlier", sim.user("a").recall("ADD"))
+        assert sim._square_for("USER_C") is sim.squares[first]
+        c.forget("ADD_earlier")
+        assert sim._square_for("USER_C") is sim.squares[second]
+        c.forget("ADD_later")
+        with pytest.raises(UnknownSquare):
+            sim._square_for("USER_C")
+
 
 class TestRace:
     def test_two_sessions_one_slot(self):

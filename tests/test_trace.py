@@ -1,5 +1,27 @@
 """Rendering of per-step holdings tables."""
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from cryptocubic.trace import TraceEvent, format_money, render_run, render_table
+
+
+def reference_render_table(event: TraceEvent) -> str:
+    # the row-by-row renderer that the column-major one replaced, verbatim
+    headers = list(event.columns)
+    widths = [
+        max(len(h), *(len(item) for item in event.columns[h]), 0) if event.columns[h] else len(h)
+        for h in headers
+    ]
+    depth = max((len(items) for items in event.columns.values()), default=0)
+    lines = [f"== {event.step}. {event.label} =="]
+    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
+    for row in range(depth):
+        cells = []
+        for h, w in zip(headers, widths):
+            items = event.columns[h]
+            cells.append((items[row] if row < len(items) else "").ljust(w))
+        lines.append(" | ".join(cells).rstrip())
+    return "\n".join(lines)
 
 
 def test_format_money_whole_dollars():
@@ -55,3 +77,23 @@ def test_render_run_joins_with_blank_line():
 
 def test_render_run_empty_is_empty():
     assert render_run([]) == ""
+
+
+# short texts over an alphabet with spaces, so that empty strings, trailing
+# spaces and headers wider than their items all come up often
+cell = st.text(alphabet="ab $()[]<>,-'_", max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(columns=st.dictionaries(cell, st.lists(cell, max_size=6), max_size=5), step=st.integers(1, 99))
+@example(columns={}, step=1)
+@example(columns={"": []}, step=1)
+@example(columns={"": [""], "A": []}, step=1)
+@example(columns={"USER_WIDE_HEADER": ["x"], "B": ["item  ", "  "]}, step=2)
+def test_render_table_matches_the_row_by_row_reference(columns, step):
+    event = TraceEvent(step, "a label ", columns)
+    assert render_table(event) == reference_render_table(event)
+
+
+def test_render_table_without_columns_keeps_an_empty_header_line():
+    assert render_table(TraceEvent(4, "nobody", {})) == "== 4. nobody ==\n"
