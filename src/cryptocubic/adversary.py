@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .backend import term_of
 from .protocol import SERVER, Simulation
 from .terms import (
     ASYM,
@@ -164,7 +165,7 @@ def take_all_slots(sim: Simulation) -> set[Term]:
     for slot_id in sim.store.slot_ids():
         if sim.store.ping(slot_id):
             value, _permit = sim.store.take(slot_id)
-            terms.add(value.term if hasattr(value, "term") else value)
+            terms.add(term_of(value))
     return terms
 
 
@@ -175,8 +176,6 @@ def wiretap_knowledge(
 ) -> set[Term]:
     """Terms a passive listener collects from the transcript, optionally
     truncated to the first `upto` messages."""
-    from .backend import term_of
-
     terms: set[Term] = set()
     transcript = sim.transport.transcript
     if upto is not None:
@@ -213,7 +212,7 @@ def _staged_run(mode: str, backend: str, seed: int) -> tuple[Simulation, str]:
 
 
 def _bundle(sim: Simulation, square_id: str) -> str:
-    return sim._squares_private[square_id].bundle_id
+    return sim.squares[square_id].bundle.bundle_id
 
 
 def run_attack(scenario: str, mode: str = "cryptocubic", backend: str = "symbolic", seed: int = 0) -> Verdict:

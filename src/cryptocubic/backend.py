@@ -417,6 +417,8 @@ class ConcreteBackend(CryptoBackend):
         if cypher.scheme != ASYM:
             raise SchemeMismatch(f"expected {ASYM} cypher, got {cypher.scheme}")
         payload = cypher.payload
+        if len(payload) < 32 + 12 + 16:  # ephemeral key, nonce, tag
+            raise KeyMismatch("cypher payload is cut short")
         eph_pub = X25519PublicKey.from_public_bytes(payload[:32])
         nonce = payload[32:44]
         shared = X25519PrivateKey.from_private_bytes(private.material).exchange(eph_pub)
@@ -436,6 +438,8 @@ class ConcreteBackend(CryptoBackend):
     def sym_decrypt(self, key: SymKey, cypher: Cypher) -> object:
         if cypher.scheme != SYM:
             raise SchemeMismatch(f"expected {SYM} cypher, got {cypher.scheme}")
+        if len(cypher.payload) < 12 + 16:  # nonce, tag
+            raise KeyMismatch("cypher payload is cut short")
         try:
             plaintext = AESGCM(key.material).decrypt(cypher.payload[:12], cypher.payload[12:], None)
         except InvalidTag as exc:

@@ -67,14 +67,11 @@ class _Account:
 
 
 class Ledger:
-    def __init__(self, backend: CryptoBackend, confirmation_delay: int = 0) -> None:
+    def __init__(self, backend: CryptoBackend) -> None:
         self._backend = backend
         self._accounts: dict[str, _Account] = {}
         self._next_tx_id = 1
         self._next_nonce = 1
-        self.confirmation_delay = confirmation_delay
-        self._clock = 0
-        self._pending: list[tuple[int, ChainTx]] = []
         self.version = 0  # bumped by every call that may move a balance
 
     # -- accounts --------------------------------------------------------
@@ -138,32 +135,16 @@ class Ledger:
         self.ensure_plain_account(tx.destination)
         account.used_nonces.add(tx.nonce)
         account.balance -= tx.amount_cents
+        self._accounts[tx.destination].balance += tx.amount_cents
         tx_id = self._next_tx_id
         self._next_tx_id += 1
         self.version += 1
-        if self.confirmation_delay > 0:
-            self._pending.append((self._clock + self.confirmation_delay, tx))
-        else:
-            self._accounts[tx.destination].balance += tx.amount_cents
         return tx_id
-
-    def tick(self) -> None:
-        self._clock += 1
-        self.version += 1
-        still_pending = []
-        for due, tx in self._pending:
-            if due <= self._clock:
-                self._accounts[tx.destination].balance += tx.amount_cents
-            else:
-                still_pending.append((due, tx))
-        self._pending = still_pending
 
     # -- inspection ------------------------------------------------------
 
     def total_supply(self) -> int:
-        return sum(a.balance for a in self._accounts.values()) + sum(
-            tx.amount_cents for _, tx in self._pending
-        )
+        return sum(a.balance for a in self._accounts.values())
 
     def dump(self) -> str:
         lines = [f"{addr} {acct.balance}" for addr, acct in sorted(self._accounts.items())]

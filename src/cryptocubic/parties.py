@@ -22,10 +22,6 @@ class TransportFailure(Exception):
     pass
 
 
-class ProtocolTimeout(Exception):
-    pass
-
-
 class DynamicProcedure:
     """Transient scope; bindings live only until termination."""
 

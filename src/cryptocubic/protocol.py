@@ -27,19 +27,20 @@ from dataclasses import dataclass
 from .backend import (
     Address,
     AsymPublicKey,
-    Cypher,
     CryptoBackend,
+    CryptoError,
     Digest,
     KeyMismatch,
+    MultiSigBundle,
     SigningKey,
     SymKey,
     Token,
     get_backend,
     term_of,
 )
-from .ledger import ChainTx, Ledger
+from .ledger import ChainTx, Ledger, LedgerError
 from .parties import DynamicProcedure, Message, Party, Transport, TransportFailure
-from .store import DestructiveStore, SlotEmpty
+from .store import DestructiveStore, SlotEmpty, SourceCapability
 from .terms import Term
 from .trace import TraceEvent, format_money, render_run
 
@@ -80,7 +81,10 @@ class AuthFailure(ProtocolError):
 
 @dataclass
 class CryptoSquareRecord:
-    """Server-side half of an established square."""
+    """One established square: the server-side half the protocol reads, plus
+    the bundle and slot capability behind it.  The bundle is harness-only: it
+    lets oracle checks look up the real values behind a square without
+    widening any party's state."""
 
     square_id: str
     owner_party: str
@@ -89,8 +93,13 @@ class CryptoSquareRecord:
     slot_id: str
     es_hash: Digest | None
     sig_user_fingerprint: bytes | None
-    address_value: str
+    bundle: MultiSigBundle
+    cap: SourceCapability
     redeemed: bool = False
+
+    @property
+    def address_value(self) -> str:
+        return self.bundle.address.value
 
 
 @dataclass
@@ -134,19 +143,6 @@ class _MemoryColumn:
         self.rendered: list[str] = []  # never mutated once handed out
 
 
-@dataclass
-class _SquarePrivate:
-    """Harness-only registry: lets oracle checks and witness replays look up
-    the real values behind a square without widening any party's state."""
-
-    bundle_id: str
-    sig_user: object
-    sig_server: object
-    verify_user: object
-    verify_server: object
-    es: Cypher | None
-
-
 class Simulation:
     def __init__(
         self,
@@ -171,11 +167,9 @@ class Simulation:
         self.parties: dict[str, Party] = {SERVER: Party(SERVER, "server")}
         self._user_order: list[str] = []
         self.squares: dict[str, CryptoSquareRecord] = {}
-        self._squares_private: dict[str, _SquarePrivate] = {}
         self._square_at: dict[str, tuple[int, CryptoSquareRecord]] = {}  # by address
-        self._cap_by_square: dict[str, object] = {}
         self._keypairs: dict[str, object] = {}  # party name -> AsymKeyPair
-        self.value_of: dict[Term, object] = {}
+        self.value_of: dict[Term, object] = {}  # each square's two signing keys
         self.events: list[TraceEvent] = []
         self.step_records: list[StepRecord] = []
         self._memory_columns: dict[str, _MemoryColumn] = {}
@@ -213,10 +207,6 @@ class Simulation:
 
     def _letter(self, party_name: str) -> str:
         return party_name.rsplit("_", 1)[1].lower()
-
-    def _register(self, *values: object) -> None:
-        for v in values:
-            self.value_of[term_of(v)] = v
 
     def _annotate(self, name: str, value: object) -> str:
         if isinstance(value, Address):
@@ -341,94 +331,61 @@ class Simulation:
     # establishment
 
     def setup(self, user_letter: str) -> str:
-        if self.mode == "baseline3":
-            return self._establish_plain(user_letter)
-        return self._establish_crypto(user_letter)
-
-    def _establish_plain(self, user_letter: str) -> str:
-        a = self.user(user_letter)
-        s = self.server
-        proc = s.open_procedure()
-        bundle = self.backend.gen_multisig(self.rng)
-        self._register(bundle.sig_user, bundle.sig_server, bundle.address)
-        proc.bind("Sig_U", bundle.sig_user)
-        proc.bind("Sig_S", bundle.sig_server)
-        proc.bind("ADD", bundle.address)
-        self._emit("server opens a signing-key procedure")
-
-        self._send("square_payload", SERVER, a.name, (bundle.sig_user, bundle.address))
-        a.remember("Sig_U", bundle.sig_user)
-        a.remember("ADD", bundle.address)
-        self._emit(f"Sig_U and the address go to user {user_letter.upper()}")
-
-        square_id = self._new_square_id()
-        slot_id = f"{square_id}.server_leg"
-        cap = self.store.grant_source([slot_id])
-        self._slot_order.append(slot_id)
-        self._slot_display[slot_id] = "Sig_S"
-        self.store.insert(cap, slot_id, bundle.sig_server)
-        proc.pending_insert = "Sig_S"
-        self._emit("the server signing key drops into the destructive store")
-
-        proc.terminate()
-        self.ledger.register(bundle.address.value, bundle.verify_user, bundle.verify_server)
-        self._record_square(CryptoSquareRecord(
-            square_id, a.name, None, None, slot_id, None, None, bundle.address.value,
-        ), bundle, es=None)
-        self._emit("the procedure terminates")
-        return square_id
-
-    def _establish_crypto(self, user_letter: str) -> str:
         a = self.user(user_letter)
         s = self.server
         u = user_letter.lower()
+        plain = self.mode == "baseline3"
         memory_before = {p.name: dict(p.memory) for p in self.parties.values()}
-        proc = None
+        pair = ks = es_hash = fingerprint = proc = None
         try:
-            pair = self.backend.gen_asym_pair(self.rng)
-            self._keypairs[a.name] = pair
-            self._register(pair.private, pair.public)
-            a.remember(f"K{u}", pair.private)
-            a.remember(f"K{u}_Public", pair.public)
-            self._emit(f"user {u.upper()} generates an encryption key pair")
+            if not plain:
+                pair = self.backend.gen_asym_pair(self.rng)
+                a.remember(f"K{u}", pair.private)
+                a.remember(f"K{u}_Public", pair.public)
+                self._emit(f"user {u.upper()} generates an encryption key pair")
 
-            self._send("share_public_key", a.name, SERVER, (pair.public,))
-            ks = self.backend.gen_sym_key(self.rng)
-            self._register(ks)
-            s.remember("Ks", ks)
-            s.remember(f"K{u}_Public", pair.public)
-            self._emit(f"user {u.upper()} shares the public key; server creates a symmetric key")
+                self._send("share_public_key", a.name, SERVER, (pair.public,))
+                ks = self.backend.gen_sym_key(self.rng)
+                s.remember("Ks", ks)
+                s.remember(f"K{u}_Public", pair.public)
+                self._emit(f"user {u.upper()} shares the public key; server creates a symmetric key")
 
             proc = s.open_procedure()
-            proc.bind("Ks", ks)
-            proc.bind(f"K{u}_Public", pair.public)
-            self._emit("server opens a square-creation procedure")
+            if not plain:
+                proc.bind("Ks", ks)
+                proc.bind(f"K{u}_Public", pair.public)
+                self._emit("server opens a square-creation procedure")
 
             bundle = self.backend.gen_multisig(self.rng)
-            self._register(bundle.sig_user, bundle.sig_server, bundle.address)
             proc.bind("Sig_U", bundle.sig_user)
             proc.bind("Sig_S", bundle.sig_server)
             proc.bind("ADD", bundle.address)
-            self._emit("the procedure creates the dual signing keys and their address")
+            if plain:
+                self._emit("server opens a signing-key procedure")
+                handed_name, handed = "Sig_U", bundle.sig_user
+                display, stored, slot_leg = "Sig_S", bundle.sig_server, "server_leg"
+                stored_label = "the server signing key drops into the destructive store"
+            else:
+                self._emit("the procedure creates the dual signing keys and their address")
+                ea = self.backend.asym_encrypt(pair.public, bundle.sig_user, self.rng)
+                es = self.backend.sym_encrypt(ks, bundle.sig_server, self.rng)
+                proc.bind("Ea", ea)
+                proc.bind("Es", es)
+                self._emit("the procedure encrypts the signing keys")
 
-            ea = self.backend.asym_encrypt(pair.public, bundle.sig_user, self.rng)
-            es = self.backend.sym_encrypt(ks, bundle.sig_server, self.rng)
-            self._register(ea, es)
-            proc.bind("Ea", ea)
-            proc.bind("Es", es)
-            self._emit("the procedure encrypts the signing keys")
+                if self.mode == "cryptocubic":
+                    es_hash = self.backend.hash_value(es)
+                    s.remember("Hash", es_hash)
+                    self._emit("server records the square's verification hash")
+                handed_name, handed = "Es", es
+                display, stored, slot_leg = "Ea", ea, "owner_cypher"
+                stored_label = "the user-leg cypher drops into the destructive store"
+                fingerprint = self.backend.fingerprint(bundle.sig_user)
 
-            es_hash = None
-            if self.mode == "cryptocubic":
-                es_hash = self.backend.hash_value(es)
-                self._register(es_hash)
-                s.remember("Hash", es_hash)
-                self._emit("server records the square's verification hash")
-
-            self._send("square_payload", SERVER, a.name, (es, bundle.address))
-            a.remember("Es", es)
+            self._send("square_payload", SERVER, a.name, (handed, bundle.address))
+            a.remember(handed_name, handed)
             a.remember("ADD", bundle.address)
-            self._emit(f"Es and the address go to user {u.upper()}")
+            self._emit(f"{handed_name} and the address go to user {u.upper()}")
         except TransportFailure:
             # no partial square: scrub everything this attempt touched
             if proc is not None:
@@ -439,32 +396,30 @@ class Simulation:
             raise
 
         square_id = self._new_square_id()
-        slot_id = f"{square_id}.owner_cypher"
+        slot_id = f"{square_id}.{slot_leg}"
         cap = self.store.grant_source([slot_id])
         self._slot_order.append(slot_id)
-        self._slot_display[slot_id] = "Ea"
-        self.store.insert(cap, slot_id, ea)
-        proc.pending_insert = "Ea"
-        self._cap_by_square[square_id] = cap
-        self._emit("the user-leg cypher drops into the destructive store")
+        self._slot_display[slot_id] = display
+        self.store.insert(cap, slot_id, stored)
+        proc.pending_insert = display
+        self._emit(stored_label)
 
         proc.terminate()
         self.ledger.register(bundle.address.value, bundle.verify_user, bundle.verify_server)
-        self._record_square(CryptoSquareRecord(
-            square_id, a.name, pair.public, ks, slot_id, es_hash,
-            self.backend.fingerprint(bundle.sig_user), bundle.address.value,
-        ), bundle, es)
-        self._emit("the procedure terminates")
-        self._emit("a square now stands between the user and the server")
-        return square_id
-
-    def _record_square(self, square: CryptoSquareRecord, bundle, es: Cypher | None) -> None:
-        self.squares[square.square_id] = square
-        self._square_at[square.address_value] = (len(self._square_at), square)
-        self._squares_private[square.square_id] = _SquarePrivate(
-            bundle.bundle_id, bundle.sig_user, bundle.sig_server,
-            bundle.verify_user, bundle.verify_server, es,
+        square = CryptoSquareRecord(
+            square_id, a.name, pair.public if pair else None, ks, slot_id, es_hash, fingerprint,
+            bundle, cap,
         )
+        self.squares[square_id] = square
+        self._square_at[square.address_value] = (len(self._square_at), square)
+        for key in (bundle.sig_user, bundle.sig_server):
+            self.value_of[term_of(key)] = key
+        self._emit("the procedure terminates")
+        if not plain:
+            # filed only now, so a rolled-back attempt leaves the user's old pair in force
+            self._keypairs[a.name] = pair
+            self._emit("a square now stands between the user and the server")
+        return square_id
 
     def _new_square_id(self) -> str:
         self._square_seq += 1
@@ -538,7 +493,6 @@ class Simulation:
         if self.inject_counterfeit_es:
             filler = self.backend.gen_sym_key(self.rng)
             es = self.backend.sym_encrypt(filler, b"counterfeit filler", self.rng)
-            self._register(es)
         addr = a.recall("ADD")
         self._send("handover", a.name, b.name, (es, addr), session.session_id)
         b.remember("Es", es)
@@ -547,7 +501,6 @@ class Simulation:
 
         pair = self.backend.gen_asym_pair(self.rng)
         self._keypairs[b.name] = pair
-        self._register(pair.private, pair.public)
         t = to_letter.lower()
         b.remember(f"K{t}", pair.private)
         b.remember(f"K{t}_Public", pair.public)
@@ -598,7 +551,6 @@ class Simulation:
         priv = self._keypairs[a.name].private
         if self.inject_wrong_ka:
             decoy = self.backend.gen_asym_pair(self.rng)
-            self._register(decoy.private, decoy.public)
             priv = decoy.private
         self._send("private_key", a.name, SERVER, (priv,), session.session_id)
         if not self.backend.matches(priv, square.owner_pub):
@@ -639,12 +591,10 @@ class Simulation:
         letter = self._letter(target.name)
         token_name, et_name, reply_name = self._challenge_names(letter)
         token = self.backend.gen_token(self.rng)
-        self._register(token)
         s.remember(token_name, token)
         if not single_table:
             self._emit(f"server creates a challenge token for user {letter.upper()}")
         et = self.backend.asym_encrypt(subject_pub, token, self.rng)
-        self._register(et)
         s.remember(et_name, et)
         if single_table:
             self._emit(f"server prepares an encrypted challenge for user {letter.upper()}")
@@ -668,7 +618,6 @@ class Simulation:
                 return False, "cannot decrypt challenge"
             target.remember(et_name, et)
             target.remember(reply_name, reply)
-            self._register(reply)
         self._send("challenge_reply", target.name, SERVER, (reply,), session.session_id)
         # the token is spent now, whatever the comparison says
         token.consumed = True
@@ -713,7 +662,6 @@ class Simulation:
         self._emit(f"server shares the verification hash with user {tu}")
 
         hash2 = self.backend.hash_value(b.recall("Es"))
-        self._register(hash2)
         b.remember("Hash2", hash2)
         self._emit(f"user {tu} hashes the cypher user {fu} handed over")
 
@@ -758,7 +706,6 @@ class Simulation:
                 session, "foreign cypher",
                 "the decrypted key is not this square's; the cypher returns to the store")
             return
-        self._register(sig_u)
         proc.bind("Sig_U", sig_u)
         self._emit("the procedure decrypts the user signing key")
 
@@ -767,13 +714,11 @@ class Simulation:
         self._emit(f"the procedure loads user {tu}'s public key")
 
         eb = self.backend.asym_encrypt(kb_pub, sig_u, self.rng)
-        self._register(eb)
         eb_name = f"E{receiver_letter}"
         proc.bind(eb_name, eb)
         self._emit(f"the procedure re-encrypts the signing key to user {tu}")
 
-        cap = self._cap_by_square[square.square_id]
-        self.store.insert(cap, square.slot_id, eb)
+        self.store.insert(square.cap, square.slot_id, eb)
         self._slot_display[square.slot_id] = eb_name
         proc.pending_insert = eb_name
         self._emit("the new owner cypher drops into the destructive store")
@@ -795,26 +740,9 @@ class Simulation:
     def redeem(self, user_letter: str, dest: str, cents: int) -> int:
         x = self.user(user_letter)
         square = self._square_for(x.name)
-        if self.mode == "baseline3":
-            return self._redeem_plain(x, square, dest, cents)
-        return self._redeem_crypto(x, square, dest, cents)
-
-    def _redeem_plain(self, x: Party, square: CryptoSquareRecord, dest: str, cents: int) -> int:
-        self._send("take_request", x.name, SERVER, (), 0)
-        sig_s, _permit = self.store.take(square.slot_id)
-        self._send("take_payload", SERVER, x.name, (sig_s,), 0)
-        x.remember("Sig_S", sig_s)
-        letter = self._letter(x.name).upper()
-        self._emit(f"user {letter} takes the server signing key from the store")
-
-        tx_id = self._submit_spend(square, x.recall("Sig_U"), sig_s, dest, cents)
-        square.redeemed = True
-        self._emit(f"user {letter} signs the transfer and the chain accepts it")
-        return tx_id
-
-    def _redeem_crypto(self, x: Party, square: CryptoSquareRecord, dest: str, cents: int) -> int:
-        letter = self._letter(x.name).upper()
-        self._send("redeem_request", x.name, SERVER, (), 0)
+        letter = user_letter.upper()
+        plain = self.mode == "baseline3"
+        self._send("take_request" if plain else "redeem_request", x.name, SERVER, (), 0)
         if self.mode == "cryptocubic":
             session = self._new_session(square, x.name, x.name)
             ok, why = self._run_challenge(x, square.owner_pub, session, single_table=True)
@@ -823,24 +751,37 @@ class Simulation:
                 raise AuthFailure(f"redemption challenge failed: {why}")
             self._emit(f"user {letter} answers the redemption challenge and is confirmed")
 
-        cypher, _permit = self.store.take(square.slot_id)
-        ks = square.sym_key
-        self._send("redeem_payload", SERVER, x.name, (cypher, ks), 0)
-        proc = x.open_procedure()
-        proc.bind(self._slot_display[square.slot_id], cypher)
-        proc.bind("Ks", ks)
-        self._emit(f"server releases the owner cypher and symmetric key to user {letter}")
-
-        pair = self._keypairs[x.name]
-        sig_u = self.backend.asym_decrypt(pair.private, cypher)
-        sig_s = self.backend.sym_decrypt(ks, x.recall("Es"))
-        proc.bind("Sig_U", sig_u)
-        proc.bind("Sig_S", sig_s)
-        self._emit(f"user {letter} recovers both signing keys inside a private scope")
-
+        taken, permit = self.store.take(square.slot_id)
+        display = self._slot_display[square.slot_id]
+        proc = None  # the plaintext mode recovers the keys in memory, not in a scope
         try:
+            if plain:
+                self._send("take_payload", SERVER, x.name, (taken,), 0)
+                x.remember("Sig_S", taken)
+                self._emit(f"user {letter} takes the server signing key from the store")
+                sig_u, sig_s = x.recall("Sig_U"), taken
+            else:
+                ks = square.sym_key
+                self._send("redeem_payload", SERVER, x.name, (taken, ks), 0)
+                proc = x.open_procedure()
+                proc.bind(display, taken)
+                proc.bind("Ks", ks)
+                self._emit(f"server releases the owner cypher and symmetric key to user {letter}")
+
+                sig_u = self.backend.asym_decrypt(self._keypairs[x.name].private, taken)
+                sig_s = self.backend.sym_decrypt(ks, x.recall("Es"))
+                proc.bind("Sig_U", sig_u)
+                proc.bind("Sig_S", sig_s)
+                self._emit(f"user {letter} recovers both signing keys inside a private scope")
             tx_id = self._submit_spend(square, sig_u, sig_s, dest, cents)
-        finally:
+        except (CryptoError, LedgerError, TransportFailure):
+            # the permit puts the value back, so the owner can try again
+            if proc is not None:
+                proc.terminate()
+            self.store.reinsert(permit, taken)
+            self._emit(f"user {letter} cannot redeem; {display} returns to the store")
+            raise
+        if proc is not None:
             proc.terminate()
         square.redeemed = True
         self._emit(f"user {letter} signs the transfer and the chain accepts it")

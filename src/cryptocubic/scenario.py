@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .adversary import SCENARIOS, Verdict, run_attack
+from .backend import CryptoError
 from .ledger import LedgerError
 from .protocol import MODES, SERVER, ProtocolError, Simulation
 from .store import StoreError
@@ -297,7 +298,7 @@ def run_scenario(
                     result.failures.append(
                         f"{cmd.pretty()}: verdict is {str(verdict.can_spend).lower()}"
                     )
-        except (ProtocolError, StoreError, LedgerError) as exc:
+        except (ProtocolError, StoreError, LedgerError, CryptoError) as exc:
             result.failures.append(f"{cmd.pretty()}: {type(exc).__name__}: {exc}")
             break
         flush_trace()

@@ -50,6 +50,10 @@ class ValueMismatch(StoreError):
     pass
 
 
+class TornJournal(StoreError):
+    """A journal record is cut short or its lengths do not add up."""
+
+
 OP_GRANT = 1
 OP_INSERT = 2
 OP_TAKE = 3
@@ -240,14 +244,14 @@ def replay_journal(path) -> list[JournalRecord]:
     """Decode a journal file back into its ordered mutation records."""
     records = []
     with open(path, "rb") as fh:
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            body = fh.read(int.from_bytes(head, "big"))
+        while head := fh.read(4):
+            length = int.from_bytes(head, "big")
+            body = fh.read(length)
+            name_len = int.from_bytes(body[9:11], "big")
+            if len(head) < 4 or len(body) < length or length != 11 + name_len + 32:
+                raise TornJournal(f"journal record {len(records) + 1} is cut short or malformed")
             seq = int.from_bytes(body[:8], "big")
             op = body[8]
-            name_len = int.from_bytes(body[9:11], "big")
             slot_id = body[11 : 11 + name_len].decode()
             digest = body[11 + name_len : 11 + name_len + 32]
             records.append(JournalRecord(seq, op, slot_id, digest))

@@ -84,7 +84,7 @@ def test_trace_fidelity():
 @criterion("security oracle: no modeled coalition can spend in the hardened mode")
 def test_security_oracle_hardened_mode():
     sim = canonical_sim("cryptocubic")
-    bundle_id = next(iter(sim._squares_private.values())).bundle_id
+    bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
     labels = [rec.event.label for rec in sim.step_records]
     transfer_done = labels.index(
         "the transfer is complete; the square now belongs to user B"
@@ -111,7 +111,7 @@ def test_security_contrast_plaintext_mode():
     sim.fund("a", 1000)
     sim.transfer("a", "b")
     knowledge = snapshot_knowledge(sim, "USER_A") | take_all_slots(sim)
-    decision = can_spend(knowledge, sim._squares_private[square_id].bundle_id)
+    decision = can_spend(knowledge, sim.squares[square_id].bundle.bundle_id)
     assert decision.possible
     replay_witness(sim, decision, square_id, "grab_sink", 1000)
     assert sim.ledger.balance("grab_sink") == 1000

@@ -219,7 +219,7 @@ class TestStagedScenarios:
         sim.fund("a", 1000)
         sim.transfer("a", "b")
         knowledge = snapshot_knowledge(sim, "USER_A") | take_all_slots(sim)
-        bundle_id = sim._squares_private[square_id].bundle_id
+        bundle_id = sim.squares[square_id].bundle.bundle_id
         decision = can_spend(knowledge, bundle_id)
         assert decision.possible
         replay_witness(sim, decision, square_id, "thief", 1000)
@@ -263,14 +263,14 @@ class TestPerStepSweep:
     def test_server_alone_never_spends(self):
         for mode in ("baseline3", "bare4", "cryptocubic"):
             sim = canonical_sim(mode)
-            bundle_id = next(iter(sim._squares_private.values())).bundle_id
+            bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
             for rec in sim.step_records:
                 assert not can_spend(rec.knowledge[SERVER], bundle_id).possible
 
     def test_server_plus_slots_never_spends(self):
         for mode in ("baseline3", "bare4", "cryptocubic"):
             sim = canonical_sim(mode)
-            bundle_id = next(iter(sim._squares_private.values())).bundle_id
+            bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
             for rec in sim.step_records:
                 knowledge = set(rec.knowledge[SERVER]) | slot_terms_at(rec)
                 assert not can_spend(knowledge, bundle_id).possible
@@ -279,7 +279,7 @@ class TestPerStepSweep:
         # with the owner's stored keys on the table, capability opens when
         # the owner-leg cypher sits in the slot and closes at withdrawal
         sim = canonical_sim("cryptocubic")
-        bundle_id = next(iter(sim._squares_private.values())).bundle_id
+        bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
         capable = []
         for rec in sim.step_records:
             knowledge = (
@@ -300,7 +300,7 @@ class TestPerStepSweep:
     def test_user_user_wiretap_never_spends(self):
         for mode in ("baseline3", "bare4", "cryptocubic"):
             sim = canonical_sim(mode)
-            bundle_id = next(iter(sim._squares_private.values())).bundle_id
+            bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
             for rec in sim.step_records:
                 knowledge = wiretap_knowledge(sim, upto=rec.transcript_len)
                 assert not can_spend(knowledge, bundle_id).possible, (mode, rec.event.step)
@@ -311,7 +311,7 @@ class TestPerStepSweep:
         outcomes = {}
         for mode in ("baseline3", "bare4", "cryptocubic"):
             sim = canonical_sim(mode)
-            bundle_id = next(iter(sim._squares_private.values())).bundle_id
+            bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
             knowledge = wiretap_knowledge(sim, include_user_server=True)
             outcomes[mode] = can_spend(knowledge, bundle_id).possible
         assert outcomes == {"baseline3": True, "bare4": False, "cryptocubic": False}

@@ -1,4 +1,5 @@
 """Cryptography layer: both backends against one contract."""
+import dataclasses
 import random
 
 import pytest
@@ -100,6 +101,21 @@ class TestSymmetric:
         c = backend.sym_encrypt(k, bundle.sig_server, rng)
         out = backend.sym_decrypt(k, c)
         assert term_of(out) == term_of(bundle.sig_server)
+
+
+def test_concrete_truncated_cypher_raises_key_mismatch():
+    be = get_backend("concrete")
+    rng = random.Random(11)
+    pair = be.gen_asym_pair(rng)
+    k = be.gen_sym_key(rng)
+    for cypher, decrypt in (
+        (be.asym_encrypt(pair.public, b"secret", rng), lambda c: be.asym_decrypt(pair.private, c)),
+        (be.sym_encrypt(k, b"secret", rng), lambda c: be.sym_decrypt(k, c)),
+    ):
+        for length in range(len(cypher.payload)):
+            cut = dataclasses.replace(cypher, payload=cypher.payload[:length])
+            with pytest.raises(KeyMismatch):
+                decrypt(cut)
 
 
 class TestHash:

@@ -41,6 +41,15 @@ class TestExitCodes:
         code = main([script("transfer a b\n")])
         assert code == 1
         assert "UnknownSquare" in capsys.readouterr().err
+        # the former owner's redemption cannot open the new owner's cypher
+        path = script("setup A\nfund A 1000\ntransfer A B\nredeem A ext 1000\n")
+        for backend in ("symbolic", "concrete"):
+            code = main([path, "--mode", "bare4", "--backend", backend])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("FAIL redeem A ext")
+            assert "KeyMismatch" in err
+            assert "Traceback" not in err
 
     def test_syntax_error_exits_two(self, script, capsys):
         code = main([script("trnsfer A B\n")])

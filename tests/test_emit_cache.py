@@ -18,14 +18,13 @@ from cryptocubic import adversary, backend, parties, protocol
 from cryptocubic.adversary import SCENARIOS, run_attack
 from cryptocubic.backend import Address, CryptoError, term_of
 from cryptocubic.ledger import LedgerError
-from cryptocubic.parties import ProtocolTimeout, TransportFailure
+from cryptocubic.parties import TransportFailure
 from cryptocubic.protocol import MODES, SERVER, ProtocolError, Simulation
 from cryptocubic.scenario import parse_scenario, run_scenario
 from cryptocubic.store import StoreError
 from cryptocubic.trace import format_money
 
-DOMAIN_ERRORS = (ProtocolError, StoreError, LedgerError, CryptoError, TransportFailure,
-                 ProtocolTimeout)
+DOMAIN_ERRORS = (ProtocolError, StoreError, LedgerError, CryptoError, TransportFailure)
 USERS = "abc"
 
 
@@ -291,7 +290,7 @@ def test_resting_signing_key_fails_the_next_step(mode):
     sim.transfer("a", "b")
     steps = len(sim.events)
     # only USER_B changes; every other party is as it was at the last step
-    sim.user("b").remember("Leaked", sim._squares_private[square_id].sig_user)
+    sim.user("b").remember("Leaked", sim.squares[square_id].bundle.sig_user)
     if mode == "baseline3":
         sim._emit("a bare signing key rests in user memory")
         sim._emit("and stays there")
@@ -307,7 +306,7 @@ def test_resting_signing_key_fails_the_next_step(mode):
 def test_overwriting_a_leaked_key_clears_the_check():
     sim = Simulation(mode="cryptocubic")
     square_id = sim.setup("a")
-    sim.server.remember("Ks", sim._squares_private[square_id].sig_server)
+    sim.server.remember("Ks", sim.squares[square_id].bundle.sig_server)
     sim.server.remember("Ks", sim.squares[square_id].sym_key)
     sim._emit("the server key slot holds a symmetric key again")
 

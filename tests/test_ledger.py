@@ -194,22 +194,6 @@ class TestConservation:
                 pass
             assert ledger.total_supply() == supply
 
-    def test_delayed_confirmation_preserves_supply(self, backend, rng):
-        ledger = Ledger(backend, confirmation_delay=3)
-        bundle = backend.gen_multisig(rng)
-        ledger.register(bundle.address.value, bundle.verify_user, bundle.verify_server)
-        ledger.fund(bundle.address.value, 100)
-        tx = signed_tx(backend, bundle, "ext", 100, ledger.fresh_nonce())
-        ledger.spend(tx)
-        # debit is immediate, credit waits out the delay
-        assert ledger.balance(bundle.address.value) == 0
-        assert ledger.balance("ext") == 0
-        assert ledger.total_supply() == 100
-        for _ in range(3):
-            ledger.tick()
-        assert ledger.balance("ext") == 100
-        assert ledger.total_supply() == 100
-
 
 def test_dump_lists_sorted_balances(backend, ledger, rng):
     ledger.ensure_plain_account("b")

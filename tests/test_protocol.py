@@ -3,7 +3,9 @@ tables, plus fault injection, abort recovery, races, and mode contrasts."""
 import pytest
 
 from canonical_tables import EXPECTED, diff_step
+from cryptocubic.backend import KeyMismatch
 from cryptocubic.ledger import InsufficientFunds
+from cryptocubic.parties import TransportFailure
 from cryptocubic.protocol import SERVER, AuthFailure, NotOwner, Simulation, UnknownSquare
 from cryptocubic.store import SlotEmpty
 from cryptocubic.terms import SigningKeyTerm
@@ -138,6 +140,19 @@ class TestFaultInjection:
         session = sim.transfer("a", "b")
         assert session.phase == "completed"
 
+    @pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])
+    def test_dropped_second_setup_keeps_the_first_key_pair(self, mode):
+        sim = Simulation(mode=mode)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        sim.transport.fail_next = True
+        with pytest.raises(TransportFailure):
+            sim.setup("a")
+        # the rollback restored A's first key pair, which still opens the square
+        assert sim.transfer("a", "b").phase == "completed"
+        sim.redeem("b", "ext", 1000)
+        assert sim.ledger.balance("ext") == 1000
+
     @pytest.mark.parametrize("inject", ["inject_wrong_ka", "inject_counterfeit_es"])
     def test_aborts_leave_no_live_scopes(self, inject):
         sim = Simulation(mode="cryptocubic")
@@ -227,12 +242,49 @@ class TestRedemption:
             sim.redeem("b" if mode != "baseline3" else "b", "ext", 1)
 
     def test_overdraft_redeem_rejected(self):
-        sim = canonical_run("cryptocubic", redeem=False)
-        with pytest.raises(InsufficientFunds):
-            sim.redeem("b", "ext", 1001)
+        for mode in MODES:
+            sim = canonical_run(mode, redeem=False)
+            supply = sim.ledger.total_supply()
+            with pytest.raises(InsufficientFunds):
+                sim.redeem("b", "ext", 1001)
+            square = next(iter(sim.squares.values()))
+            assert sim.ledger.balance(square.address_value) == 1000
+            assert sim.ledger.balance("ext") == 0
+            # the failed spend puts back what the redemption took, and the
+            # table that says so shows no scope left open
+            assert sim.store.ping(square.slot_id), mode
+            assert sim.store.history(square.slot_id)["reinserts"] == 1
+            columns = sim.events[-1].columns.values()
+            assert not [item for items in columns for item in items if item.startswith("<")]
+            sim.redeem("b", "ext", 1000)
+            assert sim.ledger.balance("ext") == 1000
+            assert sim.ledger.total_supply() == supply
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_link_drop_after_the_take_returns_the_value(self, mode):
+        sim = canonical_run(mode, redeem=False)
         square = next(iter(sim.squares.values()))
-        assert sim.ledger.balance(square.address_value) == 1000
-        assert sim.ledger.balance("ext") == 0
+        send = sim.transport.send
+
+        def dropping(msg):
+            if msg.msg_type in ("take_payload", "redeem_payload"):
+                sim.transport.fail_next = True
+            return send(msg)
+
+        sim.transport.send = dropping
+        with pytest.raises(TransportFailure):
+            sim.redeem("b", "ext", 1000)
+        sim.transport.send = send
+        assert sim.store.history(square.slot_id)["reinserts"] == 1
+        sim.redeem("b", "ext", 1000)
+        assert sim.ledger.balance("ext") == 1000
+
+    def test_former_owner_leaves_the_cypher_in_bare4(self, backend):
+        sim = canonical_run("bare4", backend, redeem=False)
+        with pytest.raises(KeyMismatch):
+            sim.redeem("a", "ext", 1000)
+        sim.redeem("b", "ext", 1000)
+        assert sim.ledger.balance("ext") == 1000
 
     def test_stale_token_replay_refused(self):
         sim = canonical_run("cryptocubic", redeem=False)

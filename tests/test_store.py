@@ -12,6 +12,7 @@ from cryptocubic.store import (
     SlotFull,
     SlotIdTaken,
     SourceCapability,
+    TornJournal,
     Unauthorized,
     UnknownSlot,
     ValueMismatch,
@@ -200,3 +201,29 @@ def test_journal_replay(tmp_path):
     # digests in the journal match what was stored
     insert_digests = [r.value_digest for r in records if r.op_name == "insert"]
     assert insert_digests[0] == digest(b"v1")
+
+
+def test_torn_journal_tail_raises(tmp_path):
+    path = tmp_path / "journal.bin"
+    store = DestructiveStore(digest, journal_path=str(path))
+    cap = store.grant_source(["s1"])
+    store.insert(cap, "s1", b"v1")
+    store.take("s1")
+    store.close()
+    data = path.read_bytes()
+    records = replay_journal(str(path))
+    bounds, offset = [0], 0
+    while offset < len(data):
+        offset += 4 + int.from_bytes(data[offset : offset + 4], "big")
+        bounds.append(offset)
+    assert len(bounds) == len(records) + 1
+
+    torn = tmp_path / "torn.bin"
+    for cut in range(len(data)):
+        torn.write_bytes(data[:cut])
+        if cut in bounds:
+            # a cut on a record boundary leaves exactly the complete records
+            assert replay_journal(str(torn)) == records[: bounds.index(cut)]
+        else:
+            with pytest.raises(TornJournal):
+                replay_journal(str(torn))
