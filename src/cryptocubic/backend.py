@@ -141,7 +141,6 @@ class MultiSigBundle:
 class Token:
     token_id: str
     material: bytes
-    consumed: bool = False
 
     @property
     def term(self) -> Term:

@@ -38,7 +38,7 @@ from .backend import (
     get_backend,
     term_of,
 )
-from .ledger import ChainTx, Ledger, LedgerError
+from .ledger import ChainTx, Ledger, LedgerError, UnknownAddress
 from .parties import DynamicProcedure, Message, Party, Transport, TransportFailure
 from .store import DestructiveStore, SlotEmpty, SourceCapability
 from .terms import Term
@@ -91,11 +91,11 @@ class CryptoSquareRecord:
     owner_pub: AsymPublicKey | None
     sym_key: SymKey | None
     slot_id: str
+    slot_display: str  # name the slot's current value shows under
     es_hash: Digest | None
     sig_user_fingerprint: bytes | None
     bundle: MultiSigBundle
     cap: SourceCapability
-    redeemed: bool = False
 
     @property
     def address_value(self) -> str:
@@ -149,7 +149,6 @@ class Simulation:
         mode: str = "cryptocubic",
         backend: CryptoBackend | str = "symbolic",
         seed: int = 0,
-        timeout_ticks: int = 100,
         wipe_sender_key: bool = False,
         journal_path: str | None = None,
     ) -> None:
@@ -159,28 +158,20 @@ class Simulation:
         self.backend = get_backend(backend) if isinstance(backend, str) else backend
         self.seed = seed
         self.rng = random.Random(seed)
-        self.timeout_ticks = timeout_ticks
         self.wipe_sender_key = wipe_sender_key
         self.ledger = Ledger(self.backend)
         self.store = DestructiveStore(digest_fn=self.backend.fingerprint, journal_path=journal_path)
         self.transport = Transport()
         self.parties: dict[str, Party] = {SERVER: Party(SERVER, "server")}
-        self._user_order: list[str] = []
         self.squares: dict[str, CryptoSquareRecord] = {}
-        self._square_at: dict[str, tuple[int, CryptoSquareRecord]] = {}  # by address
-        self._keypairs: dict[str, object] = {}  # party name -> AsymKeyPair
         self.value_of: dict[Term, object] = {}  # each square's two signing keys
         self.events: list[TraceEvent] = []
         self.step_records: list[StepRecord] = []
         self._memory_columns: dict[str, _MemoryColumn] = {}
         self._leaks: set[str] = set()  # parties to check for a resting signing key
-        self._slot_order: list[str] = []
-        self._slot_display: dict[str, str] = {}
         self._challenge_counts: dict[str, int] = {}
-        self._consumed_tokens: set[bytes] = set()
+        self._issued_tokens: set[bytes] = set()  # material of every challenge token made
         self._session_seq = 0
-        self._square_seq = 0
-        self.clock = 0
         # injection switches used by attack stagings and fault tests
         self.inject_counterfeit_es = False
         self.inject_wrong_ka = False
@@ -192,7 +183,6 @@ class Simulation:
         name = f"USER_{letter.upper()}"
         if name not in self.parties:
             self.parties[name] = Party(name, "user")
-            self._user_order.append(name)
         return self.parties[name]
 
     @property
@@ -200,10 +190,9 @@ class Simulation:
         return self.parties[SERVER]
 
     def _columns_order(self) -> list[str]:
-        if not self._user_order:
-            return [SERVER]
-        first, rest = self._user_order[0], self._user_order[1:]
-        return [first, SERVER, *rest]
+        # the server is the first party; users follow in order of arrival
+        server, *users = self.parties
+        return [*users[:1], server, *users[1:]]
 
     def _letter(self, party_name: str) -> str:
         return party_name.rsplit("_", 1)[1].lower()
@@ -212,7 +201,7 @@ class Simulation:
         if isinstance(value, Address):
             try:
                 balance = self.ledger.balance(value.value)
-            except Exception:
+            except UnknownAddress:
                 balance = 0
             if balance > 0:
                 return f"{name} ({format_money(balance)})"
@@ -229,9 +218,9 @@ class Simulation:
             if include_transients:
                 items.append(rendered)
         if party.role == "server":
-            for slot_id in self._slot_order:
-                display = self._slot_display[slot_id]
-                if display not in pending and self.store.ping(slot_id):
+            for square in self.squares.values():
+                display = square.slot_display
+                if display not in pending and self.store.ping(square.slot_id):
                     items.append(f"[{display}]")
         memory_items = self._memory_items(party)
         return items + memory_items if items else memory_items
@@ -271,7 +260,6 @@ class Simulation:
         return list(self._column_items(self.parties[party_name], include_transients))
 
     def _emit(self, label: str) -> None:
-        self.clock += 1
         columns = {
             name: self._column_items(self.parties[name]) for name in self._columns_order()
         }
@@ -279,9 +267,9 @@ class Simulation:
         self.events.append(event)
         knowledge = {name: p.snapshot() for name, p in self.parties.items()}
         slot_terms = {}
-        for slot_id in self._slot_order:
-            value = self.store._slots[slot_id].value
-            slot_terms[slot_id] = term_of(value) if value is not None else None
+        for square in self.squares.values():
+            value = self.store._slots[square.slot_id].value
+            slot_terms[square.slot_id] = term_of(value) if value is not None else None
         self.step_records.append(
             StepRecord(event, knowledge, slot_terms, len(self.transport.transcript))
         )
@@ -300,13 +288,6 @@ class Simulation:
     def _send(self, msg_type: str, sender: str, receiver: str, payload: tuple, session: int = 0) -> Message:
         return self.transport.send(Message(msg_type, sender, receiver, session, payload))
 
-    def _request(self, target: Party) -> bool:
-        """Returns False when the target stays silent long enough to time out."""
-        if target.silent:
-            self.clock += self.timeout_ticks
-            return False
-        return True
-
     def render(self) -> str:
         return render_run(self.events)
 
@@ -315,11 +296,11 @@ class Simulation:
 
     def _square_for(self, party_name: str) -> CryptoSquareRecord:
         """The earliest-established square whose address the party holds."""
-        held = [self._square_at[v.value] for v in self.parties[party_name].memory.values()
-                if isinstance(v, Address) and v.value in self._square_at]
-        if not held:
-            raise UnknownSquare(f"{party_name} holds no square address")
-        return min(held, key=lambda entry: entry[0])[1]
+        held = {v.value for v in self.parties[party_name].memory.values() if isinstance(v, Address)}
+        for square in self.squares.values():
+            if square.address_value in held:
+                return square
+        raise UnknownSquare(f"{party_name} holds no square address")
 
     def _owned_square(self, party_name: str) -> CryptoSquareRecord:
         square = self._square_for(party_name)
@@ -395,35 +376,25 @@ class Simulation:
             self._emit("the link drops; establishment rolls back")
             raise
 
-        square_id = self._new_square_id()
+        square_id = f"sq{len(self.squares) + 1}"
         slot_id = f"{square_id}.{slot_leg}"
         cap = self.store.grant_source([slot_id])
-        self._slot_order.append(slot_id)
-        self._slot_display[slot_id] = display
+        self.squares[square_id] = CryptoSquareRecord(
+            square_id, a.name, pair.public if pair else None, ks, slot_id, display, es_hash,
+            fingerprint, bundle, cap,
+        )
         self.store.insert(cap, slot_id, stored)
         proc.pending_insert = display
         self._emit(stored_label)
 
         proc.terminate()
         self.ledger.register(bundle.address.value, bundle.verify_user, bundle.verify_server)
-        square = CryptoSquareRecord(
-            square_id, a.name, pair.public if pair else None, ks, slot_id, es_hash, fingerprint,
-            bundle, cap,
-        )
-        self.squares[square_id] = square
-        self._square_at[square.address_value] = (len(self._square_at), square)
         for key in (bundle.sig_user, bundle.sig_server):
             self.value_of[term_of(key)] = key
         self._emit("the procedure terminates")
         if not plain:
-            # filed only now, so a rolled-back attempt leaves the user's old pair in force
-            self._keypairs[a.name] = pair
             self._emit("a square now stands between the user and the server")
         return square_id
-
-    def _new_square_id(self) -> str:
-        self._square_seq += 1
-        return f"sq{self._square_seq}"
 
     # ------------------------------------------------------------------
     # funding
@@ -441,8 +412,6 @@ class Simulation:
         if self.mode == "baseline3":
             return self._transfer_plain(from_letter, to_letter)
         session = self.begin_transfer(from_letter, to_letter)
-        if session.phase == "aborted":
-            return session
         self.withdraw_for_transfer(session)
         if session.phase == "aborted":
             return session
@@ -500,7 +469,6 @@ class Simulation:
         self._emit(f"user {fu} hands Es and the address to user {tu}")
 
         pair = self.backend.gen_asym_pair(self.rng)
-        self._keypairs[b.name] = pair
         t = to_letter.lower()
         b.remember(f"K{t}", pair.private)
         b.remember(f"K{t}_Public", pair.public)
@@ -535,7 +503,7 @@ class Simulation:
             session.abort("slot_empty")
             self._emit("the owner cypher is already gone; the transfer aborts")
             return
-        proc.bind(self._slot_display[square.slot_id], value)
+        proc.bind(square.slot_display, value)
         session.permit = permit
         session.procedure = proc
         session.advance("ea_withdrawn")
@@ -544,11 +512,11 @@ class Simulation:
         )
 
         self._send("request_private_key", SERVER, a.name, (), session.session_id)
-        if not self._request(a):
+        if a.silent:
             self._abort_with_reinsert(session, "timeout",
                                       "the key request times out; the owner cypher returns to the store")
             return
-        priv = self._keypairs[a.name].private
+        priv = a.recall(f"K{self._letter(session.sender)}")
         if self.inject_wrong_ka:
             decoy = self.backend.gen_asym_pair(self.rng)
             priv = decoy.private
@@ -563,7 +531,7 @@ class Simulation:
     def _abort_with_reinsert(self, session: TransferSession, reason: str, label: str) -> None:
         square = self.squares[session.square_id]
         proc = session.procedure
-        value = proc.get(self._slot_display[square.slot_id])
+        value = proc.get(square.slot_display)
         self.store.reinsert(session.permit, value)
         proc.terminate()
         session.abort(reason)
@@ -591,6 +559,7 @@ class Simulation:
         letter = self._letter(target.name)
         token_name, et_name, reply_name = self._challenge_names(letter)
         token = self.backend.gen_token(self.rng)
+        self._issued_tokens.add(token.material)
         s.remember(token_name, token)
         if not single_table:
             self._emit(f"server creates a challenge token for user {letter.upper()}")
@@ -602,30 +571,22 @@ class Simulation:
             self._emit(f"the token is encrypted for user {letter.upper()}")
 
         self._send("challenge", SERVER, target.name, (et,), session.session_id)
-        if not self._request(target):
-            token.consumed = True
-            self._consumed_tokens.add(token.material)
+        if target.silent:
             return False, "timeout"
         if reply_override is not None:
             reply = reply_override
         else:
-            pair = self._keypairs.get(target.name)
             try:
-                reply = self.backend.asym_decrypt(pair.private, et)
+                reply = self.backend.asym_decrypt(target.recall(f"K{letter}"), et)
             except KeyMismatch:
-                token.consumed = True
-                self._consumed_tokens.add(token.material)
                 return False, "cannot decrypt challenge"
             target.remember(et_name, et)
             target.remember(reply_name, reply)
         self._send("challenge_reply", target.name, SERVER, (reply,), session.session_id)
-        # the token is spent now, whatever the comparison says
-        token.consumed = True
-        self._consumed_tokens.add(token.material)
         if reply_override is None:
             s.remember(reply_name, reply)
         if not isinstance(reply, Token) or reply.material != token.material:
-            if isinstance(reply, Token) and reply.material in self._consumed_tokens - {token.material}:
+            if isinstance(reply, Token) and reply.material in self._issued_tokens - {token.material}:
                 return False, "token replay"
             return False, "token mismatch"
         return True, ""
@@ -646,7 +607,7 @@ class Simulation:
         session.advance("sender_authenticated")
         self._emit(f"user {fu} returns the decrypted token and is confirmed")
 
-        receiver_pub = self._keypairs[b.name].public
+        receiver_pub = b.recall(f"K{self._letter(b.name)}_Public")
         ok, why = self._run_challenge(b, receiver_pub, session, single_table=True)
         if not ok:
             self._abort_with_reinsert(
@@ -656,7 +617,7 @@ class Simulation:
         session.advance("receiver_authenticated")
         self._emit(f"user {tu} returns the decrypted token and is confirmed")
 
-        es_hash = self.server.recall("Hash")
+        es_hash = square.es_hash
         self._send("hash_share", SERVER, b.name, (es_hash,), session.session_id)
         b.remember("Hash", es_hash)
         self._emit(f"server shares the verification hash with user {tu}")
@@ -689,7 +650,7 @@ class Simulation:
         proc.bind(ka_name, ka)
         self._emit(f"the procedure loads user {sender_letter.upper()}'s private key")
 
-        ea = proc.get(self._slot_display[square.slot_id])
+        ea = proc.get(square.slot_display)
         try:
             if not self.backend.matches(ka, square.owner_pub):
                 raise KeyMismatch("stored private key does not fit the owner's public key")
@@ -719,7 +680,7 @@ class Simulation:
         self._emit(f"the procedure re-encrypts the signing key to user {tu}")
 
         self.store.insert(square.cap, square.slot_id, eb)
-        self._slot_display[square.slot_id] = eb_name
+        square.slot_display = eb_name
         proc.pending_insert = eb_name
         self._emit("the new owner cypher drops into the destructive store")
 
@@ -752,7 +713,7 @@ class Simulation:
             self._emit(f"user {letter} answers the redemption challenge and is confirmed")
 
         taken, permit = self.store.take(square.slot_id)
-        display = self._slot_display[square.slot_id]
+        display = square.slot_display
         proc = None  # the plaintext mode recovers the keys in memory, not in a scope
         try:
             if plain:
@@ -768,7 +729,7 @@ class Simulation:
                 proc.bind("Ks", ks)
                 self._emit(f"server releases the owner cypher and symmetric key to user {letter}")
 
-                sig_u = self.backend.asym_decrypt(self._keypairs[x.name].private, taken)
+                sig_u = self.backend.asym_decrypt(x.recall(f"K{user_letter.lower()}"), taken)
                 sig_s = self.backend.sym_decrypt(ks, x.recall("Es"))
                 proc.bind("Sig_U", sig_u)
                 proc.bind("Sig_S", sig_s)
@@ -783,7 +744,9 @@ class Simulation:
             raise
         if proc is not None:
             proc.terminate()
-        square.redeemed = True
+        if self.ledger.balance(square.address_value):
+            # a partial redemption leaves the rest redeemable
+            self.store.reinsert(permit, taken)
         self._emit(f"user {letter} signs the transfer and the chain accepts it")
         return tx_id
 

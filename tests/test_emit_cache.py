@@ -53,8 +53,8 @@ def reference_column(sim, party):
             pending.add(proc.pending_insert)
         items.append(rendered)
     if party.role == "server":
-        for slot_id in sim._slot_order:
-            display = sim._slot_display[slot_id]
+        for square in sim.squares.values():
+            slot_id, display = square.slot_id, square.slot_display
             if display not in pending and sim.store.ping(slot_id):
                 items.append(f"[{display}]")
     for name, value in party.memory.items():
@@ -69,7 +69,7 @@ def reference_step(sim):
         for name, party in sim.parties.items()
     }
     slot_terms = {}
-    for slot_id in sim._slot_order:
+    for slot_id in (square.slot_id for square in sim.squares.values()):
         value = sim.store._slots[slot_id].value
         slot_terms[slot_id] = term_of(value) if value is not None else None
     return columns, knowledge, slot_terms

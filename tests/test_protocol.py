@@ -6,7 +6,14 @@ from canonical_tables import EXPECTED, diff_step
 from cryptocubic.backend import KeyMismatch
 from cryptocubic.ledger import InsufficientFunds
 from cryptocubic.parties import TransportFailure
-from cryptocubic.protocol import SERVER, AuthFailure, NotOwner, Simulation, UnknownSquare
+from cryptocubic.protocol import (
+    SERVER,
+    AuthFailure,
+    NotOwner,
+    Simulation,
+    TransferSession,
+    UnknownSquare,
+)
 from cryptocubic.store import SlotEmpty
 from cryptocubic.terms import SigningKeyTerm
 
@@ -90,15 +97,10 @@ class TestFaultInjection:
         sim = Simulation(mode=mode)
         sim.setup("a")
         sim.fund("a", 1000)
-        clock_before = sim.clock
-        events_before = len(sim.events)
         sim.user("a").silent = True
         session = sim.transfer("a", "b")
         assert session.phase == "aborted"
         assert session.abort_reason == "timeout"
-        # the clock ticks once per emitted table plus the full waiting period
-        emitted = len(sim.events) - events_before
-        assert sim.clock == clock_before + emitted + sim.timeout_ticks
         square = next(iter(sim.squares.values()))
         assert sim.store.history(square.slot_id)["reinserts"] == 1
         assert square.owner_party == "USER_A"
@@ -152,6 +154,34 @@ class TestFaultInjection:
         assert sim.transfer("a", "b").phase == "completed"
         sim.redeem("b", "ext", 1000)
         assert sim.ledger.balance("ext") == 1000
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_square_is_checked_against_its_own_hash(self, mode, backend):
+        # C's later setup must not change what A's transfer is checked against
+        sim = Simulation(mode=mode, backend=backend)
+        sim.setup("a")
+        sim.setup("c")
+        sim.fund("a", 1000)
+        sim.fund("c", 500)
+        assert sim.transfer("a", "b").phase == "completed"
+        sim.redeem("b", "ext", 1000)
+        sim.redeem("c", "ext", 500)
+        assert sim.ledger.balance("ext") == 1500
+        slots = list(sim.step_records[-1].slot_terms)
+        assert [slot.split(".")[0] for slot in slots] == ["sq1", "sq2"]
+
+    def test_challenge_failure_reasons(self):
+        sim = canonical_run("cryptocubic", redeem=False)
+        square = next(iter(sim.squares.values()))
+        finished = sim.server.recall("Token_B2")
+        for reply, reason in [
+            (finished, "token replay"),
+            (sim.backend.gen_token(sim.rng), "token mismatch"),
+        ]:
+            session = TransferSession(99, square.square_id, "USER_B", "USER_B")
+            assert sim._run_challenge(
+                sim.user("b"), square.owner_pub, session, single_table=True, reply_override=reply
+            ) == (False, reason)
 
     @pytest.mark.parametrize("inject", ["inject_wrong_ka", "inject_counterfeit_es"])
     def test_aborts_leave_no_live_scopes(self, inject):
@@ -285,6 +315,19 @@ class TestRedemption:
             sim.redeem("a", "ext", 1000)
         sim.redeem("b", "ext", 1000)
         assert sim.ledger.balance("ext") == 1000
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_partial_redemption_leaves_the_rest_redeemable(self, mode):
+        sim = Simulation(mode=mode)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        square = next(iter(sim.squares.values()))
+        sim.redeem("a", "ext", 500)
+        assert sim.store.ping(square.slot_id)
+        sim.redeem("a", "ext", 500)
+        assert not sim.store.ping(square.slot_id)
+        assert sim.ledger.balance("ext") == 1000
+        assert sim.store.history(square.slot_id)["reinserts"] == 1
 
     def test_stale_token_replay_refused(self):
         sim = canonical_run("cryptocubic", redeem=False)
