@@ -152,7 +152,6 @@ class Cypher:
     scheme: str  # ASYM or SYM
     payload: object  # bytes under concrete crypto, wrapped value otherwise
     term: EncTerm
-    key_hint: str | None = None  # symbolic backend only
 
     def __hash__(self) -> int:
         return hash(self.term)
@@ -281,10 +280,14 @@ class CryptoBackend:
         )
         return derived == bundle.address.value
 
-    # shared plaintext guard
+    # shared guards
     def _check_plaintext(self, value: object) -> None:
         if isinstance(value, (bytes, bytearray)) and len(value) == 0:
             raise EmptyPlaintext("refusing to encrypt an empty message")
+
+    def _check_scheme(self, cypher: Cypher, scheme: str) -> None:
+        if cypher.scheme != scheme:
+            raise SchemeMismatch(f"expected {scheme} cypher, got {cypher.scheme}")
 
 
 class SymbolicBackend(CryptoBackend):
@@ -313,32 +316,20 @@ class SymbolicBackend(CryptoBackend):
 
     def asym_encrypt(self, public: AsymPublicKey, value: object, rng: random.Random) -> Cypher:
         self._check_plaintext(value)
-        return Cypher(
-            scheme=ASYM,
-            payload=value,
-            term=EncTerm(ASYM, public.pair_id, term_of(value)),
-            key_hint=public.pair_id,
-        )
+        return Cypher(scheme=ASYM, payload=value, term=EncTerm(ASYM, public.pair_id, term_of(value)))
 
     def asym_decrypt(self, private: AsymPrivateKey, cypher: Cypher) -> object:
-        if cypher.scheme != ASYM:
-            raise SchemeMismatch(f"expected {ASYM} cypher, got {cypher.scheme}")
+        self._check_scheme(cypher, ASYM)
         if cypher.term.key_id != private.pair_id:
             raise KeyMismatch(f"cypher is not addressed to {private.pair_id}")
         return cypher.payload
 
     def sym_encrypt(self, key: SymKey, value: object, rng: random.Random) -> Cypher:
         self._check_plaintext(value)
-        return Cypher(
-            scheme=SYM,
-            payload=value,
-            term=EncTerm(SYM, key.key_id, term_of(value)),
-            key_hint=key.key_id,
-        )
+        return Cypher(scheme=SYM, payload=value, term=EncTerm(SYM, key.key_id, term_of(value)))
 
     def sym_decrypt(self, key: SymKey, cypher: Cypher) -> object:
-        if cypher.scheme != SYM:
-            raise SchemeMismatch(f"expected {SYM} cypher, got {cypher.scheme}")
+        self._check_scheme(cypher, SYM)
         if cypher.term.key_id != key.key_id:
             raise KeyMismatch(f"cypher was not sealed under {key.key_id}")
         return cypher.payload
@@ -413,8 +404,7 @@ class ConcreteBackend(CryptoBackend):
         return Cypher(scheme=ASYM, payload=payload, term=EncTerm(ASYM, public.pair_id, term_of(value)))
 
     def asym_decrypt(self, private: AsymPrivateKey, cypher: Cypher) -> object:
-        if cypher.scheme != ASYM:
-            raise SchemeMismatch(f"expected {ASYM} cypher, got {cypher.scheme}")
+        self._check_scheme(cypher, ASYM)
         payload = cypher.payload
         if len(payload) < 32 + 12 + 16:  # ephemeral key, nonce, tag
             raise KeyMismatch("cypher payload is cut short")
@@ -435,8 +425,7 @@ class ConcreteBackend(CryptoBackend):
         return Cypher(scheme=SYM, payload=nonce + ct, term=EncTerm(SYM, key.key_id, term_of(value)))
 
     def sym_decrypt(self, key: SymKey, cypher: Cypher) -> object:
-        if cypher.scheme != SYM:
-            raise SchemeMismatch(f"expected {SYM} cypher, got {cypher.scheme}")
+        self._check_scheme(cypher, SYM)
         if len(cypher.payload) < 12 + 16:  # nonce, tag
             raise KeyMismatch("cypher payload is cut short")
         try:

@@ -156,7 +156,6 @@ class Simulation:
             raise ValueError(f"unknown mode: {mode!r}")
         self.mode = mode
         self.backend = get_backend(backend) if isinstance(backend, str) else backend
-        self.seed = seed
         self.rng = random.Random(seed)
         self.wipe_sender_key = wipe_sender_key
         self.ledger = Ledger(self.backend)
@@ -251,13 +250,13 @@ class Simulation:
         column.rendered = list(items.values())
         return column.rendered
 
-    def holdings(self, party_name: str, include_transients: bool = False) -> list[str]:
-        """Current rendered holdings of one party.
-
-        Transient scope contents only show up when explicitly requested;
-        outside callers see what a state inspection would see.
-        """
-        return list(self._column_items(self.parties[party_name], include_transients))
+    def holdings(self, party_name: str) -> list[str]:
+        """Current rendered holdings of one party, without transient scope
+        contents: what a state inspection would see.  A party the run has
+        not met holds nothing."""
+        if party_name not in self.parties:
+            return []
+        return list(self._column_items(self.parties[party_name], include_transients=False))
 
     def _emit(self, label: str) -> None:
         columns = {
@@ -409,43 +408,15 @@ class Simulation:
     # transfer
 
     def transfer(self, from_letter: str, to_letter: str) -> TransferSession:
-        if self.mode == "baseline3":
-            return self._transfer_plain(from_letter, to_letter)
         session = self.begin_transfer(from_letter, to_letter)
-        self.withdraw_for_transfer(session)
-        if session.phase == "aborted":
-            return session
+        steps = [self.withdraw_for_transfer, self.complete_transfer]
         if self.mode == "cryptocubic":
-            self.authenticate_parties(session)
-            if session.phase == "aborted":
-                return session
-        self.complete_transfer(session)
+            steps.insert(1, self.authenticate_parties)
+        for step in steps:
+            if session.phase in ("completed", "aborted"):
+                break
+            step(session)
         return session
-
-    def _transfer_plain(self, from_letter: str, to_letter: str) -> TransferSession:
-        a = self.user(from_letter)
-        square = self._owned_square(a.name)
-        b, newcomer = self._meet(from_letter, to_letter)
-        session = self._new_session(square, a.name, b.name)
-        sig_u = a.recall("Sig_U")
-        addr = a.recall("ADD")
-        self._send("handover", a.name, b.name, (sig_u, addr), session.session_id)
-        b.remember("Sig_U", sig_u)
-        b.remember("ADD", addr)
-        self._emit(
-            f"user {from_letter.upper()} hands the user signing key and the address"
-            f" to user {to_letter.upper()}"
-        )
-        session.advance("completed")
-        return session
-
-    def _meet(self, from_letter: str, to_letter: str) -> tuple[Party, bool]:
-        name = f"USER_{to_letter.upper()}"
-        newcomer = name not in self.parties
-        b = self.user(to_letter)
-        if newcomer:
-            self._emit(f"user {from_letter.upper()} encounters user {to_letter.upper()}")
-        return b, newcomer
 
     def _new_session(self, square: CryptoSquareRecord, sender: str, receiver: str) -> TransferSession:
         self._session_seq += 1
@@ -454,18 +425,29 @@ class Simulation:
     def begin_transfer(self, from_letter: str, to_letter: str) -> TransferSession:
         a = self.user(from_letter)
         square = self._owned_square(a.name)
-        b, _ = self._meet(from_letter, to_letter)
-        session = self._new_session(square, a.name, b.name)
         fu, tu = from_letter.upper(), to_letter.upper()
+        newcomer = f"USER_{tu}" not in self.parties
+        b = self.user(to_letter)
+        if newcomer:
+            self._emit(f"user {fu} encounters user {tu}")
+        session = self._new_session(square, a.name, b.name)
 
-        es = a.recall("Es")
-        if self.inject_counterfeit_es:
+        # the plaintext mode hands over the user signing key itself, and that
+        # handover is the whole transfer
+        plain = self.mode == "baseline3"
+        handed_name = "Sig_U" if plain else "Es"
+        handed = a.recall(handed_name)
+        if self.inject_counterfeit_es and not plain:
             filler = self.backend.gen_sym_key(self.rng)
-            es = self.backend.sym_encrypt(filler, b"counterfeit filler", self.rng)
+            handed = self.backend.sym_encrypt(filler, b"counterfeit filler", self.rng)
         addr = a.recall("ADD")
-        self._send("handover", a.name, b.name, (es, addr), session.session_id)
-        b.remember("Es", es)
+        self._send("handover", a.name, b.name, (handed, addr), session.session_id)
+        b.remember(handed_name, handed)
         b.remember("ADD", addr)
+        if plain:
+            self._emit(f"user {fu} hands the user signing key and the address to user {tu}")
+            session.advance("completed")
+            return session
         self._emit(f"user {fu} hands Es and the address to user {tu}")
 
         pair = self.backend.gen_asym_pair(self.rng)
@@ -656,13 +638,11 @@ class Simulation:
                 raise KeyMismatch("stored private key does not fit the owner's public key")
             sig_u = self.backend.asym_decrypt(ka, ea)
         except KeyMismatch:
-            proc.bindings.pop(ka_name, None)
             self._abort_with_reinsert(
                 session, "ka_mismatch",
                 "the private key cannot open the cypher; it returns to the store")
             return
         if self.backend.fingerprint(sig_u) != square.sig_user_fingerprint:
-            proc.bindings.pop(ka_name, None)
             self._abort_with_reinsert(
                 session, "foreign cypher",
                 "the decrypted key is not this square's; the cypher returns to the store")

@@ -15,7 +15,7 @@ pretty-printing then parsing again is a fixed point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .adversary import SCENARIOS, Verdict, run_attack
 from .backend import CryptoError
@@ -33,69 +33,61 @@ class ScenarioSyntaxError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Setup:
-    user: str
+class Command:
+    """A script command: its head word, then each field in order, as one line."""
 
     def pretty(self) -> str:
-        return f"setup {self.user}"
+        words = [_HEADS[type(self)]]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                words.append(",".join(value))
+            elif isinstance(value, bool):
+                words.append(str(value).lower())
+            else:
+                words.append(str(value))
+        return " ".join(words)
 
 
 @dataclass(frozen=True)
-class Fund:
+class Setup(Command):
+    user: str
+
+
+@dataclass(frozen=True)
+class Fund(Command):
     user: str
     cents: int
 
-    def pretty(self) -> str:
-        return f"fund {self.user} {self.cents}"
-
 
 @dataclass(frozen=True)
-class Transfer:
+class Transfer(Command):
     sender: str
     receiver: str
 
-    def pretty(self) -> str:
-        return f"transfer {self.sender} {self.receiver}"
-
 
 @dataclass(frozen=True)
-class Redeem:
+class Redeem(Command):
     user: str
     dest: str
     cents: int
 
-    def pretty(self) -> str:
-        return f"redeem {self.user} {self.dest} {self.cents}"
-
 
 @dataclass(frozen=True)
-class Attack:
+class Attack(Command):
     scenario: str
 
-    def pretty(self) -> str:
-        return f"attack {self.scenario}"
-
 
 @dataclass(frozen=True)
-class ExpectHoldings:
+class ExpectHoldings(Command):
     party: str  # single letter, S for the server
     items: tuple[str, ...]
 
-    def pretty(self) -> str:
-        return f"expect-holdings {self.party} {','.join(self.items)}"
-
 
 @dataclass(frozen=True)
-class ExpectVerdict:
+class ExpectVerdict(Command):
     scenario: str
     expected: bool
-
-    def pretty(self) -> str:
-        return f"expect-verdict {self.scenario} {str(self.expected).lower()}"
-
-
-Command = Setup | Fund | Transfer | Redeem | Attack | ExpectHoldings | ExpectVerdict
 
 
 @dataclass
@@ -148,13 +140,35 @@ def _check_scenario(token: str, lineno: int, col: int) -> str:
     return token
 
 
-def _arity(tokens: list[str], n: int, lineno: int, line: str) -> None:
-    if len(tokens) - 1 != n:
-        raise ScenarioSyntaxError(
-            lineno,
-            _column_of(line, min(len(tokens), n + 1)),
-            f"{tokens[0]} takes {n} argument{'s' if n != 1 else ''}",
-        )
+def _check_dest(token: str, lineno: int, col: int) -> str:
+    return token  # any account name
+
+
+def _check_items(token: str, lineno: int, col: int) -> tuple[str, ...]:
+    items = tuple(i for i in token.split(",") if i)
+    if not items:
+        raise ScenarioSyntaxError(lineno, col, "expected a comma-separated variable list")
+    return items
+
+
+def _check_flag(token: str, lineno: int, col: int) -> bool:
+    flag = token.lower()
+    if flag not in ("true", "false"):
+        raise ScenarioSyntaxError(lineno, col, f"expected true or false, got {token!r}")
+    return flag == "true"
+
+
+# the script grammar: each command head, its class and a checker per argument
+GRAMMAR = {
+    "setup": (Setup, (_check_user,)),
+    "fund": (Fund, (_check_user, _check_cents)),
+    "transfer": (Transfer, (_check_user, _check_user)),
+    "redeem": (Redeem, (_check_user, _check_dest, _check_cents)),
+    "attack": (Attack, (_check_scenario,)),
+    "expect-holdings": (ExpectHoldings, (_check_party, _check_items)),
+    "expect-verdict": (ExpectVerdict, (_check_scenario, _check_flag)),
+}
+_HEADS = {cls: head for head, (cls, _) in GRAMMAR.items()}
 
 
 def parse_scenario(
@@ -167,59 +181,20 @@ def parse_scenario(
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        tokens = line.split()
-        head = tokens[0]
-        if head == "setup":
-            _arity(tokens, 1, lineno, line)
-            commands.append(Setup(_check_user(tokens[1], lineno, _column_of(line, 1))))
-        elif head == "fund":
-            _arity(tokens, 2, lineno, line)
-            commands.append(
-                Fund(
-                    _check_user(tokens[1], lineno, _column_of(line, 1)),
-                    _check_cents(tokens[2], lineno, _column_of(line, 2)),
-                )
-            )
-        elif head == "transfer":
-            _arity(tokens, 2, lineno, line)
-            commands.append(
-                Transfer(
-                    _check_user(tokens[1], lineno, _column_of(line, 1)),
-                    _check_user(tokens[2], lineno, _column_of(line, 2)),
-                )
-            )
-        elif head == "redeem":
-            _arity(tokens, 3, lineno, line)
-            commands.append(
-                Redeem(
-                    _check_user(tokens[1], lineno, _column_of(line, 1)),
-                    tokens[2],
-                    _check_cents(tokens[3], lineno, _column_of(line, 3)),
-                )
-            )
-        elif head == "attack":
-            _arity(tokens, 1, lineno, line)
-            commands.append(Attack(_check_scenario(tokens[1], lineno, _column_of(line, 1))))
-        elif head == "expect-holdings":
-            _arity(tokens, 2, lineno, line)
-            party = _check_party(tokens[1], lineno, _column_of(line, 1))
-            items = tuple(i for i in tokens[2].split(",") if i)
-            if not items:
-                raise ScenarioSyntaxError(
-                    lineno, _column_of(line, 2), "expected a comma-separated variable list"
-                )
-            commands.append(ExpectHoldings(party, items))
-        elif head == "expect-verdict":
-            _arity(tokens, 2, lineno, line)
-            scenario = _check_scenario(tokens[1], lineno, _column_of(line, 1))
-            flag = tokens[2].lower()
-            if flag not in ("true", "false"):
-                raise ScenarioSyntaxError(
-                    lineno, _column_of(line, 2), f"expected true or false, got {tokens[2]!r}"
-                )
-            commands.append(ExpectVerdict(scenario, flag == "true"))
-        else:
+        head, *args = line.split()
+        if head not in GRAMMAR:
             raise ScenarioSyntaxError(lineno, 1, f"unknown command {head!r}")
+        cls, checkers = GRAMMAR[head]
+        n = len(checkers)
+        if len(args) != n:
+            raise ScenarioSyntaxError(
+                lineno,
+                _column_of(line, min(len(args), n) + 1),
+                f"{head} takes {n} argument{'s' if n != 1 else ''}",
+            )
+        values = [check(arg, lineno, _column_of(line, i))
+                  for i, (check, arg) in enumerate(zip(checkers, args), start=1)]
+        commands.append(cls(*values))
     return ScenarioScript(commands, seed=seed, mode=mode, backend=backend)
 
 

@@ -99,21 +99,13 @@ class JournalRecord:
         return _OP_NAMES[self.op]
 
 
-def _default_digest(value: object) -> bytes:
-    fp = getattr(value, "term", None)
-    data = repr(fp).encode() if fp is not None else repr(value).encode()
-    if isinstance(value, (bytes, bytearray)):
-        data = bytes(value)
-    return hashlib.sha256(data).digest()
-
-
 class DestructiveStore:
     """Pingable, capability-gated, destructively-read slot storage."""
 
-    def __init__(self, digest_fn=None, journal_path=None) -> None:
+    def __init__(self, digest_fn, journal_path=None) -> None:
         self._slots: dict[str, _Slot] = {}
         self._caps: dict[str, SourceCapability] = {}
-        self._digest = digest_fn or _default_digest
+        self._digest = digest_fn
         self._lock = threading.Lock()
         self._seq = 0
         self._journal_path = journal_path

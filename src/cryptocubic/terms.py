@@ -18,9 +18,6 @@ SYM = "sym"
 class Term:
     """Base class for knowledge terms."""
 
-    def fingerprint(self) -> bytes:
-        return hashlib.sha256(repr(self).encode("utf-8")).digest()
-
 
 @dataclass(frozen=True)
 class PrivateKeyTerm(Term):

@@ -51,6 +51,16 @@ class TestExitCodes:
             assert "KeyMismatch" in err
             assert "Traceback" not in err
 
+    def test_expectation_on_an_unmet_party_exits_one(self, script):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cryptocubic.cli", script("setup A\nexpect-holdings B Es\n")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "FAIL expect-holdings B Es: holdings are []\n"
+
     def test_syntax_error_exits_two(self, script, capsys):
         code = main([script("trnsfer A B\n")])
         assert code == 2

@@ -183,6 +183,15 @@ class TestFaultInjection:
                 sim.user("b"), square.owner_pub, session, single_table=True, reply_override=reply
             ) == (False, reason)
 
+    def test_plaintext_handover_ignores_a_counterfeit(self):
+        sim = Simulation(mode="baseline3")
+        sim.setup("a")
+        sim.fund("a", 1000)
+        sim.inject_counterfeit_es = True
+        assert sim.transfer("a", "b").phase == "completed"
+        square = next(iter(sim.squares.values()))
+        assert sim.user("b").recall("Sig_U").term == square.bundle.sig_user.term
+
     @pytest.mark.parametrize("inject", ["inject_wrong_ka", "inject_counterfeit_es"])
     def test_aborts_leave_no_live_scopes(self, inject):
         sim = Simulation(mode="cryptocubic")
@@ -231,6 +240,31 @@ class TestOwnership:
         c.forget("ADD_later")
         with pytest.raises(UnknownSquare):
             sim._square_for("USER_C")
+
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_refused_transfer_emits_nothing(self, mode):
+        sim = canonical_run(mode, redeem=False)
+        steps = len(sim.events)
+        # ownership does not rotate in the plaintext mode
+        non_owner = "b" if mode == "baseline3" else "a"
+        with pytest.raises(NotOwner):
+            sim.transfer(non_owner, "c")
+        with pytest.raises(UnknownSquare):
+            sim.transfer("d", "b")
+        assert len(sim.events) == len(sim.step_records) == steps
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_second_meeting_is_not_an_encounter(self, mode):
+        sim = Simulation(mode=mode)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        back = ("a", "b") if mode == "baseline3" else ("b", "a")
+        for (sender, receiver), encounters in [(("a", "b"), 1), (back, 0)]:
+            steps = len(sim.events)
+            assert sim.transfer(sender, receiver).phase == "completed"
+            labels = [event.label for event in sim.events[steps:]]
+            assert sum("encounters" in label for label in labels) == encounters
 
 
 class TestRace:

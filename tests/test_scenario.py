@@ -1,6 +1,11 @@
 """Scenario script parsing, pretty-printing, and the script runner."""
-import pytest
+import string
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cryptocubic.adversary import SCENARIOS
 from cryptocubic.scenario import (
     Attack,
     ExpectHoldings,
@@ -104,14 +109,40 @@ class TestParsing:
             parse_scenario(CORE, mode="quantum")
 
 
+def _words(head, *args):
+    return st.tuples(st.just(head), *args).map(" ".join)
+
+
+_user = st.sampled_from([c for c in string.ascii_letters if c not in "sS"])
+_party = st.one_of(
+    st.sampled_from(string.ascii_letters),
+    st.builds(
+        "{}_{}".format, st.sampled_from(["USER", "user"]), st.sampled_from(string.ascii_letters)
+    ),
+    st.sampled_from(["SERVER_S", "server_s"]),
+)
+_cents = st.builds("{}{}".format, st.sampled_from(["", "0", "00"]), st.integers(1, 10**12))
+_token = st.text(alphabet=string.ascii_letters + string.digits + "_'.-()[]", min_size=1, max_size=8)
+_items = st.lists(st.one_of(st.just(""), _token), min_size=1, max_size=5).filter(any).map(",".join)
+_scenario = st.sampled_from(sorted(SCENARIOS))
+_flag = st.sampled_from(["true", "false", "TRUE", "FALSE", "True", "False"])
+_command_line = st.one_of(
+    _words("setup", _user),
+    _words("fund", _user, _cents),
+    _words("transfer", _user, _user),
+    _words("redeem", _user, _token, _cents),
+    _words("attack", _scenario),
+    _words("expect-holdings", _party, _items),
+    _words("expect-verdict", _scenario, _flag),
+)
+
+
 class TestPretty:
-    def test_parse_pretty_fixed_point(self):
-        text = (
-            "setup A\nfund A 1000\ntransfer A B\nredeem B ext 1000\n"
-            "attack store_raid\nexpect-holdings B Es,ADD\n"
-            "expect-verdict post_transfer_grab false\n"
-        )
-        script = parse_scenario(text)
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(_command_line, max_size=12))
+    def test_parse_pretty_fixed_point(self, lines):
+        script = parse_scenario("".join(line + "\n" for line in lines))
+        assert len(script.commands) == len(lines)
         printed = pretty(script)
         assert parse_scenario(printed).commands == script.commands
         assert pretty(parse_scenario(printed)) == printed
@@ -145,10 +176,12 @@ class TestRunner:
         assert result.ok, result.failures
 
     def test_failed_holdings_expectation(self):
-        text = CORE + "expect-holdings B Es\n"
-        result = run_scenario(parse_scenario(text))
-        assert not result.ok
-        assert "holdings are" in result.failures[0]
+        # a party the run has not met holds nothing
+        for text in (CORE + "expect-holdings B Es\n", "setup A\nexpect-holdings B Es\n"):
+            result = run_scenario(parse_scenario(text))
+            assert not result.ok
+            assert "holdings are" in result.failures[0]
+        assert result.failures == ["expect-holdings B Es: holdings are []"]
 
     def test_failed_verdict_expectation(self):
         text = CORE + "expect-verdict post_transfer_grab true\n"
