@@ -7,9 +7,8 @@ set under the decomposition rules an attacker can apply mechanically:
 2. open a symmetric cypher with its key,
 3. split tuples into their parts.
 
-Constructive abilities (hashing known values, encrypting under known keys,
-tupling) never produce new atoms, so they are answered on demand by
-`can_derive` instead of being enumerated into the closure.
+Constructive rules (hashing known values, encrypting under known keys,
+tupling) never yield an atom, so the spend check needs only the closure.
 
 An attack is a spend: `can_spend` asks whether both signing-key atoms of a
 square are derivable, and when they are it returns a step-by-step witness
@@ -24,10 +23,8 @@ from .protocol import SERVER, Simulation
 from .terms import (
     ASYM,
     SYM,
-    DigestTerm,
     EncTerm,
     PrivateKeyTerm,
-    PublicKeyTerm,
     SigningKeyTerm,
     SymKeyTerm,
     Term,
@@ -83,26 +80,6 @@ def closure(knowledge) -> dict[Term, Derivation | None]:
                     )
                     changed = True
     return known
-
-
-def closure_terms(knowledge) -> frozenset[Term]:
-    return frozenset(closure(knowledge))
-
-
-def can_derive(closed: dict[Term, Derivation | None], target: Term) -> bool:
-    """Analysis plus on-demand synthesis: hash, encrypt and tuple anything."""
-    if target in closed:
-        return True
-    if isinstance(target, DigestTerm):
-        return can_derive(closed, target.inner)
-    if isinstance(target, TupleTerm):
-        return all(can_derive(closed, part) for part in target.items)
-    if isinstance(target, EncTerm):
-        key: Term = (
-            PublicKeyTerm(target.key_id) if target.scheme == ASYM else SymKeyTerm(target.key_id)
-        )
-        return can_derive(closed, key) and can_derive(closed, target.inner)
-    return False
 
 
 def _explain(closed: dict[Term, Derivation | None], target: Term, lines: list[str], seen: set[Term]) -> None:

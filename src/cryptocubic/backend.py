@@ -269,17 +269,6 @@ class CryptoBackend:
     def verify(self, key: VerifyKey, message: bytes, signature: Signature) -> bool:
         raise NotImplementedError
 
-    def _address_material(self, ver: VerifyKey) -> bytes:
-        raise NotImplementedError
-
-    def verify_address(self, bundle: MultiSigBundle) -> bool:
-        """Re-derive the bundle's address from its verification halves."""
-        derived = _derive_address(
-            self._address_material(bundle.verify_user),
-            self._address_material(bundle.verify_server),
-        )
-        return derived == bundle.address.value
-
     # shared guards
     def _check_plaintext(self, value: object) -> None:
         if isinstance(value, (bytes, bytearray)) and len(value) == 0:
@@ -310,9 +299,6 @@ class SymbolicBackend(CryptoBackend):
         ver_s = VerifyKey(bundle_id, "server")
         addr = Address(bundle_id, _derive_address(repr(ver_u).encode(), repr(ver_s).encode()))
         return MultiSigBundle(bundle_id, sig_u, sig_s, ver_u, ver_s, addr)
-
-    def _address_material(self, ver: VerifyKey) -> bytes:
-        return repr(ver).encode()
 
     def asym_encrypt(self, public: AsymPublicKey, value: object, rng: random.Random) -> Cypher:
         self._check_plaintext(value)
@@ -386,9 +372,6 @@ class ConcreteBackend(CryptoBackend):
             VerifyKey(bundle_id, "server", ver_s),
             Address(bundle_id, _derive_address(ver_u, ver_s)),
         )
-
-    def _address_material(self, ver: VerifyKey) -> bytes:
-        return ver.material
 
     def _derive_aes_key(self, shared: bytes) -> bytes:
         return hashlib.sha256(self._HKDF_INFO + shared).digest()

@@ -6,7 +6,8 @@
 
 Runs a scenario script and prints the holdings tables plus any attack
 verdict lines.  Exit status 0 when every expectation in the script holds,
-1 when one fails, 2 on a script syntax error.  Output is a pure function of
+1 when one fails or a command errors, 2 on a script syntax error, an
+unreadable script or an unwritable output path.  Output is a pure function of
 (script, seed, mode, backend).
 """
 from __future__ import annotations
@@ -48,17 +49,24 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.script}: {exc}", file=sys.stderr)
         return 2
 
-    result = run_scenario(script, quiet=args.quiet, journal_path=args.journal)
-    if args.journal and result.sim is not None:
-        result.sim.store.close()
+    try:
+        result = run_scenario(script, quiet=args.quiet, journal_path=args.journal)
+    except OSError as exc:
+        print(f"cannot write {args.journal}: {exc.strerror}", file=sys.stderr)
+        return 2
+    sim = result.sim
+    if args.journal:
+        sim.store.close()
     if result.output:
         sys.stdout.write(result.output)
-    if args.trace and result.sim is not None:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(result.sim.render())
-    if args.ledger and result.sim is not None:
-        with open(args.ledger, "w", encoding="utf-8") as fh:
-            fh.write(result.sim.ledger.dump())
+    for path, dump in ((args.trace, sim.render), (args.ledger, sim.ledger.dump)):
+        try:
+            if path:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(dump())
+        except OSError as exc:
+            print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
+            return 2
     for failure in result.failures:
         print(f"FAIL {failure}", file=sys.stderr)
     return 0 if result.ok else 1

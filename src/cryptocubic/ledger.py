@@ -84,10 +84,6 @@ class Ledger:
     def ensure_plain_account(self, address: str) -> None:
         self._accounts.setdefault(address, _Account())
 
-    def verify_address(self, bundle) -> bool:
-        """True iff the bundle's address derives from its verification keys."""
-        return self._backend.verify_address(bundle)
-
     def balance(self, address: str) -> int:
         account = self._accounts.get(address)
         if account is None:

@@ -107,9 +107,6 @@ class Party:
     def recall(self, name: str) -> object:
         return self.memory[name]
 
-    def knows(self, name: str) -> bool:
-        return name in self.memory
-
     def open_procedure(self) -> DynamicProcedure:
         proc = DynamicProcedure(self)
         self.procedures.append(proc)

@@ -149,7 +149,6 @@ class Simulation:
         mode: str = "cryptocubic",
         backend: CryptoBackend | str = "symbolic",
         seed: int = 0,
-        wipe_sender_key: bool = False,
         journal_path: str | None = None,
     ) -> None:
         if mode not in MODES:
@@ -157,7 +156,6 @@ class Simulation:
         self.mode = mode
         self.backend = get_backend(backend) if isinstance(backend, str) else backend
         self.rng = random.Random(seed)
-        self.wipe_sender_key = wipe_sender_key
         self.ledger = Ledger(self.backend)
         self.store = DestructiveStore(digest_fn=self.backend.fingerprint, journal_path=journal_path)
         self.transport = Transport()
@@ -294,8 +292,10 @@ class Simulation:
     # square lookup
 
     def _square_for(self, party_name: str) -> CryptoSquareRecord:
-        """The earliest-established square whose address the party holds."""
-        held = {v.value for v in self.parties[party_name].memory.values() if isinstance(v, Address)}
+        """The earliest-established square whose address the party holds.  A
+        party the run has not met holds none."""
+        memory = self.parties[party_name].memory if party_name in self.parties else {}
+        held = {v.value for v in memory.values() if isinstance(v, Address)}
         for square in self.squares.values():
             if square.address_value in held:
                 return square
@@ -399,8 +399,7 @@ class Simulation:
     # funding
 
     def fund(self, user_letter: str, cents: int) -> None:
-        a = self.user(user_letter)
-        square = self._square_for(a.name)
+        square = self._square_for(f"USER_{user_letter.upper()}")
         self.ledger.fund(square.address_value, cents)
         self._emit(f"user {user_letter.upper()} funds the address from an exterior wallet")
 
@@ -423,9 +422,13 @@ class Simulation:
         return TransferSession(self._session_seq, square.square_id, sender, receiver)
 
     def begin_transfer(self, from_letter: str, to_letter: str) -> TransferSession:
-        a = self.user(from_letter)
-        square = self._owned_square(a.name)
         fu, tu = from_letter.upper(), to_letter.upper()
+        if fu == tu:
+            # the receiver's fresh key pair would overwrite the owner's own
+            raise ProtocolError(f"sender and receiver are both user {fu}")
+        # look the square up first, so a refused transfer adds no party
+        square = self._owned_square(f"USER_{fu}")
+        a = self.user(from_letter)
         newcomer = f"USER_{tu}" not in self.parties
         b = self.user(to_letter)
         if newcomer:
@@ -667,8 +670,6 @@ class Simulation:
         proc.terminate()
         square.owner_party = session.receiver
         square.owner_pub = kb_pub
-        if self.wipe_sender_key:
-            s.forget(ka_name)
         self._send("transfer_notice", SERVER, session.sender, (b"done",), session.session_id)
         self._send("transfer_notice", SERVER, session.receiver, (b"done",), session.session_id)
         session.advance("completed")
@@ -679,8 +680,8 @@ class Simulation:
     # redemption
 
     def redeem(self, user_letter: str, dest: str, cents: int) -> int:
+        square = self._square_for(f"USER_{user_letter.upper()}")
         x = self.user(user_letter)
-        square = self._square_for(x.name)
         letter = user_letter.upper()
         plain = self.mode == "baseline3"
         self._send("take_request" if plain else "redeem_request", x.name, SERVER, (), 0)

@@ -59,8 +59,6 @@ OP_INSERT = 2
 OP_TAKE = 3
 OP_REINSERT = 4
 
-_OP_NAMES = {OP_GRANT: "grant", OP_INSERT: "insert", OP_TAKE: "take", OP_REINSERT: "reinsert"}
-
 
 @dataclass(frozen=True)
 class SourceCapability:
@@ -93,10 +91,6 @@ class JournalRecord:
     op: int
     slot_id: str
     value_digest: bytes
-
-    @property
-    def op_name(self) -> str:
-        return _OP_NAMES[self.op]
 
 
 class DestructiveStore:
@@ -249,15 +243,3 @@ def replay_journal(path) -> list[JournalRecord]:
             records.append(JournalRecord(seq, op, slot_id, digest))
     return records
 
-
-def presence_after(records) -> dict[str, bool]:
-    """Fold journal records into the presence map they imply."""
-    present: dict[str, bool] = {}
-    for rec in records:
-        if rec.op == OP_GRANT:
-            present[rec.slot_id] = False
-        elif rec.op in (OP_INSERT, OP_REINSERT):
-            present[rec.slot_id] = True
-        elif rec.op == OP_TAKE:
-            present[rec.slot_id] = False
-    return present

@@ -20,9 +20,6 @@ class TraceEvent:
     label: str
     columns: dict[str, list[str]]
 
-    def party_items(self, party: str) -> frozenset[str]:
-        return frozenset(self.columns.get(party, ()))
-
 
 def format_money(cents: int) -> str:
     if cents % 100 == 0:

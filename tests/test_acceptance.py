@@ -16,7 +16,7 @@ from test_adversary import random_knowledge
 from cryptocubic.adversary import (
     SCENARIOS,
     can_spend,
-    closure_terms,
+    closure,
     replay_witness,
     run_attack,
     snapshot_knowledge,
@@ -233,8 +233,8 @@ def test_crypto_properties():
     rng = random.Random(6)
     for _ in range(500):
         start = random_knowledge(rng)
-        once = closure_terms(start)
-        assert closure_terms(once) == once
+        once = frozenset(closure(start))
+        assert frozenset(closure(once)) == once
 
 
 @criterion("backend equivalence: symbolic and concrete runs are indistinguishable")

@@ -161,11 +161,6 @@ class TestTokens:
 
 
 class TestMultiSig:
-    def test_address_verifies(self, backend):
-        rng = random.Random(7)
-        bundle = backend.gen_multisig(rng)
-        assert backend.verify_address(bundle)
-
     def test_two_bundles_distinct_addresses(self, backend, rng):
         a, b = backend.gen_multisig(rng), backend.gen_multisig(rng)
         assert a.address.value != b.address.value

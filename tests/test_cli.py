@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from cryptocubic.cli import main
-from cryptocubic.store import presence_after, replay_journal
+from cryptocubic.store import OP_GRANT, OP_INSERT, OP_TAKE, replay_journal
 
 SCENARIOS_DIR = pathlib.Path("scenarios")
 GOLDEN_DIR = SCENARIOS_DIR / "golden"
@@ -72,6 +72,14 @@ class TestExitCodes:
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--journal", "--trace", "--ledger"])
+    def test_unwritable_output_path_exits_two(self, flag, script, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.txt"
+        assert main([script(CORE), flag, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {target}: ")
+        assert err.count("\n") == 1
+
 
 class TestOutputs:
     def test_quiet_drops_tables_keeps_verdicts(self, script, capsys):
@@ -100,11 +108,11 @@ class TestOutputs:
         assert main([script(CORE), "--journal", str(journal)]) == 0
         capsys.readouterr()
         records = replay_journal(str(journal))
-        assert [r.op_name for r in records] == [
-            "grant", "insert", "take", "insert", "take",
-        ]
         # one slot, drained by the redeem
-        assert list(presence_after(records).values()) == [False]
+        slot = records[0].slot_id
+        assert [(r.op, r.slot_id) for r in records] == [
+            (OP_GRANT, slot), (OP_INSERT, slot), (OP_TAKE, slot), (OP_INSERT, slot), (OP_TAKE, slot),
+        ]
 
     def test_deterministic_stdout(self, script, capsys):
         path = script(CORE + "attack wiretap_passive\n")

@@ -188,12 +188,11 @@ def run_sequence(sim, ops):
 @settings(max_examples=60, deadline=None)
 @given(
     mode=st.sampled_from(MODES),
-    wipe=st.booleans(),
     seed=st.integers(0, 3),
     ops=st.lists(operations, max_size=14),
 )
-def test_emitted_steps_match_a_recomputation(mode, wipe, seed, ops):
-    sim = CheckedSimulation(mode=mode, seed=seed, wipe_sender_key=wipe)
+def test_emitted_steps_match_a_recomputation(mode, seed, ops):
+    sim = CheckedSimulation(mode=mode, seed=seed)
     sim.setup("a")
     sim.fund("a", 1000)
     run_sequence(sim, ops)

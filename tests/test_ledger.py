@@ -58,21 +58,6 @@ class TestAccounts:
         with pytest.raises(UnknownAddress):
             ledger.fund("nowhere", 1)
 
-    def test_address_derivation_checks_out(self, backend, ledger, account):
-        assert ledger.verify_address(account)
-
-    def test_forged_address_rejected(self, backend, ledger, rng, account):
-        other = backend.gen_multisig(rng)
-        forged = type(account)(
-            account.bundle_id,
-            account.sig_user,
-            account.sig_server,
-            other.verify_user,
-            account.verify_server,
-            account.address,
-        )
-        assert not ledger.verify_address(forged)
-
 
 class TestFunding:
     def test_fund_credits(self, ledger, account):

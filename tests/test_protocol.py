@@ -10,6 +10,7 @@ from cryptocubic.protocol import (
     SERVER,
     AuthFailure,
     NotOwner,
+    ProtocolError,
     Simulation,
     TransferSession,
     UnknownSquare,
@@ -250,9 +251,29 @@ class TestOwnership:
         non_owner = "b" if mode == "baseline3" else "a"
         with pytest.raises(NotOwner):
             sim.transfer(non_owner, "c")
+        # a party the run has not met holds no square, and stays unmet
         with pytest.raises(UnknownSquare):
             sim.transfer("d", "b")
+        with pytest.raises(UnknownSquare):
+            sim.fund("d", 100)
+        with pytest.raises(UnknownSquare):
+            sim.redeem("d", "ext", 1)
         assert len(sim.events) == len(sim.step_records) == steps
+        assert list(sim.parties) == [SERVER, "USER_A", "USER_B"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_self_transfer_is_refused_before_anything_emits(self, mode, backend):
+        sim = Simulation(mode=mode, backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        steps, sent = len(sim.events), len(sim.transport.transcript)
+        with pytest.raises(ProtocolError, match="both user A"):
+            sim.transfer("a", "a")
+        assert len(sim.events) == len(sim.step_records) == steps
+        assert len(sim.transport.transcript) == sent
+        # the owner's key pair is intact, so the owner still redeems
+        sim.redeem("a", "ext", 1000)
+        assert sim.ledger.balance("ext") == 1000
 
     @pytest.mark.parametrize("mode", MODES)
     def test_second_meeting_is_not_an_encounter(self, mode):
@@ -401,16 +422,7 @@ class TestScopeHygiene:
 class TestServerResidue:
     def test_sender_key_retained_by_default(self):
         sim = canonical_run("cryptocubic", redeem=False)
-        assert sim.server.knows("Ka")
-
-    def test_wipe_flag_drops_sender_key_after_completion(self):
-        sim = Simulation(mode="cryptocubic", wipe_sender_key=True)
-        sim.setup("a")
-        sim.fund("a", 1000)
-        sim.transfer("a", "b")
-        assert not sim.server.knows("Ka")
-        sim.redeem("b", "ext", 1000)
-        assert sim.ledger.balance("ext") == 1000
+        assert "Ka" in sim.server.memory
 
 
 class TestDeterminism:

@@ -6,6 +6,10 @@ import threading
 import pytest
 
 from cryptocubic.store import (
+    OP_GRANT,
+    OP_INSERT,
+    OP_REINSERT,
+    OP_TAKE,
     DestructiveStore,
     PermitUsed,
     SlotEmpty,
@@ -16,7 +20,6 @@ from cryptocubic.store import (
     Unauthorized,
     UnknownSlot,
     ValueMismatch,
-    presence_after,
     replay_journal,
 )
 
@@ -197,9 +200,13 @@ def test_journal_replay(tmp_path):
 
     records = replay_journal(str(path))
     assert [r.seq for r in records] == list(range(1, len(records) + 1))
-    assert presence_after(records) == {"s1": True, "s2": False}
+    # s1 ends refilled, s2 ends empty
+    assert [(r.op, r.slot_id) for r in records] == [
+        (OP_GRANT, "s1"), (OP_GRANT, "s2"), (OP_INSERT, "s1"), (OP_INSERT, "s2"),
+        (OP_TAKE, "s1"), (OP_REINSERT, "s1"), (OP_TAKE, "s2"),
+    ]
     # digests in the journal match what was stored
-    insert_digests = [r.value_digest for r in records if r.op_name == "insert"]
+    insert_digests = [r.value_digest for r in records if r.op == OP_INSERT]
     assert insert_digests[0] == digest(b"v1")
 
 

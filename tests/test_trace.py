@@ -58,12 +58,6 @@ def test_render_table_no_trailing_whitespace():
         assert line == line.rstrip()
 
 
-def test_party_items_ignores_order():
-    event = TraceEvent(1, "x", {"A": ["b", "a"]})
-    assert event.party_items("A") == frozenset({"a", "b"})
-    assert event.party_items("missing") == frozenset()
-
-
 def test_render_run_joins_with_blank_line():
     events = [
         TraceEvent(1, "first", {"A": ["x"]}),
