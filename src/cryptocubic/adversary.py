@@ -7,6 +7,10 @@ set under the decomposition rules an attacker can apply mechanically:
 2. open a symmetric cypher with its key,
 3. split tuples into their parts.
 
+It runs as a worklist (semi-naive evaluation): every term is processed
+once, and a cypher whose key has not been processed waits until it is,
+so the closure costs time linear in the terms it reaches.
+
 Constructive rules (hashing known values, encrypting under known keys,
 tupling) never yield an atom, so the spend check needs only the closure.
 
@@ -16,7 +20,10 @@ that `replay_witness` turns into a real accepted ledger transaction.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .backend import term_of
 from .protocol import SERVER, Simulation
@@ -52,34 +59,49 @@ class Derivation:
 
 
 def closure(knowledge) -> dict[Term, Derivation | None]:
-    """Least fixed point of the decomposition rules.
+    """Least fixed point of the decomposition rules, saturated by a worklist.
 
     Returns every reachable term mapped to how it was derived (None for the
-    initial terms).  Deterministic, monotone in its input, and idempotent:
-    every derived term is a subterm of the input, so the loop terminates.
+    initial terms).  Each known term is processed once, in the order it
+    became known: a tuple yields its parts, a cypher yields its inner term
+    if its key has been processed and otherwise waits for that key, and a
+    key releases exactly the cyphers waiting for it.  Every derived term is
+    a subterm of the input, so the cost is linear in the terms reached.
+    Deterministic, monotone in its input, and idempotent.
     """
-    known: dict[Term, Derivation | None] = {t: None for t in knowledge}
-    changed = True
-    while changed:
-        changed = False
-        for term in list(known):
-            if isinstance(term, TupleTerm):
-                for part in term.items:
-                    if part not in known:
-                        known[part] = Derivation("open-tuple", (term,))
-                        changed = True
-            elif isinstance(term, EncTerm) and term.inner not in known:
-                if term.scheme == ASYM and PrivateKeyTerm(term.key_id) in known:
-                    known[term.inner] = Derivation(
-                        "asym-decrypt", (term, PrivateKeyTerm(term.key_id))
-                    )
-                    changed = True
-                elif term.scheme == SYM and SymKeyTerm(term.key_id) in known:
-                    known[term.inner] = Derivation(
-                        "sym-decrypt", (term, SymKeyTerm(term.key_id))
-                    )
-                    changed = True
+    # fromkeys reuses the hashes a set or frozenset input already stores
+    known: dict[Term, Derivation | None] = dict.fromkeys(knowledge)
+    queue = list(known)
+    # keys processed so far, and cyphers waiting for a key, by scheme and
+    # key id: cheaper to look up than a key term built for each cypher
+    keys: defaultdict[str, dict[str, Term]] = defaultdict(dict)
+    waiting: defaultdict[str, dict[str, list[EncTerm]]] = defaultdict(dict)
+    for term in queue:  # grows while it is walked
+        kind = type(term)
+        if kind is TupleTerm:
+            for part in term.items:
+                if part not in known:
+                    known[part] = Derivation("open-tuple", (term,))
+                    queue.append(part)
+        elif kind is EncTerm:
+            key = keys[term.scheme].get(term.key_id)
+            if key is None:
+                waiting[term.scheme].setdefault(term.key_id, []).append(term)
+            else:
+                _open(known, queue, term, key)
+        elif kind is PrivateKeyTerm or kind is SymKeyTerm:
+            scheme, key_id = (ASYM, term.pair_id) if kind is PrivateKeyTerm else (SYM, term.key_id)
+            keys[scheme][key_id] = term
+            for cypher in waiting[scheme].pop(key_id, ()):
+                _open(known, queue, cypher, term)
     return known
+
+
+def _open(known: dict[Term, Derivation | None], queue: list[Term], cypher: EncTerm, key: Term) -> None:
+    if cypher.inner not in known:
+        rule = "asym-decrypt" if cypher.scheme == ASYM else "sym-decrypt"
+        known[cypher.inner] = Derivation(rule, (cypher, key))
+        queue.append(cypher.inner)
 
 
 def _explain(closed: dict[Term, Derivation | None], target: Term, lines: list[str], seen: set[Term]) -> None:
@@ -152,17 +174,20 @@ def wiretap_knowledge(
     upto: int | None = None,
 ) -> set[Term]:
     """Terms a passive listener collects from the transcript, optionally
-    truncated to the first `upto` messages."""
-    terms: set[Term] = set()
-    transcript = sim.transport.transcript
+    truncated to the first `upto` messages.
+
+    The user-user view reads the transport's log of what crossed user-user
+    links, so it costs time in the terms heard, not in the transcript."""
+    transport = sim.transport
+    if not include_user_server:
+        heard = transport.user_user
+        if upto is not None:
+            heard = heard[:bisect_right(heard, upto, key=itemgetter(0))]
+        return {term for _sent, terms in heard for term in terms}
+    transcript = transport.transcript
     if upto is not None:
         transcript = transcript[:upto]
-    for msg in transcript:
-        if msg.channel == "user-server" and not include_user_server:
-            continue
-        for part in msg.payload:
-            terms.add(term_of(part))
-    return terms
+    return {term_of(part) for msg in transcript for part in msg.payload}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ Memory changes only through `Party.remember`, `forget` and `restore`, which
 keep a knowledge term per name and the party's snapshot in step with it.
 
 Messages travel through a single in-process transport that records every
-transmission (the wiretap transcript).
+transmission (the wiretap transcript) and, apart, the payload terms of
+each user-user message.
 """
 from __future__ import annotations
 
@@ -145,10 +146,15 @@ class Transport:
 
     transcript: list[Message] = field(default_factory=list)
     fail_next: bool = False
+    # per user-user message: transcript length once it was sent, and the
+    # terms of its payload; what the wiretap hears, in sending order
+    user_user: list[tuple[int, tuple[Term, ...]]] = field(default_factory=list)
 
     def send(self, msg: Message) -> Message:
         if self.fail_next:
             self.fail_next = False
             raise TransportFailure(f"link dropped while sending {msg.msg_type}")
         self.transcript.append(msg)
+        if msg.channel == "user-user":
+            self.user_user.append((len(self.transcript), tuple(map(term_of, msg.payload))))
         return msg

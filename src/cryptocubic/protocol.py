@@ -79,6 +79,10 @@ class AuthFailure(ProtocolError):
     pass
 
 
+class SquareDrained(ProtocolError):
+    pass
+
+
 @dataclass
 class CryptoSquareRecord:
     """One established square: the server-side half the protocol reads, plus
@@ -400,6 +404,10 @@ class Simulation:
 
     def fund(self, user_letter: str, cents: int) -> None:
         square = self._square_for(f"USER_{user_letter.upper()}")
+        if not self.store.ping(square.slot_id):
+            # a full redemption (or a transfer holding the cypher) emptied
+            # the slot; money sent now could be stranded on the address
+            raise SquareDrained(f"square {square.square_id} has an empty slot")
         self.ledger.fund(square.address_value, cents)
         self._emit(f"user {user_letter.upper()} funds the address from an exterior wallet")
 

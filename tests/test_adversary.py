@@ -1,10 +1,14 @@
 """Attack oracle: term decomposition closure, spend verdicts, staged attacks."""
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryptocubic.adversary import (
     SCENARIOS,
+    Derivation,
     can_spend,
     closure,
     replay_witness,
@@ -14,10 +18,13 @@ from cryptocubic.adversary import (
     verdict_report,
     wiretap_knowledge,
 )
+from cryptocubic.backend import term_of
+from cryptocubic.parties import TransportFailure
 from cryptocubic.protocol import SERVER, Simulation
 from cryptocubic.terms import (
     ASYM,
     SYM,
+    AddressTerm,
     BlobTerm,
     DigestTerm,
     EncTerm,
@@ -63,6 +70,80 @@ def random_term(rng, depth=3):
 
 def random_knowledge(rng):
     return frozenset(random_term(rng) for _ in range(rng.randint(0, 8)))
+
+
+def reference_closure(knowledge):
+    # the naive fixpoint that the worklist closure replaced, verbatim
+    known = {t: None for t in knowledge}
+    changed = True
+    while changed:
+        changed = False
+        for term in list(known):
+            if isinstance(term, TupleTerm):
+                for part in term.items:
+                    if part not in known:
+                        known[part] = Derivation("open-tuple", (term,))
+                        changed = True
+            elif isinstance(term, EncTerm) and term.inner not in known:
+                if term.scheme == ASYM and PrivateKeyTerm(term.key_id) in known:
+                    known[term.inner] = Derivation(
+                        "asym-decrypt", (term, PrivateKeyTerm(term.key_id))
+                    )
+                    changed = True
+                elif term.scheme == SYM and SymKeyTerm(term.key_id) in known:
+                    known[term.inner] = Derivation(
+                        "sym-decrypt", (term, SymKeyTerm(term.key_id))
+                    )
+                    changed = True
+    return known
+
+
+def assert_derivations_hold(closed, knowledge):
+    """Every term is an input or follows by its rule from terms known before it."""
+    order = {term: i for i, term in enumerate(closed)}
+    for term, how in closed.items():
+        if how is None:
+            assert term in knowledge, term
+            continue
+        assert all(order[p] < order[term] for p in how.premises), (term, how)
+        if how.rule == "open-tuple":
+            (whole,) = how.premises
+            assert isinstance(whole, TupleTerm) and term in whole.items, (term, how)
+        else:
+            cypher, key = how.premises
+            assert isinstance(cypher, EncTerm) and cypher.inner == term, (term, how)
+            opener = PrivateKeyTerm if cypher.scheme == ASYM else SymKeyTerm
+            assert how.rule == f"{cypher.scheme}-decrypt", (term, how)
+            assert key == opener(cypher.key_id), (term, how)
+
+
+# one id pool for both schemes, so cyphers, keys and chains line up and a
+# key of one scheme meets cyphers of the other
+KEY_IDS = st.sampled_from(["k0", "k1", "k2", "k3"])
+ATOMS = st.one_of(
+    KEY_IDS.map(PrivateKeyTerm),
+    KEY_IDS.map(PublicKeyTerm),
+    KEY_IDS.map(SymKeyTerm),
+    st.builds(SigningKeyTerm, st.sampled_from(["ms1", "ms2"]), st.sampled_from(["user", "server"])),
+    st.sampled_from(["t0", "t1"]).map(TokenTerm),
+)
+TERMS = st.recursive(
+    ATOMS,
+    lambda inner: st.one_of(
+        st.builds(EncTerm, st.sampled_from([ASYM, SYM]), KEY_IDS, inner),
+        st.lists(inner, min_size=1, max_size=3).map(lambda parts: TupleTerm(tuple(parts))),
+        inner.map(DigestTerm),
+    ),
+    max_leaves=6,
+)
+KEY_CHAINS = st.lists(
+    st.tuples(st.sampled_from([ASYM, SYM]), KEY_IDS, st.sampled_from([ASYM, SYM]), KEY_IDS).map(
+        lambda link: EncTerm(
+            link[0], link[1], (PrivateKeyTerm if link[2] == ASYM else SymKeyTerm)(link[3])
+        )
+    ),
+    max_size=6,
+)
 
 
 class TestClosure:
@@ -123,6 +204,66 @@ class TestClosure:
             for term, how in closed.items():
                 if how is not None:
                     assert all(p in closed for p in how.premises), term
+
+
+class TestWorklistClosure:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(TERMS, max_size=10), KEY_CHAINS, st.sampled_from([list, set, frozenset]))
+    def test_matches_the_fixpoint(self, terms, chain, container):
+        knowledge = container(terms + chain)
+        closed, reference = closure(knowledge), reference_closure(knowledge)
+        assert closed.keys() == reference.keys()
+        assert_derivations_hold(closed, knowledge)
+        for bundle_id in ("ms1", "ms2"):
+            legs = {SigningKeyTerm(bundle_id, "user"), SigningKeyTerm(bundle_id, "server")}
+            assert can_spend(knowledge, bundle_id).possible is (legs <= reference.keys())
+
+    @pytest.mark.parametrize("mode", ["baseline3", "bare4", "cryptocubic"])
+    def test_every_coalition_of_the_canonical_run_derives_like_the_fixpoint(self, mode):
+        sim = canonical_sim(mode)
+        for rec in sim.step_records:
+            sources = [*rec.knowledge.values(), slot_terms_at(rec),
+                       wiretap_knowledge(sim, upto=rec.transcript_len)]
+            for size in range(1, len(sources) + 1):
+                for members in combinations(sources, size):
+                    knowledge = frozenset().union(*members)
+                    assert closure(knowledge) == reference_closure(knowledge), rec.event.step
+
+
+def sealed_key_chain(links):
+    """`k0` plus cyphers `k_i` -> `k_{i+1}`, in the order that made the
+    fixpoint open one link per pass."""
+    chain = [EncTerm(SYM, f"k{i}", SymKeyTerm(f"k{i + 1}")) for i in reversed(range(links))]
+    return [SymKeyTerm("k0")] + chain
+
+
+def count_sym_key_hashes(closure_fn, links, monkeypatch):
+    chain = sealed_key_chain(links)
+    calls = [0]
+    original = SymKeyTerm.__hash__
+
+    def counting(term):
+        calls[0] += 1
+        return original(term)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SymKeyTerm, "__hash__", counting)
+        closed = closure_fn(chain)
+    assert all(SymKeyTerm(f"k{i}") in closed for i in range(links + 1))
+    return calls[0]
+
+
+class TestClosureScaling:
+    def test_work_grows_linearly_with_the_chain(self, monkeypatch):
+        short = count_sym_key_hashes(closure, 500, monkeypatch)
+        long = count_sym_key_hashes(closure, 2000, monkeypatch)
+        assert long <= 5 * short, (short, long)
+
+    def test_the_guard_catches_the_fixpoint(self, monkeypatch):
+        # the same bound fails the replaced fixpoint, at sizes it can afford
+        short = count_sym_key_hashes(reference_closure, 100, monkeypatch)
+        long = count_sym_key_hashes(reference_closure, 400, monkeypatch)
+        assert long > 5 * short, (short, long)
 
 
 class TestCanSpend:
@@ -293,3 +434,42 @@ class TestPerStepSweep:
             knowledge = wiretap_knowledge(sim, include_user_server=True)
             outcomes[mode] = can_spend(knowledge, bundle_id).possible
         assert outcomes == {"baseline3": True, "bare4": False, "cryptocubic": False}
+
+
+def scanned_user_user_terms(sim, upto=None):
+    return {
+        term_of(part)
+        for msg in sim.transport.transcript[:upto]
+        if msg.channel == "user-user"
+        for part in msg.payload
+    }
+
+
+class TestWiretapIndex:
+    @pytest.mark.parametrize("mode", ["baseline3", "bare4", "cryptocubic"])
+    @pytest.mark.parametrize("backend", ["symbolic", "concrete"])
+    def test_matches_a_scan_of_the_transcript_at_every_step(self, mode, backend):
+        sim = Simulation(mode=mode, backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        sim.transfer("a", "b")
+        sim.redeem("b", "ext", 1000)
+        for rec in sim.step_records:
+            heard = wiretap_knowledge(sim, upto=rec.transcript_len)
+            assert heard == scanned_user_user_terms(sim, rec.transcript_len), rec.event.step
+        assert wiretap_knowledge(sim) == scanned_user_user_terms(sim)
+        assert wiretap_knowledge(sim)
+
+    @pytest.mark.parametrize("mode", ["baseline3", "bare4", "cryptocubic"])
+    def test_a_dropped_handover_is_not_heard(self, mode):
+        sim = Simulation(mode=mode)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        sim.transport.fail_next = True
+        with pytest.raises(TransportFailure):
+            sim.transfer("a", "b")
+        assert wiretap_knowledge(sim) == scanned_user_user_terms(sim) == set()
+        sim.transfer("a", "b")
+        heard = wiretap_knowledge(sim)
+        assert heard == scanned_user_user_terms(sim)
+        assert any(isinstance(term, AddressTerm) for term in heard)

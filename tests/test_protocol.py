@@ -12,6 +12,7 @@ from cryptocubic.protocol import (
     NotOwner,
     ProtocolError,
     Simulation,
+    SquareDrained,
     TransferSession,
     UnknownSquare,
 )
@@ -383,6 +384,21 @@ class TestRedemption:
         assert not sim.store.ping(square.slot_id)
         assert sim.ledger.balance("ext") == 1000
         assert sim.store.history(square.slot_id)["reinserts"] == 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fund_refuses_a_drained_square(self, mode, backend):
+        # nothing can spend from a square whose slot a full redemption emptied
+        sim = Simulation(mode=mode, backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        sim.redeem("a", "ext", 1000)
+        steps, supply = len(sim.events), sim.ledger.total_supply()
+        square = next(iter(sim.squares.values()))
+        with pytest.raises(SquareDrained):
+            sim.fund("a", 500)
+        assert len(sim.events) == steps
+        assert sim.ledger.total_supply() == supply
+        assert sim.ledger.balance(square.address_value) == 0
 
     def test_stale_token_replay_refused(self):
         sim = canonical_run("cryptocubic", redeem=False)
