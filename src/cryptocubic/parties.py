@@ -5,7 +5,8 @@ procedures: transient scopes whose bindings never touch memory, are
 invisible to knowledge snapshots, and are erased when the scope terminates.
 
 Memory changes only through `Party.remember`, `forget` and `restore`, which
-keep a knowledge term per name and the party's snapshot in step with it.
+keep the count of names per knowledge term and the party's snapshot in step
+with it.
 
 Messages travel through a single in-process transport that records every
 transmission (the wiretap transcript) and, apart, the payload terms of
@@ -29,13 +30,11 @@ class DynamicProcedure:
     def __init__(self, owner: "Party") -> None:
         self.owner = owner
         self.bindings: dict[str, object] = {}
-        self.active = True
         # display name of a slot this procedure just filled, shown as the
         # "-- [x]" hand-off in the next emitted table and then cleared
         self.pending_insert: str | None = None
 
     def bind(self, name: str, value: object) -> None:
-        assert self.active, "cannot bind inside a terminated scope"
         self.bindings[name] = value
 
     def get(self, name: str) -> object:
@@ -43,7 +42,6 @@ class DynamicProcedure:
 
     def terminate(self) -> None:
         self.bindings.clear()
-        self.active = False
         if self in self.owner.procedures:
             self.owner.procedures.remove(self)
 
@@ -53,7 +51,6 @@ class Party:
         self.name = name
         self.role = role  # "user" or "server"
         self.memory: dict[str, object] = {}
-        self._terms: dict[str, Term] = {}  # term of each remembered value, in memory order
         self._term_counts: dict[Term, int] = {}  # names holding each term
         self._snapshot: frozenset[Term] | None = frozenset()
         # names changed since the last take_changes(), mapped to True when the
@@ -72,7 +69,6 @@ class Party:
         else:
             self._moved(name)
         self.memory[name] = value
-        self._terms[name] = term
         self._term_counts[term] = self._term_counts.get(term, 0) + 1
         self._snapshot = None
 
@@ -80,7 +76,7 @@ class Party:
         if name in self.memory:
             self._release(name)
             self._moved(name)
-            del self.memory[name], self._terms[name]
+            del self.memory[name]
             self._snapshot = None
 
     def restore(self, memory: dict[str, object]) -> None:
@@ -91,7 +87,7 @@ class Party:
             self.remember(name, value)
 
     def _release(self, name: str) -> None:
-        term = self._terms[name]
+        term = term_of(self.memory[name])
         self._term_counts[term] -= 1
         if not self._term_counts[term]:
             del self._term_counts[term]

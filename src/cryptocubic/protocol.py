@@ -171,7 +171,6 @@ class Simulation:
         self._memory_columns: dict[str, _MemoryColumn] = {}
         self._leaks: set[str] = set()  # parties to check for a resting signing key
         self._challenge_counts: dict[str, int] = {}
-        self._issued_tokens: set[bytes] = set()  # material of every challenge token made
         self._session_seq = 0
         # injection switches used by attack stagings and fault tests
         self.inject_counterfeit_es = False
@@ -275,8 +274,6 @@ class Simulation:
             StepRecord(event, knowledge, slot_terms, len(self.transport.transcript))
         )
         for party in self.parties.values():
-            for proc in party.procedures:
-                assert proc.active
             if party.name in self._leaks:
                 leaked = [n for n, v in party.memory.items() if isinstance(v, SigningKey)]
                 assert not leaked, f"signing key in {party.name} memory: {leaked}"
@@ -286,8 +283,19 @@ class Simulation:
             for proc in party.procedures:
                 proc.pending_insert = None
 
-    def _send(self, msg_type: str, sender: str, receiver: str, payload: tuple, session: int = 0) -> Message:
-        return self.transport.send(Message(msg_type, sender, receiver, session, payload))
+    def _send(
+        self, msg_type: str, sender: str, receiver: str, payload: tuple,
+        session: TransferSession | None = None,
+    ) -> Message:
+        session_id = session.session_id if session else 0
+        try:
+            return self.transport.send(Message(msg_type, sender, receiver, session_id, payload))
+        except TransportFailure:
+            # a transfer that holds the withdrawn owner cypher puts it back
+            if session and session.permit is not None and session.phase not in ("completed", "aborted"):
+                self._abort_with_reinsert(
+                    session, "link dropped", "the link drops; the owner cypher returns to the store")
+            raise
 
     def render(self) -> str:
         return render_run(self.events)
@@ -353,7 +361,7 @@ class Simulation:
                 self._emit("the procedure creates the dual signing keys and their address")
                 ea = self.backend.asym_encrypt(pair.public, bundle.sig_user, self.rng)
                 es = self.backend.sym_encrypt(ks, bundle.sig_server, self.rng)
-                proc.bind("Ea", ea)
+                proc.bind(f"E{u}", ea)
                 proc.bind("Es", es)
                 self._emit("the procedure encrypts the signing keys")
 
@@ -362,7 +370,7 @@ class Simulation:
                     s.remember("Hash", es_hash)
                     self._emit("server records the square's verification hash")
                 handed_name, handed = "Es", es
-                display, stored, slot_leg = "Ea", ea, "owner_cypher"
+                display, stored, slot_leg = f"E{u}", ea, "owner_cypher"
                 stored_label = "the user-leg cypher drops into the destructive store"
                 fingerprint = self.backend.fingerprint(bundle.sig_user)
 
@@ -452,7 +460,7 @@ class Simulation:
             filler = self.backend.gen_sym_key(self.rng)
             handed = self.backend.sym_encrypt(filler, b"counterfeit filler", self.rng)
         addr = a.recall("ADD")
-        self._send("handover", a.name, b.name, (handed, addr), session.session_id)
+        self._send("handover", a.name, b.name, (handed, addr), session)
         b.remember(handed_name, handed)
         b.remember("ADD", addr)
         if plain:
@@ -469,14 +477,14 @@ class Simulation:
 
         if self.mode == "cryptocubic":
             # receiver's key travels through the current owner
-            self._send("share_public_key", b.name, a.name, (pair.public,), session.session_id)
+            self._send("share_public_key", b.name, a.name, (pair.public,), session)
             a.remember(f"K{t}_Public", pair.public)
             self._emit(f"user {tu} sends the public key to user {fu}")
-            self._send("share_public_key", a.name, SERVER, (pair.public,), session.session_id)
+            self._send("share_public_key", a.name, SERVER, (pair.public,), session)
             self.server.remember(f"K{t}_Public", pair.public)
             self._emit(f"user {fu} forwards user {tu}'s public key to the server")
         else:
-            self._send("share_public_key", b.name, SERVER, (pair.public,), session.session_id)
+            self._send("share_public_key", b.name, SERVER, (pair.public,), session)
             self.server.remember(f"K{t}_Public", pair.public)
             self._emit(f"user {tu} sends the public key to the server")
         return session
@@ -487,7 +495,7 @@ class Simulation:
         a = self.parties[session.sender]
         fu = self._letter(session.sender).upper()
 
-        self._send("approve", session.sender, SERVER, (b"approve", ), session.session_id)
+        self._send("approve", session.sender, SERVER, (b"approve", ), session)
         proc = s.open_procedure()
         try:
             value, permit = self.store.take(square.slot_id)
@@ -504,7 +512,7 @@ class Simulation:
             f"with user {fu}'s approval the transfer procedure withdraws the owner cypher"
         )
 
-        self._send("request_private_key", SERVER, a.name, (), session.session_id)
+        self._send("request_private_key", SERVER, a.name, (), session)
         if a.silent:
             self._abort_with_reinsert(session, "timeout",
                                       "the key request times out; the owner cypher returns to the store")
@@ -513,7 +521,7 @@ class Simulation:
         if self.inject_wrong_ka:
             decoy = self.backend.gen_asym_pair(self.rng)
             priv = decoy.private
-        self._send("private_key", a.name, SERVER, (priv,), session.session_id)
+        self._send("private_key", a.name, SERVER, (priv,), session)
         if not self.backend.matches(priv, square.owner_pub):
             self._abort_with_reinsert(session, "ka_mismatch",
                                       "the offered private key does not match; the owner cypher returns to the store")
@@ -552,7 +560,6 @@ class Simulation:
         letter = self._letter(target.name)
         token_name, et_name, reply_name = self._challenge_names(letter)
         token = self.backend.gen_token(self.rng)
-        self._issued_tokens.add(token.material)
         s.remember(token_name, token)
         if not single_table:
             self._emit(f"server creates a challenge token for user {letter.upper()}")
@@ -563,7 +570,7 @@ class Simulation:
         else:
             self._emit(f"the token is encrypted for user {letter.upper()}")
 
-        self._send("challenge", SERVER, target.name, (et,), session.session_id)
+        self._send("challenge", SERVER, target.name, (et,), session)
         if target.silent:
             return False, "timeout"
         if reply_override is not None:
@@ -575,11 +582,13 @@ class Simulation:
                 return False, "cannot decrypt challenge"
             target.remember(et_name, et)
             target.remember(reply_name, reply)
-        self._send("challenge_reply", target.name, SERVER, (reply,), session.session_id)
+        self._send("challenge_reply", target.name, SERVER, (reply,), session)
         if reply_override is None:
             s.remember(reply_name, reply)
         if not isinstance(reply, Token) or reply.material != token.material:
-            if isinstance(reply, Token) and reply.material in self._issued_tokens - {token.material}:
+            # the server keeps every token it issued, each under its own name
+            issued = (v.material for v in s.memory.values() if isinstance(v, Token))
+            if isinstance(reply, Token) and reply.material in issued:
                 return False, "token replay"
             return False, "token mismatch"
         return True, ""
@@ -611,7 +620,7 @@ class Simulation:
         self._emit(f"user {tu} returns the decrypted token and is confirmed")
 
         es_hash = square.es_hash
-        self._send("hash_share", SERVER, b.name, (es_hash,), session.session_id)
+        self._send("hash_share", SERVER, b.name, (es_hash,), session)
         b.remember("Hash", es_hash)
         self._emit(f"server shares the verification hash with user {tu}")
 
@@ -678,9 +687,9 @@ class Simulation:
         proc.terminate()
         square.owner_party = session.receiver
         square.owner_pub = kb_pub
-        self._send("transfer_notice", SERVER, session.sender, (b"done",), session.session_id)
-        self._send("transfer_notice", SERVER, session.receiver, (b"done",), session.session_id)
         session.advance("completed")
+        self._send("transfer_notice", SERVER, session.sender, (b"done",), session)
+        self._send("transfer_notice", SERVER, session.receiver, (b"done",), session)
         self._emit("the procedure terminates; both users are notified")
         self._emit(f"the transfer is complete; the square now belongs to user {tu}")
 
@@ -689,10 +698,13 @@ class Simulation:
 
     def redeem(self, user_letter: str, dest: str, cents: int) -> int:
         square = self._square_for(f"USER_{user_letter.upper()}")
+        if not self.store.ping(square.slot_id):
+            # a drained square is refused before any message goes out
+            raise SlotEmpty(f"slot {square.slot_id!r} is empty")
         x = self.user(user_letter)
         letter = user_letter.upper()
         plain = self.mode == "baseline3"
-        self._send("take_request" if plain else "redeem_request", x.name, SERVER, (), 0)
+        self._send("take_request" if plain else "redeem_request", x.name, SERVER, ())
         if self.mode == "cryptocubic":
             session = self._new_session(square, x.name, x.name)
             ok, why = self._run_challenge(x, square.owner_pub, session, single_table=True)
@@ -706,13 +718,13 @@ class Simulation:
         proc = None  # the plaintext mode recovers the keys in memory, not in a scope
         try:
             if plain:
-                self._send("take_payload", SERVER, x.name, (taken,), 0)
+                self._send("take_payload", SERVER, x.name, (taken,))
                 x.remember("Sig_S", taken)
                 self._emit(f"user {letter} takes the server signing key from the store")
                 sig_u, sig_s = x.recall("Sig_U"), taken
             else:
                 ks = square.sym_key
-                self._send("redeem_payload", SERVER, x.name, (taken, ks), 0)
+                self._send("redeem_payload", SERVER, x.name, (taken, ks))
                 proc = x.open_procedure()
                 proc.bind(display, taken)
                 proc.bind("Ks", ks)

@@ -12,7 +12,6 @@ record per mutation for deterministic replay.
 """
 from __future__ import annotations
 
-import hashlib
 import secrets
 import threading
 from dataclasses import dataclass
@@ -81,8 +80,6 @@ class ReinsertPermit:
 class _Slot:
     value: object | None = None
     digest: bytes | None = None
-    takes: int = 0
-    reinserts: int = 0
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,6 @@ class DestructiveStore:
         self._digest = digest_fn
         self._lock = threading.Lock()
         self._seq = 0
-        self._journal_path = journal_path
         self._journal_fh = open(journal_path, "ab") if journal_path else None
 
     # -- capability management -------------------------------------------
@@ -157,7 +153,6 @@ class DestructiveStore:
             value, digest = slot.value, slot.digest
             slot.value = None
             slot.digest = None
-            slot.takes += 1
             self._journal(OP_TAKE, slot_id, digest)
             return value, ReinsertPermit(slot_id, digest)
 
@@ -176,33 +171,13 @@ class DestructiveStore:
             permit.used = True
             slot.value = value
             slot.digest = digest
-            slot.reinserts += 1
             self._journal(OP_REINSERT, permit.slot_id, digest)
 
     # -- inspection ------------------------------------------------------
 
-    def history(self, slot_id: str) -> dict[str, int]:
-        with self._lock:
-            slot = self._slots.get(slot_id)
-            if slot is None:
-                raise UnknownSlot(f"no slot {slot_id!r}")
-            return {"takes": slot.takes, "reinserts": slot.reinserts}
-
     def slot_ids(self) -> list[str]:
         with self._lock:
             return sorted(self._slots)
-
-    def state_digest(self) -> bytes:
-        """Hash over all observable store state; pings must not change it."""
-        with self._lock:
-            h = hashlib.sha256()
-            for slot_id in sorted(self._slots):
-                slot = self._slots[slot_id]
-                h.update(slot_id.encode())
-                h.update(slot.digest or b"\x00" * 32)
-                h.update(slot.takes.to_bytes(8, "big"))
-                h.update(slot.reinserts.to_bytes(8, "big"))
-            return h.digest()
 
     # -- journal ---------------------------------------------------------
 

@@ -27,7 +27,7 @@ from cryptocubic.adversary import (
 from cryptocubic.backend import get_backend
 from cryptocubic.protocol import SERVER, AuthFailure, Simulation
 from cryptocubic.scenario import parse_scenario, run_scenario
-from cryptocubic.store import DestructiveStore, SlotEmpty, ValueMismatch
+from cryptocubic.store import DestructiveStore, SlotEmpty, ValueMismatch, replay_journal
 
 MODES = ("baseline3", "bare4", "cryptocubic")
 SCENARIOS_DIR = pathlib.Path("scenarios")
@@ -123,24 +123,28 @@ def test_legitimate_path_liveness():
     square = next(iter(sim.squares.values()))
     assert sim.ledger.balance(square.address_value) == 1000
     supply = sim.ledger.total_supply()
+    # the former owner is refused while the square still holds the money
+    with pytest.raises(AuthFailure):
+        sim.redeem("a", "ext", 1000)
     sim.redeem("b", "ext", 1000)
     assert sim.ledger.balance("ext") == 1000
     assert sim.ledger.balance(square.address_value) == 0
     assert sim.ledger.total_supply() == supply
     assert not sim.store.ping(square.slot_id)
-    with pytest.raises(AuthFailure):
-        sim.redeem("a", "ext", 1000)
-    with pytest.raises(SlotEmpty):
-        sim.redeem("b", "ext", 1000)
+    # a drained square refuses everyone before any message is sent
+    for letter in "ab":
+        with pytest.raises(SlotEmpty):
+            sim.redeem(letter, "ext", 1000)
 
 
 @criterion("destructive store: one payout per fill, tamper-proof refills, inert pings")
-def test_destructive_store_properties():
+def test_destructive_store_properties(tmp_path):
     def digest(value):
         return hashlib.sha256(repr(value).encode()).digest()
 
     rng = random.Random(99)
-    store = DestructiveStore(digest)
+    journal = str(tmp_path / "store.journal")
+    store = DestructiveStore(digest, journal_path=journal)
     cap = store.grant_source(["s"])
     for trial in range(10_000):
         store.insert(cap, "s", trial)
@@ -181,10 +185,12 @@ def test_destructive_store_properties():
         store.take("s")
 
     store.insert(cap, "s", b"resting")
-    before = store.state_digest()
+    before = replay_journal(journal)
     for _ in range(100):
         store.ping("s")
-    assert store.state_digest() == before
+    # pings write no journal record and leave the value in place
+    assert replay_journal(journal) == before
+    assert store.take("s")[0] == b"resting"
 
 
 @criterion("abort correctness: failed transfers restore the slot and retry cleanly")

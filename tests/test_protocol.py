@@ -1,5 +1,7 @@
 """Full protocol runs checked step by step against hand-written holdings
 tables, plus fault injection, abort recovery, races, and mode contrasts."""
+from collections import Counter
+
 import pytest
 
 from canonical_tables import EXPECTED, diff_step
@@ -16,20 +18,31 @@ from cryptocubic.protocol import (
     TransferSession,
     UnknownSquare,
 )
-from cryptocubic.store import SlotEmpty
+from cryptocubic.store import OP_REINSERT, OP_TAKE, SlotEmpty, replay_journal
 from cryptocubic.terms import SigningKeyTerm
 
 MODES = ["baseline3", "bare4", "cryptocubic"]
 
 
-def canonical_run(mode, backend="symbolic", redeem=True):
-    sim = Simulation(mode=mode, backend=backend, seed=0)
+def canonical_run(mode, backend="symbolic", redeem=True, journal=None):
+    sim = Simulation(mode=mode, backend=backend, seed=0, journal_path=journal)
     sim.setup("a")
     sim.fund("a", 1000)
     sim.transfer("a", "b")
     if redeem:
         sim.redeem("b", "ext", 1000)
     return sim
+
+
+@pytest.fixture
+def journal(tmp_path):
+    return str(tmp_path / "store.journal")
+
+
+def slot_ops(journal, slot_id):
+    """Takes and reinserts of one slot, read back from the store journal."""
+    ops = Counter(record.op for record in replay_journal(journal) if record.slot_id == slot_id)
+    return {"takes": ops[OP_TAKE], "reinserts": ops[OP_REINSERT]}
 
 
 class TestCanonicalRuns:
@@ -73,19 +86,19 @@ class TestCanonicalRuns:
 
 
 class TestFaultInjection:
-    def test_wrong_private_key_aborts_and_recovers(self):
-        sim = canonical_run("cryptocubic", redeem=False)
+    def test_wrong_private_key_aborts_and_recovers(self, journal):
+        sim = canonical_run("cryptocubic", redeem=False, journal=journal)
         # leave the square with B, then sabotage B's next key disclosure
         square = next(iter(sim.squares.values()))
-        takes_before = sim.store.history(square.slot_id)["takes"]
+        takes_before = slot_ops(journal, square.slot_id)["takes"]
         sim.inject_wrong_ka = True
         session = sim.transfer("b", "c")
         assert session.phase == "aborted"
         assert session.abort_reason == "ka_mismatch"
         assert square.owner_party == "USER_B"
-        history = sim.store.history(square.slot_id)
-        assert history["takes"] == takes_before + 1
-        assert history["reinserts"] == 1
+        ops = slot_ops(journal, square.slot_id)
+        assert ops["takes"] == takes_before + 1
+        assert ops["reinserts"] == 1
         # honest retry goes through against the restored slot
         sim.inject_wrong_ka = False
         retry = sim.transfer("b", "c")
@@ -95,8 +108,8 @@ class TestFaultInjection:
         assert sim.ledger.balance("ext") == 1000
 
     @pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])
-    def test_sender_timeout_aborts_and_restores_slot(self, mode):
-        sim = Simulation(mode=mode)
+    def test_sender_timeout_aborts_and_restores_slot(self, mode, journal):
+        sim = Simulation(mode=mode, journal_path=journal)
         sim.setup("a")
         sim.fund("a", 1000)
         sim.user("a").silent = True
@@ -104,13 +117,13 @@ class TestFaultInjection:
         assert session.phase == "aborted"
         assert session.abort_reason == "timeout"
         square = next(iter(sim.squares.values()))
-        assert sim.store.history(square.slot_id)["reinserts"] == 1
+        assert slot_ops(journal, square.slot_id)["reinserts"] == 1
         assert square.owner_party == "USER_A"
         sim.user("a").silent = False
         assert sim.transfer("a", "b").phase == "completed"
 
-    def test_receiver_timeout_aborts_during_challenge(self):
-        sim = Simulation(mode="cryptocubic")
+    def test_receiver_timeout_aborts_during_challenge(self, journal):
+        sim = Simulation(mode="cryptocubic", journal_path=journal)
         sim.setup("a")
         sim.fund("a", 1000)
         sim.user("b").silent = True
@@ -118,10 +131,10 @@ class TestFaultInjection:
         assert session.phase == "aborted"
         assert session.abort_reason == "receiver auth failed: timeout"
         square = next(iter(sim.squares.values()))
-        assert sim.store.history(square.slot_id)["reinserts"] == 1
+        assert slot_ops(journal, square.slot_id)["reinserts"] == 1
 
-    def test_counterfeit_handover_caught_by_hash_check(self):
-        sim = Simulation(mode="cryptocubic")
+    def test_counterfeit_handover_caught_by_hash_check(self, journal):
+        sim = Simulation(mode="cryptocubic", journal_path=journal)
         sim.setup("a")
         sim.fund("a", 1000)
         sim.inject_counterfeit_es = True
@@ -130,7 +143,7 @@ class TestFaultInjection:
         assert session.abort_reason == "counterfeit es"
         square = next(iter(sim.squares.values()))
         assert square.owner_party == "USER_A"
-        assert sim.store.history(square.slot_id)["reinserts"] == 1
+        assert slot_ops(journal, square.slot_id)["reinserts"] == 1
         sim.inject_counterfeit_es = False
         assert sim.transfer("a", "b").phase == "completed"
 
@@ -203,6 +216,42 @@ class TestFaultInjection:
         session = sim.transfer("a", "b")
         assert session.phase == "aborted"
         assert all(not p.procedures for p in sim.parties.values())
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_link_drop_at_any_transfer_message_leaves_the_square_redeemable(self, mode, backend):
+        clean = Simulation(mode=mode, backend=backend)
+        clean.setup("a")
+        clean.fund("a", 1000)
+        sent = len(clean.transport.transcript)
+        clean.transfer("a", "b")
+        returned = 0
+        for position in range(len(clean.transport.transcript) - sent):
+            sim = Simulation(mode=mode, backend=backend)
+            sim.setup("a")
+            sim.fund("a", 1000)
+            supply = sim.ledger.total_supply()
+            send, before = sim.transport.send, len(sim.transport.transcript)
+
+            def dropping(msg):
+                if len(sim.transport.transcript) - before == position:
+                    sim.transport.fail_next = True
+                return send(msg)
+
+            sim.transport.send = dropping
+            with pytest.raises(TransportFailure):
+                sim.transfer("a", "b")
+            sim.transport.send = send
+            assert all(not p.procedures for p in sim.parties.values()), position
+            square = next(iter(sim.squares.values()))
+            assert sim.store.ping(square.slot_id), position
+            if sim.events[-1].label == "the link drops; the owner cypher returns to the store":
+                returned += 1
+                assert sim.transfer("a", "b").phase == "completed"
+            sim.redeem(square.owner_party[-1], "ext", 1000)
+            assert sim.ledger.balance("ext") == 1000
+            assert sim.ledger.total_supply() == supply
+        # the messages sent while the server holds the withdrawn cypher
+        assert returned == {"baseline3": 0, "bare4": 2, "cryptocubic": 7}[mode]
 
 
 class TestOwnership:
@@ -288,6 +337,23 @@ class TestOwnership:
             labels = [event.label for event in sim.events[steps:]]
             assert sum("encounters" in label for label in labels) == encounters
 
+    @pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])
+    def test_each_cypher_is_named_after_its_owner(self, mode):
+        sim = Simulation(mode=mode)
+        sim.setup("c")
+        assert sim.holdings(SERVER)[0] == "[Ec]"
+        sim.fund("c", 1000)
+        sim.transfer("c", "a")
+        column = {event.label: event.columns[SERVER] for event in sim.events}
+        # the withdrawn Ec and the re-encrypted Ea sit side by side in the scope
+        assert column["the procedure re-encrypts the signing key to user A"][0] == (
+            "<Ec,Kc,Sig_U,Ka_Public,Ea>")
+        assert column["the new owner cypher drops into the destructive store"][0] == (
+            "<Ec,Kc,Sig_U,Ka_Public,Ea> -- [Ea]")
+        assert sim.holdings(SERVER)[0] == "[Ea]"
+        sim.redeem("a", "ext", 1000)
+        assert sim.ledger.balance("ext") == 1000
+
 
 class TestRace:
     def test_two_sessions_one_slot(self):
@@ -310,26 +376,33 @@ class TestRace:
 
 
 class TestRedemption:
-    def test_former_owner_fails_authentication(self):
-        sim = canonical_run("cryptocubic", redeem=False)
+    def test_former_owner_fails_authentication(self, journal):
+        sim = canonical_run("cryptocubic", redeem=False, journal=journal)
         square = next(iter(sim.squares.values()))
-        takes_before = sim.store.history(square.slot_id)["takes"]
+        takes_before = slot_ops(journal, square.slot_id)["takes"]
         with pytest.raises(AuthFailure):
             sim.redeem("a", "ext", 1000)
         # the failed challenge never reaches the slot
-        assert sim.store.history(square.slot_id)["takes"] == takes_before
+        assert slot_ops(journal, square.slot_id)["takes"] == takes_before
         sim.redeem("b", "ext", 1000)
         assert sim.ledger.balance("ext") == 1000
 
     @pytest.mark.parametrize("mode", MODES)
     def test_second_redeem_finds_slot_empty(self, mode):
         sim = canonical_run(mode)
+        steps, sent = len(sim.events), len(sim.transport.transcript)
+        server_memory = list(sim.server.memory)
         with pytest.raises(SlotEmpty):
             sim.redeem("b" if mode != "baseline3" else "b", "ext", 1)
+        # refused before any message: no step, no challenge, no new token
+        assert len(sim.events) == len(sim.step_records) == steps
+        assert len(sim.transport.transcript) == sent
+        assert list(sim.server.memory) == server_memory
 
-    def test_overdraft_redeem_rejected(self):
+    def test_overdraft_redeem_rejected(self, tmp_path):
         for mode in MODES:
-            sim = canonical_run(mode, redeem=False)
+            journal = str(tmp_path / f"{mode}.journal")
+            sim = canonical_run(mode, redeem=False, journal=journal)
             supply = sim.ledger.total_supply()
             with pytest.raises(InsufficientFunds):
                 sim.redeem("b", "ext", 1001)
@@ -339,7 +412,7 @@ class TestRedemption:
             # the failed spend puts back what the redemption took, and the
             # table that says so shows no scope left open
             assert sim.store.ping(square.slot_id), mode
-            assert sim.store.history(square.slot_id)["reinserts"] == 1
+            assert slot_ops(journal, square.slot_id)["reinserts"] == 1
             columns = sim.events[-1].columns.values()
             assert not [item for items in columns for item in items if item.startswith("<")]
             sim.redeem("b", "ext", 1000)
@@ -347,8 +420,8 @@ class TestRedemption:
             assert sim.ledger.total_supply() == supply
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_link_drop_after_the_take_returns_the_value(self, mode):
-        sim = canonical_run(mode, redeem=False)
+    def test_link_drop_after_the_take_returns_the_value(self, mode, journal):
+        sim = canonical_run(mode, redeem=False, journal=journal)
         square = next(iter(sim.squares.values()))
         send = sim.transport.send
 
@@ -361,7 +434,7 @@ class TestRedemption:
         with pytest.raises(TransportFailure):
             sim.redeem("b", "ext", 1000)
         sim.transport.send = send
-        assert sim.store.history(square.slot_id)["reinserts"] == 1
+        assert slot_ops(journal, square.slot_id)["reinserts"] == 1
         sim.redeem("b", "ext", 1000)
         assert sim.ledger.balance("ext") == 1000
 
@@ -373,8 +446,8 @@ class TestRedemption:
         assert sim.ledger.balance("ext") == 1000
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_partial_redemption_leaves_the_rest_redeemable(self, mode):
-        sim = Simulation(mode=mode)
+    def test_partial_redemption_leaves_the_rest_redeemable(self, mode, journal):
+        sim = Simulation(mode=mode, journal_path=journal)
         sim.setup("a")
         sim.fund("a", 1000)
         square = next(iter(sim.squares.values()))
@@ -383,7 +456,7 @@ class TestRedemption:
         sim.redeem("a", "ext", 500)
         assert not sim.store.ping(square.slot_id)
         assert sim.ledger.balance("ext") == 1000
-        assert sim.store.history(square.slot_id)["reinserts"] == 1
+        assert slot_ops(journal, square.slot_id)["reinserts"] == 1
 
     @pytest.mark.parametrize("mode", MODES)
     def test_fund_refuses_a_drained_square(self, mode, backend):

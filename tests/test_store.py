@@ -90,13 +90,17 @@ def test_take_empty_then_refill(store):
     assert store.ping("s1")
 
 
-def test_ping_is_readonly_100(store):
+def test_ping_is_readonly_100(tmp_path):
+    path = str(tmp_path / "journal.bin")
+    store = DestructiveStore(digest, journal_path=path)
     cap = store.grant_source(["s1"])
     store.insert(cap, "s1", b"v")
-    before = store.state_digest()
+    before = replay_journal(path)
     answers = [store.ping("s1") for _ in range(100)]
     assert answers == [True] * 100
-    assert store.state_digest() == before
+    # a ping writes no journal record and leaves the value in place
+    assert replay_journal(path) == before
+    assert store.take("s1")[0] == b"v"
 
 
 def test_reinsert_restores(store):
