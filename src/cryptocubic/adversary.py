@@ -168,26 +168,16 @@ def take_all_slots(sim: Simulation) -> set[Term]:
     return terms
 
 
-def wiretap_knowledge(
-    sim: Simulation,
-    include_user_server: bool = False,
-    upto: int | None = None,
-) -> set[Term]:
-    """Terms a passive listener collects from the transcript, optionally
-    truncated to the first `upto` messages.
+def wiretap_knowledge(sim: Simulation, upto: int | None = None) -> set[Term]:
+    """Terms a passive listener on the user-user links collects, optionally
+    from the first `upto` messages of the transcript only.
 
-    The user-user view reads the transport's log of what crossed user-user
-    links, so it costs time in the terms heard, not in the transcript."""
-    transport = sim.transport
-    if not include_user_server:
-        heard = transport.user_user
-        if upto is not None:
-            heard = heard[:bisect_right(heard, upto, key=itemgetter(0))]
-        return {term for _sent, terms in heard for term in terms}
-    transcript = transport.transcript
+    It reads the transport's log of what crossed user-user links, so it
+    costs time in the terms heard, not in the transcript."""
+    heard = sim.transport.user_user
     if upto is not None:
-        transcript = transcript[:upto]
-    return {term_of(part) for msg in transcript for part in msg.payload}
+        heard = heard[:bisect_right(heard, upto, key=itemgetter(0))]
+    return {term for _sent, terms in heard for term in terms}
 
 
 # ---------------------------------------------------------------------------

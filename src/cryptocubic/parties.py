@@ -37,9 +37,6 @@ class DynamicProcedure:
     def bind(self, name: str, value: object) -> None:
         self.bindings[name] = value
 
-    def get(self, name: str) -> object:
-        return self.bindings[name]
-
     def terminate(self) -> None:
         self.bindings.clear()
         if self in self.owner.procedures:
@@ -47,9 +44,9 @@ class DynamicProcedure:
 
 
 class Party:
-    def __init__(self, name: str, role: str) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.role = role  # "user" or "server"
+        self.letter = name.rsplit("_", 1)[1].lower()  # "a" for USER_A
         self.memory: dict[str, object] = {}
         self._term_counts: dict[Term, int] = {}  # names holding each term
         self._snapshot: frozenset[Term] | None = frozenset()

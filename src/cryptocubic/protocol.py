@@ -40,7 +40,7 @@ from .backend import (
 )
 from .ledger import ChainTx, Ledger, LedgerError, UnknownAddress
 from .parties import DynamicProcedure, Message, Party, Transport, TransportFailure
-from .store import DestructiveStore, SlotEmpty, SourceCapability
+from .store import DestructiveStore, ReinsertPermit, SlotEmpty, SourceCapability
 from .terms import Term
 from .trace import TraceEvent, format_money, render_run
 
@@ -108,14 +108,22 @@ class CryptoSquareRecord:
 
 @dataclass
 class TransferSession:
+    """One transfer or redemption in flight: its square, its two parties (one
+    and the same for a redemption), the value and permit it took from the
+    store, and the scope it opened."""
+
     session_id: int
-    square_id: str
-    sender: str
-    receiver: str
+    square: CryptoSquareRecord
+    sender: Party
+    receiver: Party
     phase: str = "initiated"
     abort_reason: str | None = None
-    permit: object | None = None
-    procedure: DynamicProcedure | None = None
+    taken: tuple[object, ReinsertPermit] | None = None
+    scope: DynamicProcedure | None = None
+
+    @property
+    def square_id(self) -> str:
+        return self.square.square_id
 
     def advance(self, phase: str) -> None:
         assert PHASES.index(phase) > PHASES.index(self.phase), (
@@ -123,16 +131,11 @@ class TransferSession:
         )
         self.phase = phase
 
-    def abort(self, reason: str) -> None:
-        self.phase = "aborted"
-        self.abort_reason = reason
-
 
 @dataclass(frozen=True)
 class StepRecord:
     """Everything the attacker oracle may know as of one emitted step."""
 
-    event: TraceEvent
     knowledge: dict[str, frozenset[Term]]
     slot_terms: dict[str, Term | None]
     transcript_len: int
@@ -163,7 +166,7 @@ class Simulation:
         self.ledger = Ledger(self.backend)
         self.store = DestructiveStore(digest_fn=self.backend.fingerprint, journal_path=journal_path)
         self.transport = Transport()
-        self.parties: dict[str, Party] = {SERVER: Party(SERVER, "server")}
+        self.parties: dict[str, Party] = {SERVER: Party(SERVER)}
         self.squares: dict[str, CryptoSquareRecord] = {}
         self.value_of: dict[Term, object] = {}  # each square's two signing keys
         self.events: list[TraceEvent] = []
@@ -182,7 +185,7 @@ class Simulation:
     def user(self, letter: str) -> Party:
         name = f"USER_{letter.upper()}"
         if name not in self.parties:
-            self.parties[name] = Party(name, "user")
+            self.parties[name] = Party(name)
         return self.parties[name]
 
     @property
@@ -193,9 +196,6 @@ class Simulation:
         # the server is the first party; users follow in order of arrival
         server, *users = self.parties
         return [*users[:1], server, *users[1:]]
-
-    def _letter(self, party_name: str) -> str:
-        return party_name.rsplit("_", 1)[1].lower()
 
     def _annotate(self, name: str, value: object) -> str:
         if isinstance(value, Address):
@@ -217,7 +217,7 @@ class Simulation:
                 pending.add(proc.pending_insert)
             if include_transients:
                 items.append(rendered)
-        if party.role == "server":
+        if party is self.server:
             for square in self.squares.values():
                 display = square.slot_display
                 if display not in pending and self.store.ping(square.slot_id):
@@ -271,7 +271,7 @@ class Simulation:
             value = self.store._slots[square.slot_id].value
             slot_terms[square.slot_id] = term_of(value) if value is not None else None
         self.step_records.append(
-            StepRecord(event, knowledge, slot_terms, len(self.transport.transcript))
+            StepRecord(knowledge, slot_terms, len(self.transport.transcript))
         )
         for party in self.parties.values():
             if party.name in self._leaks:
@@ -284,18 +284,34 @@ class Simulation:
                 proc.pending_insert = None
 
     def _send(
-        self, msg_type: str, sender: str, receiver: str, payload: tuple,
+        self, msg_type: str, sender: Party, receiver: Party, payload: tuple,
         session: TransferSession | None = None,
     ) -> Message:
         session_id = session.session_id if session else 0
         try:
-            return self.transport.send(Message(msg_type, sender, receiver, session_id, payload))
+            return self.transport.send(Message(msg_type, sender.name, receiver.name, session_id, payload))
         except TransportFailure:
-            # a transfer that holds the withdrawn owner cypher puts it back
-            if session and session.permit is not None and session.phase not in ("completed", "aborted"):
-                self._abort_with_reinsert(
-                    session, "link dropped", "the link drops; the owner cypher returns to the store")
+            if session and session.phase not in ("completed", "aborted"):
+                display = session.square.slot_display
+                if session.taken is None:
+                    label = f"the link drops; {display} stays in the store"
+                elif session.sender is session.receiver:  # a redemption
+                    label = f"user {session.sender.letter.upper()} cannot redeem; {display} returns to the store"
+                else:
+                    label = "the link drops; the owner cypher returns to the store"
+                self._abort(session, "link dropped", label)
             raise
+
+    def _abort(self, session: TransferSession, reason: str, label: str) -> None:
+        """End a failed transfer or redemption: put back what it took from the
+        store, close its scope, and emit one table."""
+        if session.taken is not None:
+            value, permit = session.taken
+            self.store.reinsert(permit, value)
+        if session.scope is not None:
+            session.scope.terminate()
+        session.phase, session.abort_reason = "aborted", reason
+        self._emit(label)
 
     def render(self) -> str:
         return render_run(self.events)
@@ -336,7 +352,7 @@ class Simulation:
                 a.remember(f"K{u}_Public", pair.public)
                 self._emit(f"user {u.upper()} generates an encryption key pair")
 
-                self._send("share_public_key", a.name, SERVER, (pair.public,))
+                self._send("share_public_key", a, s, (pair.public,))
                 ks = self.backend.gen_sym_key(self.rng)
                 s.remember("Ks", ks)
                 s.remember(f"K{u}_Public", pair.public)
@@ -374,7 +390,7 @@ class Simulation:
                 stored_label = "the user-leg cypher drops into the destructive store"
                 fingerprint = self.backend.fingerprint(bundle.sig_user)
 
-            self._send("square_payload", SERVER, a.name, (handed, bundle.address))
+            self._send("square_payload", s, a, (handed, bundle.address))
             a.remember(handed_name, handed)
             a.remember("ADD", bundle.address)
             self._emit(f"{handed_name} and the address go to user {u.upper()}")
@@ -433,9 +449,9 @@ class Simulation:
             step(session)
         return session
 
-    def _new_session(self, square: CryptoSquareRecord, sender: str, receiver: str) -> TransferSession:
+    def _new_session(self, square: CryptoSquareRecord, sender: Party, receiver: Party) -> TransferSession:
         self._session_seq += 1
-        return TransferSession(self._session_seq, square.square_id, sender, receiver)
+        return TransferSession(self._session_seq, square, sender, receiver)
 
     def begin_transfer(self, from_letter: str, to_letter: str) -> TransferSession:
         fu, tu = from_letter.upper(), to_letter.upper()
@@ -449,7 +465,7 @@ class Simulation:
         b = self.user(to_letter)
         if newcomer:
             self._emit(f"user {fu} encounters user {tu}")
-        session = self._new_session(square, a.name, b.name)
+        session = self._new_session(square, a, b)
 
         # the plaintext mode hands over the user signing key itself, and that
         # handover is the whole transfer
@@ -460,7 +476,7 @@ class Simulation:
             filler = self.backend.gen_sym_key(self.rng)
             handed = self.backend.sym_encrypt(filler, b"counterfeit filler", self.rng)
         addr = a.recall("ADD")
-        self._send("handover", a.name, b.name, (handed, addr), session)
+        self._send("handover", a, b, (handed, addr), session)
         b.remember(handed_name, handed)
         b.remember("ADD", addr)
         if plain:
@@ -477,66 +493,51 @@ class Simulation:
 
         if self.mode == "cryptocubic":
             # receiver's key travels through the current owner
-            self._send("share_public_key", b.name, a.name, (pair.public,), session)
+            self._send("share_public_key", b, a, (pair.public,), session)
             a.remember(f"K{t}_Public", pair.public)
             self._emit(f"user {tu} sends the public key to user {fu}")
-            self._send("share_public_key", a.name, SERVER, (pair.public,), session)
+            self._send("share_public_key", a, self.server, (pair.public,), session)
             self.server.remember(f"K{t}_Public", pair.public)
             self._emit(f"user {fu} forwards user {tu}'s public key to the server")
         else:
-            self._send("share_public_key", b.name, SERVER, (pair.public,), session)
+            self._send("share_public_key", b, self.server, (pair.public,), session)
             self.server.remember(f"K{t}_Public", pair.public)
             self._emit(f"user {tu} sends the public key to the server")
         return session
 
     def withdraw_for_transfer(self, session: TransferSession) -> None:
-        square = self.squares[session.square_id]
-        s = self.server
-        a = self.parties[session.sender]
-        fu = self._letter(session.sender).upper()
+        square, a, s = session.square, session.sender, self.server
+        fu = a.letter.upper()
 
-        self._send("approve", session.sender, SERVER, (b"approve", ), session)
-        proc = s.open_procedure()
+        self._send("approve", a, s, (b"approve", ), session)
+        session.scope = s.open_procedure()
         try:
-            value, permit = self.store.take(square.slot_id)
+            session.taken = self.store.take(square.slot_id)
         except SlotEmpty:
-            proc.terminate()
-            session.abort("slot_empty")
-            self._emit("the owner cypher is already gone; the transfer aborts")
+            self._abort(session, "slot_empty", "the owner cypher is already gone; the transfer aborts")
             return
-        proc.bind(square.slot_display, value)
-        session.permit = permit
-        session.procedure = proc
+        session.scope.bind(square.slot_display, session.taken[0])
         session.advance("ea_withdrawn")
         self._emit(
             f"with user {fu}'s approval the transfer procedure withdraws the owner cypher"
         )
 
-        self._send("request_private_key", SERVER, a.name, (), session)
+        self._send("request_private_key", s, a, (), session)
         if a.silent:
-            self._abort_with_reinsert(session, "timeout",
-                                      "the key request times out; the owner cypher returns to the store")
+            self._abort(session, "timeout",
+                        "the key request times out; the owner cypher returns to the store")
             return
-        priv = a.recall(f"K{self._letter(session.sender)}")
+        priv = a.recall(f"K{a.letter}")
         if self.inject_wrong_ka:
             decoy = self.backend.gen_asym_pair(self.rng)
             priv = decoy.private
-        self._send("private_key", a.name, SERVER, (priv,), session)
+        self._send("private_key", a, s, (priv,), session)
         if not self.backend.matches(priv, square.owner_pub):
-            self._abort_with_reinsert(session, "ka_mismatch",
-                                      "the offered private key does not match; the owner cypher returns to the store")
+            self._abort(session, "ka_mismatch",
+                        "the offered private key does not match; the owner cypher returns to the store")
             return
-        s.remember(f"K{self._letter(session.sender)}", priv)
+        s.remember(f"K{a.letter}", priv)
         self._emit(f"server requests and verifies user {fu}'s private key")
-
-    def _abort_with_reinsert(self, session: TransferSession, reason: str, label: str) -> None:
-        square = self.squares[session.square_id]
-        proc = session.procedure
-        value = proc.get(square.slot_display)
-        self.store.reinsert(session.permit, value)
-        proc.terminate()
-        session.abort(reason)
-        self._emit(label)
 
     # -- authentication --------------------------------------------------
 
@@ -557,7 +558,7 @@ class Simulation:
     ) -> tuple[bool, str]:
         """Token round trip with `target`; returns (ok, failure_reason)."""
         s = self.server
-        letter = self._letter(target.name)
+        letter = target.letter
         token_name, et_name, reply_name = self._challenge_names(letter)
         token = self.backend.gen_token(self.rng)
         s.remember(token_name, token)
@@ -570,7 +571,7 @@ class Simulation:
         else:
             self._emit(f"the token is encrypted for user {letter.upper()}")
 
-        self._send("challenge", SERVER, target.name, (et,), session)
+        self._send("challenge", s, target, (et,), session)
         if target.silent:
             return False, "timeout"
         if reply_override is not None:
@@ -582,7 +583,7 @@ class Simulation:
                 return False, "cannot decrypt challenge"
             target.remember(et_name, et)
             target.remember(reply_name, reply)
-        self._send("challenge_reply", target.name, SERVER, (reply,), session)
+        self._send("challenge_reply", target, s, (reply,), session)
         if reply_override is None:
             s.remember(reply_name, reply)
         if not isinstance(reply, Token) or reply.material != token.material:
@@ -594,25 +595,22 @@ class Simulation:
         return True, ""
 
     def authenticate_parties(self, session: TransferSession) -> None:
-        square = self.squares[session.square_id]
-        a = self.parties[session.sender]
-        b = self.parties[session.receiver]
-        fu = self._letter(session.sender).upper()
-        tu = self._letter(session.receiver).upper()
+        square, a, b = session.square, session.sender, session.receiver
+        fu, tu = a.letter.upper(), b.letter.upper()
 
         ok, why = self._run_challenge(a, square.owner_pub, session, single_table=False)
         if not ok:
-            self._abort_with_reinsert(
+            self._abort(
                 session, f"sender auth failed: {why}",
                 f"user {fu} fails the challenge; the owner cypher returns to the store")
             return
         session.advance("sender_authenticated")
         self._emit(f"user {fu} returns the decrypted token and is confirmed")
 
-        receiver_pub = b.recall(f"K{self._letter(b.name)}_Public")
+        receiver_pub = b.recall(f"K{b.letter}_Public")
         ok, why = self._run_challenge(b, receiver_pub, session, single_table=True)
         if not ok:
-            self._abort_with_reinsert(
+            self._abort(
                 session, f"receiver auth failed: {why}",
                 f"user {tu} fails the challenge; the owner cypher returns to the store")
             return
@@ -620,7 +618,7 @@ class Simulation:
         self._emit(f"user {tu} returns the decrypted token and is confirmed")
 
         es_hash = square.es_hash
-        self._send("hash_share", SERVER, b.name, (es_hash,), session)
+        self._send("hash_share", self.server, b, (es_hash,), session)
         b.remember("Hash", es_hash)
         self._emit(f"server shares the verification hash with user {tu}")
 
@@ -629,7 +627,7 @@ class Simulation:
         self._emit(f"user {tu} hashes the cypher user {fu} handed over")
 
         if hash2.value != es_hash.value:
-            self._abort_with_reinsert(
+            self._abort(
                 session, "counterfeit es",
                 "the hashes differ; the transfer aborts and the owner cypher returns to the store")
             return
@@ -639,31 +637,27 @@ class Simulation:
     # -- completion ------------------------------------------------------
 
     def complete_transfer(self, session: TransferSession) -> None:
-        square = self.squares[session.square_id]
-        s = self.server
-        proc = session.procedure
-        sender_letter = self._letter(session.sender)
-        receiver_letter = self._letter(session.receiver)
-        tu = receiver_letter.upper()
-        ka_name = f"K{sender_letter}"
-        kb_pub_name = f"K{receiver_letter}_Public"
+        square, a, b = session.square, session.sender, session.receiver
+        s, proc = self.server, session.scope
+        tu = b.letter.upper()
+        ka_name = f"K{a.letter}"
+        kb_pub_name = f"K{b.letter}_Public"
 
         ka = s.recall(ka_name)
         proc.bind(ka_name, ka)
-        self._emit(f"the procedure loads user {sender_letter.upper()}'s private key")
+        self._emit(f"the procedure loads user {a.letter.upper()}'s private key")
 
-        ea = proc.get(square.slot_display)
         try:
             if not self.backend.matches(ka, square.owner_pub):
                 raise KeyMismatch("stored private key does not fit the owner's public key")
-            sig_u = self.backend.asym_decrypt(ka, ea)
+            sig_u = self.backend.asym_decrypt(ka, session.taken[0])
         except KeyMismatch:
-            self._abort_with_reinsert(
+            self._abort(
                 session, "ka_mismatch",
                 "the private key cannot open the cypher; it returns to the store")
             return
         if self.backend.fingerprint(sig_u) != square.sig_user_fingerprint:
-            self._abort_with_reinsert(
+            self._abort(
                 session, "foreign cypher",
                 "the decrypted key is not this square's; the cypher returns to the store")
             return
@@ -675,7 +669,7 @@ class Simulation:
         self._emit(f"the procedure loads user {tu}'s public key")
 
         eb = self.backend.asym_encrypt(kb_pub, sig_u, self.rng)
-        eb_name = f"E{receiver_letter}"
+        eb_name = f"E{b.letter}"
         proc.bind(eb_name, eb)
         self._emit(f"the procedure re-encrypts the signing key to user {tu}")
 
@@ -685,11 +679,11 @@ class Simulation:
         self._emit("the new owner cypher drops into the destructive store")
 
         proc.terminate()
-        square.owner_party = session.receiver
+        square.owner_party = b.name
         square.owner_pub = kb_pub
         session.advance("completed")
-        self._send("transfer_notice", SERVER, session.sender, (b"done",), session)
-        self._send("transfer_notice", SERVER, session.receiver, (b"done",), session)
+        self._send("transfer_notice", s, a, (b"done",), session)
+        self._send("transfer_notice", s, b, (b"done",), session)
         self._emit("the procedure terminates; both users are notified")
         self._emit(f"the transfer is complete; the square now belongs to user {tu}")
 
@@ -701,58 +695,57 @@ class Simulation:
         if not self.store.ping(square.slot_id):
             # a drained square is refused before any message goes out
             raise SlotEmpty(f"slot {square.slot_id!r} is empty")
-        x = self.user(user_letter)
-        letter = user_letter.upper()
+        x, s = self.user(user_letter), self.server
+        letter = x.letter.upper()
         plain = self.mode == "baseline3"
-        self._send("take_request" if plain else "redeem_request", x.name, SERVER, ())
+        session = self._new_session(square, x, x)
+        self._send("take_request" if plain else "redeem_request", x, s, (), session)
         if self.mode == "cryptocubic":
-            session = self._new_session(square, x.name, x.name)
             ok, why = self._run_challenge(x, square.owner_pub, session, single_table=True)
             if not ok:
-                self._emit(f"user {letter} fails the redemption challenge; the slot stays shut")
+                self._abort(session, f"auth failed: {why}",
+                            f"user {letter} fails the redemption challenge; the slot stays shut")
                 raise AuthFailure(f"redemption challenge failed: {why}")
             self._emit(f"user {letter} answers the redemption challenge and is confirmed")
 
-        taken, permit = self.store.take(square.slot_id)
+        taken, permit = session.taken = self.store.take(square.slot_id)
         display = square.slot_display
-        proc = None  # the plaintext mode recovers the keys in memory, not in a scope
         try:
             if plain:
-                self._send("take_payload", SERVER, x.name, (taken,))
+                # the plaintext mode recovers the keys in memory, not in a scope
+                self._send("take_payload", s, x, (taken,), session)
                 x.remember("Sig_S", taken)
                 self._emit(f"user {letter} takes the server signing key from the store")
                 sig_u, sig_s = x.recall("Sig_U"), taken
             else:
                 ks = square.sym_key
-                self._send("redeem_payload", SERVER, x.name, (taken, ks))
-                proc = x.open_procedure()
+                self._send("redeem_payload", s, x, (taken, ks), session)
+                proc = session.scope = x.open_procedure()
                 proc.bind(display, taken)
                 proc.bind("Ks", ks)
                 self._emit(f"server releases the owner cypher and symmetric key to user {letter}")
 
-                sig_u = self.backend.asym_decrypt(x.recall(f"K{user_letter.lower()}"), taken)
+                sig_u = self.backend.asym_decrypt(x.recall(f"K{x.letter}"), taken)
                 sig_s = self.backend.sym_decrypt(ks, x.recall("Es"))
                 proc.bind("Sig_U", sig_u)
                 proc.bind("Sig_S", sig_s)
                 self._emit(f"user {letter} recovers both signing keys inside a private scope")
             tx_id = self._submit_spend(square, sig_u, sig_s, dest, cents)
-        except (CryptoError, LedgerError, TransportFailure):
+        except (CryptoError, LedgerError) as exc:
             # the permit puts the value back, so the owner can try again
-            if proc is not None:
-                proc.terminate()
-            self.store.reinsert(permit, taken)
-            self._emit(f"user {letter} cannot redeem; {display} returns to the store")
+            self._abort(session, type(exc).__name__,
+                        f"user {letter} cannot redeem; {display} returns to the store")
             raise
-        if proc is not None:
-            proc.terminate()
+        if session.scope is not None:
+            session.scope.terminate()
         if self.ledger.balance(square.address_value):
             # a partial redemption leaves the rest redeemable
             self.store.reinsert(permit, taken)
+        session.advance("completed")
         self._emit(f"user {letter} signs the transfer and the chain accepts it")
         return tx_id
 
     def _submit_spend(self, square: CryptoSquareRecord, sig_u, sig_s, dest: str, cents: int) -> int:
-        self.ledger.ensure_plain_account(dest)
         nonce = self.ledger.fresh_nonce()
         tx = ChainTx(square.address_value, dest, cents, nonce)
         message = tx.signing_message()
@@ -772,7 +765,7 @@ class Simulation:
     def attempt_replay_auth(self, stale_token: Token) -> bool:
         """Impostor answers a fresh redemption challenge with an old token."""
         square = next(iter(self.squares.values()))
-        session = self._new_session(square, SERVER, SERVER)
+        session = self._new_session(square, self.server, self.server)
         target = self.parties[square.owner_party]
         ok, _why = self._run_challenge(
             target, square.owner_pub, session, single_table=True, reply_override=stale_token

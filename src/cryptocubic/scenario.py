@@ -198,10 +198,6 @@ def parse_scenario(
     return ScenarioScript(commands, seed=seed, mode=mode, backend=backend)
 
 
-def pretty(script: ScenarioScript) -> str:
-    return "\n".join(cmd.pretty() for cmd in script.commands) + "\n"
-
-
 @dataclass
 class RunResult:
     ok: bool

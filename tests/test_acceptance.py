@@ -85,7 +85,7 @@ def test_trace_fidelity():
 def test_security_oracle_hardened_mode():
     sim = canonical_sim("cryptocubic")
     bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
-    labels = [rec.event.label for rec in sim.step_records]
+    labels = [event.label for event in sim.events]
     transfer_done = labels.index(
         "the transfer is complete; the square now belongs to user B"
     )

@@ -221,13 +221,13 @@ class TestWorklistClosure:
     @pytest.mark.parametrize("mode", ["baseline3", "bare4", "cryptocubic"])
     def test_every_coalition_of_the_canonical_run_derives_like_the_fixpoint(self, mode):
         sim = canonical_sim(mode)
-        for rec in sim.step_records:
+        for event, rec in zip(sim.events, sim.step_records):
             sources = [*rec.knowledge.values(), slot_terms_at(rec),
                        wiretap_knowledge(sim, upto=rec.transcript_len)]
             for size in range(1, len(sources) + 1):
                 for members in combinations(sources, size):
                     knowledge = frozenset().union(*members)
-                    assert closure(knowledge) == reference_closure(knowledge), rec.event.step
+                    assert closure(knowledge) == reference_closure(knowledge), event.step
 
 
 def sealed_key_chain(links):
@@ -407,7 +407,7 @@ class TestPerStepSweep:
                 | slot_terms_at(rec)
             )
             capable.append(can_spend(knowledge, bundle_id).possible)
-        labels = [rec.event.label for rec in sim.step_records]
+        labels = [event.label for event in sim.events]
         start = labels.index("the user-leg cypher drops into the destructive store")
         end = labels.index(
             "with user A's approval the transfer procedure withdraws the owner cypher"
@@ -420,9 +420,9 @@ class TestPerStepSweep:
         for mode in ("baseline3", "bare4", "cryptocubic"):
             sim = canonical_sim(mode)
             bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
-            for rec in sim.step_records:
+            for event, rec in zip(sim.events, sim.step_records):
                 knowledge = wiretap_knowledge(sim, upto=rec.transcript_len)
-                assert not can_spend(knowledge, bundle_id).possible, (mode, rec.event.step)
+                assert not can_spend(knowledge, bundle_id).possible, (mode, event.step)
 
     def test_omniscient_wiretap_breaks_only_the_plaintext_mode(self):
         # listening on every link as well: the plaintext handover leaks both
@@ -431,7 +431,8 @@ class TestPerStepSweep:
         for mode in ("baseline3", "bare4", "cryptocubic"):
             sim = canonical_sim(mode)
             bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
-            knowledge = wiretap_knowledge(sim, include_user_server=True)
+            transcript = sim.transport.transcript
+            knowledge = {term_of(part) for msg in transcript for part in msg.payload}
             outcomes[mode] = can_spend(knowledge, bundle_id).possible
         assert outcomes == {"baseline3": True, "bare4": False, "cryptocubic": False}
 
@@ -454,9 +455,9 @@ class TestWiretapIndex:
         sim.fund("a", 1000)
         sim.transfer("a", "b")
         sim.redeem("b", "ext", 1000)
-        for rec in sim.step_records:
+        for event, rec in zip(sim.events, sim.step_records):
             heard = wiretap_knowledge(sim, upto=rec.transcript_len)
-            assert heard == scanned_user_user_terms(sim, rec.transcript_len), rec.event.step
+            assert heard == scanned_user_user_terms(sim, rec.transcript_len), event.step
         assert wiretap_knowledge(sim) == scanned_user_user_terms(sim)
         assert wiretap_knowledge(sim)
 

@@ -52,7 +52,7 @@ def reference_column(sim, party):
             rendered += f" -- [{proc.pending_insert}]"
             pending.add(proc.pending_insert)
         items.append(rendered)
-    if party.role == "server":
+    if party is sim.server:
         for square in sim.squares.values():
             slot_id, display = square.slot_id, square.slot_display
             if display not in pending and sim.store.ping(slot_id):
@@ -268,7 +268,7 @@ def test_unchanged_parties_share_their_snapshot_and_column():
     # funding changes no memory, only the address annotation
     assert after.knowledge["USER_A"] is before.knowledge["USER_A"]
     assert after.knowledge[SERVER] is before.knowledge[SERVER]
-    assert after.event.columns["USER_A"] != before.event.columns["USER_A"]
+    assert sim.events[-1].columns["USER_A"] != sim.events[-2].columns["USER_A"]
     sim.user("b")
     sim._emit("user B appears")
     sim._emit("nothing changes")

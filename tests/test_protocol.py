@@ -1,6 +1,7 @@
 """Full protocol runs checked step by step against hand-written holdings
 tables, plus fault injection, abort recovery, races, and mode contrasts."""
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -43,6 +44,35 @@ def slot_ops(journal, slot_id):
     """Takes and reinserts of one slot, read back from the store journal."""
     ops = Counter(record.op for record in replay_journal(journal) if record.slot_id == slot_id)
     return {"takes": ops[OP_TAKE], "reinserts": ops[OP_REINSERT]}
+
+
+@contextmanager
+def dropped_link(sim, position):
+    """Drop the link on the message sent after `position` more go through."""
+    send, before = sim.transport.send, len(sim.transport.transcript)
+
+    def dropping(msg):
+        if len(sim.transport.transcript) - before == position:
+            sim.transport.fail_next = True
+        return send(msg)
+
+    sim.transport.send = dropping
+    try:
+        yield
+    finally:
+        sim.transport.send = send
+
+
+def recorded_sessions(sim):
+    """The list of every session the run opens from now on."""
+    opened, new_session = [], sim._new_session
+
+    def recording(*args):
+        opened.append(new_session(*args))
+        return opened[-1]
+
+    sim._new_session = recording
+    return opened
 
 
 class TestCanonicalRuns:
@@ -193,7 +223,7 @@ class TestFaultInjection:
             (finished, "token replay"),
             (sim.backend.gen_token(sim.rng), "token mismatch"),
         ]:
-            session = TransferSession(99, square.square_id, "USER_B", "USER_B")
+            session = TransferSession(99, square, sim.user("b"), sim.user("b"))
             assert sim._run_challenge(
                 sim.user("b"), square.owner_pub, session, single_table=True, reply_override=reply
             ) == (False, reason)
@@ -224,34 +254,40 @@ class TestFaultInjection:
         clean.fund("a", 1000)
         sent = len(clean.transport.transcript)
         clean.transfer("a", "b")
-        returned = 0
+        ends = Counter()
         for position in range(len(clean.transport.transcript) - sent):
             sim = Simulation(mode=mode, backend=backend)
             sim.setup("a")
             sim.fund("a", 1000)
             supply = sim.ledger.total_supply()
-            send, before = sim.transport.send, len(sim.transport.transcript)
-
-            def dropping(msg):
-                if len(sim.transport.transcript) - before == position:
-                    sim.transport.fail_next = True
-                return send(msg)
-
-            sim.transport.send = dropping
-            with pytest.raises(TransportFailure):
+            sessions = recorded_sessions(sim)
+            with dropped_link(sim, position), pytest.raises(TransportFailure):
                 sim.transfer("a", "b")
-            sim.transport.send = send
             assert all(not p.procedures for p in sim.parties.values()), position
             square = next(iter(sim.squares.values()))
             assert sim.store.ping(square.slot_id), position
-            if sim.events[-1].label == "the link drops; the owner cypher returns to the store":
-                returned += 1
+            session, label = sessions[-1], sim.events[-1].label
+            if session.phase == "aborted":
+                assert session.abort_reason == "link dropped", position
+                assert [e.label for e in sim.events].count(label) == 1, position
+                ends[label] += 1
                 assert sim.transfer("a", "b").phase == "completed"
+            else:
+                # the drop hit a notice sent after the handover was done
+                assert session.phase == "completed", position
+                ends["completed"] += 1
             sim.redeem(square.owner_party[-1], "ext", 1000)
             assert sim.ledger.balance("ext") == 1000
             assert sim.ledger.total_supply() == supply
-        # the messages sent while the server holds the withdrawn cypher
-        assert returned == {"baseline3": 0, "bare4": 2, "cryptocubic": 7}[mode]
+        stayed = f"the link drops; {'Sig_S' if mode == 'baseline3' else 'Ea'} stays in the store"
+        assert ends == Counter({
+            # the messages sent before the withdrawal
+            stayed: {"baseline3": 1, "bare4": 3, "cryptocubic": 4}[mode],
+            # the messages sent while the server holds the withdrawn cypher
+            "the link drops; the owner cypher returns to the store":
+                {"baseline3": 0, "bare4": 2, "cryptocubic": 7}[mode],
+            "completed": {"baseline3": 0, "bare4": 2, "cryptocubic": 2}[mode],
+        })
 
 
 class TestOwnership:
@@ -403,12 +439,12 @@ class TestRedemption:
         for mode in MODES:
             journal = str(tmp_path / f"{mode}.journal")
             sim = canonical_run(mode, redeem=False, journal=journal)
-            supply = sim.ledger.total_supply()
+            supply, dump = sim.ledger.total_supply(), sim.ledger.dump()
             with pytest.raises(InsufficientFunds):
                 sim.redeem("b", "ext", 1001)
             square = next(iter(sim.squares.values()))
-            assert sim.ledger.balance(square.address_value) == 1000
-            assert sim.ledger.balance("ext") == 0
+            # the refused spend opens no account for its destination
+            assert sim.ledger.dump() == dump, mode
             # the failed spend puts back what the redemption took, and the
             # table that says so shows no scope left open
             assert sim.store.ping(square.slot_id), mode
@@ -418,6 +454,25 @@ class TestRedemption:
             sim.redeem("b", "ext", 1000)
             assert sim.ledger.balance("ext") == 1000
             assert sim.ledger.total_supply() == supply
+
+    def test_link_drop_before_the_take_leaves_the_slot_full(self, journal):
+        # the request and the challenge round trip precede the take
+        for position in range(3):
+            sim = canonical_run("cryptocubic", redeem=False, journal=journal)
+            square = next(iter(sim.squares.values()))
+            takes, steps = slot_ops(journal, square.slot_id)["takes"], len(sim.events)
+            sessions = recorded_sessions(sim)
+            with dropped_link(sim, position), pytest.raises(TransportFailure):
+                sim.redeem("b", "ext", 1000)
+            assert sessions[-1].phase == "aborted"
+            assert sessions[-1].abort_reason == "link dropped"
+            # one table says so, after the challenge table if one went out
+            assert len(sim.events) == steps + 1 + (position > 0), position
+            assert sim.events[-1].label == "the link drops; Eb stays in the store"
+            assert sim.store.ping(square.slot_id)
+            assert slot_ops(journal, square.slot_id)["takes"] == takes
+            sim.redeem("b", "ext", 1000)
+            assert sim.ledger.balance("ext") == 1000
 
     @pytest.mark.parametrize("mode", MODES)
     def test_link_drop_after_the_take_returns_the_value(self, mode, journal):
@@ -495,10 +550,10 @@ class TestScopeHygiene:
         # every resting value is a cypher or an unrelated key; the signing
         # keys exist in the clear only inside transient scopes
         sim = canonical_run(mode)
-        for rec in sim.step_records:
+        for event, rec in zip(sim.events, sim.step_records):
             for party, terms in rec.knowledge.items():
                 bare = [t for t in terms if isinstance(t, SigningKeyTerm)]
-                assert not bare, f"{party} holds {bare} at step {rec.event.step}"
+                assert not bare, f"{party} holds {bare} at step {event.step}"
 
     def test_plaintext_mode_exposes_bare_signing_keys(self):
         # the insecure variant ends with both signing keys resting in user

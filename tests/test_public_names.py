@@ -2,9 +2,11 @@
 
 A definition counts as used when its name appears, as an identifier, an
 attribute, an imported name or a string, somewhere in `src/cryptocubic` or
-`bench/` outside the definition itself.  Test files are not read, and
-neither are the package's re-exports in `__init__.py`: a name only tests
-reach is dead weight in the program.
+`bench/` outside the definition itself.  A module-level function counts as
+an attribute only of its own module (`scenario.run_scenario`), so a method
+of the same name (`cmd.pretty()`) is no caller of it.  Test files are not
+read, and neither are the package's re-exports in `__init__.py`: a name
+only tests reach is dead weight in the program.
 """
 import ast
 import pathlib
@@ -32,16 +34,17 @@ def public_definitions(tree):
 
 
 def named_at(tree):
-    """Every (name, line) the module mentions."""
+    """Every (name, line, owner) the module mentions; owner is the name an
+    attribute is read from (`x` in `x.name`), and None for anything else."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, None
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, getattr(node.value, "id", "")
         elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1], node.lineno
+            yield node.name.rsplit(".", 1)[-1], node.lineno, None
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
+            yield node.value, node.lineno, None
 
 
 def unused_public_names():
@@ -50,16 +53,20 @@ def unused_public_names():
     mentions = {}
     for path, tree in trees.items():
         if path.name != "__init__.py":
-            for name, line in named_at(tree):
-                mentions.setdefault(name, []).append((path, line))
+            for name, line, owner in named_at(tree):
+                mentions.setdefault(name, []).append((path, line, owner))
     unused = []
     for path, tree in trees.items():
         if ROOT / "src" not in path.parents:
             continue
+        module_functions = {
+            node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
         for node in public_definitions(tree):
             if not any(
-                where != path or not node.lineno <= line <= node.end_lineno
-                for where, line in mentions.get(node.name, ())
+                (where != path or not node.lineno <= line <= node.end_lineno)
+                and (node not in module_functions or owner in (None, path.stem))
+                for where, line, owner in mentions.get(node.name, ())
             ):
                 unused.append((f"{path.relative_to(ROOT)}:{node.lineno}", node.name))
     return unused

@@ -16,7 +16,6 @@ from cryptocubic.scenario import (
     Setup,
     Transfer,
     parse_scenario,
-    pretty,
     run_scenario,
 )
 
@@ -135,6 +134,10 @@ _command_line = st.one_of(
     _words("expect-holdings", _party, _items),
     _words("expect-verdict", _scenario, _flag),
 )
+
+
+def pretty(script):
+    return "".join(cmd.pretty() + "\n" for cmd in script.commands)
 
 
 class TestPretty:
