@@ -7,9 +7,12 @@ set under the decomposition rules an attacker can apply mechanically:
 2. open a symmetric cypher with its key,
 3. split tuples into their parts.
 
-It runs as a worklist (semi-naive evaluation): every term is processed
-once, and a cypher whose key has not been processed waits until it is,
-so the closure costs time linear in the terms it reaches.
+It runs as a worklist (semi-naive evaluation) over the compound terms
+only: atoms are never visited, as terms are interned (`terms`) and a
+cypher knows the key term that opens it, so "is its key known" is one
+identity lookup.  A cypher whose key is not known waits in one plain list,
+which is indexed by key only once a first key is derived; most inputs
+derive nothing, and the index keeps a long chain of sealed keys linear.
 
 Constructive rules (hashing known values, encrypting under known keys,
 tupling) never yield an atom, so the spend check needs only the closure.
@@ -21,7 +24,6 @@ that `replay_witness` turns into a real accepted ledger transaction.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -29,7 +31,6 @@ from .backend import term_of
 from .protocol import SERVER, Simulation
 from .terms import (
     ASYM,
-    SYM,
     EncTerm,
     PrivateKeyTerm,
     SigningKeyTerm,
@@ -58,50 +59,54 @@ class Derivation:
     premises: tuple[Term, ...]
 
 
+_COMPOUND = frozenset({TupleTerm, EncTerm})
+
+
 def closure(knowledge) -> dict[Term, Derivation | None]:
     """Least fixed point of the decomposition rules, saturated by a worklist.
 
     Returns every reachable term mapped to how it was derived (None for the
-    initial terms).  Each known term is processed once, in the order it
-    became known: a tuple yields its parts, a cypher yields its inner term
-    if its key has been processed and otherwise waits for that key, and a
-    key releases exactly the cyphers waiting for it.  Every derived term is
-    a subterm of the input, so the cost is linear in the terms reached.
+    initial terms).  Only compound terms are walked, each once: a tuple
+    yields its parts, and a cypher yields its inner term when its key is
+    known.  A cypher whose key is not known is shut; the shut cyphers are
+    indexed by key once a first key is derived, and each derived key
+    releases the cyphers it opens.  Every derived term is a subterm of the
+    input, so the cost is linear in the compound terms reached.
     Deterministic, monotone in its input, and idempotent.
     """
     # fromkeys reuses the hashes a set or frozenset input already stores
     known: dict[Term, Derivation | None] = dict.fromkeys(knowledge)
-    queue = list(known)
-    # keys processed so far, and cyphers waiting for a key, by scheme and
-    # key id: cheaper to look up than a key term built for each cypher
-    keys: defaultdict[str, dict[str, Term]] = defaultdict(dict)
-    waiting: defaultdict[str, dict[str, list[EncTerm]]] = defaultdict(dict)
-    for term in queue:  # grows while it is walked
+    queue = [term for term in known if type(term) in _COMPOUND]
+    shut: list[EncTerm] = []
+    waiting: dict[Term, list[EncTerm]] | None = None  # shut cyphers by key
+
+    def learn(term: Term, how: Derivation) -> None:
+        nonlocal waiting
+        known[term] = how
         kind = type(term)
-        if kind is TupleTerm:
+        if kind in _COMPOUND:
+            queue.append(term)
+        elif kind is PrivateKeyTerm or kind is SymKeyTerm:  # may open shut cyphers
+            if waiting is None:
+                waiting = {}
+                for cypher in shut:
+                    waiting.setdefault(cypher.key, []).append(cypher)
+            queue.extend(waiting.pop(term, ()))
+
+    for term in queue:  # grows while it is walked
+        if type(term) is TupleTerm:
             for part in term.items:
                 if part not in known:
-                    known[part] = Derivation("open-tuple", (term,))
-                    queue.append(part)
-        elif kind is EncTerm:
-            key = keys[term.scheme].get(term.key_id)
-            if key is None:
-                waiting[term.scheme].setdefault(term.key_id, []).append(term)
-            else:
-                _open(known, queue, term, key)
-        elif kind is PrivateKeyTerm or kind is SymKeyTerm:
-            scheme, key_id = (ASYM, term.pair_id) if kind is PrivateKeyTerm else (SYM, term.key_id)
-            keys[scheme][key_id] = term
-            for cypher in waiting[scheme].pop(key_id, ()):
-                _open(known, queue, cypher, term)
+                    learn(part, Derivation("open-tuple", (term,)))
+        elif term.key in known:
+            if term.inner not in known:
+                rule = "asym-decrypt" if term.scheme == ASYM else "sym-decrypt"
+                learn(term.inner, Derivation(rule, (term, term.key)))
+        elif waiting is None:
+            shut.append(term)
+        else:
+            waiting.setdefault(term.key, []).append(term)
     return known
-
-
-def _open(known: dict[Term, Derivation | None], queue: list[Term], cypher: EncTerm, key: Term) -> None:
-    if cypher.inner not in known:
-        rule = "asym-decrypt" if cypher.scheme == ASYM else "sym-decrypt"
-        known[cypher.inner] = Derivation(rule, (cypher, key))
-        queue.append(cypher.inner)
 
 
 def _explain(closed: dict[Term, Derivation | None], target: Term, lines: list[str], seen: set[Term]) -> None:

@@ -274,7 +274,8 @@ def run_scenario(
             break
         flush_trace()
     flush_trace()
-    output = "".join(chunks)
-    result.output = output.rstrip("\n") + "\n" if output else ""
+    if chunks:  # end on one newline; every chunk holds more than newlines
+        chunks[-1] = chunks[-1].rstrip("\n") + "\n"
+    result.output = "".join(chunks)
     result.ok = not result.failures
     return result

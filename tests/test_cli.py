@@ -1,4 +1,5 @@
 """Command line behavior: exit codes, output files, golden transcripts."""
+import os
 import pathlib
 import subprocess
 import sys
@@ -136,6 +137,20 @@ class TestGoldenTranscripts:
         out = capsys.readouterr().out
         golden = (GOLDEN_DIR / f"{mode}.txt").read_text()
         assert out == golden
+
+    @pytest.mark.parametrize("hash_seed", ["1", "4093"])
+    def test_bundled_scenarios_do_not_depend_on_the_hash_seed(self, hash_seed):
+        # terms hash by identity, so set order follows object addresses and
+        # not PYTHONHASHSEED; either way the transcript must not move
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        for mode in ("baseline3", "bare4", "cryptocubic"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cryptocubic.cli", str(SCENARIOS_DIR / f"{mode}.scen"),
+                 "--mode", mode],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == (GOLDEN_DIR / f"{mode}.txt").read_text(), (mode, hash_seed)
 
 
 def test_console_entry_point():

@@ -1,11 +1,12 @@
 """Scenario script parsing, pretty-printing, and the script runner."""
 import string
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cryptocubic.adversary import SCENARIOS
+from cryptocubic.adversary import SCENARIOS, run_attack
 from cryptocubic.scenario import (
     Attack,
     ExpectHoldings,
@@ -18,6 +19,7 @@ from cryptocubic.scenario import (
     parse_scenario,
     run_scenario,
 )
+from cryptocubic.trace import render_table
 
 CORE = """\
 setup A
@@ -225,3 +227,44 @@ class TestRunner:
         symbolic = run_scenario(parse_scenario(CORE, backend="symbolic")).output
         concrete = run_scenario(parse_scenario(CORE, backend="concrete")).output
         assert symbolic == concrete
+
+
+def joined_then_stripped(script, quiet=False):
+    """The output as `run_scenario` once assembled it: every table and
+    verdict chunk joined, the newlines at the end of the whole stripped, and
+    one newline added back."""
+    commands = script.commands
+    events = run_scenario(script, quiet=True).sim.events
+    chunks, shown = [], 0
+    for i, cmd in enumerate(commands):
+        if isinstance(cmd, Attack):
+            verdict = run_attack(cmd.scenario, script.mode, script.backend, script.seed)
+            chunks.append(f"verdict: {verdict.report_line()}\n")
+            chunks += [f"  note: {note}\n" for note in verdict.notes]
+        upto = len(run_scenario(replace(script, commands=commands[: i + 1]), quiet=True).sim.events)
+        if not quiet:
+            chunks += [render_table(event) + "\n\n" for event in events[shown:upto]]
+        shown = upto
+    output = "".join(chunks)
+    return output.rstrip("\n") + "\n" if output else ""
+
+
+class TestOutputAssembly:
+    @pytest.mark.parametrize("text, quiet, ends_on", [
+        ("setup A\nfund A 1000\nattack store_raid\ntransfer A B\n", False, "table"),
+        (CORE + "attack post_transfer_grab\n", False, "verdict: "),
+        (CORE + "attack store_raid\n", False, "  note: "),
+        (CORE + "attack store_raid\n", True, "  note: "),
+        (CORE, True, None),
+        ("", False, None),
+    ], ids=["table", "verdict", "note", "quiet", "quiet-no-verdict", "empty"])
+    def test_bytes_equal_the_joined_then_stripped_output(self, text, quiet, ends_on):
+        script = parse_scenario(text)
+        output = run_scenario(script, quiet=quiet).output
+        assert output == joined_then_stripped(script, quiet)
+        if ends_on is None:
+            assert output == ""
+        elif ends_on == "table":
+            assert output.rsplit("\n\n", 1)[-1].startswith("== ")
+        else:
+            assert output.splitlines()[-1].startswith(ends_on)

@@ -1,0 +1,139 @@
+"""Interned terms: one object per distinct term, equality is identity."""
+import copy
+import gc
+import pickle
+import weakref
+
+import pytest
+
+from cryptocubic import terms
+from cryptocubic.protocol import Simulation
+from cryptocubic.terms import (
+    ASYM,
+    SYM,
+    AddressTerm,
+    BlobTerm,
+    DigestTerm,
+    EncTerm,
+    PrivateKeyTerm,
+    PublicKeyTerm,
+    SigningKeyTerm,
+    SymKeyTerm,
+    TokenTerm,
+    TupleTerm,
+)
+
+SIG_U = SigningKeyTerm("b1", "user")
+
+# every term kind, built positionally, with its dataclass-format repr
+KINDS = [
+    (PrivateKeyTerm("p1"), "PrivateKeyTerm(pair_id='p1')"),
+    (PublicKeyTerm("p1"), "PublicKeyTerm(pair_id='p1')"),
+    (SymKeyTerm("s1"), "SymKeyTerm(key_id='s1')"),
+    (SIG_U, "SigningKeyTerm(bundle_id='b1', leg='user')"),
+    (AddressTerm("b1"), "AddressTerm(bundle_id='b1')"),
+    (TokenTerm("t1"), "TokenTerm(token_id='t1')"),
+    (BlobTerm("ab"), "BlobTerm(digest_hex='ab')"),
+    (EncTerm(ASYM, "p1", SIG_U),
+     "EncTerm(scheme='asym', key_id='p1', inner=SigningKeyTerm(bundle_id='b1', leg='user'))"),
+    (DigestTerm(TokenTerm("t1")), "DigestTerm(inner=TokenTerm(token_id='t1'))"),
+    (TupleTerm((SIG_U, BlobTerm("ab"))),
+     "TupleTerm(items=(SigningKeyTerm(bundle_id='b1', leg='user'), BlobTerm(digest_hex='ab')))"),
+]
+TERMS = [term for term, _ in KINDS]
+IDS = [type(term).__name__ for term in TERMS]
+
+
+def fields_of(term):
+    return {name: getattr(term, name) for name in term.__match_args__}
+
+
+def run(seed):
+    sim = Simulation(mode="cryptocubic", seed=seed)
+    sim.setup("a")
+    sim.fund("a", 1000)
+    sim.transfer("a", "b")
+    return sim
+
+
+@pytest.mark.parametrize("term, text", KINDS, ids=IDS)
+def test_repr_is_the_dataclass_format(term, text):
+    assert repr(term) == text
+
+
+@pytest.mark.parametrize("term", TERMS, ids=IDS)
+def test_keyword_and_positional_give_one_object(term):
+    fields = fields_of(term)
+    assert type(term)(**fields) is term
+    assert type(term)(*fields.values()) is term
+    first, *rest = fields
+    assert type(term)(fields[first], **{name: fields[name] for name in rest}) is term
+
+
+@pytest.mark.parametrize("term", TERMS, ids=IDS)
+def test_copies_and_pickles_return_the_interned_object(term):
+    assert copy.copy(term) is term
+    assert copy.deepcopy(term) is term
+    assert pickle.loads(pickle.dumps(term)) is term
+    assert copy.deepcopy([term, {term: term}])[0] is term
+
+
+@pytest.mark.parametrize("term", TERMS, ids=IDS)
+def test_equality_and_hash_are_identity(term):
+    assert term == type(term)(*fields_of(term).values())
+    assert hash(term) == object.__hash__(term)
+
+
+def test_bad_fields_are_refused():
+    with pytest.raises(TypeError):
+        SymKeyTerm()
+    with pytest.raises(TypeError):
+        SymKeyTerm("s1", "s2")
+    with pytest.raises(TypeError):
+        SymKeyTerm("s1", key_id="s1")
+    with pytest.raises(TypeError):
+        SymKeyTerm(pair_id="s1")
+
+
+def test_two_runs_with_one_seed_share_their_terms():
+    first, second = run(7), run(7)
+    for name, party in first.parties.items():
+        terms = party.snapshot()
+        assert terms, name
+        assert {id(t) for t in terms} == {id(t) for t in second.parties[name].snapshot()}, name
+    assert {id(t) for t in first.value_of} == {id(t) for t in second.value_of}
+
+
+def test_the_table_holds_its_terms_weakly():
+    inner = TokenTerm("held by this test only")
+    outer = EncTerm(SYM, "s9", inner)
+    refs = [weakref.ref(inner), weakref.ref(outer), weakref.ref(outer.key)]
+    del inner, outer
+    assert [ref() for ref in refs] == [None, None, None]
+    assert (TokenTerm, "held by this test only") not in terms._table
+
+
+def test_a_finished_run_frees_its_terms():
+    gc.collect()
+    before = len(terms._table)
+    sim = run(11)
+    assert len(terms._table) > before
+    del sim
+    gc.collect()
+    assert len(terms._table) == before
+
+
+@pytest.mark.parametrize("scheme", [ASYM, SYM])
+def test_a_cypher_carries_the_key_that_opens_it(backend, rng, scheme):
+    pair = backend.gen_asym_pair(rng)
+    sym = backend.gen_sym_key(rng)
+    token = backend.gen_token(rng)
+    if scheme == ASYM:
+        cypher, opener = backend.asym_encrypt(pair.public, token, rng), pair.private
+    else:
+        cypher, opener = backend.sym_encrypt(sym, token, rng), sym
+    assert cypher.term.key is opener.term
+
+
+def test_an_unknown_scheme_has_no_key():
+    assert EncTerm("rot13", "k1", SIG_U).key is None
