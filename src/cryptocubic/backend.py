@@ -8,6 +8,10 @@ The simulation runs against one of two interchangeable backends:
   ECIES with AES-GCM, symmetric encryption is AES-GCM, signing is Ed25519,
   hashing is SHA-256.
 
+Only the concrete backend needs the third-party ``cryptography`` package:
+without it the module still loads, and building a `ConcreteBackend` raises
+ModuleNotFoundError.
+
 Both backends attach a knowledge term to every value they produce, assign
 ids from the same counter sequence, and draw all randomness from the seeded
 generator they are handed, so a run is reproducible bit-for-bit and the
@@ -18,17 +22,23 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
-from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+try:
+    from cryptography.exceptions import InvalidSignature, InvalidTag
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+        Ed25519PrivateKey,
+        Ed25519PublicKey,
+    )
+    from cryptography.hazmat.primitives.asymmetric.x25519 import (
+        X25519PrivateKey,
+        X25519PublicKey,
+    )
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+except ModuleNotFoundError as exc:  # only the concrete backend needs it
+    _missing = f"the concrete backend needs the {exc.name.partition('.')[0]} package"
+else:
+    _missing = ""
 
 from .terms import (
     ASYM,
@@ -67,7 +77,7 @@ class AsymPrivateKey:
     pair_id: str
     material: bytes | None = None
 
-    @property
+    @cached_property
     def term(self) -> Term:
         return PrivateKeyTerm(self.pair_id)
 
@@ -77,7 +87,7 @@ class AsymPublicKey:
     pair_id: str
     material: bytes | None = None
 
-    @property
+    @cached_property
     def term(self) -> Term:
         return PublicKeyTerm(self.pair_id)
 
@@ -94,7 +104,7 @@ class SymKey:
     key_id: str
     material: bytes | None = None
 
-    @property
+    @cached_property
     def term(self) -> Term:
         return SymKeyTerm(self.key_id)
 
@@ -105,7 +115,7 @@ class SigningKey:
     leg: str  # "user" or "server"
     material: bytes | None = None
 
-    @property
+    @cached_property
     def term(self) -> Term:
         return SigningKeyTerm(self.bundle_id, self.leg)
 
@@ -122,7 +132,7 @@ class Address:
     bundle_id: str
     value: str
 
-    @property
+    @cached_property
     def term(self) -> Term:
         return AddressTerm(self.bundle_id)
 
@@ -142,7 +152,7 @@ class Token:
     token_id: str
     material: bytes
 
-    @property
+    @cached_property
     def term(self) -> Term:
         return TokenTerm(self.token_id)
 
@@ -347,6 +357,11 @@ class ConcreteBackend(CryptoBackend):
 
     name = "concrete"
     _HKDF_INFO = b"cryptocubic.ecies.v1"
+
+    def __init__(self) -> None:
+        if _missing:
+            raise ModuleNotFoundError(_missing)
+        super().__init__()
 
     def gen_asym_pair(self, rng: random.Random) -> AsymKeyPair:
         pair_id = self._next_id("ak")

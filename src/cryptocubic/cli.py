@@ -7,8 +7,8 @@
 Runs a scenario script and prints the holdings tables plus any attack
 verdict lines.  Exit status 0 when every expectation in the script holds,
 1 when one fails or a command errors, 2 on a script syntax error, an
-unreadable script or an unwritable output path.  Output is a pure function of
-(script, seed, mode, backend).
+unreadable script, an unwritable output path or a backend whose package is
+not installed.  Output is a pure function of (script, seed, mode, backend).
 """
 from __future__ import annotations
 
@@ -53,6 +53,9 @@ def main(argv: list[str] | None = None) -> int:
         result = run_scenario(script, quiet=args.quiet, journal_path=args.journal)
     except OSError as exc:
         print(f"cannot write {args.journal}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as exc:  # the concrete backend without `cryptography`
+        print(exc, file=sys.stderr)
         return 2
     sim = result.sim
     if args.journal:

@@ -230,7 +230,7 @@ def run_scenario(
         nonlocal rendered
         if not quiet:
             for event in sim.events[rendered:]:
-                chunks.append(render_table(event) + "\n\n")
+                chunks.extend((render_table(event), "\n\n"))
         rendered = len(sim.events)
 
     def verdict_for(name: str) -> Verdict:
@@ -274,7 +274,9 @@ def run_scenario(
             break
         flush_trace()
     flush_trace()
-    if chunks:  # end on one newline; every chunk holds more than newlines
+    if chunks and chunks[-1] == "\n\n":  # the last table's separator
+        chunks.pop()
+    if chunks:  # end on one newline; a table or verdict line holds more than newlines
         chunks[-1] = chunks[-1].rstrip("\n") + "\n"
     result.output = "".join(chunks)
     result.ok = not result.failures

@@ -7,11 +7,17 @@ Funded addresses carry their balance, e.g. ``ADD ($10)``.
 
 Tables are derived from live party state at emission time and never edited
 afterwards; golden-file comparisons are byte-exact.
+
+Consecutive tables mostly repeat each other, so `render_table` keeps the
+last table's padded columns, each with a copy of its items, and its body.
+A column whose items equal the copy under its header reuses its cells; when
+all columns are reused, in the same order, so is the body.  Comparing by
+value, never by identity, means a list changed in place is rendered afresh.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 
 @dataclass(frozen=True)
@@ -27,16 +33,35 @@ def format_money(cents: int) -> str:
     return f"${cents / 100:.2f}"
 
 
+# the last table rendered, replaced whole by each call: its columns, header
+# -> (copy of the items, padded header and items, blank cell), and its body
+_last: tuple[dict[str, tuple[list[str], list[str], str]], str] = ({}, "")
+
+
 def render_table(event: TraceEvent) -> str:
-    columns = event.columns
-    depth = max(map(len, columns.values()), default=0)
-    padded = []
-    for header, items in columns.items():
-        cells = [header, *items, *[""] * (depth - len(items))]
-        padded.append(map(str.ljust, cells, repeat(max(map(len, cells)))))
-    # an event with no columns still renders its (empty) header line
-    rows = map(str.rstrip, map(" | ".join, zip(*padded))) if padded else [""]
-    return "\n".join([f"== {event.step}. {event.label} ==", *rows])
+    global _last
+    previous, body = _last
+    columns = {}
+    reused = 0
+    for header, items in event.columns.items():
+        column = previous.get(header)
+        if column is not None and column[0] == items:
+            reused += 1
+        else:
+            cells = [header, *items]
+            width = max(map(len, cells))
+            column = (list(items), [*map(str.ljust, cells, repeat(width))], " " * width)
+        columns[header] = column
+    if reused < len(columns) or list(columns) != list(previous):
+        depth = max((len(items) for items, _, _ in columns.values()), default=0)
+        padded = [
+            chain(cells, repeat(blank, depth - len(items)))
+            for items, cells, blank in columns.values()
+        ]
+        body = "\n".join(map(str.rstrip, map(" | ".join, zip(*padded))))
+    _last = (columns, body)
+    # an event with no columns still ends its step line with a newline
+    return f"== {event.step}. {event.label} ==\n{body}"
 
 
 def render_run(events) -> str:

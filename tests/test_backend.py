@@ -1,5 +1,6 @@
 """Cryptography layer: both backends against one contract."""
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from cryptocubic.backend import (
     get_backend,
     term_of,
 )
-from cryptocubic.terms import DigestTerm, EncTerm
+from cryptocubic.terms import DigestTerm, EncTerm, Term
 
 
 def test_get_backend_names():
@@ -189,6 +190,27 @@ class TestDeterminism:
         assert run("concrete") == run("concrete")
         # terms are backend-invariant by construction
         assert run("symbolic") == run("concrete")
+
+
+def test_each_value_builds_its_term_once(backend, rng, monkeypatch):
+    pair, bundle = backend.gen_asym_pair(rng), backend.gen_multisig(rng)
+    values = [pair.private, pair.public, backend.gen_sym_key(rng), bundle.sig_user,
+              bundle.address, backend.gen_token(rng)]
+    terms = [value.term for value in values]
+    built = []
+    original = Term.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Term, "__new__", counting_new)
+    assert [value.term for value in values] == terms
+    assert all(value.term is value.term for value in values)
+    assert built == []
+    for value, term in zip(values, terms):  # a pickled copy keeps the interned term
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and copy.term is term
 
 
 @given(msg=st.binary(min_size=1, max_size=256))

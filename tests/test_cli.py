@@ -153,6 +153,25 @@ class TestGoldenTranscripts:
             assert proc.stdout == (GOLDEN_DIR / f"{mode}.txt").read_text(), (mode, hash_seed)
 
 
+class TestWithoutCryptography:
+    # a missing `cryptography` package, as the import system sees it
+    RUN = "import sys; sys.modules['cryptography'] = None\nfrom cryptocubic.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+    def run(self, *args):
+        return subprocess.run([sys.executable, "-c", self.RUN, *args], capture_output=True, text=True)
+
+    def test_symbolic_backend_needs_no_cryptography(self):
+        proc = self.run(str(SCENARIOS_DIR / "cryptocubic.scen"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN_DIR / "cryptocubic.txt").read_text()
+
+    def test_concrete_backend_without_cryptography_exits_two(self):
+        proc = self.run(str(SCENARIOS_DIR / "cryptocubic.scen"), "--backend", "concrete")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "the concrete backend needs the cryptography package\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cryptocubic.cli", str(SCENARIOS_DIR / "cryptocubic.scen")],

@@ -2,6 +2,8 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cryptocubic import trace
+from cryptocubic.protocol import Simulation
 from cryptocubic.trace import TraceEvent, format_money, render_run, render_table
 
 
@@ -91,3 +93,80 @@ def test_render_table_matches_the_row_by_row_reference(columns, step):
 
 def test_render_table_without_columns_keeps_an_empty_header_line():
     assert render_table(TraceEvent(4, "nobody", {})) == "== 4. nobody ==\n"
+
+
+# -- reuse of the previous table ------------------------------------------
+
+EDITS = ("same", "copy", "append", "set", "pop", "add", "drop")
+
+
+def edit(columns, op, index, text):
+    """Change one run's columns as a simulation step might: in place or not."""
+    headers = list(columns)
+    if op == "add" or not headers:
+        columns[text] = [text]
+        return
+    header = headers[index % len(headers)]
+    items = columns[header]
+    if op == "copy":  # an equal new list
+        columns[header] = list(items)
+    elif op == "append":  # the list already rendered, changed in place
+        items.append(text)
+    elif op == "set" and items:
+        items[index % len(items)] = text
+    elif op == "pop" and items:
+        items.pop()
+    elif op == "drop":
+        del columns[header]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.dictionaries(cell, st.lists(cell, max_size=4), max_size=3),
+    steps=st.lists(
+        st.tuples(st.integers(0, 1), st.sampled_from(EDITS), st.integers(0, 4), cell), max_size=12
+    ),
+)
+@example(
+    start={"A": ["x"], "B": ["yy", "z"]},
+    steps=[
+        (0, "same", 0, ""),  # the same list objects twice
+        (0, "copy", 0, ""),  # an equal new list
+        (0, "append", 0, "q"),  # a list mutated in place after it was rendered
+        (0, "set", 1, "a much wider cell"),  # a width that grows...
+        (0, "set", 1, "w"),  # ...and shrinks
+        (0, "add", 0, "C"),  # a column added...
+        (0, "drop", 2, ""),  # ...and dropped
+        (1, "same", 0, ""),  # a second run with the same headers, alternately
+        (0, "same", 0, ""),
+        (1, "set", 0, "r"),
+        (0, "same", 0, ""),
+    ],
+)
+def test_a_sequence_of_tables_matches_the_reference(start, steps):
+    runs = [{header: list(items) for header, items in start.items()} for _ in range(2)]
+    for step, (run, op, index, text) in enumerate(steps, 1):
+        edit(runs[run], op, index, text)
+        event = TraceEvent(step, "a label", dict(runs[run]))
+        assert render_table(event) == reference_render_table(event)
+
+
+def test_the_memo_holds_only_the_last_table():
+    long_run = Simulation(mode="cryptocubic")
+    long_run.setup("a")
+    long_run.fund("a", 1000)
+    for sender, receiver in ["ab", "ba"] * 5:
+        long_run.transfer(sender, receiver)
+    short_run = Simulation(mode="cryptocubic")
+    short_run.setup("a")
+    render_run(long_run.events)
+    text = render_run(short_run.events)
+    last = short_run.events[-1]
+    assert text.endswith(render_table(last) + "\n")
+    # one padded column per header of the last table, and its body
+    columns, body = trace._last
+    assert list(columns) == list(last.columns)
+    for header, (items, cells, blank) in columns.items():
+        assert items == last.columns[header]
+        assert len(cells) == len(items) + 1 and len(blank) == len(cells[0])
+    assert render_table(last) == f"== {last.step}. {last.label} ==\n{body}"
