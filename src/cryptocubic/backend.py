@@ -12,6 +12,16 @@ Only the concrete backend needs the third-party ``cryptography`` package:
 without it the module still loads, and building a `ConcreteBackend` raises
 ModuleNotFoundError.
 
+The concrete backend builds each X25519 and Ed25519 private-key object
+through a bounded, process-wide memo keyed by the 32-byte seed, because
+building one is a full Curve25519 scalar multiplication.  Seeds repeat:
+every attack staging replays the script with the script's own seed, so it
+draws the same key seeds the main run drew.  Only the key object is cached;
+every exchange, AES-GCM operation, signature, verification and key match
+still runs on every call, so outputs are byte-identical with or without the
+memo.  The memo belongs to the process, not to any simulated party: it adds
+no knowledge term and shows in no table.
+
 Both backends attach a knowledge term to every value they produce, assign
 ids from the same counter sequence, and draw all randomness from the seeded
 generator they are handed, so a run is reproducible bit-for-bit and the
@@ -22,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 try:
     from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -352,6 +362,16 @@ class SymbolicBackend(CryptoBackend):
         return signature.value == expected
 
 
+@lru_cache(maxsize=1024)
+def _x25519_private(seed: bytes) -> X25519PrivateKey:
+    return X25519PrivateKey.from_private_bytes(seed)
+
+
+@lru_cache(maxsize=1024)
+def _ed25519_private(seed: bytes) -> Ed25519PrivateKey:
+    return Ed25519PrivateKey.from_private_bytes(seed)
+
+
 class ConcreteBackend(CryptoBackend):
     """Real primitives: X25519+AES-GCM, AES-GCM, Ed25519, SHA-256."""
 
@@ -366,7 +386,7 @@ class ConcreteBackend(CryptoBackend):
     def gen_asym_pair(self, rng: random.Random) -> AsymKeyPair:
         pair_id = self._next_id("ak")
         seed = rng.randbytes(32)
-        priv = X25519PrivateKey.from_private_bytes(seed)
+        priv = _x25519_private(seed)
         pub = priv.public_key().public_bytes_raw()
         return AsymKeyPair(pair_id, AsymPrivateKey(pair_id, seed), AsymPublicKey(pair_id, pub))
 
@@ -377,8 +397,8 @@ class ConcreteBackend(CryptoBackend):
         bundle_id = self._next_id("ms")
         seed_u = rng.randbytes(32)
         seed_s = rng.randbytes(32)
-        ver_u = Ed25519PrivateKey.from_private_bytes(seed_u).public_key().public_bytes_raw()
-        ver_s = Ed25519PrivateKey.from_private_bytes(seed_s).public_key().public_bytes_raw()
+        ver_u = _ed25519_private(seed_u).public_key().public_bytes_raw()
+        ver_s = _ed25519_private(seed_s).public_key().public_bytes_raw()
         return MultiSigBundle(
             bundle_id,
             SigningKey(bundle_id, "user", seed_u),
@@ -394,7 +414,7 @@ class ConcreteBackend(CryptoBackend):
     def asym_encrypt(self, public: AsymPublicKey, value: object, rng: random.Random) -> Cypher:
         self._check_plaintext(value)
         plaintext = self.export_bytes(value)
-        eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
+        eph = _x25519_private(rng.randbytes(32))
         shared = eph.exchange(X25519PublicKey.from_public_bytes(public.material))
         nonce = rng.randbytes(12)
         ct = AESGCM(self._derive_aes_key(shared)).encrypt(nonce, plaintext, None)
@@ -408,7 +428,7 @@ class ConcreteBackend(CryptoBackend):
             raise KeyMismatch("cypher payload is cut short")
         eph_pub = X25519PublicKey.from_public_bytes(payload[:32])
         nonce = payload[32:44]
-        shared = X25519PrivateKey.from_private_bytes(private.material).exchange(eph_pub)
+        shared = _x25519_private(private.material).exchange(eph_pub)
         try:
             plaintext = AESGCM(self._derive_aes_key(shared)).decrypt(nonce, payload[44:], None)
         except InvalidTag as exc:
@@ -433,7 +453,7 @@ class ConcreteBackend(CryptoBackend):
         return self._import_value(plaintext)
 
     def matches(self, private: AsymPrivateKey, public: AsymPublicKey) -> bool:
-        derived = X25519PrivateKey.from_private_bytes(private.material).public_key()
+        derived = _x25519_private(private.material).public_key()
         return derived.public_bytes_raw() == public.material
 
     def export_bytes(self, value: object) -> bytes:
@@ -470,7 +490,7 @@ class ConcreteBackend(CryptoBackend):
         raise ValueError(f"unknown value tag {tag!r}")
 
     def sign(self, key: SigningKey, message: bytes) -> Signature:
-        sig = Ed25519PrivateKey.from_private_bytes(key.material).sign(message)
+        sig = _ed25519_private(key.material).sign(message)
         return Signature(key.bundle_id, key.leg, sig)
 
     def verify(self, key: VerifyKey, message: bytes, signature: Signature) -> bool:

@@ -607,7 +607,8 @@ class Simulation:
         session.advance("sender_authenticated")
         self._emit(f"user {fu} returns the decrypted token and is confirmed")
 
-        receiver_pub = b.recall(f"K{b.letter}_Public")
+        # challenge under the key the completion will encrypt to
+        receiver_pub = self.server.recall(f"K{b.letter}_Public")
         ok, why = self._run_challenge(b, receiver_pub, session, single_table=True)
         if not ok:
             self._abort(

@@ -137,6 +137,7 @@ def test_legitimate_path_liveness():
             sim.redeem(letter, "ext", 1000)
 
 
+@pytest.mark.usefixtures("opened_stores")
 @criterion("destructive store: one payout per fill, tamper-proof refills, inert pings")
 def test_destructive_store_properties(tmp_path):
     def digest(value):

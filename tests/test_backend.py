@@ -2,11 +2,15 @@
 import dataclasses
 import pickle
 import random
+from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cryptocubic import backend as backend_module
 from cryptocubic.backend import (
     ConcreteBackend,
     EmptyPlaintext,
@@ -15,7 +19,10 @@ from cryptocubic.backend import (
     get_backend,
     term_of,
 )
+from cryptocubic.scenario import parse_scenario, run_scenario
 from cryptocubic.terms import DigestTerm, EncTerm, Term
+
+SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_get_backend_names():
@@ -234,3 +241,73 @@ def test_export_import_round_trip(msg):
         back = be._import_value(encoded)
         assert term_of(back) == term_of(value)
         assert be.export_bytes(back) == encoded
+
+
+class _CountedKey:
+    """A real private key that counts the primitive calls made on it."""
+
+    def __init__(self, key, calls):
+        self._key, self._calls = key, calls
+
+    def public_key(self):
+        return self._key.public_key()
+
+    def exchange(self, peer):
+        self._calls["exchange"] += 1
+        return self._key.exchange(peer)
+
+    def sign(self, message):
+        self._calls["ed25519 sign"] += 1
+        return self._key.sign(message)
+
+
+@pytest.fixture
+def counted_derivations(monkeypatch):
+    """Seeds passed to each key derivation, and calls made on the keys."""
+    seeds = {"x25519": [], "ed25519": []}
+    calls = Counter()
+
+    def counting(name, cls):
+        def from_private_bytes(seed):
+            seeds[name].append(seed)
+            return _CountedKey(cls.from_private_bytes(seed), calls)
+
+        return SimpleNamespace(from_private_bytes=from_private_bytes)
+
+    for name, attr in (("x25519", "X25519PrivateKey"), ("ed25519", "Ed25519PrivateKey")):
+        monkeypatch.setattr(backend_module, attr, counting(name, getattr(backend_module, attr)))
+    for method in ("asym_encrypt", "asym_decrypt", "matches", "sign", "verify"):
+        def counted(self, *args, _original=getattr(ConcreteBackend, method), _name=method):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(ConcreteBackend, method, counted)
+    memos = (backend_module._x25519_private, backend_module._ed25519_private)
+    for memo in memos:
+        memo.cache_clear()
+    yield seeds, calls
+    for memo in memos:  # drop the counting keys before other tests see them
+        memo.cache_clear()
+
+
+def test_concrete_run_derives_each_key_once(counted_derivations):
+    seeds, calls = counted_derivations
+    text = (SCENARIOS_DIR / "cryptocubic.scen").read_text()
+    golden = (SCENARIOS_DIR / "golden" / "cryptocubic.txt").read_text()
+
+    def run():
+        return run_scenario(parse_scenario(text, backend="concrete")).output
+
+    assert run() == golden
+    # the attack stagings replay the script's seed, so without the memo the
+    # run derives 82 X25519 and 18 Ed25519 keys from these few seeds
+    assert len(seeds["x25519"]) == len(set(seeds["x25519"])) == 10
+    assert len(seeds["ed25519"]) == len(set(seeds["ed25519"])) == 2
+    # every primitive still runs on every call
+    assert calls == {"asym_encrypt": 30, "asym_decrypt": 24, "exchange": 54,
+                     "matches": 13, "sign": 4, "ed25519 sign": 4, "verify": 4}
+    backend_module._x25519_private.cache_clear()
+    backend_module._ed25519_private.cache_clear()
+    assert run() == golden
+    for memo in (backend_module._x25519_private, backend_module._ed25519_private):
+        assert memo.cache_info().maxsize is not None  # bounded

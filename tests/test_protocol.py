@@ -36,7 +36,7 @@ def canonical_run(mode, backend="symbolic", redeem=True, journal=None):
 
 
 @pytest.fixture
-def journal(tmp_path):
+def journal(tmp_path, opened_stores):
     return str(tmp_path / "store.journal")
 
 
@@ -176,6 +176,28 @@ class TestFaultInjection:
         assert slot_ops(journal, square.slot_id)["reinserts"] == 1
         sim.inject_counterfeit_es = False
         assert sim.transfer("a", "b").phase == "completed"
+
+    def test_substituted_receiver_key_fails_the_challenge(self, backend):
+        # an attacker on the B->A link swaps B's public key for its own; the
+        # server challenges B under the key it would re-encrypt to, so the
+        # transfer aborts instead of locking the funds away from everyone
+        sim = Simulation(mode="cryptocubic", backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        session = sim.begin_transfer("a", "b")
+        attacker = sim.backend.gen_asym_pair(sim.rng)
+        sim.user("a").remember("Kb_Public", attacker.public)
+        sim.server.remember("Kb_Public", attacker.public)
+        for step in (sim.withdraw_for_transfer, sim.authenticate_parties, sim.complete_transfer):
+            if session.phase != "aborted":
+                step(session)
+        assert session.phase == "aborted"
+        assert session.abort_reason == "receiver auth failed: cannot decrypt challenge"
+        square = next(iter(sim.squares.values()))
+        assert square.owner_party == "USER_A"
+        assert sim.store.ping(square.slot_id)
+        sim.redeem("a", "ext", 1000)
+        assert sim.ledger.balance("ext") == 1000
 
     def test_counterfeit_handover_sails_through_without_hash_check(self):
         # the unauthenticated variant accepts the fake; this is the gap the
@@ -435,6 +457,7 @@ class TestRedemption:
         assert len(sim.transport.transcript) == sent
         assert list(sim.server.memory) == server_memory
 
+    @pytest.mark.usefixtures("opened_stores")
     def test_overdraft_redeem_rejected(self, tmp_path):
         for mode in MODES:
             journal = str(tmp_path / f"{mode}.journal")

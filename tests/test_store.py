@@ -90,6 +90,7 @@ def test_take_empty_then_refill(store):
     assert store.ping("s1")
 
 
+@pytest.mark.usefixtures("opened_stores")
 def test_ping_is_readonly_100(tmp_path):
     path = str(tmp_path / "journal.bin")
     store = DestructiveStore(digest, journal_path=path)
