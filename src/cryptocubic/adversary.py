@@ -24,11 +24,11 @@ that `replay_witness` turns into a real accepted ledger transaction.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
-from .backend import term_of
-from .protocol import SERVER, Simulation
+from .backend import Cypher, term_of
+from .protocol import SERVER, Message, Simulation
 from .terms import (
     ASYM,
     EncTerm,
@@ -232,9 +232,22 @@ def _attack_post_transfer_grab(mode: str, backend: str, seed: int) -> Verdict:
     return verdict
 
 
+def counterfeit_handover(sim: Simulation):
+    """Interposer swapping each handed-over cypher (not baseline3's bare key) for a fake."""
+    backend, rng = sim.backend, sim.rng  # not sim: no reference cycle through sim.transport
+
+    def swap(msg: Message) -> Message:
+        if msg.msg_type != "handover" or not isinstance(msg.payload[0], Cypher):
+            return msg
+        fake = backend.sym_encrypt(backend.gen_sym_key(rng), b"counterfeit filler", rng)
+        return replace(msg, payload=(fake, *msg.payload[1:]))
+
+    return swap
+
+
 def _attack_counterfeit_es(mode: str, backend: str, seed: int) -> Verdict:
     sim, square_id = _staged_run(mode, backend, seed)
-    sim.inject_counterfeit_es = True
+    sim.transport.interposer = counterfeit_handover(sim)
     session = sim.transfer("a", "b")
     notes = [f"transfer outcome: {session.phase}"]
     if mode == "baseline3":

@@ -8,13 +8,18 @@ Memory changes only through `Party.remember`, `forget` and `restore`, which
 keep the count of names per knowledge term and the party's snapshot in step
 with it.
 
-Messages travel through a single in-process transport that records every
-transmission (the wiretap transcript) and, apart, the payload terms of
-each user-user message.
+Messages travel through one in-process transport that records what it
+delivers (the wiretap transcript) and, apart, the payload terms of each
+user-user message.  Receivers act on what was delivered.  An optional
+`Transport.interposer`, where a Dolev-Yao attacker stands, sees each message
+first: it delivers it or a copy with another payload (`dataclasses.replace`),
+loses it by returning None (only `request_private_key` and `challenge`, whose
+senders then time out), or drops the link by raising `TransportFailure`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .backend import term_of
 from .terms import Term
@@ -54,9 +59,6 @@ class Party:
         # name left memory meanwhile (it now sits at the end, or is gone)
         self._changes: dict[str, bool] = {}
         self.procedures: list[DynamicProcedure] = []
-        # harness switch: a silent party never answers requests, which is
-        # how timeouts are injected
-        self.silent = False
 
     def remember(self, name: str, value: object) -> None:
         term = term_of(value)
@@ -138,15 +140,14 @@ class Transport:
     """Synchronous delivery with a full transcript."""
 
     transcript: list[Message] = field(default_factory=list)
-    fail_next: bool = False
     # per user-user message: transcript length once it was sent, and the
     # terms of its payload; what the wiretap hears, in sending order
     user_user: list[tuple[int, tuple[Term, ...]]] = field(default_factory=list)
+    interposer: Callable[[Message], Message | None] | None = None
 
-    def send(self, msg: Message) -> Message:
-        if self.fail_next:
-            self.fail_next = False
-            raise TransportFailure(f"link dropped while sending {msg.msg_type}")
+    def send(self, msg: Message) -> Message | None:
+        if self.interposer is not None and (msg := self.interposer(msg)) is None:
+            return None
         self.transcript.append(msg)
         if msg.channel == "user-user":
             self.user_user.append((len(self.transcript), tuple(map(term_of, msg.payload))))

@@ -86,9 +86,8 @@ class SquareDrained(ProtocolError):
 @dataclass
 class CryptoSquareRecord:
     """One established square: the server-side half the protocol reads, plus
-    the bundle and slot capability behind it.  The bundle is harness-only: it
-    lets oracle checks look up the real values behind a square without
-    widening any party's state."""
+    the bundle and slot capability behind it.  The bundle's keys are
+    harness-only: oracle checks read them without widening any party's state."""
 
     square_id: str
     owner_party: str
@@ -175,9 +174,6 @@ class Simulation:
         self._leaks: set[str] = set()  # parties to check for a resting signing key
         self._challenge_counts: dict[str, int] = {}
         self._session_seq = 0
-        # injection switches used by attack stagings and fault tests
-        self.inject_counterfeit_es = False
-        self.inject_wrong_ka = False
 
     # ------------------------------------------------------------------
     # parties and bookkeeping
@@ -286,7 +282,7 @@ class Simulation:
     def _send(
         self, msg_type: str, sender: Party, receiver: Party, payload: tuple,
         session: TransferSession | None = None,
-    ) -> Message:
+    ) -> Message | None:
         session_id = session.session_id if session else 0
         try:
             return self.transport.send(Message(msg_type, sender.name, receiver.name, session_id, payload))
@@ -344,7 +340,7 @@ class Simulation:
         u = user_letter.lower()
         plain = self.mode == "baseline3"
         memory_before = {p.name: dict(p.memory) for p in self.parties.values()}
-        pair = ks = es_hash = fingerprint = proc = None
+        pub = ks = es_hash = fingerprint = proc = None
         try:
             if not plain:
                 pair = self.backend.gen_asym_pair(self.rng)
@@ -352,16 +348,16 @@ class Simulation:
                 a.remember(f"K{u}_Public", pair.public)
                 self._emit(f"user {u.upper()} generates an encryption key pair")
 
-                self._send("share_public_key", a, s, (pair.public,))
+                pub = self._send("share_public_key", a, s, (pair.public,)).payload[0]
                 ks = self.backend.gen_sym_key(self.rng)
                 s.remember("Ks", ks)
-                s.remember(f"K{u}_Public", pair.public)
+                s.remember(f"K{u}_Public", pub)
                 self._emit(f"user {u.upper()} shares the public key; server creates a symmetric key")
 
             proc = s.open_procedure()
             if not plain:
                 proc.bind("Ks", ks)
-                proc.bind(f"K{u}_Public", pair.public)
+                proc.bind(f"K{u}_Public", pub)
                 self._emit("server opens a square-creation procedure")
 
             bundle = self.backend.gen_multisig(self.rng)
@@ -375,7 +371,7 @@ class Simulation:
                 stored_label = "the server signing key drops into the destructive store"
             else:
                 self._emit("the procedure creates the dual signing keys and their address")
-                ea = self.backend.asym_encrypt(pair.public, bundle.sig_user, self.rng)
+                ea = self.backend.asym_encrypt(pub, bundle.sig_user, self.rng)
                 es = self.backend.sym_encrypt(ks, bundle.sig_server, self.rng)
                 proc.bind(f"E{u}", ea)
                 proc.bind("Es", es)
@@ -390,9 +386,9 @@ class Simulation:
                 stored_label = "the user-leg cypher drops into the destructive store"
                 fingerprint = self.backend.fingerprint(bundle.sig_user)
 
-            self._send("square_payload", s, a, (handed, bundle.address))
-            a.remember(handed_name, handed)
-            a.remember("ADD", bundle.address)
+            msg = self._send("square_payload", s, a, (handed, bundle.address))
+            a.remember(handed_name, msg.payload[0])
+            a.remember("ADD", msg.payload[1])
             self._emit(f"{handed_name} and the address go to user {u.upper()}")
         except TransportFailure:
             # no partial square: scrub everything this attempt touched
@@ -407,7 +403,7 @@ class Simulation:
         slot_id = f"{square_id}.{slot_leg}"
         cap = self.store.grant_source([slot_id])
         self.squares[square_id] = CryptoSquareRecord(
-            square_id, a.name, pair.public if pair else None, ks, slot_id, display, es_hash,
+            square_id, a.name, pub, ks, slot_id, display, es_hash,
             fingerprint, bundle, cap,
         )
         self.store.insert(cap, slot_id, stored)
@@ -471,14 +467,9 @@ class Simulation:
         # handover is the whole transfer
         plain = self.mode == "baseline3"
         handed_name = "Sig_U" if plain else "Es"
-        handed = a.recall(handed_name)
-        if self.inject_counterfeit_es and not plain:
-            filler = self.backend.gen_sym_key(self.rng)
-            handed = self.backend.sym_encrypt(filler, b"counterfeit filler", self.rng)
-        addr = a.recall("ADD")
-        self._send("handover", a, b, (handed, addr), session)
-        b.remember(handed_name, handed)
-        b.remember("ADD", addr)
+        msg = self._send("handover", a, b, (a.recall(handed_name), a.recall("ADD")), session)
+        b.remember(handed_name, msg.payload[0])
+        b.remember("ADD", msg.payload[1])
         if plain:
             self._emit(f"user {fu} hands the user signing key and the address to user {tu}")
             session.advance("completed")
@@ -493,15 +484,15 @@ class Simulation:
 
         if self.mode == "cryptocubic":
             # receiver's key travels through the current owner
-            self._send("share_public_key", b, a, (pair.public,), session)
-            a.remember(f"K{t}_Public", pair.public)
+            msg = self._send("share_public_key", b, a, (pair.public,), session)
+            a.remember(f"K{t}_Public", msg.payload[0])
             self._emit(f"user {tu} sends the public key to user {fu}")
-            self._send("share_public_key", a, self.server, (pair.public,), session)
-            self.server.remember(f"K{t}_Public", pair.public)
+            msg = self._send("share_public_key", a, self.server, msg.payload, session)
+            self.server.remember(f"K{t}_Public", msg.payload[0])
             self._emit(f"user {fu} forwards user {tu}'s public key to the server")
         else:
-            self._send("share_public_key", b, self.server, (pair.public,), session)
-            self.server.remember(f"K{t}_Public", pair.public)
+            msg = self._send("share_public_key", b, self.server, (pair.public,), session)
+            self.server.remember(f"K{t}_Public", msg.payload[0])
             self._emit(f"user {tu} sends the public key to the server")
         return session
 
@@ -522,16 +513,11 @@ class Simulation:
             f"with user {fu}'s approval the transfer procedure withdraws the owner cypher"
         )
 
-        self._send("request_private_key", s, a, (), session)
-        if a.silent:
+        if self._send("request_private_key", s, a, (), session) is None:
             self._abort(session, "timeout",
                         "the key request times out; the owner cypher returns to the store")
             return
-        priv = a.recall(f"K{a.letter}")
-        if self.inject_wrong_ka:
-            decoy = self.backend.gen_asym_pair(self.rng)
-            priv = decoy.private
-        self._send("private_key", a, s, (priv,), session)
+        priv = self._send("private_key", a, s, (a.recall(f"K{a.letter}"),), session).payload[0]
         if not self.backend.matches(priv, square.owner_pub):
             self._abort(session, "ka_mismatch",
                         "the offered private key does not match; the owner cypher returns to the store")
@@ -571,19 +557,19 @@ class Simulation:
         else:
             self._emit(f"the token is encrypted for user {letter.upper()}")
 
-        self._send("challenge", s, target, (et,), session)
-        if target.silent:
+        msg = self._send("challenge", s, target, (et,), session)
+        if msg is None:
             return False, "timeout"
         if reply_override is not None:
             reply = reply_override
         else:
             try:
-                reply = self.backend.asym_decrypt(target.recall(f"K{letter}"), et)
+                reply = self.backend.asym_decrypt(target.recall(f"K{letter}"), msg.payload[0])
             except KeyMismatch:
                 return False, "cannot decrypt challenge"
-            target.remember(et_name, et)
+            target.remember(et_name, msg.payload[0])
             target.remember(reply_name, reply)
-        self._send("challenge_reply", target, s, (reply,), session)
+        reply = self._send("challenge_reply", target, s, (reply,), session).payload[0]
         if reply_override is None:
             s.remember(reply_name, reply)
         if not isinstance(reply, Token) or reply.material != token.material:
@@ -618,8 +604,7 @@ class Simulation:
         session.advance("receiver_authenticated")
         self._emit(f"user {tu} returns the decrypted token and is confirmed")
 
-        es_hash = square.es_hash
-        self._send("hash_share", self.server, b, (es_hash,), session)
+        es_hash = self._send("hash_share", self.server, b, (square.es_hash,), session).payload[0]
         b.remember("Hash", es_hash)
         self._emit(f"server shares the verification hash with user {tu}")
 
@@ -684,7 +669,9 @@ class Simulation:
         square.owner_pub = kb_pub
         session.advance("completed")
         self._send("transfer_notice", s, a, (b"done",), session)
-        self._send("transfer_notice", s, b, (b"done",), session)
+        # the new owner keeps the address the server names, not the one handed over
+        msg = self._send("transfer_notice", s, b, (square.bundle.address,), session)
+        b.remember("ADD", msg.payload[0])
         self._emit("the procedure terminates; both users are notified")
         self._emit(f"the transfer is complete; the square now belongs to user {tu}")
 
@@ -714,19 +701,18 @@ class Simulation:
         try:
             if plain:
                 # the plaintext mode recovers the keys in memory, not in a scope
-                self._send("take_payload", s, x, (taken,), session)
-                x.remember("Sig_S", taken)
+                sig_s = self._send("take_payload", s, x, (taken,), session).payload[0]
+                x.remember("Sig_S", sig_s)
                 self._emit(f"user {letter} takes the server signing key from the store")
-                sig_u, sig_s = x.recall("Sig_U"), taken
+                sig_u = x.recall("Sig_U")
             else:
-                ks = square.sym_key
-                self._send("redeem_payload", s, x, (taken, ks), session)
+                cypher, ks = self._send("redeem_payload", s, x, (taken, square.sym_key), session).payload
                 proc = session.scope = x.open_procedure()
-                proc.bind(display, taken)
+                proc.bind(display, cypher)
                 proc.bind("Ks", ks)
                 self._emit(f"server releases the owner cypher and symmetric key to user {letter}")
 
-                sig_u = self.backend.asym_decrypt(x.recall(f"K{x.letter}"), taken)
+                sig_u = self.backend.asym_decrypt(x.recall(f"K{x.letter}"), cypher)
                 sig_s = self.backend.sym_decrypt(ks, x.recall("Es"))
                 proc.bind("Sig_U", sig_u)
                 proc.bind("Sig_S", sig_s)

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from canonical_tables import EXPECTED, diff_step
+from conftest import lost_requests, wrong_private_key
 from test_adversary import random_knowledge
 from cryptocubic.adversary import (
     SCENARIOS,
@@ -200,17 +201,13 @@ def test_abort_correctness():
         sim = Simulation(mode="cryptocubic", seed=0)
         sim.setup("a")
         sim.fund("a", 1000)
-        if fault == "wrong_key":
-            sim.inject_wrong_ka = True
-        else:
-            sim.user("a").silent = True
-        session = sim.transfer("a", "b")
+        injected = wrong_private_key(sim) if fault == "wrong_key" else lost_requests(sim, "a")
+        with injected:
+            session = sim.transfer("a", "b")
         assert session.phase == "aborted", fault
         square = next(iter(sim.squares.values()))
         assert sim.store.ping(square.slot_id), fault
         assert square.owner_party == "USER_A", fault
-        sim.inject_wrong_ka = False
-        sim.user("a").silent = False
         retry = sim.transfer("a", "b")
         assert retry.phase == "completed", fault
         assert square.owner_party == "USER_B", fault

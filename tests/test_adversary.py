@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dropped_link
 from cryptocubic.adversary import (
     SCENARIOS,
     Derivation,
@@ -466,8 +467,7 @@ class TestWiretapIndex:
         sim = Simulation(mode=mode)
         sim.setup("a")
         sim.fund("a", 1000)
-        sim.transport.fail_next = True
-        with pytest.raises(TransportFailure):
+        with dropped_link(sim, 0), pytest.raises(TransportFailure):
             sim.transfer("a", "b")
         assert wiretap_knowledge(sim) == scanned_user_user_terms(sim) == set()
         sim.transfer("a", "b")

@@ -7,15 +7,15 @@ random operation sequences, check that emitted columns and snapshots are
 never mutated afterwards, and bound how the per-step work grows with the
 length of a run.
 """
-from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import dropped_link, interposed, lost_requests, wrong_private_key
 from cryptocubic import adversary, backend, parties, protocol
-from cryptocubic.adversary import SCENARIOS, run_attack
+from cryptocubic.adversary import SCENARIOS, counterfeit_handover, run_attack
 from cryptocubic.backend import Address, CryptoError, term_of
 from cryptocubic.ledger import LedgerError
 from cryptocubic.parties import TransportFailure
@@ -113,40 +113,11 @@ operations = st.one_of(
     st.tuples(st.just("setup_link_drop"), user, st.integers(0, 1)),
     st.tuples(st.just("fund"), user, st.integers(1, 2000)),
     st.tuples(st.just("transfer"), user, user),
-    st.tuples(st.just("transfer_silent"), user, user, st.booleans()),
+    st.tuples(st.just("transfer_timeout"), user, user, st.booleans()),
     st.tuples(st.just("transfer_wrong_ka"), user, user),
     st.tuples(st.just("transfer_counterfeit"), user, user),
     st.tuples(st.just("redeem"), user, st.integers(1, 2000)),
 )
-
-
-@contextmanager
-def failing_send(sim, after):
-    """Drop the link on the send that follows `after` successful ones."""
-    send = sim.transport.send
-    count = [after]
-
-    def dropping(msg):
-        if count[0] == 0:
-            sim.transport.fail_next = True
-        count[0] -= 1
-        return send(msg)
-
-    sim.transport.send = dropping
-    try:
-        yield
-    finally:
-        sim.transport.send = send
-        sim.transport.fail_next = False
-
-
-@contextmanager
-def switched(obj, attr):
-    setattr(obj, attr, True)
-    try:
-        yield
-    finally:
-        setattr(obj, attr, False)
 
 
 def execute(sim, op):
@@ -154,23 +125,22 @@ def execute(sim, op):
     if kind == "setup":
         sim.setup(args[0])
     elif kind == "setup_link_drop":
-        with failing_send(sim, args[1]):
+        with dropped_link(sim, args[1]):
             sim.setup(args[0])
     elif kind == "fund":
         sim.fund(args[0], args[1])
     elif kind == "transfer":
         sim.transfer(args[0], args[1])
-    elif kind == "transfer_silent":
-        # a silent sender times out at the key request, a silent receiver
-        # at its challenge
-        silent = sim.user(args[0] if args[2] else args[1])
-        with switched(silent, "silent"):
+    elif kind == "transfer_timeout":
+        # a sender that never answers times out at the key request, a
+        # receiver at its challenge
+        with lost_requests(sim, args[0] if args[2] else args[1]):
             sim.transfer(args[0], args[1])
     elif kind == "transfer_wrong_ka":
-        with switched(sim, "inject_wrong_ka"):
+        with wrong_private_key(sim):
             sim.transfer(args[0], args[1])
     elif kind == "transfer_counterfeit":
-        with switched(sim, "inject_counterfeit_es"):
+        with interposed(sim, counterfeit_handover(sim)):
             sim.transfer(args[0], args[1])
     elif kind == "redeem":
         sim.redeem(args[0], "ext", args[1])
@@ -231,7 +201,7 @@ def test_rollback_restores_columns_and_snapshots(mode):
     sim.user("b")
     before = {name: party.snapshot() for name, party in sim.parties.items()}
     for after in (0, 1):
-        with failing_send(sim, after), pytest.raises(TransportFailure):
+        with dropped_link(sim, after), pytest.raises(TransportFailure):
             sim.setup("b")
         # every party is scrubbed back to its memory before the attempt
         assert {name: party.snapshot() for name, party in sim.parties.items()} == before

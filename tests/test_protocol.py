@@ -1,11 +1,12 @@
 """Full protocol runs checked step by step against hand-written holdings
 tables, plus fault injection, abort recovery, races, and mode contrasts."""
 from collections import Counter
-from contextlib import contextmanager
 
 import pytest
 
 from canonical_tables import EXPECTED, diff_step
+from conftest import dropped_link, interposed, lost_requests, swapped, wrong_private_key
+from cryptocubic.adversary import counterfeit_handover
 from cryptocubic.backend import KeyMismatch
 from cryptocubic.ledger import InsufficientFunds
 from cryptocubic.parties import TransportFailure
@@ -44,23 +45,6 @@ def slot_ops(journal, slot_id):
     """Takes and reinserts of one slot, read back from the store journal."""
     ops = Counter(record.op for record in replay_journal(journal) if record.slot_id == slot_id)
     return {"takes": ops[OP_TAKE], "reinserts": ops[OP_REINSERT]}
-
-
-@contextmanager
-def dropped_link(sim, position):
-    """Drop the link on the message sent after `position` more go through."""
-    send, before = sim.transport.send, len(sim.transport.transcript)
-
-    def dropping(msg):
-        if len(sim.transport.transcript) - before == position:
-            sim.transport.fail_next = True
-        return send(msg)
-
-    sim.transport.send = dropping
-    try:
-        yield
-    finally:
-        sim.transport.send = send
 
 
 def recorded_sessions(sim):
@@ -121,8 +105,8 @@ class TestFaultInjection:
         # leave the square with B, then sabotage B's next key disclosure
         square = next(iter(sim.squares.values()))
         takes_before = slot_ops(journal, square.slot_id)["takes"]
-        sim.inject_wrong_ka = True
-        session = sim.transfer("b", "c")
+        with wrong_private_key(sim):
+            session = sim.transfer("b", "c")
         assert session.phase == "aborted"
         assert session.abort_reason == "ka_mismatch"
         assert square.owner_party == "USER_B"
@@ -130,7 +114,6 @@ class TestFaultInjection:
         assert ops["takes"] == takes_before + 1
         assert ops["reinserts"] == 1
         # honest retry goes through against the restored slot
-        sim.inject_wrong_ka = False
         retry = sim.transfer("b", "c")
         assert retry.phase == "completed"
         assert square.owner_party == "USER_C"
@@ -142,22 +125,48 @@ class TestFaultInjection:
         sim = Simulation(mode=mode, journal_path=journal)
         sim.setup("a")
         sim.fund("a", 1000)
-        sim.user("a").silent = True
-        session = sim.transfer("a", "b")
+        with lost_requests(sim, "a"):
+            session = sim.transfer("a", "b")
         assert session.phase == "aborted"
         assert session.abort_reason == "timeout"
         square = next(iter(sim.squares.values()))
         assert slot_ops(journal, square.slot_id)["reinserts"] == 1
         assert square.owner_party == "USER_A"
-        sim.user("a").silent = False
         assert sim.transfer("a", "b").phase == "completed"
+
+    @pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])
+    def test_a_lost_key_request_is_not_in_the_transcript(self, mode):
+        sim = Simulation(mode=mode)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        with lost_requests(sim, "a"):
+            session = sim.transfer("a", "b")
+        assert session.abort_reason == "timeout"
+        assert sim.events[-1].label == "the key request times out; the owner cypher returns to the store"
+        sent = [msg.msg_type for msg in sim.transport.transcript]
+        assert "approve" in sent and "request_private_key" not in sent
+
+    @pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])
+    def test_swapped_handover_address_does_not_strand_the_funds(self, mode, backend):
+        # the stored hash covers Es but not the address beside it; the new
+        # owner keeps the address the server's notice names
+        sim = Simulation(mode=mode, backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        decoy = sim.backend.gen_multisig(sim.rng).address
+        with swapped(sim, "handover", lambda msg: (msg.payload[0], decoy)):
+            assert sim.transfer("a", "b").phase == "completed"
+        handed = next(msg for msg in sim.transport.transcript if msg.msg_type == "handover")
+        assert handed.payload[1] == decoy
+        sim.redeem("b", "ext", 1000)
+        assert sim.ledger.balance("ext") == 1000
 
     def test_receiver_timeout_aborts_during_challenge(self, journal):
         sim = Simulation(mode="cryptocubic", journal_path=journal)
         sim.setup("a")
         sim.fund("a", 1000)
-        sim.user("b").silent = True
-        session = sim.transfer("a", "b")
+        with lost_requests(sim, "b"):
+            session = sim.transfer("a", "b")
         assert session.phase == "aborted"
         assert session.abort_reason == "receiver auth failed: timeout"
         square = next(iter(sim.squares.values()))
@@ -167,14 +176,13 @@ class TestFaultInjection:
         sim = Simulation(mode="cryptocubic", journal_path=journal)
         sim.setup("a")
         sim.fund("a", 1000)
-        sim.inject_counterfeit_es = True
-        session = sim.transfer("a", "b")
+        with interposed(sim, counterfeit_handover(sim)):
+            session = sim.transfer("a", "b")
         assert session.phase == "aborted"
         assert session.abort_reason == "counterfeit es"
         square = next(iter(sim.squares.values()))
         assert square.owner_party == "USER_A"
         assert slot_ops(journal, square.slot_id)["reinserts"] == 1
-        sim.inject_counterfeit_es = False
         assert sim.transfer("a", "b").phase == "completed"
 
     def test_substituted_receiver_key_fails_the_challenge(self, backend):
@@ -184,13 +192,10 @@ class TestFaultInjection:
         sim = Simulation(mode="cryptocubic", backend=backend)
         sim.setup("a")
         sim.fund("a", 1000)
-        session = sim.begin_transfer("a", "b")
         attacker = sim.backend.gen_asym_pair(sim.rng)
-        sim.user("a").remember("Kb_Public", attacker.public)
-        sim.server.remember("Kb_Public", attacker.public)
-        for step in (sim.withdraw_for_transfer, sim.authenticate_parties, sim.complete_transfer):
-            if session.phase != "aborted":
-                step(session)
+        with swapped(sim, "share_public_key", lambda msg: (attacker.public,), sender="USER_B"):
+            session = sim.transfer("a", "b")
+        assert sim.user("a").recall("Kb_Public") == sim.server.recall("Kb_Public") == attacker.public
         assert session.phase == "aborted"
         assert session.abort_reason == "receiver auth failed: cannot decrypt challenge"
         square = next(iter(sim.squares.values()))
@@ -205,8 +210,8 @@ class TestFaultInjection:
         sim = Simulation(mode="bare4")
         sim.setup("a")
         sim.fund("a", 1000)
-        sim.inject_counterfeit_es = True
-        session = sim.transfer("a", "b")
+        with interposed(sim, counterfeit_handover(sim)):
+            session = sim.transfer("a", "b")
         assert session.phase == "completed"
 
     @pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])
@@ -214,8 +219,7 @@ class TestFaultInjection:
         sim = Simulation(mode=mode)
         sim.setup("a")
         sim.fund("a", 1000)
-        sim.transport.fail_next = True
-        with pytest.raises(TransportFailure):
+        with dropped_link(sim, 0), pytest.raises(TransportFailure):
             sim.setup("a")
         # the rollback restored A's first key pair, which still opens the square
         assert sim.transfer("a", "b").phase == "completed"
@@ -254,18 +258,22 @@ class TestFaultInjection:
         sim = Simulation(mode="baseline3")
         sim.setup("a")
         sim.fund("a", 1000)
-        sim.inject_counterfeit_es = True
-        assert sim.transfer("a", "b").phase == "completed"
+        with interposed(sim, counterfeit_handover(sim)):
+            assert sim.transfer("a", "b").phase == "completed"
         square = next(iter(sim.squares.values()))
         assert sim.user("b").recall("Sig_U").term == square.bundle.sig_user.term
 
-    @pytest.mark.parametrize("inject", ["inject_wrong_ka", "inject_counterfeit_es"])
-    def test_aborts_leave_no_live_scopes(self, inject):
+    @pytest.mark.parametrize(
+        "fault",
+        [wrong_private_key, lambda sim: interposed(sim, counterfeit_handover(sim))],
+        ids=["wrong_ka", "counterfeit_es"],
+    )
+    def test_aborts_leave_no_live_scopes(self, fault):
         sim = Simulation(mode="cryptocubic")
         sim.setup("a")
         sim.fund("a", 1000)
-        setattr(sim, inject, True)
-        session = sim.transfer("a", "b")
+        with fault(sim):
+            session = sim.transfer("a", "b")
         assert session.phase == "aborted"
         assert all(not p.procedures for p in sim.parties.values())
 
@@ -501,17 +509,10 @@ class TestRedemption:
     def test_link_drop_after_the_take_returns_the_value(self, mode, journal):
         sim = canonical_run(mode, redeem=False, journal=journal)
         square = next(iter(sim.squares.values()))
-        send = sim.transport.send
-
-        def dropping(msg):
-            if msg.msg_type in ("take_payload", "redeem_payload"):
-                sim.transport.fail_next = True
-            return send(msg)
-
-        sim.transport.send = dropping
-        with pytest.raises(TransportFailure):
+        # the payload follows the request, and in cryptocubic the challenge round trip
+        payload_at = {"baseline3": 1, "bare4": 1, "cryptocubic": 3}[mode]
+        with dropped_link(sim, payload_at), pytest.raises(TransportFailure):
             sim.redeem("b", "ext", 1000)
-        sim.transport.send = send
         assert slot_ops(journal, square.slot_id)["reinserts"] == 1
         sim.redeem("b", "ext", 1000)
         assert sim.ledger.balance("ext") == 1000
