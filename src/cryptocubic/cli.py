@@ -58,8 +58,6 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return 2
     sim = result.sim
-    if args.journal:
-        sim.store.close()
     if result.output:
         sys.stdout.write(result.output)
     for path, dump in ((args.trace, sim.render), (args.ledger, sim.ledger.dump)):

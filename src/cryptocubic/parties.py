@@ -13,8 +13,9 @@ delivers (the wiretap transcript) and, apart, the payload terms of each
 user-user message.  Receivers act on what was delivered.  An optional
 `Transport.interposer`, where a Dolev-Yao attacker stands, sees each message
 first: it delivers it or a copy with another payload (`dataclasses.replace`),
-loses it by returning None (only `request_private_key` and `challenge`, whose
-senders then time out), or drops the link by raising `TransportFailure`.
+loses it by returning None, or drops the link by raising `TransportFailure`.
+Only a lost request in `AWAITED` reaches its sender as None, and the sender
+times out; losing any other message drops the link.
 """
 from __future__ import annotations
 
@@ -29,15 +30,16 @@ class TransportFailure(Exception):
     pass
 
 
+# the requests whose senders wait for an answer, and time out when they are lost
+AWAITED = ("request_private_key", "challenge")
+
+
 class DynamicProcedure:
     """Transient scope; bindings live only until termination."""
 
     def __init__(self, owner: "Party") -> None:
         self.owner = owner
         self.bindings: dict[str, object] = {}
-        # display name of a slot this procedure just filled, shown as the
-        # "-- [x]" hand-off in the next emitted table and then cleared
-        self.pending_insert: str | None = None
 
     def bind(self, name: str, value: object) -> None:
         self.bindings[name] = value
@@ -61,6 +63,8 @@ class Party:
         self.procedures: list[DynamicProcedure] = []
 
     def remember(self, name: str, value: object) -> None:
+        if name in self.memory and self.memory[name] is value:
+            return  # the name already holds this very object: nothing changes
         term = term_of(value)
         if name in self.memory:
             self._release(name)
@@ -146,9 +150,12 @@ class Transport:
     interposer: Callable[[Message], Message | None] | None = None
 
     def send(self, msg: Message) -> Message | None:
-        if self.interposer is not None and (msg := self.interposer(msg)) is None:
-            return None
-        self.transcript.append(msg)
-        if msg.channel == "user-user":
-            self.user_user.append((len(self.transcript), tuple(map(term_of, msg.payload))))
-        return msg
+        delivered = msg if self.interposer is None else self.interposer(msg)
+        if delivered is None:
+            if msg.msg_type in AWAITED:
+                return None
+            raise TransportFailure(f"{msg.msg_type} was lost")
+        self.transcript.append(delivered)
+        if delivered.channel == "user-user":
+            self.user_user.append((len(self.transcript), tuple(map(term_of, delivered.payload))))
+        return delivered

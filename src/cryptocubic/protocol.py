@@ -203,20 +203,21 @@ class Simulation:
                 return f"{name} ({format_money(balance)})"
         return name
 
-    def _column_items(self, party: Party, include_transients: bool = True) -> list[str]:
+    def _column_items(self, party: Party, handoff: tuple[DynamicProcedure, str] | None = None) -> list[str]:
+        # one item per open scope, then full slots, then memory; the scope in
+        # `handoff` shows the slot it just filled as "-- [x]", listed only there
         items: list[str] = []
-        pending: set[str] = set()
+        handed = None
         for proc in party.procedures:
             rendered = f"<{','.join(proc.bindings)}>"
-            if proc.pending_insert:
-                rendered += f" -- [{proc.pending_insert}]"
-                pending.add(proc.pending_insert)
-            if include_transients:
-                items.append(rendered)
+            if handoff is not None and proc is handoff[0]:
+                handed = handoff[1]
+                rendered += f" -- [{handed}]"
+            items.append(rendered)
         if party is self.server:
             for square in self.squares.values():
                 display = square.slot_display
-                if display not in pending and self.store.ping(square.slot_id):
+                if display != handed and self.store.ping(square.slot_id):
                     items.append(f"[{display}]")
         memory_items = self._memory_items(party)
         return items + memory_items if items else memory_items
@@ -253,11 +254,13 @@ class Simulation:
         not met holds nothing."""
         if party_name not in self.parties:
             return []
-        return list(self._column_items(self.parties[party_name], include_transients=False))
+        party = self.parties[party_name]
+        return self._column_items(party)[len(party.procedures):]
 
-    def _emit(self, label: str) -> None:
+    def _emit(self, label: str, handoff: tuple[DynamicProcedure, str] | None = None) -> None:
+        """Append one table and one step record; `handoff` is a scope and the slot it just filled."""
         columns = {
-            name: self._column_items(self.parties[name]) for name in self._columns_order()
+            name: self._column_items(self.parties[name], handoff) for name in self._columns_order()
         }
         event = TraceEvent(len(self.events) + 1, label, columns)
         self.events.append(event)
@@ -274,10 +277,6 @@ class Simulation:
                 leaked = [n for n, v in party.memory.items() if isinstance(v, SigningKey)]
                 assert not leaked, f"signing key in {party.name} memory: {leaked}"
                 self._leaks.discard(party.name)
-        # clear one-shot insert annotations once their table is out
-        for party in self.parties.values():
-            for proc in party.procedures:
-                proc.pending_insert = None
 
     def _send(
         self, msg_type: str, sender: Party, receiver: Party, payload: tuple,
@@ -407,8 +406,7 @@ class Simulation:
             fingerprint, bundle, cap,
         )
         self.store.insert(cap, slot_id, stored)
-        proc.pending_insert = display
-        self._emit(stored_label)
+        self._emit(stored_label, (proc, display))
 
         proc.terminate()
         self.ledger.register(bundle.address.value, bundle.verify_user, bundle.verify_server)
@@ -661,8 +659,7 @@ class Simulation:
 
         self.store.insert(square.cap, square.slot_id, eb)
         square.slot_display = eb_name
-        proc.pending_insert = eb_name
-        self._emit("the new owner cypher drops into the destructive store")
+        self._emit("the new owner cypher drops into the destructive store", (proc, eb_name))
 
         proc.terminate()
         square.owner_party = b.name

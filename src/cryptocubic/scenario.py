@@ -15,7 +15,8 @@ pretty-printing then parsing again is a fixed point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import re
+from dataclasses import astuple, dataclass, field, fields
 
 from .adversary import SCENARIOS, Verdict, run_attack
 from .backend import CryptoError
@@ -98,19 +99,6 @@ class ScenarioScript:
     backend: str = "symbolic"
 
 
-def _column_of(line: str, token_index: int) -> int:
-    # 1-based column of the given whitespace-separated token
-    pos = 0
-    for _ in range(token_index):
-        while pos < len(line) and line[pos].isspace():
-            pos += 1
-        while pos < len(line) and not line[pos].isspace():
-            pos += 1
-    while pos < len(line) and line[pos].isspace():
-        pos += 1
-    return pos + 1
-
-
 def _check_user(token: str, lineno: int, col: int) -> str:
     if len(token) == 1 and token.isalpha() and token.upper() != "S":
         return token.upper()
@@ -179,22 +167,23 @@ def parse_scenario(
     commands: list[Command] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        # each token with its 1-based column
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+        if not tokens:
             continue
-        head, *args = line.split()
+        (head, _), *args = tokens
         if head not in GRAMMAR:
             raise ScenarioSyntaxError(lineno, 1, f"unknown command {head!r}")
         cls, checkers = GRAMMAR[head]
         n = len(checkers)
         if len(args) != n:
+            # the first extra token, or the end of a line that stops short
+            column = args[n][1] if len(args) > n else len(line) + 1
             raise ScenarioSyntaxError(
-                lineno,
-                _column_of(line, min(len(args), n) + 1),
-                f"{head} takes {n} argument{'s' if n != 1 else ''}",
+                lineno, column, f"{head} takes {n} argument{'s' if n != 1 else ''}"
             )
-        values = [check(arg, lineno, _column_of(line, i))
-                  for i, (check, arg) in enumerate(zip(checkers, args), start=1)]
-        commands.append(cls(*values))
+        commands.append(cls(*(check(arg, lineno, column)
+                              for check, (arg, column) in zip(checkers, args))))
     return ScenarioScript(commands, seed=seed, mode=mode, backend=backend)
 
 
@@ -242,14 +231,9 @@ def run_scenario(
 
     for cmd in script.commands:
         try:
-            if isinstance(cmd, Setup):
-                sim.setup(cmd.user.lower())
-            elif isinstance(cmd, Fund):
-                sim.fund(cmd.user.lower(), cmd.cents)
-            elif isinstance(cmd, Transfer):
-                sim.transfer(cmd.sender.lower(), cmd.receiver.lower())
-            elif isinstance(cmd, Redeem):
-                sim.redeem(cmd.user.lower(), cmd.dest, cmd.cents)
+            if isinstance(cmd, (Setup, Fund, Transfer, Redeem)):
+                # the Simulation method of the same name, fields in order
+                getattr(sim, _HEADS[type(cmd)])(*astuple(cmd))
             elif isinstance(cmd, Attack):
                 verdict = verdict_for(cmd.scenario)
                 flush_trace()

@@ -8,7 +8,8 @@ side effects via ``ping``.
 
 All mutations are serialized under one lock, so concurrent callers observe
 take/insert as atomic.  An optional journal appends a length-prefixed binary
-record per mutation for deterministic replay.
+record per mutation for deterministic replay; each record opens the file,
+appends and closes it again, so a store holds no open file.
 """
 from __future__ import annotations
 
@@ -99,7 +100,9 @@ class DestructiveStore:
         self._digest = digest_fn
         self._lock = threading.Lock()
         self._seq = 0
-        self._journal_fh = open(journal_path, "ab") if journal_path else None
+        self._journal_path = journal_path
+        if journal_path:
+            open(journal_path, "ab").close()  # an unwritable path fails here
 
     # -- capability management -------------------------------------------
 
@@ -183,7 +186,7 @@ class DestructiveStore:
 
     def _journal(self, op: int, slot_id: str, digest: bytes) -> None:
         self._seq += 1
-        if self._journal_fh is None:
+        if not self._journal_path:
             return
         body = (
             self._seq.to_bytes(8, "big")
@@ -192,13 +195,8 @@ class DestructiveStore:
             + slot_id.encode()
             + digest
         )
-        self._journal_fh.write(len(body).to_bytes(4, "big") + body)
-        self._journal_fh.flush()
-
-    def close(self) -> None:
-        if self._journal_fh is not None:
-            self._journal_fh.close()
-            self._journal_fh = None
+        with open(self._journal_path, "ab") as fh:
+            fh.write(len(body).to_bytes(4, "big") + body)
 
 
 def replay_journal(path) -> list[JournalRecord]:

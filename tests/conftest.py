@@ -5,8 +5,7 @@ from dataclasses import replace
 import pytest
 
 from cryptocubic.backend import get_backend
-from cryptocubic.parties import TransportFailure
-from cryptocubic.store import DestructiveStore
+from cryptocubic.parties import AWAITED, TransportFailure
 
 
 @pytest.fixture(params=["symbolic", "concrete"])
@@ -17,21 +16,6 @@ def backend(request):
 @pytest.fixture
 def rng():
     return random.Random(0)
-
-
-@pytest.fixture
-def opened_stores(monkeypatch):
-    """Every store the test opens; each is closed, with its journal, after the test."""
-    stores, init = [], DestructiveStore.__init__
-
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        stores.append(self)
-
-    monkeypatch.setattr(DestructiveStore, "__init__", recording)
-    yield stores
-    for store in stores:
-        store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +51,18 @@ def lost_requests(sim, letter):
     name = f"USER_{letter.upper()}"
 
     def lose(msg):
-        awaited = msg.msg_type in ("request_private_key", "challenge")
-        return None if awaited and msg.receiver == name else msg
+        return None if msg.msg_type in AWAITED and msg.receiver == name else msg
+
+    return interposed(sim, lose)
+
+
+def lost_message(sim, position):
+    """Lose the message sent after `position` more go through."""
+    seen = []
+
+    def lose(msg):
+        seen.append(msg)
+        return None if len(seen) == position + 1 else msg
 
     return interposed(sim, lose)
 

@@ -172,6 +172,15 @@ class TestWithoutCryptography:
         assert proc.stderr == "the concrete backend needs the cryptography package\n"
 
 
+    def test_missing_backend_package_exits_two_with_one_line(self, script, monkeypatch, capsys):
+        missing = "the concrete backend needs the cryptography package"
+        monkeypatch.setattr("cryptocubic.backend._missing", missing)
+        assert main([script(CORE), "--backend", "concrete"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == missing + "\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cryptocubic.cli", str(SCENARIOS_DIR / "cryptocubic.scen")],

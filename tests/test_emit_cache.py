@@ -43,14 +43,14 @@ def reference_annotation(sim, name, value):
     return name
 
 
-def reference_column(sim, party):
+def reference_column(sim, party, handoff):
     items = []
     pending = set()
     for proc in party.procedures:
         rendered = f"<{','.join(proc.bindings)}>"
-        if proc.pending_insert:
-            rendered += f" -- [{proc.pending_insert}]"
-            pending.add(proc.pending_insert)
+        if handoff is not None and proc is handoff[0]:
+            rendered += f" -- [{handoff[1]}]"
+            pending.add(handoff[1])
         items.append(rendered)
     if party is sim.server:
         for square in sim.squares.values():
@@ -62,8 +62,10 @@ def reference_column(sim, party):
     return items
 
 
-def reference_step(sim):
-    columns = {name: reference_column(sim, sim.parties[name]) for name in sim._columns_order()}
+def reference_step(sim, handoff):
+    columns = {
+        name: reference_column(sim, sim.parties[name], handoff) for name in sim._columns_order()
+    }
     knowledge = {
         name: frozenset(term_of(v) for v in party.memory.values())
         for name, party in sim.parties.items()
@@ -83,9 +85,9 @@ class CheckedSimulation(Simulation):
         super().__init__(*args, **kwargs)
         self.emitted = []
 
-    def _emit(self, label):
-        columns, knowledge, slot_terms = reference_step(self)
-        super()._emit(label)
+    def _emit(self, label, handoff=None):
+        columns, knowledge, slot_terms = reference_step(self, handoff)
+        super()._emit(label, handoff)
         event, record = self.events[-1], self.step_records[-1]
         assert list(event.columns) == list(columns), label
         assert event.columns == columns, label
@@ -245,6 +247,17 @@ def test_unchanged_parties_share_their_snapshot_and_column():
     last, previous = sim.events[-1].columns, sim.events[-2].columns
     assert last["USER_A"] is previous["USER_A"]
     assert sim.user("a").snapshot() is sim.step_records[-1].knowledge["USER_A"]
+
+
+@pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])
+def test_remembering_the_object_a_name_holds_changes_nothing(mode):
+    sim = Simulation(mode=mode)
+    sim.setup("a")
+    sim.fund("a", 1000)
+    sim.transfer("a", "b")
+    # the transfer notice gives B the address object B already holds
+    assert sim.step_records[-2].knowledge["USER_B"] is sim.step_records[-3].knowledge["USER_B"]
+    assert sim.events[-2].columns["USER_B"] is sim.events[-3].columns["USER_B"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,17 @@ from collections import Counter
 import pytest
 
 from canonical_tables import EXPECTED, diff_step
-from conftest import dropped_link, interposed, lost_requests, swapped, wrong_private_key
+from conftest import (
+    dropped_link,
+    interposed,
+    lost_message,
+    lost_requests,
+    swapped,
+    wrong_private_key,
+)
 from cryptocubic.adversary import counterfeit_handover
-from cryptocubic.backend import KeyMismatch
-from cryptocubic.ledger import InsufficientFunds
+from cryptocubic.backend import CryptoError, KeyMismatch
+from cryptocubic.ledger import InsufficientFunds, LedgerError
 from cryptocubic.parties import TransportFailure
 from cryptocubic.protocol import (
     SERVER,
@@ -20,10 +27,11 @@ from cryptocubic.protocol import (
     TransferSession,
     UnknownSquare,
 )
-from cryptocubic.store import OP_REINSERT, OP_TAKE, SlotEmpty, replay_journal
+from cryptocubic.store import OP_REINSERT, OP_TAKE, SlotEmpty, StoreError, replay_journal
 from cryptocubic.terms import SigningKeyTerm
 
 MODES = ["baseline3", "bare4", "cryptocubic"]
+DOMAIN_ERRORS = (ProtocolError, StoreError, LedgerError, CryptoError, TransportFailure)
 
 
 def canonical_run(mode, backend="symbolic", redeem=True, journal=None):
@@ -37,7 +45,7 @@ def canonical_run(mode, backend="symbolic", redeem=True, journal=None):
 
 
 @pytest.fixture
-def journal(tmp_path, opened_stores):
+def journal(tmp_path):
     return str(tmp_path / "store.journal")
 
 
@@ -171,6 +179,64 @@ class TestFaultInjection:
         assert session.abort_reason == "receiver auth failed: timeout"
         square = next(iter(sim.squares.values()))
         assert slot_ops(journal, square.slot_id)["reinserts"] == 1
+
+    def test_sender_timeout_aborts_during_challenge(self, backend):
+        sim = Simulation(mode="cryptocubic", backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+
+        def lose_challenge_to_a(msg):
+            return None if (msg.msg_type, msg.receiver) == ("challenge", "USER_A") else msg
+
+        with interposed(sim, lose_challenge_to_a):
+            session = sim.transfer("a", "b")
+        assert session.phase == "aborted"
+        assert session.abort_reason == "sender auth failed: timeout"
+        assert sim.events[-1].label == "user A fails the challenge; the owner cypher returns to the store"
+        square = next(iter(sim.squares.values()))
+        assert sim.store.ping(square.slot_id)
+        assert square.owner_party == "USER_A"
+        assert sim.transfer("a", "b").phase == "completed"
+        sim.redeem("b", "ext", 1000)
+        assert sim.ledger.balance("ext") == 1000
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_lost_message_leaves_the_square_redeemable(self, mode, backend):
+        # a lost request that its sender awaits times out; any other lost
+        # message drops the link, and either way the owner redeems the rest
+        for operation in ("transfer", "redeem"):
+            for position in range(20):
+                sim = Simulation(mode=mode, backend=backend)
+                sim.setup("a")
+                sim.fund("a", 1000)
+                with lost_message(sim, position):
+                    try:
+                        if operation == "transfer":
+                            sim.transfer("a", "b")
+                        else:
+                            sim.redeem("a", "ext", 1000)
+                    except DOMAIN_ERRORS:
+                        pass
+                where = (operation, position)
+                assert all(not p.procedures for p in sim.parties.values()), where
+                square = next(iter(sim.squares.values()))
+                rest = sim.ledger.balance(square.address_value)
+                if rest:
+                    sim.redeem(square.owner_party[-1], "ext", rest)
+                assert sim.ledger.balance("ext") == 1000, where
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_lost_setup_message_rolls_back(self, mode, backend):
+        for position in range(1 if mode == "baseline3" else 2):
+            sim = Simulation(mode=mode, backend=backend)
+            with lost_message(sim, position), pytest.raises(TransportFailure, match="was lost"):
+                sim.setup("a")
+            assert not sim.squares, position
+            assert all(not p.memory and not p.procedures for p in sim.parties.values()), position
+            sim.setup("a")
+            sim.fund("a", 1000)
+            sim.redeem("a", "ext", 1000)
+            assert sim.ledger.balance("ext") == 1000, position
 
     def test_counterfeit_handover_caught_by_hash_check(self, journal):
         sim = Simulation(mode="cryptocubic", journal_path=journal)
@@ -465,7 +531,6 @@ class TestRedemption:
         assert len(sim.transport.transcript) == sent
         assert list(sim.server.memory) == server_memory
 
-    @pytest.mark.usefixtures("opened_stores")
     def test_overdraft_redeem_rejected(self, tmp_path):
         for mode in MODES:
             journal = str(tmp_path / f"{mode}.journal")

@@ -78,6 +78,11 @@ class TestParsing:
             parse_scenario("setup a\nfund S 10\n")
         assert (err.value.line, err.value.column) == (2, 6)
 
+    def test_bad_party_position(self):
+        with pytest.raises(ScenarioSyntaxError) as err:
+            parse_scenario("expect-holdings 12 Es\n")
+        assert str(err.value) == "line 1, column 17: expected a party, got '12'"
+
     def test_bad_amount_position(self):
         with pytest.raises(ScenarioSyntaxError) as err:
             parse_scenario("fund a 0\n")

@@ -90,7 +90,6 @@ def test_take_empty_then_refill(store):
     assert store.ping("s1")
 
 
-@pytest.mark.usefixtures("opened_stores")
 def test_ping_is_readonly_100(tmp_path):
     path = str(tmp_path / "journal.bin")
     store = DestructiveStore(digest, journal_path=path)
@@ -201,7 +200,6 @@ def test_journal_replay(tmp_path):
     v, permit = store.take("s1")
     store.reinsert(permit, v)
     store.take("s2")
-    store.close()
 
     records = replay_journal(str(path))
     assert [r.seq for r in records] == list(range(1, len(records) + 1))
@@ -221,7 +219,6 @@ def test_torn_journal_tail_raises(tmp_path):
     cap = store.grant_source(["s1"])
     store.insert(cap, "s1", b"v1")
     store.take("s1")
-    store.close()
     data = path.read_bytes()
     records = replay_journal(str(path))
     bounds, offset = [0], 0
