@@ -22,10 +22,11 @@ still runs on every call, so outputs are byte-identical with or without the
 memo.  The memo belongs to the process, not to any simulated party: it adds
 no knowledge term and shows in no table.
 
-Both backends attach a knowledge term to every value they produce, assign
-ids from the same counter sequence, and draw all randomness from the seeded
-generator they are handed, so a run is reproducible bit-for-bit and the
-emitted traces are identical across backends.
+`CryptoBackend` draws every id from one counter sequence and builds every
+value record, cypher term and guard; a backend supplies only key material and
+payloads, so both produce the same terms and the emitted traces are identical
+across backends.  Both draw all randomness from the seeded generator they are
+handed, so a run is reproducible bit-for-bit.
 """
 from __future__ import annotations
 
@@ -227,9 +228,16 @@ def _unpack(data: bytes) -> list[bytes]:
 
 
 class CryptoBackend:
-    """Shared id assignment and value plumbing for both backends."""
+    """The shared skeleton: id draws, value records, cypher terms and guards.
 
-    name = "abstract"
+    A backend supplies only what differs between them:
+    * key material: `_asym_material(rng)` gives a (private, public) pair,
+      `_sym_material(rng)` a key, `_signing_material(rng)` one leg's
+      (signing, verify) pair, and `_address_input(verify_key)` the bytes an
+      address is derived from;
+    * payloads: `_asym_seal`/`_asym_open` and `_sym_seal`/`_sym_open`;
+    * `matches`, `export_bytes`, `sign` and `verify`.
+    """
 
     def __init__(self) -> None:
         self._counters: dict[str, int] = {}
@@ -242,39 +250,44 @@ class CryptoBackend:
     # -- generation ------------------------------------------------------
 
     def gen_asym_pair(self, rng: random.Random) -> AsymKeyPair:
-        raise NotImplementedError
+        pair_id = self._next_id("ak")
+        private, public = self._asym_material(rng)
+        return AsymKeyPair(pair_id, AsymPrivateKey(pair_id, private), AsymPublicKey(pair_id, public))
 
     def gen_sym_key(self, rng: random.Random) -> SymKey:
-        raise NotImplementedError
+        return SymKey(self._next_id("sk"), self._sym_material(rng))
 
     def gen_token(self, rng: random.Random) -> Token:
         return Token(self._next_id("tk"), rng.randbytes(16))
 
     def gen_multisig(self, rng: random.Random) -> MultiSigBundle:
-        raise NotImplementedError
+        bundle_id = self._next_id("ms")
+        sig_u, ver_u = self._signing_material(rng)
+        sig_s, ver_s = self._signing_material(rng)
+        signing = (SigningKey(bundle_id, "user", sig_u), SigningKey(bundle_id, "server", sig_s))
+        verify = (VerifyKey(bundle_id, "user", ver_u), VerifyKey(bundle_id, "server", ver_s))
+        address = Address(bundle_id, _derive_address(*map(self._address_input, verify)))
+        return MultiSigBundle(bundle_id, *signing, *verify, address)
 
     # -- encryption ------------------------------------------------------
 
     def asym_encrypt(self, public: AsymPublicKey, value: object, rng: random.Random) -> Cypher:
-        raise NotImplementedError
+        self._check_plaintext(value)
+        payload = self._asym_seal(public, value, rng)
+        return Cypher(ASYM, payload, EncTerm(ASYM, public.pair_id, term_of(value)))
 
     def asym_decrypt(self, private: AsymPrivateKey, cypher: Cypher) -> object:
-        raise NotImplementedError
+        self._check_scheme(cypher, ASYM)
+        return self._asym_open(private, cypher)
 
     def sym_encrypt(self, key: SymKey, value: object, rng: random.Random) -> Cypher:
-        raise NotImplementedError
+        self._check_plaintext(value)
+        payload = self._sym_seal(key, value, rng)
+        return Cypher(SYM, payload, EncTerm(SYM, key.key_id, term_of(value)))
 
     def sym_decrypt(self, key: SymKey, cypher: Cypher) -> object:
-        raise NotImplementedError
-
-    def matches(self, private: AsymPrivateKey, public: AsymPublicKey) -> bool:
-        raise NotImplementedError
-
-    # -- hashing and signing ---------------------------------------------
-
-    def export_bytes(self, value: object) -> bytes:
-        """Canonical byte encoding of a value, used for hashing and digests."""
-        raise NotImplementedError
+        self._check_scheme(cypher, SYM)
+        return self._sym_open(key, cypher)
 
     def hash_value(self, value: object) -> Digest:
         data = self.export_bytes(value)
@@ -282,12 +295,6 @@ class CryptoBackend:
 
     def fingerprint(self, value: object) -> bytes:
         return hashlib.sha256(self.export_bytes(value)).digest()
-
-    def sign(self, key: SigningKey, message: bytes) -> Signature:
-        raise NotImplementedError
-
-    def verify(self, key: VerifyKey, message: bytes, signature: Signature) -> bool:
-        raise NotImplementedError
 
     # shared guards
     def _check_plaintext(self, value: object) -> None:
@@ -304,41 +311,28 @@ class SymbolicBackend(CryptoBackend):
 
     name = "symbolic"
 
-    def gen_asym_pair(self, rng: random.Random) -> AsymKeyPair:
-        pair_id = self._next_id("ak")
-        return AsymKeyPair(pair_id, AsymPrivateKey(pair_id), AsymPublicKey(pair_id))
+    def _asym_material(self, rng: random.Random) -> tuple[None, None]:
+        return None, None
 
-    def gen_sym_key(self, rng: random.Random) -> SymKey:
-        return SymKey(self._next_id("sk"))
+    _signing_material = _asym_material
 
-    def gen_multisig(self, rng: random.Random) -> MultiSigBundle:
-        bundle_id = self._next_id("ms")
-        sig_u = SigningKey(bundle_id, "user")
-        sig_s = SigningKey(bundle_id, "server")
-        ver_u = VerifyKey(bundle_id, "user")
-        ver_s = VerifyKey(bundle_id, "server")
-        addr = Address(bundle_id, _derive_address(repr(ver_u).encode(), repr(ver_s).encode()))
-        return MultiSigBundle(bundle_id, sig_u, sig_s, ver_u, ver_s, addr)
+    def _sym_material(self, rng: random.Random) -> None:
+        return None
 
-    def asym_encrypt(self, public: AsymPublicKey, value: object, rng: random.Random) -> Cypher:
-        self._check_plaintext(value)
-        return Cypher(scheme=ASYM, payload=value, term=EncTerm(ASYM, public.pair_id, term_of(value)))
+    def _address_input(self, verify_key: VerifyKey) -> bytes:
+        return repr(verify_key).encode()
 
-    def asym_decrypt(self, private: AsymPrivateKey, cypher: Cypher) -> object:
-        self._check_scheme(cypher, ASYM)
-        if cypher.term.key_id != private.pair_id:
-            raise KeyMismatch(f"cypher is not addressed to {private.pair_id}")
+    def _asym_seal(self, key: AsymPublicKey | SymKey, value: object, rng: random.Random) -> object:
+        return value  # the cypher's term names the key that opens it
+
+    _sym_seal = _asym_seal
+
+    def _asym_open(self, key: AsymPrivateKey | SymKey, cypher: Cypher) -> object:
+        if cypher.term.key is not key.term:
+            raise KeyMismatch(f"cypher does not open under {key.term}")
         return cypher.payload
 
-    def sym_encrypt(self, key: SymKey, value: object, rng: random.Random) -> Cypher:
-        self._check_plaintext(value)
-        return Cypher(scheme=SYM, payload=value, term=EncTerm(SYM, key.key_id, term_of(value)))
-
-    def sym_decrypt(self, key: SymKey, cypher: Cypher) -> object:
-        self._check_scheme(cypher, SYM)
-        if cypher.term.key_id != key.key_id:
-            raise KeyMismatch(f"cypher was not sealed under {key.key_id}")
-        return cypher.payload
+    _sym_open = _asym_open
 
     def matches(self, private: AsymPrivateKey, public: AsymPublicKey) -> bool:
         return private.pair_id == public.pair_id
@@ -383,74 +377,56 @@ class ConcreteBackend(CryptoBackend):
             raise ModuleNotFoundError(_missing)
         super().__init__()
 
-    def gen_asym_pair(self, rng: random.Random) -> AsymKeyPair:
-        pair_id = self._next_id("ak")
+    def _asym_material(self, rng: random.Random) -> tuple[bytes, bytes]:
         seed = rng.randbytes(32)
-        priv = _x25519_private(seed)
-        pub = priv.public_key().public_bytes_raw()
-        return AsymKeyPair(pair_id, AsymPrivateKey(pair_id, seed), AsymPublicKey(pair_id, pub))
+        return seed, _x25519_private(seed).public_key().public_bytes_raw()
 
-    def gen_sym_key(self, rng: random.Random) -> SymKey:
-        return SymKey(self._next_id("sk"), rng.randbytes(32))
+    def _sym_material(self, rng: random.Random) -> bytes:
+        return rng.randbytes(32)
 
-    def gen_multisig(self, rng: random.Random) -> MultiSigBundle:
-        bundle_id = self._next_id("ms")
-        seed_u = rng.randbytes(32)
-        seed_s = rng.randbytes(32)
-        ver_u = _ed25519_private(seed_u).public_key().public_bytes_raw()
-        ver_s = _ed25519_private(seed_s).public_key().public_bytes_raw()
-        return MultiSigBundle(
-            bundle_id,
-            SigningKey(bundle_id, "user", seed_u),
-            SigningKey(bundle_id, "server", seed_s),
-            VerifyKey(bundle_id, "user", ver_u),
-            VerifyKey(bundle_id, "server", ver_s),
-            Address(bundle_id, _derive_address(ver_u, ver_s)),
-        )
+    def _signing_material(self, rng: random.Random) -> tuple[bytes, bytes]:
+        seed = rng.randbytes(32)
+        return seed, _ed25519_private(seed).public_key().public_bytes_raw()
 
-    def _derive_aes_key(self, shared: bytes) -> bytes:
+    def _address_input(self, verify_key: VerifyKey) -> bytes:
+        return verify_key.material
+
+    def _ecies_key(self, private: X25519PrivateKey, peer: bytes) -> bytes:
+        shared = private.exchange(X25519PublicKey.from_public_bytes(peer))
         return hashlib.sha256(self._HKDF_INFO + shared).digest()
 
-    def asym_encrypt(self, public: AsymPublicKey, value: object, rng: random.Random) -> Cypher:
-        self._check_plaintext(value)
+    def _aes_seal(self, key: bytes, plaintext: bytes, rng: random.Random) -> bytes:
+        nonce = rng.randbytes(12)
+        return nonce + AESGCM(key).encrypt(nonce, plaintext, None)
+
+    def _aes_open(self, key: bytes, sealed: bytes) -> object:
+        """Open a nonce-prefixed AES-GCM payload and import the value inside."""
+        if len(sealed) < 12 + 16:  # nonce, tag
+            raise KeyMismatch("cypher payload is cut short")
+        try:
+            plaintext = AESGCM(key).decrypt(sealed[:12], sealed[12:], None)
+        except InvalidTag as exc:
+            raise KeyMismatch("authenticated decryption failed") from exc
+        return self._import_value(plaintext)
+
+    def _asym_seal(self, public: AsymPublicKey, value: object, rng: random.Random) -> bytes:
         plaintext = self.export_bytes(value)
         eph = _x25519_private(rng.randbytes(32))
-        shared = eph.exchange(X25519PublicKey.from_public_bytes(public.material))
-        nonce = rng.randbytes(12)
-        ct = AESGCM(self._derive_aes_key(shared)).encrypt(nonce, plaintext, None)
-        payload = eph.public_key().public_bytes_raw() + nonce + ct
-        return Cypher(scheme=ASYM, payload=payload, term=EncTerm(ASYM, public.pair_id, term_of(value)))
+        sealed = self._aes_seal(self._ecies_key(eph, public.material), plaintext, rng)
+        return eph.public_key().public_bytes_raw() + sealed
 
-    def asym_decrypt(self, private: AsymPrivateKey, cypher: Cypher) -> object:
-        self._check_scheme(cypher, ASYM)
+    def _asym_open(self, private: AsymPrivateKey, cypher: Cypher) -> object:
         payload = cypher.payload
         if len(payload) < 32 + 12 + 16:  # ephemeral key, nonce, tag
             raise KeyMismatch("cypher payload is cut short")
-        eph_pub = X25519PublicKey.from_public_bytes(payload[:32])
-        nonce = payload[32:44]
-        shared = _x25519_private(private.material).exchange(eph_pub)
-        try:
-            plaintext = AESGCM(self._derive_aes_key(shared)).decrypt(nonce, payload[44:], None)
-        except InvalidTag as exc:
-            raise KeyMismatch("authenticated decryption failed") from exc
-        return self._import_value(plaintext)
+        key = self._ecies_key(_x25519_private(private.material), payload[:32])
+        return self._aes_open(key, payload[32:])
 
-    def sym_encrypt(self, key: SymKey, value: object, rng: random.Random) -> Cypher:
-        self._check_plaintext(value)
-        plaintext = self.export_bytes(value)
-        nonce = rng.randbytes(12)
-        ct = AESGCM(key.material).encrypt(nonce, plaintext, None)
-        return Cypher(scheme=SYM, payload=nonce + ct, term=EncTerm(SYM, key.key_id, term_of(value)))
+    def _sym_seal(self, key: SymKey, value: object, rng: random.Random) -> bytes:
+        return self._aes_seal(key.material, self.export_bytes(value), rng)
 
-    def sym_decrypt(self, key: SymKey, cypher: Cypher) -> object:
-        self._check_scheme(cypher, SYM)
-        if len(cypher.payload) < 12 + 16:  # nonce, tag
-            raise KeyMismatch("cypher payload is cut short")
-        try:
-            plaintext = AESGCM(key.material).decrypt(cypher.payload[:12], cypher.payload[12:], None)
-        except InvalidTag as exc:
-            raise KeyMismatch("authenticated decryption failed") from exc
-        return self._import_value(plaintext)
+    def _sym_open(self, key: SymKey, cypher: Cypher) -> object:
+        return self._aes_open(key.material, cypher.payload)
 
     def matches(self, private: AsymPrivateKey, public: AsymPublicKey) -> bool:
         derived = _x25519_private(private.material).public_key()
@@ -505,10 +481,11 @@ def _derive_address(verify_user: bytes, verify_server: bytes) -> str:
     return hashlib.sha256(verify_user + b"|" + verify_server).hexdigest()[:40]
 
 
+BACKENDS = {cls.name: cls for cls in (SymbolicBackend, ConcreteBackend)}
+
+
 def get_backend(name: str) -> CryptoBackend:
     """Resolve a backend by name; raises ValueError for unknown names."""
-    if name == "symbolic":
-        return SymbolicBackend()
-    if name == "concrete":
-        return ConcreteBackend()
-    raise ValueError(f"unknown backend: {name!r} (expected 'symbolic' or 'concrete')")
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend: {name!r} (expected {' or '.join(map(repr, BACKENDS))})")
+    return BACKENDS[name]()

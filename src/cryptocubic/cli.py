@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .backend import BACKENDS
 from .protocol import MODES
 from .scenario import ScenarioSyntaxError, parse_scenario, run_scenario
 
@@ -27,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("script", help="scenario script file")
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     parser.add_argument("--mode", choices=MODES, default="cryptocubic")
-    parser.add_argument("--backend", choices=("symbolic", "concrete"), default="symbolic")
+    parser.add_argument("--backend", choices=BACKENDS, default="symbolic")
     parser.add_argument("--trace", metavar="PATH", help="also write the holdings tables here")
     parser.add_argument("--ledger", metavar="PATH", help="write the final ledger dump here")
     parser.add_argument("--journal", metavar="PATH", help="append store mutations here")

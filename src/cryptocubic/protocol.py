@@ -48,20 +48,6 @@ MODES = ("baseline3", "bare4", "cryptocubic")
 
 SERVER = "SERVER_S"
 
-# session phases, in the order a session may traverse them; any phase may
-# step to "aborted".  Withdrawal precedes the token exchanges and the token
-# exchanges precede hash verification, which is the order the authenticated
-# flow's tables follow.
-PHASES = (
-    "initiated",
-    "ea_withdrawn",
-    "sender_authenticated",
-    "receiver_authenticated",
-    "hash_verified",
-    "completed",
-    "aborted",
-)
-
 
 class ProtocolError(Exception):
     pass
@@ -109,7 +95,10 @@ class CryptoSquareRecord:
 class TransferSession:
     """One transfer or redemption in flight: its square, its two parties (one
     and the same for a redemption), the value and permit it took from the
-    store, and the scope it opened."""
+    store, and the scope it opened.  A transfer's phase runs initiated,
+    ea_withdrawn, sender_authenticated, receiver_authenticated, hash_verified
+    (these three only in cryptocubic), completed; a baseline3 handover
+    completes at once, and any live phase may end in aborted."""
 
     session_id: int
     square: CryptoSquareRecord
@@ -123,12 +112,6 @@ class TransferSession:
     @property
     def square_id(self) -> str:
         return self.square.square_id
-
-    def advance(self, phase: str) -> None:
-        assert PHASES.index(phase) > PHASES.index(self.phase), (
-            f"session may not step back from {self.phase} to {phase}"
-        )
-        self.phase = phase
 
 
 @dataclass(frozen=True)
@@ -308,6 +291,20 @@ class Simulation:
         session.phase, session.abort_reason = "aborted", reason
         self._emit(label)
 
+    def _in_phase(self, session: TransferSession, phase: str | None) -> bool:
+        """Whether a step that needs `phase` may act on `session`.  A finished
+        session is refused before anything happens; a live one in another
+        phase is aborted."""
+        if session.phase in ("completed", "aborted"):
+            raise ProtocolError(f"session {session.session_id} is already {session.phase}")
+        if session.phase == phase:
+            return True
+        label = "a transfer step comes out of order; the transfer aborts"
+        if session.taken is not None:
+            label += " and the owner cypher returns to the store"
+        self._abort(session, "out of order", label)
+        return False
+
     def render(self) -> str:
         return render_run(self.events)
 
@@ -470,7 +467,7 @@ class Simulation:
         b.remember("ADD", msg.payload[1])
         if plain:
             self._emit(f"user {fu} hands the user signing key and the address to user {tu}")
-            session.advance("completed")
+            session.phase = "completed"
             return session
         self._emit(f"user {fu} hands Es and the address to user {tu}")
 
@@ -495,6 +492,8 @@ class Simulation:
         return session
 
     def withdraw_for_transfer(self, session: TransferSession) -> None:
+        if not self._in_phase(session, "initiated"):
+            return
         square, a, s = session.square, session.sender, self.server
         fu = a.letter.upper()
 
@@ -506,7 +505,7 @@ class Simulation:
             self._abort(session, "slot_empty", "the owner cypher is already gone; the transfer aborts")
             return
         session.scope.bind(square.slot_display, session.taken[0])
-        session.advance("ea_withdrawn")
+        session.phase = "ea_withdrawn"
         self._emit(
             f"with user {fu}'s approval the transfer procedure withdraws the owner cypher"
         )
@@ -571,14 +570,17 @@ class Simulation:
         if reply_override is None:
             s.remember(reply_name, reply)
         if not isinstance(reply, Token) or reply.material != token.material:
-            # the server keeps every token it issued, each under its own name
-            issued = (v.material for v in s.memory.values() if isinstance(v, Token))
+            # the server keeps every token it issued, each under its own name;
+            # the reply it just stored is no evidence of issue
+            issued = (v.material for n, v in s.memory.items() if n != reply_name and isinstance(v, Token))
             if isinstance(reply, Token) and reply.material in issued:
                 return False, "token replay"
             return False, "token mismatch"
         return True, ""
 
     def authenticate_parties(self, session: TransferSession) -> None:
+        if not self._in_phase(session, "ea_withdrawn" if self.mode == "cryptocubic" else None):
+            return
         square, a, b = session.square, session.sender, session.receiver
         fu, tu = a.letter.upper(), b.letter.upper()
 
@@ -588,7 +590,7 @@ class Simulation:
                 session, f"sender auth failed: {why}",
                 f"user {fu} fails the challenge; the owner cypher returns to the store")
             return
-        session.advance("sender_authenticated")
+        session.phase = "sender_authenticated"
         self._emit(f"user {fu} returns the decrypted token and is confirmed")
 
         # challenge under the key the completion will encrypt to
@@ -599,7 +601,7 @@ class Simulation:
                 session, f"receiver auth failed: {why}",
                 f"user {tu} fails the challenge; the owner cypher returns to the store")
             return
-        session.advance("receiver_authenticated")
+        session.phase = "receiver_authenticated"
         self._emit(f"user {tu} returns the decrypted token and is confirmed")
 
         es_hash = self._send("hash_share", self.server, b, (square.es_hash,), session).payload[0]
@@ -615,12 +617,14 @@ class Simulation:
                 session, "counterfeit es",
                 "the hashes differ; the transfer aborts and the owner cypher returns to the store")
             return
-        session.advance("hash_verified")
+        session.phase = "hash_verified"
         self._emit(f"user {tu} confirms the hashes match; the cypher is genuine")
 
     # -- completion ------------------------------------------------------
 
     def complete_transfer(self, session: TransferSession) -> None:
+        if not self._in_phase(session, "hash_verified" if self.mode == "cryptocubic" else "ea_withdrawn"):
+            return
         square, a, b = session.square, session.sender, session.receiver
         s, proc = self.server, session.scope
         tu = b.letter.upper()
@@ -664,7 +668,7 @@ class Simulation:
         proc.terminate()
         square.owner_party = b.name
         square.owner_pub = kb_pub
-        session.advance("completed")
+        session.phase = "completed"
         self._send("transfer_notice", s, a, (b"done",), session)
         # the new owner keeps the address the server names, not the one handed over
         msg = self._send("transfer_notice", s, b, (square.bundle.address,), session)
@@ -725,7 +729,7 @@ class Simulation:
         if self.ledger.balance(square.address_value):
             # a partial redemption leaves the rest redeemable
             self.store.reinsert(permit, taken)
-        session.advance("completed")
+        session.phase = "completed"
         self._emit(f"user {letter} signs the transfer and the chain accepts it")
         return tx_id
 

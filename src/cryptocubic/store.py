@@ -13,7 +13,6 @@ appends and closes it again, so a store holds no open file.
 """
 from __future__ import annotations
 
-import secrets
 import threading
 from dataclasses import dataclass
 
@@ -62,7 +61,8 @@ OP_REINSERT = 4
 
 @dataclass(frozen=True)
 class SourceCapability:
-    """Unforgeable write permission for a fixed set of slot ids."""
+    """Write permission for a fixed set of slot ids.  Only the object the
+    store issued is honoured: a copy with the same id and scope is refused."""
 
     cap_id: str
     scope: frozenset[str]
@@ -112,7 +112,7 @@ class DestructiveStore:
             for slot_id in ids:
                 if slot_id in self._slots:
                     raise SlotIdTaken(f"slot {slot_id!r} already exists")
-            cap = SourceCapability(secrets.token_hex(16), frozenset(ids))
+            cap = SourceCapability(f"cap{len(self._caps) + 1}", frozenset(ids))
             for slot_id in ids:
                 self._slots[slot_id] = _Slot()
                 self._journal(OP_GRANT, slot_id, b"\x00" * 32)

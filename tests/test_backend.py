@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cryptocubic import backend as backend_module
 from cryptocubic.backend import (
     ConcreteBackend,
+    CryptoBackend,
     EmptyPlaintext,
     KeyMismatch,
     SymbolicBackend,
@@ -20,7 +21,7 @@ from cryptocubic.backend import (
     term_of,
 )
 from cryptocubic.scenario import parse_scenario, run_scenario
-from cryptocubic.terms import DigestTerm, EncTerm, Term
+from cryptocubic.terms import ASYM, DigestTerm, EncTerm, Term
 
 SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -30,6 +31,78 @@ def test_get_backend_names():
     assert isinstance(get_backend("concrete"), ConcreteBackend)
     with pytest.raises(ValueError):
         get_backend("quantum")
+
+
+SKELETON = ("gen_asym_pair", "gen_sym_key", "gen_multisig",
+            "asym_encrypt", "asym_decrypt", "sym_encrypt", "sym_decrypt")
+HOOKS = ("_asym_material", "_sym_material", "_signing_material", "_address_input",
+         "_asym_seal", "_asym_open", "_sym_seal", "_sym_open",
+         "matches", "export_bytes", "sign", "verify")
+
+
+@pytest.mark.parametrize("cls", [SymbolicBackend, ConcreteBackend])
+def test_backends_supply_only_material(cls):
+    # ids, records, terms and guards are built once, in the shared skeleton
+    assert all(method in vars(CryptoBackend) for method in SKELETON)
+    assert [method for method in SKELETON if method in vars(cls)] == []
+    assert [hook for hook in HOOKS if hook not in vars(cls)] == []
+
+
+def _replay_calls(name, seed, calls):
+    """Run one call sequence on a fresh backend; record each call's ids and terms."""
+    be, rng = get_backend(name), random.Random(seed)
+    pairs, sym_keys, cyphers = [], [], []
+    plaintexts = [b"plain"]  # the kinds of value the protocol encrypts
+    record = []
+    for call, i, j in calls:
+        if call == "gen_asym_pair":
+            pair = be.gen_asym_pair(rng)
+            pairs.append(pair)
+            plaintexts.append(pair.private)
+            record.append((pair.pair_id, pair.private.term, pair.public.term))
+        elif call == "gen_sym_key":
+            key = be.gen_sym_key(rng)
+            sym_keys.append(key)
+            plaintexts.append(key)
+            record.append((key.key_id, key.term))
+        elif call == "gen_multisig":
+            bundle = be.gen_multisig(rng)
+            plaintexts += [bundle.sig_user, bundle.sig_server]
+            record.append((bundle.bundle_id, bundle.sig_user.term, bundle.sig_server.term,
+                           bundle.address.term))
+        elif call == "gen_token":
+            token = be.gen_token(rng)
+            plaintexts.append(token)
+            record.append((token.token_id, token.term))
+        elif call.endswith("encrypt"):
+            keys = [pair.public for pair in pairs] if call == "asym_encrypt" else sym_keys
+            if keys:
+                cypher = getattr(be, call)(keys[i % len(keys)], plaintexts[j % len(plaintexts)], rng)
+                cyphers.append(cypher)
+                record.append(cypher.term)
+        elif cyphers:  # decrypt a cypher made earlier, with a key that may not fit
+            cypher = cyphers[i % len(cyphers)]
+            if cypher.scheme == ASYM:
+                decrypt, key = be.asym_decrypt, pairs[j % len(pairs)].private
+            else:
+                decrypt, key = be.sym_decrypt, sym_keys[j % len(sym_keys)]
+            try:
+                record.append(term_of(decrypt(key, cypher)))
+            except KeyMismatch:
+                record.append("KeyMismatch")
+    return record
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    calls=st.lists(st.tuples(
+        st.sampled_from(["gen_asym_pair", "gen_sym_key", "gen_multisig", "gen_token",
+                         "asym_encrypt", "sym_encrypt", "decrypt"]),
+        st.integers(0, 99), st.integers(0, 99)), max_size=25),
+)
+@settings(max_examples=40, deadline=None)
+def test_both_backends_build_the_same_terms(seed, calls):
+    assert _replay_calls("symbolic", seed, calls) == _replay_calls("concrete", seed, calls)
 
 
 class TestAsymmetric:

@@ -152,6 +152,15 @@ class TestGoldenTranscripts:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout == (GOLDEN_DIR / f"{mode}.txt").read_text(), (mode, hash_seed)
 
+    def test_readme_quick_start_output_is_golden(self):
+        # the second fenced block of the quick start is an excerpt of the
+        # canonical transcript; "..." stands for the lines left out
+        quick_start = pathlib.Path("README.md").read_text().split("## Quick start", 1)[1]
+        excerpt = quick_start.split("```")[3].strip("\n").splitlines()
+        golden = set((GOLDEN_DIR / "cryptocubic.txt").read_text().splitlines())
+        assert excerpt[0].startswith("== 1. ")
+        assert [line for line in excerpt if line != "..." and line not in golden] == []
+
 
 class TestWithoutCryptography:
     # a missing `cryptography` package, as the import system sees it

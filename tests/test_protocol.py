@@ -320,6 +320,27 @@ class TestFaultInjection:
                 sim.user("b"), square.owner_pub, session, single_table=True, reply_override=reply
             ) == (False, reason)
 
+    def test_an_unissued_token_is_a_mismatch_and_a_stale_one_a_replay(self, backend):
+        # the reply the server just stored must not count as a token it issued
+        sim = Simulation(mode="cryptocubic", backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+
+        def fresh(msg):
+            return (sim.backend.gen_token(sim.rng),)
+
+        with swapped(sim, "challenge_reply", fresh):
+            assert sim.transfer("a", "b").abort_reason == "sender auth failed: token mismatch"
+        assert sim.transfer("a", "b").phase == "completed"
+        stale = sim.server.recall("Token_B2")
+        for reply, reason in ((fresh, "token mismatch"), (lambda msg: (stale,), "token replay")):
+            with swapped(sim, "challenge_reply", reply), pytest.raises(
+                AuthFailure, match=f"^redemption challenge failed: {reason}$"
+            ):
+                sim.redeem("b", "ext", 1000)
+        sim.redeem("b", "ext", 1000)
+        assert sim.ledger.balance("ext") == 1000
+
     def test_plaintext_handover_ignores_a_counterfeit(self):
         sim = Simulation(mode="baseline3")
         sim.setup("a")
@@ -505,6 +526,60 @@ class TestRace:
         assert square.owner_party == "USER_B"
         sim.redeem("b", "ext", 1000)
         assert sim.ledger.balance("ext") == 1000
+
+
+class TestStepOrder:
+    """Each transfer step checks its session's phase before it acts."""
+
+    @staticmethod
+    def assert_recovers(sim, owner):
+        assert all(not p.procedures for p in sim.parties.values())
+        sim.redeem(owner, "ext", 1000)
+        assert sim.ledger.balance("ext") == 1000
+        assert all(not p.procedures for p in sim.parties.values())
+
+    def test_completion_before_authentication_aborts(self, backend):
+        sim = Simulation(mode="cryptocubic", backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        session = sim.begin_transfer("a", "b")
+        sim.withdraw_for_transfer(session)
+        sim.complete_transfer(session)
+        assert (session.phase, session.abort_reason) == ("aborted", "out of order")
+        sent = [msg.msg_type for msg in sim.transport.transcript]
+        assert "challenge" not in sent and "hash_share" not in sent
+        assert sim.events[-1].label == (
+            "a transfer step comes out of order; the transfer aborts"
+            " and the owner cypher returns to the store")
+        assert next(iter(sim.squares.values())).owner_party == "USER_A"
+        with pytest.raises(ProtocolError, match="already aborted"):
+            sim.complete_transfer(session)
+        self.assert_recovers(sim, "a")
+
+    def test_authentication_outside_cryptocubic_aborts(self, backend):
+        sim = Simulation(mode="bare4", backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        session = sim.begin_transfer("a", "b")
+        sim.withdraw_for_transfer(session)
+        sim.authenticate_parties(session)
+        assert (session.phase, session.abort_reason) == ("aborted", "out of order")
+        self.assert_recovers(sim, "a")
+
+    @pytest.mark.parametrize(
+        "step", ["withdraw_for_transfer", "authenticate_parties", "complete_transfer"])
+    def test_a_finished_session_is_refused_before_anything_happens(self, backend, step):
+        sim = Simulation(mode="cryptocubic", backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        session = sim.transfer("a", "b")
+        assert session.phase == "completed"
+        before = len(sim.events), len(sim.transport.transcript), sim.store.ping(session.square.slot_id)
+        with pytest.raises(ProtocolError, match="already completed"):
+            getattr(sim, step)(session)
+        assert (len(sim.events), len(sim.transport.transcript), sim.store.ping(session.square.slot_id)) == before
+        assert session.phase == "completed"
+        self.assert_recovers(sim, "b")
 
 
 class TestRedemption:

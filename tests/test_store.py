@@ -51,12 +51,21 @@ def test_insert_outside_scope_unauthorized(store):
 
 
 def test_forged_capability_fuzz(store):
-    store.grant_source(["s1"])
+    issued = store.grant_source(["s1"])
     rng = random.Random(0)
-    for _ in range(200):
-        forged = SourceCapability(rng.randbytes(16).hex(), frozenset({"s1"}))
+    forgeries = [SourceCapability(rng.randbytes(16).hex(), frozenset({"s1"})) for _ in range(200)]
+    # a copy of the issued capability names a real id and scope, but is not it
+    forgeries.append(SourceCapability(issued.cap_id, issued.scope))
+    for forged in forgeries:
         with pytest.raises(Unauthorized):
             store.insert(forged, "s1", b"v")
+
+
+def test_two_stores_issue_the_same_capability_ids():
+    # capability ids come from the grants, not from a source outside the seed
+    stores = DestructiveStore(digest), DestructiveStore(digest)
+    ids = [[store.grant_source([slot]).cap_id for slot in ("s1", "s2", "s3")] for store in stores]
+    assert ids[0] == ids[1]
 
 
 def test_slot_id_collision(store):
