@@ -41,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.script, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.script}: {exc}", file=sys.stderr)
         return 2
     try:

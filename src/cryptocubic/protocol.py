@@ -22,7 +22,7 @@ attacker oracle consumes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .backend import (
     Address,
@@ -335,7 +335,7 @@ class Simulation:
         s = self.server
         u = user_letter.lower()
         plain = self.mode == "baseline3"
-        memory_before = {p.name: dict(p.memory) for p in self.parties.values()}
+        memory_before = {party: dict(party.memory) for party in (a, s)}  # the only parties setup changes
         pub = ks = es_hash = fingerprint = proc = None
         try:
             if not plain:
@@ -390,8 +390,8 @@ class Simulation:
             # no partial square: scrub everything this attempt touched
             if proc is not None:
                 proc.terminate()
-            for party in self.parties.values():
-                party.restore(memory_before.get(party.name, {}))
+            for party, memory in memory_before.items():
+                party.restore(memory)
             self._emit("the link drops; establishment rolls back")
             raise
 
@@ -531,15 +531,12 @@ class Simulation:
         base = f"Token_{letter.upper()}{primes}"
         return base, f"Et_{letter.upper()}{primes}", f"{base}2"
 
-    def _run_challenge(
-        self,
-        target: Party,
-        subject_pub: AsymPublicKey,
-        session: TransferSession,
-        single_table: bool,
-        reply_override: Token | None = None,
-    ) -> tuple[bool, str]:
-        """Token round trip with `target`; returns (ok, failure_reason)."""
+    def _challenge(
+        self, target: Party, subject_pub: AsymPublicKey, session: TransferSession,
+        failed: str, label: str, single_table: bool = True,
+    ) -> str:
+        """Token round trip with `target`.  On failure `session` aborts with
+        reason "<failed>: <why>" and table `label`; returns why, "" on success."""
         s = self.server
         letter = target.letter
         token_name, et_name, reply_name = self._challenge_names(letter)
@@ -555,28 +552,26 @@ class Simulation:
             self._emit(f"the token is encrypted for user {letter.upper()}")
 
         msg = self._send("challenge", s, target, (et,), session)
-        if msg is None:
-            return False, "timeout"
-        if reply_override is not None:
-            reply = reply_override
-        else:
+        why = "timeout"
+        if msg is not None:
             try:
                 reply = self.backend.asym_decrypt(target.recall(f"K{letter}"), msg.payload[0])
             except KeyMismatch:
-                return False, "cannot decrypt challenge"
-            target.remember(et_name, msg.payload[0])
-            target.remember(reply_name, reply)
-        reply = self._send("challenge_reply", target, s, (reply,), session).payload[0]
-        if reply_override is None:
-            s.remember(reply_name, reply)
-        if not isinstance(reply, Token) or reply.material != token.material:
-            # the server keeps every token it issued, each under its own name;
-            # the reply it just stored is no evidence of issue
-            issued = (v.material for n, v in s.memory.items() if n != reply_name and isinstance(v, Token))
-            if isinstance(reply, Token) and reply.material in issued:
-                return False, "token replay"
-            return False, "token mismatch"
-        return True, ""
+                why = "cannot decrypt challenge"
+            else:
+                target.remember(et_name, msg.payload[0])
+                target.remember(reply_name, reply)
+                reply = self._send("challenge_reply", target, s, (reply,), session).payload[0]
+                s.remember(reply_name, reply)
+                # the server keeps every token it issued, each under its own
+                # name; the reply it just stored is no evidence of issue
+                issued = (v.material for n, v in s.memory.items() if n != reply_name and isinstance(v, Token))
+                why = ("" if isinstance(reply, Token) and reply.material == token.material
+                       else "token replay" if isinstance(reply, Token) and reply.material in issued
+                       else "token mismatch")
+        if why:
+            self._abort(session, f"{failed}: {why}", label)
+        return why
 
     def authenticate_parties(self, session: TransferSession) -> None:
         if not self._in_phase(session, "ea_withdrawn" if self.mode == "cryptocubic" else None):
@@ -584,22 +579,17 @@ class Simulation:
         square, a, b = session.square, session.sender, session.receiver
         fu, tu = a.letter.upper(), b.letter.upper()
 
-        ok, why = self._run_challenge(a, square.owner_pub, session, single_table=False)
-        if not ok:
-            self._abort(
-                session, f"sender auth failed: {why}",
-                f"user {fu} fails the challenge; the owner cypher returns to the store")
+        if self._challenge(a, square.owner_pub, session, "sender auth failed",
+                           f"user {fu} fails the challenge; the owner cypher returns to the store",
+                           single_table=False):
             return
         session.phase = "sender_authenticated"
         self._emit(f"user {fu} returns the decrypted token and is confirmed")
 
         # challenge under the key the completion will encrypt to
         receiver_pub = self.server.recall(f"K{b.letter}_Public")
-        ok, why = self._run_challenge(b, receiver_pub, session, single_table=True)
-        if not ok:
-            self._abort(
-                session, f"receiver auth failed: {why}",
-                f"user {tu} fails the challenge; the owner cypher returns to the store")
+        if self._challenge(b, receiver_pub, session, "receiver auth failed",
+                           f"user {tu} fails the challenge; the owner cypher returns to the store"):
             return
         session.phase = "receiver_authenticated"
         self._emit(f"user {tu} returns the decrypted token and is confirmed")
@@ -690,10 +680,9 @@ class Simulation:
         session = self._new_session(square, x, x)
         self._send("take_request" if plain else "redeem_request", x, s, (), session)
         if self.mode == "cryptocubic":
-            ok, why = self._run_challenge(x, square.owner_pub, session, single_table=True)
-            if not ok:
-                self._abort(session, f"auth failed: {why}",
-                            f"user {letter} fails the redemption challenge; the slot stays shut")
+            why = self._challenge(x, square.owner_pub, session, "auth failed",
+                                  f"user {letter} fails the redemption challenge; the slot stays shut")
+            if why:
                 raise AuthFailure(f"redemption challenge failed: {why}")
             self._emit(f"user {letter} answers the redemption challenge and is confirmed")
 
@@ -751,13 +740,19 @@ class Simulation:
     # attack support
 
     def attempt_replay_auth(self, stale_token: Token) -> bool:
-        """Impostor answers a fresh redemption challenge with an old token."""
+        """Challenge the owner afresh while an impostor on the link swaps its
+        reply for an old token."""
         square = next(iter(self.squares.values()))
-        session = self._new_session(square, self.server, self.server)
         target = self.parties[square.owner_party]
-        ok, _why = self._run_challenge(
-            target, square.owner_pub, session, single_table=True, reply_override=stale_token
-        )
-        self._emit("a stale token comes back and the challenge is refused"
-                   if not ok else "a stale token is accepted")
-        return ok
+        session = self._new_session(square, target, target)
+        previous = self.transport.interposer
+        self.transport.interposer = lambda msg: (
+            replace(msg, payload=(stale_token,)) if msg.msg_type == "challenge_reply" else msg)
+        try:
+            why = self._challenge(target, square.owner_pub, session, "auth failed",
+                                  "a stale token comes back and the challenge is refused")
+        finally:
+            self.transport.interposer = previous
+        if not why:
+            self._emit("a stale token is accepted")
+        return not why

@@ -109,7 +109,7 @@ def _check_party(token: str, lineno: int, col: int) -> str:
     t = token.upper()
     if t == "SERVER_S":
         return "S"
-    if t.startswith("USER_") and len(t) == 6:
+    if t.startswith("USER_") and len(t) == 6 and t != "USER_S":  # S is the server
         t = t[5]
     if len(t) == 1 and t.isalpha():
         return t

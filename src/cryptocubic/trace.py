@@ -30,7 +30,7 @@ class TraceEvent:
 def format_money(cents: int) -> str:
     if cents % 100 == 0:
         return f"${cents // 100}"
-    return f"${cents / 100:.2f}"
+    return f"${cents // 100}.{cents % 100:02d}"
 
 
 # the last table rendered, replaced whole by each call: its columns, header

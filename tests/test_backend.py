@@ -377,7 +377,7 @@ def test_concrete_run_derives_each_key_once(counted_derivations):
     assert len(seeds["x25519"]) == len(set(seeds["x25519"])) == 10
     assert len(seeds["ed25519"]) == len(set(seeds["ed25519"])) == 2
     # every primitive still runs on every call
-    assert calls == {"asym_encrypt": 30, "asym_decrypt": 24, "exchange": 54,
+    assert calls == {"asym_encrypt": 30, "asym_decrypt": 25, "exchange": 55,
                      "matches": 13, "sign": 4, "ed25519 sign": 4, "verify": 4}
     backend_module._x25519_private.cache_clear()
     backend_module._ed25519_private.cache_clear()

@@ -68,10 +68,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 1, column 1" in err
 
-    def test_missing_file_exits_two(self, tmp_path, capsys):
-        code = main([str(tmp_path / "absent.scen")])
-        assert code == 2
-        assert "cannot read" in capsys.readouterr().err
+    @pytest.mark.parametrize("content", [None, b"setup a\xff\n"], ids=["absent", "not-utf8"])
+    def test_missing_file_exits_two(self, content, tmp_path, capsys):
+        path = tmp_path / "bad.scen"
+        if content is not None:
+            path.write_bytes(content)
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read {path}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--journal", "--trace", "--ledger"])
     def test_unwritable_output_path_exits_two(self, flag, script, tmp_path, capsys):

@@ -211,6 +211,22 @@ def test_rollback_restores_columns_and_snapshots(mode):
     sim.check_unmutated()
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_rollback_leaves_bystanders_alone(mode):
+    # only the user being set up and the server can change during a setup
+    sim = CheckedSimulation(mode=mode)
+    sim.setup("a")
+    sim.fund("a", 1000)
+    sim.transfer("a", "b")
+    b = sim.user("b")
+    snapshot, column = b.snapshot(), sim.events[-1].columns["USER_B"]
+    with dropped_link(sim, 0), pytest.raises(TransportFailure):
+        sim.setup("c")
+    assert b.snapshot() is snapshot
+    assert sim.events[-1].columns["USER_B"] is column
+    sim.check_unmutated()
+
+
 def test_memory_changes_between_two_steps_keep_the_column_order():
     sim = CheckedSimulation(mode="cryptocubic")
     sim.setup("a")

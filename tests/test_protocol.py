@@ -310,15 +310,17 @@ class TestFaultInjection:
     def test_challenge_failure_reasons(self):
         sim = canonical_run("cryptocubic", redeem=False)
         square = next(iter(sim.squares.values()))
+        b = sim.user("b")
         finished = sim.server.recall("Token_B2")
         for reply, reason in [
             (finished, "token replay"),
             (sim.backend.gen_token(sim.rng), "token mismatch"),
         ]:
-            session = TransferSession(99, square, sim.user("b"), sim.user("b"))
-            assert sim._run_challenge(
-                sim.user("b"), square.owner_pub, session, single_table=True, reply_override=reply
-            ) == (False, reason)
+            session = TransferSession(99, square, b, b)
+            with swapped(sim, "challenge_reply", lambda msg: (reply,)):
+                assert sim._challenge(b, square.owner_pub, session, "auth failed", "refused") == reason
+            assert (session.phase, session.abort_reason) == ("aborted", f"auth failed: {reason}")
+            assert sim.events[-1].label == "refused"
 
     def test_an_unissued_token_is_a_mismatch_and_a_stale_one_a_replay(self, backend):
         # the reply the server just stored must not count as a token it issued
@@ -701,6 +703,19 @@ class TestRedemption:
         # the legitimate owner is still able to answer a fresh challenge
         sim.redeem("b", "ext", 1000)
         assert sim.ledger.balance("ext") == 1000
+
+    def test_replayed_token_is_swapped_on_the_link(self, backend):
+        # the owner answers the challenge honestly; only the link swaps its reply
+        sim = Simulation(mode="cryptocubic", backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        sim.transfer("a", "b")
+        stale = sim.server.recall("Token_B2")
+        assert sim.attempt_replay_auth(stale) is False
+        assert sim.user("b").recall("Token_B'2").material == sim.server.recall("Token_B'").material
+        assert sim.server.recall("Token_B'2") is stale
+        assert sim.transport.interposer is None
+        assert sim.events[-1].label == "a stale token comes back and the challenge is refused"
 
 
 class TestScopeHygiene:

@@ -78,10 +78,12 @@ class TestParsing:
             parse_scenario("setup a\nfund S 10\n")
         assert (err.value.line, err.value.column) == (2, 6)
 
-    def test_bad_party_position(self):
+    # S names the server, so no user is called USER_S
+    @pytest.mark.parametrize("party", ["12", "USER_S"])
+    def test_bad_party_position(self, party):
         with pytest.raises(ScenarioSyntaxError) as err:
-            parse_scenario("expect-holdings 12 Es\n")
-        assert str(err.value) == "line 1, column 17: expected a party, got '12'"
+            parse_scenario(f"expect-holdings {party} Es\n")
+        assert str(err.value) == f"line 1, column 17: expected a party, got {party!r}"
 
     def test_bad_amount_position(self):
         with pytest.raises(ScenarioSyntaxError) as err:
@@ -122,9 +124,7 @@ def _words(head, *args):
 _user = st.sampled_from([c for c in string.ascii_letters if c not in "sS"])
 _party = st.one_of(
     st.sampled_from(string.ascii_letters),
-    st.builds(
-        "{}_{}".format, st.sampled_from(["USER", "user"]), st.sampled_from(string.ascii_letters)
-    ),
+    st.builds("{}_{}".format, st.sampled_from(["USER", "user"]), _user),
     st.sampled_from(["SERVER_S", "server_s"]),
 )
 _cents = st.builds("{}{}".format, st.sampled_from(["", "0", "00"]), st.integers(1, 10**12))

@@ -35,6 +35,9 @@ def test_format_money_whole_dollars():
 def test_format_money_fractional():
     assert format_money(1050) == "$10.50"
     assert format_money(1) == "$0.01"
+    # past 2**53 cents a float quotient loses the low digits
+    assert format_money(999999999999999999) == "$9999999999999999.99"
+    assert format_money(10**20 + 1) == "$1000000000000000000.01"
 
 
 def test_render_table_shape():
