@@ -201,35 +201,31 @@ class Verdict:
         return f"{self.scenario} {self.mode} {str(self.can_spend).lower()} [{len(self.witness)}]"
 
 
-def _staged_run(mode: str, backend: str, seed: int) -> tuple[Simulation, str]:
-    sim = Simulation(mode=mode, backend=backend, seed=seed)
-    square_id = sim.setup("a")
-    sim.fund("a", 1000)
-    return sim, square_id
-
-
-def _bundle(sim: Simulation, square_id: str) -> str:
-    return sim.squares[square_id].bundle.bundle_id
+Staged = tuple[set[Term], list[str], bool]  # knowledge, notes, won without a spend
 
 
 def run_attack(scenario: str, mode: str = "cryptocubic", backend: str = "symbolic", seed: int = 0) -> Verdict:
-    """Stage a fresh honest run, apply one attack, and judge it."""
+    """Stage a fresh funded run, apply one attack, judge what the attack
+    leaves the attacker, and replay a positive verdict as a real spend.
+
+    A staging `_attack_<scenario>(sim)` only acts: it returns the attacker's
+    knowledge, its notes, and whether the attack won without a spend."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown attack scenario: {scenario!r}")
-    stager = globals()[f"_attack_{scenario}"]
-    return stager(mode, backend, seed)
-
-
-def _attack_post_transfer_grab(mode: str, backend: str, seed: int) -> Verdict:
-    sim, square_id = _staged_run(mode, backend, seed)
-    sim.transfer("a", "b")
-    knowledge = snapshot_knowledge(sim, "USER_A", SERVER) | take_all_slots(sim)
-    decision = can_spend(knowledge, _bundle(sim, square_id))
-    verdict = Verdict("post_transfer_grab", mode, decision.possible, decision.witness)
+    sim = Simulation(mode=mode, backend=backend, seed=seed)
+    square_id = sim.setup("a")
+    sim.fund("a", 1000)
+    knowledge, notes, won = globals()[f"_attack_{scenario}"](sim)
+    decision = can_spend(knowledge, sim.squares[square_id].bundle.bundle_id)
     if decision.possible:
         replay_witness(sim, decision, square_id, "grab_sink", 1000)
-        verdict.notes.append("witness replayed: 1000 cents moved on the staged chain")
-    return verdict
+        notes.append("witness replayed: 1000 cents moved on the staged chain")
+    return Verdict(scenario, mode, decision.possible or won, decision.witness, notes)
+
+
+def _attack_post_transfer_grab(sim: Simulation) -> Staged:
+    sim.transfer("a", "b")
+    return snapshot_knowledge(sim, "USER_A", SERVER) | take_all_slots(sim), [], False
 
 
 def counterfeit_handover(sim: Simulation):
@@ -245,50 +241,38 @@ def counterfeit_handover(sim: Simulation):
     return swap
 
 
-def _attack_counterfeit_es(mode: str, backend: str, seed: int) -> Verdict:
-    sim, square_id = _staged_run(mode, backend, seed)
+def _attack_counterfeit_es(sim: Simulation) -> Staged:
     sim.transport.interposer = counterfeit_handover(sim)
     session = sim.transfer("a", "b")
     notes = [f"transfer outcome: {session.phase}"]
-    if mode == "baseline3":
+    if sim.mode == "baseline3":
         notes.append("handover is a bare signing key; there is no cypher to fake")
     if session.phase == "aborted":
         notes.append(f"abort reason: {session.abort_reason}")
-        if sim.store.ping(sim.squares[square_id].slot_id):
+        if sim.store.ping(session.square.slot_id):
             notes.append("owner cypher back in its slot")
-    knowledge = snapshot_knowledge(sim, "USER_A") | take_all_slots(sim)
-    decision = can_spend(knowledge, _bundle(sim, square_id))
-    return Verdict("counterfeit_es", mode, decision.possible, decision.witness, notes)
+    return snapshot_knowledge(sim, "USER_A") | take_all_slots(sim), notes, False
 
 
-def _attack_token_replay(mode: str, backend: str, seed: int) -> Verdict:
-    sim, square_id = _staged_run(mode, backend, seed)
+def _attack_token_replay(sim: Simulation) -> Staged:
     sim.transfer("a", "b")
-    if mode != "cryptocubic":
-        knowledge = wiretap_knowledge(sim)
-        decision = can_spend(knowledge, _bundle(sim, square_id))
-        return Verdict(
-            "token_replay", mode, decision.possible, decision.witness,
-            ["mode issues no challenge tokens; nothing to replay"],
-        )
+    if sim.mode != "cryptocubic":
+        return wiretap_knowledge(sim), ["mode issues no challenge tokens; nothing to replay"], False
     # the receiver's reply token from the finished session, replayed cold
     stale = sim.server.recall("Token_B2")
     accepted = sim.attempt_replay_auth(stale)
-    knowledge = {stale.term} | wiretap_knowledge(sim)
-    decision = can_spend(knowledge, _bundle(sim, square_id))
     notes = ["stale token accepted" if accepted else "stale token refused"]
-    return Verdict("token_replay", mode, decision.possible or accepted, decision.witness, notes)
+    return {stale.term} | wiretap_knowledge(sim), notes, accepted
 
 
-def _attack_double_transfer(mode: str, backend: str, seed: int) -> Verdict:
-    sim, square_id = _staged_run(mode, backend, seed)
-    if mode == "baseline3":
+def _attack_double_transfer(sim: Simulation) -> Staged:
+    if sim.mode == "baseline3":
         first = sim.transfer("a", "b")
         second = sim.transfer("a", "c")
     else:
         first = sim.begin_transfer("a", "b")
         sim.withdraw_for_transfer(first)
-        if mode == "cryptocubic":
+        if sim.mode == "cryptocubic":
             sim.authenticate_parties(first)
         second = sim.begin_transfer("a", "c")
         sim.withdraw_for_transfer(second)
@@ -299,38 +283,23 @@ def _attack_double_transfer(mode: str, backend: str, seed: int) -> Verdict:
         + (f" ({second.abort_reason})" if second.abort_reason else ""),
     ]
     knowledge = snapshot_knowledge(sim, "USER_A", "USER_C") | take_all_slots(sim)
-    decision = can_spend(knowledge, _bundle(sim, square_id))
     completed = [s for s in (first, second) if s.phase == "completed"]
-    return Verdict(
-        "double_transfer",
-        mode,
-        decision.possible or len(completed) != 1,
-        decision.witness,
-        notes,
-    )
+    return knowledge, notes, len(completed) != 1
 
 
-def _attack_wiretap_passive(mode: str, backend: str, seed: int) -> Verdict:
-    sim, square_id = _staged_run(mode, backend, seed)
+def _attack_wiretap_passive(sim: Simulation) -> Staged:
     sim.transfer("a", "b")
     sim.redeem("b", "ext", 1000)
-    knowledge = wiretap_knowledge(sim)
-    decision = can_spend(knowledge, _bundle(sim, square_id))
-    return Verdict(
-        "wiretap_passive", mode, decision.possible, decision.witness, [CHANNEL_ASSUMPTION]
-    )
+    return wiretap_knowledge(sim), [CHANNEL_ASSUMPTION], False
 
 
-def _attack_store_raid(mode: str, backend: str, seed: int) -> Verdict:
-    sim, square_id = _staged_run(mode, backend, seed)
+def _attack_store_raid(sim: Simulation) -> Staged:
     sim.transfer("a", "b")
-    knowledge = snapshot_knowledge(sim, SERVER) | take_all_slots(sim)
-    decision = can_spend(knowledge, _bundle(sim, square_id))
-    if mode == "baseline3":
+    if sim.mode == "baseline3":
         notes = ["the slot held a bare signing key, but one leg alone cannot spend"]
     else:
         notes = ["slot contents are cyphers under keys the raider lacks"]
-    return Verdict("store_raid", mode, decision.possible, decision.witness, notes)
+    return snapshot_knowledge(sim, SERVER) | take_all_slots(sim), notes, False
 
 
 def verdict_report(verdicts) -> str:

@@ -96,9 +96,8 @@ class TransferSession:
     """One transfer or redemption in flight: its square, its two parties (one
     and the same for a redemption), the value and permit it took from the
     store, and the scope it opened.  A transfer's phase runs initiated,
-    ea_withdrawn, sender_authenticated, receiver_authenticated, hash_verified
-    (these three only in cryptocubic), completed; a baseline3 handover
-    completes at once, and any live phase may end in aborted."""
+    ea_withdrawn, hash_verified (only in cryptocubic), completed; a baseline3
+    handover completes at once, and any live phase may end in aborted."""
 
     session_id: int
     square: CryptoSquareRecord
@@ -331,6 +330,7 @@ class Simulation:
     # establishment
 
     def setup(self, user_letter: str) -> str:
+        new_user = f"USER_{user_letter.upper()}" not in self.parties
         a = self.user(user_letter)
         s = self.server
         u = user_letter.lower()
@@ -393,6 +393,8 @@ class Simulation:
             for party, memory in memory_before.items():
                 party.restore(memory)
             self._emit("the link drops; establishment rolls back")
+            if new_user:  # the table above still shows the emptied column
+                del self.parties[a.name]
             raise
 
         square_id = f"sq{len(self.squares) + 1}"
@@ -583,7 +585,6 @@ class Simulation:
                            f"user {fu} fails the challenge; the owner cypher returns to the store",
                            single_table=False):
             return
-        session.phase = "sender_authenticated"
         self._emit(f"user {fu} returns the decrypted token and is confirmed")
 
         # challenge under the key the completion will encrypt to
@@ -591,7 +592,6 @@ class Simulation:
         if self._challenge(b, receiver_pub, session, "receiver auth failed",
                            f"user {tu} fails the challenge; the owner cypher returns to the store"):
             return
-        session.phase = "receiver_authenticated"
         self._emit(f"user {tu} returns the decrypted token and is confirmed")
 
         es_hash = self._send("hash_share", self.server, b, (square.es_hash,), session).payload[0]

@@ -100,8 +100,9 @@ class ScenarioScript:
 
 
 def _check_user(token: str, lineno: int, col: int) -> str:
-    if len(token) == 1 and token.isalpha() and token.upper() != "S":
-        return token.upper()
+    t = token.upper()  # as printed, so "ß" (upper "SS") is refused
+    if len(t) == 1 and t.isalpha() and t != "S":
+        return t
     raise ScenarioSyntaxError(lineno, col, f"expected a user letter, got {token!r}")
 
 
@@ -117,7 +118,7 @@ def _check_party(token: str, lineno: int, col: int) -> str:
 
 
 def _check_cents(token: str, lineno: int, col: int) -> int:
-    if not token.isdigit() or int(token) <= 0:
+    if not token.isdecimal() or int(token) <= 0:  # isdigit also takes "²", which int refuses
         raise ScenarioSyntaxError(lineno, col, f"expected a positive cent amount, got {token!r}")
     return int(token)
 

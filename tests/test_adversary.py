@@ -1,12 +1,14 @@
 """Attack oracle: term decomposition closure, spend verdicts, staged attacks."""
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dropped_link
+from cryptocubic import adversary
 from cryptocubic.adversary import (
     SCENARIOS,
     Derivation,
@@ -20,8 +22,9 @@ from cryptocubic.adversary import (
     wiretap_knowledge,
 )
 from cryptocubic.backend import term_of
+from cryptocubic.ledger import UnknownAddress
 from cryptocubic.parties import TransportFailure
-from cryptocubic.protocol import SERVER, Simulation
+from cryptocubic.protocol import MODES, SERVER, Simulation
 from cryptocubic.terms import (
     ASYM,
     SYM,
@@ -302,6 +305,7 @@ class TestCanSpend:
         assert pos("asym-decrypt") < pos("sign and submit")
 
 
+REPLAY_NOTE = "witness replayed: 1000 cents moved on the staged chain"
 EXPECTED_VERDICTS = {
     ("post_transfer_grab", "baseline3"): True,
     ("counterfeit_es", "baseline3"): True,
@@ -344,6 +348,31 @@ class TestStagedScenarios:
         assert decision.possible
         replay_witness(sim, decision, square_id, "thief", 1000)
         assert sim.ledger.balance("thief") == 1000
+
+    @pytest.mark.parametrize("backend", ["symbolic", "concrete"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_every_positive_verdict_moves_money(self, scenario, mode, backend):
+        staged = []
+
+        def capture(*args, **kwargs):
+            staged.append(Simulation(*args, **kwargs))
+            return staged[-1]
+
+        with mock.patch.object(adversary, "Simulation", capture):
+            verdict = run_attack(scenario, mode=mode, backend=backend)
+        (sim,) = staged
+        try:
+            moved = sim.ledger.balance("grab_sink")
+        except UnknownAddress:
+            moved = 0
+        assert moved == (1000 if verdict.witness else 0)
+        assert (REPLAY_NOTE in verdict.notes) is bool(verdict.witness)
+
+    def test_stagings_and_scenarios_name_the_same_attacks(self):
+        prefix = "_attack_"
+        stagings = {name[len(prefix):] for name in vars(adversary) if name.startswith(prefix)}
+        assert stagings == set(SCENARIOS)
 
     def test_report_line_format(self):
         verdict = run_attack("store_raid", mode="cryptocubic")

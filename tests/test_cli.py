@@ -19,7 +19,7 @@ CORE = "setup A\nfund A 1000\ntransfer A B\nredeem B ext 1000\n"
 def script(tmp_path):
     def write(text):
         path = tmp_path / "script.scen"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return str(path)
 
     return write
@@ -62,11 +62,17 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "FAIL expect-holdings B Es: holdings are []\n"
 
-    def test_syntax_error_exits_two(self, script, capsys):
-        code = main([script("trnsfer A B\n")])
+    @pytest.mark.parametrize(
+        "text,position",
+        [("trnsfer A B\n", "line 1, column 1"), ("fund A ²\n", "line 1, column 8")],
+        ids=["unknown-command", "superscript-amount"],
+    )
+    def test_syntax_error_exits_two(self, text, position, script, capsys):
+        code = main([script(text)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "line 1, column 1" in err
+        assert position in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("content", [None, b"setup a\xff\n"], ids=["absent", "not-utf8"])
     def test_missing_file_exits_two(self, content, tmp_path, capsys):

@@ -227,6 +227,22 @@ def test_rollback_leaves_bystanders_alone(mode):
     sim.check_unmutated()
 
 
+def test_failed_first_setup_leaves_no_column():
+    # a user whom only the failed setup added leaves after the rollback
+    # table, which still shows the emptied column; a later setup adds it last
+    sim = CheckedSimulation(mode="cryptocubic")
+    sim.setup("a")
+    sim.fund("a", 1000)
+    with dropped_link(sim, 0), pytest.raises(TransportFailure):
+        sim.setup("c")
+    assert sim.events[-1].columns["USER_C"] == []
+    sim.transfer("a", "b")
+    assert list(sim.events[-1].columns) == ["USER_A", SERVER, "USER_B"]
+    sim.setup("c")
+    assert list(sim.events[-1].columns) == ["USER_A", SERVER, "USER_B", "USER_C"]
+    sim.check_unmutated()
+
+
 def test_memory_changes_between_two_steps_keep_the_column_order():
     sim = CheckedSimulation(mode="cryptocubic")
     sim.setup("a")

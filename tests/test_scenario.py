@@ -73,10 +73,15 @@ class TestParsing:
         assert err.value.column == 1
         assert "unknown command" in err.value.message
 
-    def test_bad_user_position(self):
+    # "ß" upper-cases to "SS", which the printer could not give back
+    @pytest.mark.parametrize(
+        "text,position", [("setup a\nfund S 10\n", (2, 6)), ("setup ß\n", (1, 7))],
+        ids=["server", "sharp-s"],
+    )
+    def test_bad_user_position(self, text, position):
         with pytest.raises(ScenarioSyntaxError) as err:
-            parse_scenario("setup a\nfund S 10\n")
-        assert (err.value.line, err.value.column) == (2, 6)
+            parse_scenario(text)
+        assert (err.value.line, err.value.column) == position
 
     # S names the server, so no user is called USER_S
     @pytest.mark.parametrize("party", ["12", "USER_S"])
@@ -85,10 +90,16 @@ class TestParsing:
             parse_scenario(f"expect-holdings {party} Es\n")
         assert str(err.value) == f"line 1, column 17: expected a party, got {party!r}"
 
-    def test_bad_amount_position(self):
+    # "²" is a digit that int() does not read
+    @pytest.mark.parametrize(
+        "text,position",
+        [("fund a 0\n", (1, 8)), ("fund A ²\n", (1, 8)), ("redeem A ext 1²\n", (1, 14))],
+        ids=["zero", "superscript", "superscript-tail"],
+    )
+    def test_bad_amount_position(self, text, position):
         with pytest.raises(ScenarioSyntaxError) as err:
-            parse_scenario("fund a 0\n")
-        assert (err.value.line, err.value.column) == (1, 8)
+            parse_scenario(text)
+        assert (err.value.line, err.value.column) == position
 
     @pytest.mark.parametrize(
         "line", ["setup", "setup a b", "fund a", "transfer a", "redeem a ext"]
