@@ -212,7 +212,7 @@ def run_attack(scenario: str, mode: str = "cryptocubic", backend: str = "symboli
     knowledge, its notes, and whether the attack won without a spend."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown attack scenario: {scenario!r}")
-    sim = Simulation(mode=mode, backend=backend, seed=seed)
+    sim = Simulation(mode=mode, backend=backend, seed=seed, record=False)  # a verdict reads no table
     square_id = sim.setup("a")
     sim.fund("a", 1000)
     knowledge, notes, won = globals()[f"_attack_{scenario}"](sim)

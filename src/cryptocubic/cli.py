@@ -13,6 +13,7 @@ not installed.  Output is a pure function of (script, seed, mode, backend).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .backend import BACKENDS
@@ -20,6 +21,7 @@ from .protocol import MODES
 from .scenario import ScenarioSyntaxError, parse_scenario, run_scenario
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cryptocubic",

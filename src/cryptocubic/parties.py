@@ -5,8 +5,8 @@ procedures: transient scopes whose bindings never touch memory, are
 invisible to knowledge snapshots, and are erased when the scope terminates.
 
 Memory changes only through `Party.remember`, `forget` and `restore`, which
-keep the count of names per knowledge term and the party's snapshot in step
-with it.
+keep the count of names per knowledge term, the count of names holding a
+signing key, and the party's snapshot in step with it.
 
 Messages travel through one in-process transport that records what it
 delivers (the wiretap transcript) and, apart, the payload terms of each
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .backend import term_of
-from .terms import Term
+from .terms import SigningKeyTerm, Term
 
 
 class TransportFailure(Exception):
@@ -57,6 +57,7 @@ class Party:
         self.memory: dict[str, object] = {}
         self._term_counts: dict[Term, int] = {}  # names holding each term
         self._snapshot: frozenset[Term] | None = frozenset()
+        self.signing_keys = 0  # names holding a signing key
         # names changed since the last take_changes(), mapped to True when the
         # name left memory meanwhile (it now sits at the end, or is gone)
         self._changes: dict[str, bool] = {}
@@ -73,6 +74,7 @@ class Party:
             self._moved(name)
         self.memory[name] = value
         self._term_counts[term] = self._term_counts.get(term, 0) + 1
+        self.signing_keys += type(term) is SigningKeyTerm
         self._snapshot = None
 
     def forget(self, name: str) -> None:
@@ -92,6 +94,7 @@ class Party:
     def _release(self, name: str) -> None:
         term = term_of(self.memory[name])
         self._term_counts[term] -= 1
+        self.signing_keys -= type(term) is SigningKeyTerm
         if not self._term_counts[term]:
             del self._term_counts[term]
 

@@ -15,9 +15,9 @@ funding, ownership transfer and redemption, in one of three modes:
   receiver prove the cypher it was handed is genuine, and receiver-key
   routing through the current owner.
 
-Every step emits one holdings table and records per-party knowledge
-snapshots, slot contents and the transcript position, which is what the
-attacker oracle consumes.
+Every step emits one holdings table and one `StepRecord` (per-party
+knowledge, slot contents, transcript position), which the tests and the
+`audit` benchmark read; a staged attack's run (`record=False`) keeps neither.
 """
 from __future__ import annotations
 
@@ -138,10 +138,12 @@ class Simulation:
         backend: CryptoBackend | str = "symbolic",
         seed: int = 0,
         journal_path: str | None = None,
+        record: bool = True,
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"unknown mode: {mode!r}")
         self.mode = mode
+        self.record = record  # whether steps keep their table and step record
         self.backend = get_backend(backend) if isinstance(backend, str) else backend
         self.rng = random.Random(seed)
         self.ledger = Ledger(self.backend)
@@ -153,7 +155,6 @@ class Simulation:
         self.events: list[TraceEvent] = []
         self.step_records: list[StepRecord] = []
         self._memory_columns: dict[str, _MemoryColumn] = {}
-        self._leaks: set[str] = set()  # parties to check for a resting signing key
         self._challenge_counts: dict[str, int] = {}
         self._session_seq = 0
 
@@ -223,10 +224,7 @@ class Simulation:
             if moved:
                 items.pop(name, None)
             if name in memory:
-                value = memory[name]
-                items[name] = self._annotate(name, value)
-                if isinstance(value, SigningKey) and self.mode != "baseline3":
-                    self._leaks.add(party.name)
+                items[name] = self._annotate(name, memory[name])
         column.rendered = list(items.values())
         return column.rendered
 
@@ -240,25 +238,26 @@ class Simulation:
         return self._column_items(party)[len(party.procedures):]
 
     def _emit(self, label: str, handoff: tuple[DynamicProcedure, str] | None = None) -> None:
-        """Append one table and one step record; `handoff` is a scope and the slot it just filled."""
-        columns = {
-            name: self._column_items(self.parties[name], handoff) for name in self._columns_order()
-        }
-        event = TraceEvent(len(self.events) + 1, label, columns)
-        self.events.append(event)
-        knowledge = {name: p.snapshot() for name, p in self.parties.items()}
-        slot_terms = {}
-        for square in self.squares.values():
-            value = self.store._slots[square.slot_id].value
-            slot_terms[square.slot_id] = term_of(value) if value is not None else None
-        self.step_records.append(
-            StepRecord(knowledge, slot_terms, len(self.transport.transcript))
-        )
-        for party in self.parties.values():
-            if party.name in self._leaks:
-                leaked = [n for n, v in party.memory.items() if isinstance(v, SigningKey)]
+        """End one step: when recording, append its table and step record
+        (`handoff` is a scope and the slot it just filled); in every run,
+        check that no signing key rests in memory outside baseline3."""
+        if self.record:
+            columns = {
+                name: self._column_items(self.parties[name], handoff) for name in self._columns_order()
+            }
+            self.events.append(TraceEvent(len(self.events) + 1, label, columns))
+            knowledge = {name: p.snapshot() for name, p in self.parties.items()}
+            slot_terms = {}
+            for square in self.squares.values():
+                value = self.store._slots[square.slot_id].value
+                slot_terms[square.slot_id] = term_of(value) if value is not None else None
+            self.step_records.append(
+                StepRecord(knowledge, slot_terms, len(self.transport.transcript))
+            )
+        if self.mode != "baseline3":
+            for party in self.parties.values():
+                leaked = party.signing_keys and [n for n, v in party.memory.items() if isinstance(v, SigningKey)]
                 assert not leaked, f"signing key in {party.name} memory: {leaked}"
-                self._leaks.discard(party.name)
 
     def _send(
         self, msg_type: str, sender: Party, receiver: Party, payload: tuple,

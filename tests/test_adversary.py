@@ -319,6 +319,21 @@ for _scenario in SCENARIOS:
     EXPECTED_VERDICTS[(_scenario, "cryptocubic")] = False
 
 
+def staged_attack(scenario, mode, backend, **forced):
+    """Run one attack; return its verdict and the run it was staged on,
+    built with the keywords in `forced` overriding run_attack's."""
+    staged = []
+
+    def capture(*args, **kwargs):
+        staged.append(Simulation(*args, **{**kwargs, **forced}))
+        return staged[-1]
+
+    with mock.patch.object(adversary, "Simulation", capture):
+        verdict = run_attack(scenario, mode=mode, backend=backend)
+    (sim,) = staged
+    return verdict, sim
+
+
 class TestStagedScenarios:
     @pytest.mark.parametrize("scenario,mode", sorted(EXPECTED_VERDICTS))
     def test_verdict_matrix(self, scenario, mode):
@@ -353,21 +368,25 @@ class TestStagedScenarios:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_every_positive_verdict_moves_money(self, scenario, mode, backend):
-        staged = []
-
-        def capture(*args, **kwargs):
-            staged.append(Simulation(*args, **kwargs))
-            return staged[-1]
-
-        with mock.patch.object(adversary, "Simulation", capture):
-            verdict = run_attack(scenario, mode=mode, backend=backend)
-        (sim,) = staged
+        verdict, sim = staged_attack(scenario, mode, backend)
         try:
             moved = sim.ledger.balance("grab_sink")
         except UnknownAddress:
             moved = 0
         assert moved == (1000 if verdict.witness else 0)
         assert (REPLAY_NOTE in verdict.notes) is bool(verdict.witness)
+
+    @pytest.mark.parametrize("backend", ["symbolic", "concrete"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_staged_runs_keep_no_tables_and_judge_alike(self, scenario, mode, backend):
+        verdict, sim = staged_attack(scenario, mode, backend)
+        assert sim.events == [] and sim.step_records == []
+        recorded, recording_sim = staged_attack(scenario, mode, backend, record=True)
+        assert recording_sim.events and recording_sim.step_records
+        assert verdict.can_spend is recorded.can_spend
+        assert verdict.witness == recorded.witness
+        assert verdict.notes == recorded.notes
 
     def test_stagings_and_scenarios_name_the_same_attacks(self):
         prefix = "_attack_"

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cryptocubic.cli import main
+from cryptocubic.cli import build_parser, main
 from cryptocubic.store import OP_GRANT, OP_INSERT, OP_TAKE, replay_journal
 
 SCENARIOS_DIR = pathlib.Path("scenarios")
@@ -191,6 +191,21 @@ class TestWithoutCryptography:
         assert proc.stdout == ""
         assert proc.stderr == "the concrete backend needs the cryptography package\n"
 
+
+    def test_one_parser_serves_every_call(self, script, capsys):
+        # usage errors and --help leave the shared parser as it was
+        assert build_parser() is build_parser()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--help"])
+            assert exit_info.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: cryptocubic [-h]")
+            for argv in ([], [script(CORE), "--mode", "nope"], [script(CORE), "--seed", "x"]):
+                with pytest.raises(SystemExit) as exit_info:
+                    main(argv)
+                assert exit_info.value.code == 2
+                assert capsys.readouterr().err.startswith("usage: cryptocubic [-h]")
+            assert main([script(CORE), "--quiet"]) == 0
 
     def test_missing_backend_package_exits_two_with_one_line(self, script, monkeypatch, capsys):
         missing = "the concrete backend needs the cryptography package"
