@@ -19,13 +19,16 @@ tupling) never yield an atom, so the spend check needs only the closure.
 
 An attack is a spend: `can_spend` asks whether both signing-key atoms of a
 square are derivable, and when they are it returns a step-by-step witness
-that `replay_witness` turns into a real accepted ledger transaction.
+that `replay_witness` turns into a real accepted ledger transaction.  It
+saturates only the terms that hold a key (`Term.holds_key`), in input order:
+no other term helps derive a key, so the worklist meets these in the same
+order, and verdict and witness are those of the closure of all knowledge.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from operator import attrgetter
 
 from .backend import Cypher, term_of
 from .protocol import SERVER, Message, Simulation
@@ -109,17 +112,24 @@ def closure(knowledge) -> dict[Term, Derivation | None]:
     return known
 
 
-def _explain(closed: dict[Term, Derivation | None], target: Term, lines: list[str], seen: set[Term]) -> None:
-    if target in seen:
-        return
-    seen.add(target)
-    how = closed.get(target)
-    if how is None:
-        lines.append(f"have {target!r}")
-        return
-    for premise in how.premises:
-        _explain(closed, premise, lines, seen)
-    lines.append(f"{how.rule}: {target!r}")
+def _explain(closed: dict[Term, Derivation | None], targets) -> list[str]:
+    """How the targets are derived, each premise before its conclusion."""
+    lines: list[str] = []
+    seen: set[Term] = set()
+    stack = [(target, False) for target in reversed(targets)]
+    while stack:  # a post-order walk, iterative so long chains fit
+        term, derived = stack.pop()
+        how = closed.get(term)
+        if derived:
+            lines.append(f"{how.rule}: {term!r}")
+        elif term not in seen:
+            seen.add(term)
+            if how is None:
+                lines.append(f"have {term!r}")
+            else:
+                stack.append((term, True))
+                stack.extend((premise, False) for premise in reversed(how.premises))
+    return lines
 
 
 @dataclass
@@ -131,17 +141,15 @@ class SpendDecision:
 
 
 def can_spend(knowledge, bundle_id: str) -> SpendDecision:
-    closed = closure(knowledge)
+    # a list: tuple(filter(...)) grows by resizing and fills the tuple free lists
+    closed = closure(list(filter(attrgetter("holds_key"), knowledge)))
     sig_u = SigningKeyTerm(bundle_id, "user")
     sig_s = SigningKeyTerm(bundle_id, "server")
     if sig_u not in closed or sig_s not in closed:
         return SpendDecision(False)
-    lines: list[str] = []
-    seen: set[Term] = set()
-    _explain(closed, sig_u, lines, seen)
-    _explain(closed, sig_s, lines, seen)
-    lines.append("sign and submit the dual-signature transaction")
-    return SpendDecision(True, lines, sig_u, sig_s)
+    witness = _explain(closed, (sig_u, sig_s))
+    witness.append("sign and submit the dual-signature transaction")
+    return SpendDecision(True, witness, sig_u, sig_s)
 
 
 def replay_witness(sim: Simulation, decision: SpendDecision, square_id: str, dest: str, cents: int) -> int:
@@ -157,32 +165,25 @@ def replay_witness(sim: Simulation, decision: SpendDecision, square_id: str, des
 
 
 def snapshot_knowledge(sim: Simulation, *party_names: str) -> set[Term]:
-    terms: set[Term] = set()
-    for name in party_names:
-        terms |= sim.parties[name].snapshot()
-    return terms
+    return set().union(*(sim.parties[name].snapshot() for name in party_names))
 
 
 def take_all_slots(sim: Simulation) -> set[Term]:
     """One destructive take per occupied slot, as the store openly allows."""
-    terms: set[Term] = set()
-    for slot_id in sim.store.slot_ids():
-        if sim.store.ping(slot_id):
-            value, _permit = sim.store.take(slot_id)
-            terms.add(term_of(value))
-    return terms
+    store = sim.store
+    return {term_of(store.take(slot_id)[0]) for slot_id in store.slot_ids() if store.ping(slot_id)}
 
 
 def wiretap_knowledge(sim: Simulation, upto: int | None = None) -> set[Term]:
     """Terms a passive listener on the user-user links collects, optionally
     from the first `upto` messages of the transcript only.
 
-    It reads the transport's log of what crossed user-user links, so it
-    costs time in the terms heard, not in the transcript."""
-    heard = sim.transport.user_user
+    It reads a prefix of the transport's first-heard index, so it costs
+    time in the distinct terms heard, not in the transcript."""
+    heard = sim.transport.heard
     if upto is not None:
-        heard = heard[:bisect_right(heard, upto, key=itemgetter(0))]
-    return {term for _sent, terms in heard for term in terms}
+        heard = heard[:bisect_right(heard, upto, key=sim.transport.heard_at.__getitem__)]
+    return set(heard)
 
 
 # ---------------------------------------------------------------------------

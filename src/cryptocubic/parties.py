@@ -9,8 +9,8 @@ keep the count of names per knowledge term, the count of names holding a
 signing key, and the party's snapshot in step with it.
 
 Messages travel through one in-process transport that records what it
-delivers (the wiretap transcript) and, apart, the payload terms of each
-user-user message.  Receivers act on what was delivered.  An optional
+delivers and indexes the terms heard on user-user links by first hearing
+(`Transport.heard`).  Receivers act on what was delivered.  An optional
 `Transport.interposer`, where a Dolev-Yao attacker stands, sees each message
 first: it delivers it or a copy with another payload (`dataclasses.replace`),
 loses it by returning None, or drops the link by raising `TransportFailure`.
@@ -138,8 +138,7 @@ class Message:
 
     @property
     def channel(self) -> str:
-        roles = {self.sender, self.receiver}
-        return "user-user" if "SERVER_S" not in roles else "user-server"
+        return "user-server" if "SERVER_S" in (self.sender, self.receiver) else "user-user"
 
 
 @dataclass
@@ -147,9 +146,10 @@ class Transport:
     """Synchronous delivery with a full transcript."""
 
     transcript: list[Message] = field(default_factory=list)
-    # per user-user message: transcript length once it was sent, and the
-    # terms of its payload; what the wiretap hears, in sending order
-    user_user: list[tuple[int, tuple[Term, ...]]] = field(default_factory=list)
+    # each term the first time it crossed a user-user link, in hearing
+    # order, and the transcript length once it was first heard
+    heard: list[Term] = field(default_factory=list)
+    heard_at: dict[Term, int] = field(default_factory=dict)
     interposer: Callable[[Message], Message | None] | None = None
 
     def send(self, msg: Message) -> Message | None:
@@ -160,5 +160,8 @@ class Transport:
             raise TransportFailure(f"{msg.msg_type} was lost")
         self.transcript.append(delivered)
         if delivered.channel == "user-user":
-            self.user_user.append((len(self.transcript), tuple(map(term_of, delivered.payload))))
+            for term in map(term_of, delivered.payload):
+                if term not in self.heard_at:
+                    self.heard_at[term] = len(self.transcript)
+                    self.heard.append(term)
         return delivered

@@ -12,6 +12,9 @@ The table holds its terms weakly, so the terms of a finished run are freed
 with it.  Copies and pickles rebuild through the table and so return the
 interned object.  The `repr` is the dataclass one, which witness lines and
 symbolic signatures are built from.
+
+`holds_key`, set once per term, says whether it is or holds (in cyphers and
+tuples) a private, symmetric or signing key; no rule opens a digest.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ _table: WeakValueDictionary[tuple, Term] = WeakValueDictionary()
 class Term:
     """Base class for knowledge terms: calling a term class returns the live
     term with those field values, and builds one only when there is none."""
+    holds_key = False
 
     def __new__(cls, *args, **kwargs):
         names = cls.__match_args__
@@ -54,6 +58,7 @@ class Term:
 
 @dataclass(frozen=True, eq=False, init=False)
 class PrivateKeyTerm(Term):
+    holds_key = True
     pair_id: str
 
 
@@ -64,11 +69,13 @@ class PublicKeyTerm(Term):
 
 @dataclass(frozen=True, eq=False, init=False)
 class SymKeyTerm(Term):
+    holds_key = True
     key_id: str
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class SigningKeyTerm(Term):
+    holds_key = True
     # leg is "user" or "server"; bundle_id ties the two legs together
     bundle_id: str
     leg: str
@@ -102,6 +109,7 @@ class EncTerm(Term):
     def __post_init__(self) -> None:
         opener = _OPENERS.get(self.scheme)
         self.__dict__["key"] = opener and opener(self.key_id)
+        self.__dict__["holds_key"] = self.inner.holds_key
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -112,6 +120,9 @@ class DigestTerm(Term):
 @dataclass(frozen=True, eq=False, init=False)
 class TupleTerm(Term):
     items: tuple[Term, ...]
+
+    def __post_init__(self) -> None:
+        self.__dict__["holds_key"] = any(item.holds_key for item in self.items)
 
 
 _OPENERS = {ASYM: PrivateKeyTerm, SYM: SymKeyTerm}

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dropped_link
+from conftest import dropped_link, interposed
 from cryptocubic import adversary
 from cryptocubic.adversary import (
     SCENARIOS,
     Derivation,
     can_spend,
     closure,
+    counterfeit_handover,
     replay_witness,
     run_attack,
     snapshot_knowledge,
@@ -121,6 +122,41 @@ def assert_derivations_hold(closed, knowledge):
             assert key == opener(cypher.key_id), (term, how)
 
 
+SIGN_LINE = "sign and submit the dual-signature transaction"
+
+
+def recursive_explain(closed, target, lines, seen):
+    # the recursive post-order walk that the iterative `_explain` replaced, verbatim
+    if target in seen:
+        return
+    seen.add(target)
+    how = closed.get(target)
+    if how is None:
+        lines.append(f"have {target!r}")
+        return
+    for premise in how.premises:
+        recursive_explain(closed, premise, lines, seen)
+    lines.append(f"{how.rule}: {target!r}")
+
+
+def judged_on_all_knowledge(knowledge, bundle_id):
+    """`possible` and `witness` as judging the closure of the whole knowledge
+    gives them: the fixpoint decides, the worklist closure explains."""
+    legs = (SigningKeyTerm(bundle_id, "user"), SigningKeyTerm(bundle_id, "server"))
+    if not set(legs) <= reference_closure(knowledge).keys():
+        return False, []
+    closed, lines, seen = closure(knowledge), [], set()
+    for leg in legs:
+        recursive_explain(closed, leg, lines, seen)
+    assert lines == adversary._explain(closed, legs)
+    return True, lines + [SIGN_LINE]
+
+
+def judged(knowledge, bundle_id):
+    decision = can_spend(knowledge, bundle_id)
+    return decision.possible, decision.witness
+
+
 # one id pool for both schemes, so cyphers, keys and chains line up and a
 # key of one scheme meets cyphers of the other
 KEY_IDS = st.sampled_from(["k0", "k1", "k2", "k3"])
@@ -218,13 +254,15 @@ class TestWorklistClosure:
         closed, reference = closure(knowledge), reference_closure(knowledge)
         assert closed.keys() == reference.keys()
         assert_derivations_hold(closed, knowledge)
+        # can_spend sees only the terms that hold a key, and judges alike
         for bundle_id in ("ms1", "ms2"):
-            legs = {SigningKeyTerm(bundle_id, "user"), SigningKeyTerm(bundle_id, "server")}
-            assert can_spend(knowledge, bundle_id).possible is (legs <= reference.keys())
+            assert judged(knowledge, bundle_id) == judged_on_all_knowledge(knowledge, bundle_id)
 
     @pytest.mark.parametrize("mode", ["baseline3", "bare4", "cryptocubic"])
     def test_every_coalition_of_the_canonical_run_derives_like_the_fixpoint(self, mode):
         sim = canonical_sim(mode)
+        bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
+        spent = 0
         for event, rec in zip(sim.events, sim.step_records):
             sources = [*rec.knowledge.values(), slot_terms_at(rec),
                        wiretap_knowledge(sim, upto=rec.transcript_len)]
@@ -232,6 +270,10 @@ class TestWorklistClosure:
                 for members in combinations(sources, size):
                     knowledge = frozenset().union(*members)
                     assert closure(knowledge) == reference_closure(knowledge), event.step
+                    verdict = judged(knowledge, bundle_id)
+                    assert verdict == judged_on_all_knowledge(knowledge, bundle_id), event.step
+                    spent += verdict[0]
+        assert spent  # some coalitions spend, so witnesses were compared
 
 
 def sealed_key_chain(links):
@@ -270,6 +312,36 @@ class TestClosureScaling:
         assert long > 5 * short, (short, long)
 
 
+def bounce_sim(transfers, mode="cryptocubic", **kwargs):
+    """One square handed from A to B and back, `transfers` times."""
+    sim = Simulation(mode=mode, **kwargs)
+    sim.setup("a")
+    sim.fund("a", 1000)
+    for i in range(transfers):
+        sim.transfer(*("ab" if i % 2 == 0 else "ba"))
+    return sim
+
+
+class TestKeyBearingRestriction:
+    def test_closure_receives_only_terms_that_hold_a_key(self):
+        sim = bounce_sim(60, record=False)
+        knowledge = sim.server.snapshot()
+        inputs = []
+
+        def spy(terms):
+            inputs.append(terms)
+            return closure(terms)
+
+        with mock.patch.object(adversary, "closure", spy):
+            decision = can_spend(knowledge, next(iter(sim.squares.values())).bundle.bundle_id)
+        assert not decision.possible
+        (given,) = inputs
+        assert type(given) is list  # a collection a caller may read again
+        assert given and all(term.holds_key for term in given)
+        assert given == [term for term in knowledge if term.holds_key]  # input order kept
+        assert len(given) < len(knowledge)
+
+
 class TestCanSpend:
     def test_both_legs_spend(self):
         ea = EncTerm(ASYM, "pa", SIG_U)
@@ -303,6 +375,28 @@ class TestCanSpend:
         assert pos("have") < pos("sym-decrypt")
         assert pos("sym-decrypt") < pos("asym-decrypt")
         assert pos("asym-decrypt") < pos("sign and submit")
+
+    def test_a_5000_link_chain_spends_with_premises_before_conclusions(self):
+        links = 5000
+        knowledge = sealed_key_chain(links) + [EncTerm(SYM, f"k{links}", SIG_U), SIG_S]
+        decision = can_spend(knowledge, "ms1")
+        assert decision.possible
+        *steps, last = decision.witness
+        assert last == SIGN_LINE
+        # each term once: the chain's cyphers, k0 and the keys they yield,
+        # the cypher of the user leg, and the two legs
+        assert len(steps) == 2 * links + 4
+        line_of = {line.partition(" ")[2]: i for i, line in enumerate(steps)}
+        assert len(line_of) == len(steps)
+        derived = 0
+        for term, how in closure(knowledge).items():
+            if how is not None and repr(term) in line_of:
+                derived += 1
+                for premise in how.premises:
+                    assert line_of[repr(premise)] < line_of[repr(term)], term
+        assert derived == links + 1  # every key of the chain, then the user leg
+        assert steps[0] == f"have {EncTerm(SYM, f'k{links}', SIG_U)!r}"
+        assert steps[-1] == f"have {SIG_S!r}"
 
 
 REPLAY_NOTE = "witness replayed: 1000 cents moved on the staged chain"
@@ -522,3 +616,43 @@ class TestWiretapIndex:
         heard = wiretap_knowledge(sim)
         assert heard == scanned_user_user_terms(sim)
         assert any(isinstance(term, AddressTerm) for term in heard)
+
+    @pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])
+    def test_a_term_heard_again_keeps_its_first_position(self, mode):
+        sim = bounce_sim(6, mode=mode)
+        first: dict = {}
+        again = set()
+        for length, msg in enumerate(sim.transport.transcript, 1):
+            if msg.channel == "user-user":
+                for term in map(term_of, msg.payload):
+                    if term in first:
+                        again.add(term)
+                    first.setdefault(term, length)
+        assert sim.transport.heard == list(first)
+        assert sim.transport.heard_at == first
+        # the square's address and its server-leg handover cross every transfer
+        assert {type(term) for term in again} == {AddressTerm, EncTerm}
+        for event, rec in zip(sim.events, sim.step_records):
+            heard = wiretap_knowledge(sim, upto=rec.transcript_len)
+            assert heard == scanned_user_user_terms(sim, rec.transcript_len), event.step
+
+    @pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])
+    def test_a_counterfeit_is_heard_and_the_original_is_not(self, mode):
+        sim = Simulation(mode=mode)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        swap, swapped = counterfeit_handover(sim), []
+
+        def spy(msg):
+            delivered = swap(msg)
+            if delivered is not msg:
+                swapped.append((term_of(msg.payload[0]), term_of(delivered.payload[0])))
+            return delivered
+
+        with interposed(sim, spy):
+            sim.transfer("a", "b")
+        heard = wiretap_knowledge(sim)
+        assert heard == scanned_user_user_terms(sim)
+        assert swapped
+        for original, fake in swapped:
+            assert fake in heard and original not in heard

@@ -137,3 +137,32 @@ def test_a_cypher_carries_the_key_that_opens_it(backend, rng, scheme):
 
 def test_an_unknown_scheme_has_no_key():
     assert EncTerm("rot13", "k1", SIG_U).key is None
+
+
+# whether a term is, or holds in cyphers and tuples, a key the closure can derive
+HOLDS_KEY = [
+    (PrivateKeyTerm("p1"), True),
+    (SymKeyTerm("s1"), True),
+    (SIG_U, True),
+    (PublicKeyTerm("p1"), False),
+    (AddressTerm("b1"), False),
+    (TokenTerm("t1"), False),
+    (BlobTerm("ab"), False),
+    (EncTerm(ASYM, "p1", SIG_U), True),
+    (EncTerm(SYM, "s1", TokenTerm("t1")), False),
+    (EncTerm(SYM, "s1", EncTerm(ASYM, "p1", SymKeyTerm("s2"))), True),
+    (EncTerm(SYM, "s1", EncTerm(ASYM, "p1", PublicKeyTerm("p2"))), False),
+    (TupleTerm((TokenTerm("t1"), TokenTerm("t2"))), False),
+    (TupleTerm((TokenTerm("t1"), EncTerm(SYM, "s1", PrivateKeyTerm("p2")))), True),
+    (TupleTerm((TupleTerm((SIG_U,)),)), True),
+    # the closure never opens a digest, so a digest of a key yields none
+    (DigestTerm(SymKeyTerm("s1")), False),
+    (EncTerm(SYM, "s1", DigestTerm(SIG_U)), False),
+    (TupleTerm((DigestTerm(PrivateKeyTerm("p1")),)), False),
+]
+
+
+@pytest.mark.parametrize("term, holds", HOLDS_KEY)
+def test_holds_key_marks_keys_and_what_holds_them(term, holds):
+    assert term.holds_key is holds
+    assert "holds_key" not in fields_of(term) and "holds_key" not in repr(term)
