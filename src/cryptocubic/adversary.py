@@ -23,6 +23,8 @@ that `replay_witness` turns into a real accepted ledger transaction.  It
 saturates only the terms that hold a key (`Term.holds_key`), in input order:
 no other term helps derive a key, so the worklist meets these in the same
 order, and verdict and witness are those of the closure of all knowledge.
+It first refuses, without the closure, a coalition (a collection: it is read
+twice) with no term that is or holds a leg (`SigningKeyTerm.holders`).
 """
 from __future__ import annotations
 
@@ -141,10 +143,12 @@ class SpendDecision:
 
 
 def can_spend(knowledge, bundle_id: str) -> SpendDecision:
-    # a list: tuple(filter(...)) grows by resizing and fills the tuple free lists
-    closed = closure(list(filter(attrgetter("holds_key"), knowledge)))
     sig_u = SigningKeyTerm(bundle_id, "user")
     sig_s = SigningKeyTerm(bundle_id, "server")
+    if sig_u.holders.isdisjoint(knowledge) or sig_s.holders.isdisjoint(knowledge):
+        return SpendDecision(False)  # only subterms of the knowledge are derived
+    # a list: tuple(filter(...)) grows by resizing and fills the tuple free lists
+    closed = closure(list(filter(attrgetter("holds_key"), knowledge)))
     if sig_u not in closed or sig_s not in closed:
         return SpendDecision(False)
     witness = _explain(closed, (sig_u, sig_s))

@@ -8,13 +8,16 @@ cryptography.
 Terms are hash-consed: every class is built through one intern table keyed
 by class and field values, so there is one live object per distinct term
 and equality and hashing are object identity (C-level, never recursive).
-The table holds its terms weakly, so the terms of a finished run are freed
-with it.  Copies and pickles rebuild through the table and so return the
-interned object.  The `repr` is the dataclass one, which witness lines and
-symbolic signatures are built from.
+The table holds its terms weakly, and their term fields by id, so the terms
+of a finished run are freed with it (a signing key and its holders, which
+refer to each other, by the cyclic collector).  Copies and pickles rebuild
+through the table and so return the interned object.  The `repr` is the
+dataclass one, which witness lines and symbolic signatures are built from.
 
 `holds_key`, set once per term, says whether it is or holds (in cyphers and
-tuples) a private, symmetric or signing key; no rule opens a digest.
+tuples) a private, symmetric or signing key; no rule opens a digest.  By the
+same rule, `signing_keys` lists the signing keys it is or holds, and each
+`SigningKeyTerm` keeps the inverse, `holders`.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from weakref import WeakValueDictionary
 ASYM = "asym"
 SYM = "sym"
 
-# (class, *field values) -> the one live term with them
+# (class, *field values, a term as its id) -> the one live term with them
 _table: WeakValueDictionary[tuple, Term] = WeakValueDictionary()
 
 
@@ -33,6 +36,7 @@ class Term:
     """Base class for knowledge terms: calling a term class returns the live
     term with those field values, and builds one only when there is none."""
     holds_key = False
+    signing_keys: tuple[SigningKeyTerm, ...] = ()
 
     def __new__(cls, *args, **kwargs):
         names = cls.__match_args__
@@ -40,12 +44,14 @@ class Term:
             args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
         if kwargs or len(args) != len(names):
             raise TypeError(f"{cls.__name__} takes exactly the fields {', '.join(names)}")
-        key = (cls, *args)
+        key = (cls, *map(_by_id, args)) if cls in _HAS_TERM_FIELDS else (cls, *args)
         term = _table.get(key)
         if term is None:
             term = object.__new__(cls)
             term.__dict__.update(zip(names, args))
             term.__post_init__()
+            for signing_key in term.signing_keys:
+                signing_key.holders.add(term)
             _table[key] = term
         return term
 
@@ -80,6 +86,9 @@ class SigningKeyTerm(Term):
     bundle_id: str
     leg: str
 
+    def __post_init__(self) -> None:
+        self.__dict__.update(holders=set(), signing_keys=(self,))
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class AddressTerm(Term):
@@ -109,7 +118,7 @@ class EncTerm(Term):
     def __post_init__(self) -> None:
         opener = _OPENERS.get(self.scheme)
         self.__dict__["key"] = opener and opener(self.key_id)
-        self.__dict__["holds_key"] = self.inner.holds_key
+        self.__dict__.update(holds_key=self.inner.holds_key, signing_keys=self.inner.signing_keys)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -123,9 +132,17 @@ class TupleTerm(Term):
 
     def __post_init__(self) -> None:
         self.__dict__["holds_key"] = any(item.holds_key for item in self.items)
+        self.__dict__["signing_keys"] = tuple({k: None for item in self.items for k in item.signing_keys})
 
 
 _OPENERS = {ASYM: PrivateKeyTerm, SYM: SymKeyTerm}
+_HAS_TERM_FIELDS = frozenset({EncTerm, DigestTerm, TupleTerm})
+
+
+def _by_id(value):  # held by the table, a signing key would outlive its holders
+    if type(value) is tuple:
+        return tuple(map(id, value))
+    return id(value) if isinstance(value, Term) else value
 
 
 def blob_term(data: bytes) -> BlobTerm:

@@ -1,5 +1,6 @@
 """Interned terms: one object per distinct term, equality is identity."""
 import copy
+import dataclasses
 import gc
 import pickle
 import weakref
@@ -24,6 +25,7 @@ from cryptocubic.terms import (
 )
 
 SIG_U = SigningKeyTerm("b1", "user")
+SIG_S = SigningKeyTerm("b1", "server")
 
 # every term kind, built positionally, with its dataclass-format repr
 KINDS = [
@@ -165,4 +167,58 @@ HOLDS_KEY = [
 @pytest.mark.parametrize("term, holds", HOLDS_KEY)
 def test_holds_key_marks_keys_and_what_holds_them(term, holds):
     assert term.holds_key is holds
-    assert "holds_key" not in fields_of(term) and "holds_key" not in repr(term)
+    # derived attributes: repr builds witness lines and symbolic signatures
+    names = {f.name for f in dataclasses.fields(term)} | set(fields_of(term))
+    for derived in ("holds_key", "signing_keys", "holders"):
+        assert derived not in names and derived not in repr(term)
+
+
+# which legs list each term among their holders: by the rule of `holds_key`,
+# the terms that are the leg or hold it in cyphers and tuples, at any depth
+HOLDERS = [
+    (SIG_U, {SIG_U}),
+    (SIG_S, {SIG_S}),
+    (PrivateKeyTerm("p1"), set()),
+    (SymKeyTerm("s1"), set()),
+    (TokenTerm("t1"), set()),
+    (AddressTerm("b1"), set()),
+    (EncTerm(ASYM, "p1", SIG_U), {SIG_U}),
+    (EncTerm(SYM, "s1", EncTerm(ASYM, "p1", SIG_S)), {SIG_S}),
+    (EncTerm(SYM, "s1", PrivateKeyTerm("p2")), set()),
+    (TupleTerm((SIG_U, TokenTerm("t1"))), {SIG_U}),
+    (TupleTerm((SIG_U, EncTerm(SYM, "s1", SIG_U))), {SIG_U}),
+    (TupleTerm((TupleTerm((SIG_S,)), EncTerm(ASYM, "p1", SIG_U))), {SIG_U, SIG_S}),
+    # digests, and cyphers that seal a digest, hold no leg
+    (DigestTerm(SIG_U), set()),
+    (EncTerm(SYM, "s1", DigestTerm(SIG_U)), set()),
+    (TupleTerm((DigestTerm(SIG_S), TokenTerm("t1"))), set()),
+]
+
+
+@pytest.mark.parametrize("term, legs", HOLDERS)
+def test_holders_lists_the_terms_that_are_or_hold_a_leg(term, legs):
+    assert {leg for leg in (SIG_U, SIG_S) if term in leg.holders} == legs
+    assert set(term.signing_keys) == legs
+    assert len(term.signing_keys) == len(legs)
+
+
+def test_holders_holds_only_terms_that_are_or_hold_the_leg():
+    for leg in (SIG_U, SIG_S):
+        assert leg in leg.holders
+        assert all(term.holds_key and leg in term.signing_keys for term in leg.holders)
+
+
+def test_a_signing_key_and_its_holders_are_freed_by_the_collector():
+    # the key, the digest, the tuple, the cypher and the key that opens it;
+    # the table keys each by its term fields' ids, so it keeps none alive
+    gc.collect()
+    before = len(terms._table)
+    key = SigningKeyTerm("held by this test only", "user")
+    cypher = EncTerm(ASYM, "p9", TupleTerm((key, DigestTerm(key))))
+    assert key.holders == {key, cypher, cypher.inner}
+    assert len(terms._table) == before + 5
+    refs = [weakref.ref(key), weakref.ref(cypher)]
+    del key, cypher
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert len(terms._table) == before
