@@ -25,12 +25,17 @@ no other term helps derive a key, so the worklist meets these in the same
 order, and verdict and witness are those of the closure of all knowledge.
 It first refuses, without the closure, a coalition (a collection: it is read
 twice) with no term that is or holds a leg (`SigningKeyTerm.holders`).
+A verdict costs what its caller reads: a bundle's legs are kept by weak
+reference, so judging it again interns nothing, and a positive `SpendDecision`
+keeps its closure and builds the witness from it when `witness` is first read.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import attrgetter
+from weakref import ref
 
 from .backend import Cypher, term_of
 from .protocol import SERVER, Message, Simulation
@@ -137,23 +142,37 @@ def _explain(closed: dict[Term, Derivation | None], targets) -> list[str]:
 @dataclass
 class SpendDecision:
     possible: bool
-    witness: list[str] = field(default_factory=list)
     sig_user_term: SigningKeyTerm | None = None
     sig_server_term: SigningKeyTerm | None = None
+    # the closure a positive verdict was decided on, which its witness explains
+    closed: dict[Term, Derivation | None] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> list[str]:
+        """How the coalition derives both legs, built the first time it is read."""
+        if not self.possible:
+            return []
+        legs = (self.sig_user_term, self.sig_server_term)
+        return [*_explain(self.closed, legs), "sign and submit the dual-signature transaction"]
+
+
+# bundle id -> weak references to its two legs; a live one is the interned term
+_legs: dict[str, tuple[ref, ref]] = {}
 
 
 def can_spend(knowledge, bundle_id: str) -> SpendDecision:
-    sig_u = SigningKeyTerm(bundle_id, "user")
-    sig_s = SigningKeyTerm(bundle_id, "server")
+    legs = _legs.get(bundle_id)
+    sig_u, sig_s = (legs[0](), legs[1]()) if legs else (None, None)
+    if sig_u is None or sig_s is None:
+        sig_u, sig_s = SigningKeyTerm(bundle_id, "user"), SigningKeyTerm(bundle_id, "server")
+        _legs[bundle_id] = ref(sig_u), ref(sig_s)
     if sig_u.holders.isdisjoint(knowledge) or sig_s.holders.isdisjoint(knowledge):
         return SpendDecision(False)  # only subterms of the knowledge are derived
     # a list: tuple(filter(...)) grows by resizing and fills the tuple free lists
     closed = closure(list(filter(attrgetter("holds_key"), knowledge)))
     if sig_u not in closed or sig_s not in closed:
         return SpendDecision(False)
-    witness = _explain(closed, (sig_u, sig_s))
-    witness.append("sign and submit the dual-signature transaction")
-    return SpendDecision(True, witness, sig_u, sig_s)
+    return SpendDecision(True, sig_u, sig_s, closed)
 
 
 def replay_witness(sim: Simulation, decision: SpendDecision, square_id: str, dest: str, cents: int) -> int:

@@ -53,7 +53,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        result = run_scenario(script, quiet=args.quiet, journal_path=args.journal)
+        # a quiet run without --trace reads no table, so it records none
+        result = run_scenario(script, quiet=args.quiet, journal_path=args.journal,
+                              record=not args.quiet or bool(args.trace))
     except OSError as exc:
         print(f"cannot write {args.journal}: {exc.strerror}", file=sys.stderr)
         return 2

@@ -95,9 +95,9 @@ class CryptoSquareRecord:
 class TransferSession:
     """One transfer or redemption in flight: its square, its two parties (one
     and the same for a redemption), the value and permit it took from the
-    store, and the scope it opened.  A transfer's phase runs initiated,
-    ea_withdrawn, hash_verified (only in cryptocubic), completed; a baseline3
-    handover completes at once, and any live phase may end in aborted."""
+    store until it ends, and the scope it opened.  A transfer's phase runs
+    initiated, ea_withdrawn, hash_verified (only in cryptocubic), completed;
+    a baseline3 handover completes at once, and any live phase may end in aborted."""
 
     session_id: int
     square: CryptoSquareRecord
@@ -286,7 +286,7 @@ class Simulation:
             self.store.reinsert(permit, value)
         if session.scope is not None:
             session.scope.terminate()
-        session.phase, session.abort_reason = "aborted", reason
+        session.phase, session.abort_reason, session.taken = "aborted", reason, None
         self._emit(label)
 
     def _in_phase(self, session: TransferSession, phase: str | None) -> bool:
@@ -657,7 +657,8 @@ class Simulation:
         proc.terminate()
         square.owner_party = b.name
         square.owner_pub = kb_pub
-        session.phase = "completed"
+        self.store.retire(session.taken[1])  # the old owner cypher is spent
+        session.phase, session.taken = "completed", None
         self._send("transfer_notice", s, a, (b"done",), session)
         # the new owner keeps the address the server names, not the one handed over
         msg = self._send("transfer_notice", s, b, (square.bundle.address,), session)
@@ -717,7 +718,9 @@ class Simulation:
         if self.ledger.balance(square.address_value):
             # a partial redemption leaves the rest redeemable
             self.store.reinsert(permit, taken)
-        session.phase = "completed"
+        else:
+            self.store.retire(permit)
+        session.phase, session.taken = "completed", None
         self._emit(f"user {letter} signs the transfer and the chain accepts it")
         return tx_id
 

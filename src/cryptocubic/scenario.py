@@ -207,11 +207,11 @@ def _base_names(items) -> frozenset[str]:
 
 
 def run_scenario(
-    script: ScenarioScript, quiet: bool = False, journal_path: str | None = None
+    script: ScenarioScript, quiet: bool = False, journal_path: str | None = None, record: bool = True
 ) -> RunResult:
-    sim = Simulation(
-        mode=script.mode, backend=script.backend, seed=script.seed, journal_path=journal_path
-    )
+    """Run a script; with `record=False` the run keeps no tables, for a quiet run nobody reads."""
+    sim = Simulation(mode=script.mode, backend=script.backend, seed=script.seed,
+                     journal_path=journal_path, record=record)
     result = RunResult(ok=True, sim=sim)
     chunks: list[str] = []
     rendered = 0

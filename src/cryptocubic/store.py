@@ -176,6 +176,11 @@ class DestructiveStore:
             slot.digest = digest
             self._journal(OP_REINSERT, permit.slot_id, digest)
 
+    def retire(self, permit: ReinsertPermit) -> None:
+        """Spend a permit whose value has moved on; like a ping, it is not journalled."""
+        with self._lock:
+            permit.used = True
+
     # -- inspection ------------------------------------------------------
 
     def slot_ids(self) -> list[str]:

@@ -1,9 +1,15 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
+import cryptocubic
 from cryptocubic.backend import get_backend
 from cryptocubic.parties import AWAITED, TransportFailure
 
@@ -16,6 +22,16 @@ def backend(request):
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+def in_a_fresh_interpreter(code):
+    """Run `code` in a new Python process, where no term that another test
+    left alive can count, and fail with its error output if it fails."""
+    src = str(pathlib.Path(cryptocubic.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dropped_link, interposed
+from conftest import dropped_link, in_a_fresh_interpreter, interposed
 from cryptocubic import adversary
 from cryptocubic.adversary import (
     SCENARIOS,
@@ -277,9 +277,11 @@ class TestWorklistClosure:
 def every_coalition_judged_like_the_fixpoint(sim):
     """Judge every coalition of parties, slots and wiretap at every step of a
     recorded run against the fixpoint; count the spends, the coalitions
-    refused without the closure, and those saturated."""
+    refused without the closure, and those saturated.  Each witness is read
+    only once the whole run is judged, and must equal the one the fixpoint
+    explained at once."""
     bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
-    spent, calls, judgments = 0, [], 0
+    calls, decisions, expected = [], [], []
 
     def counted(terms):
         calls.append(terms)
@@ -293,11 +295,12 @@ def every_coalition_judged_like_the_fixpoint(sim):
                 knowledge = frozenset().union(*members)
                 assert closure(knowledge) == reference_closure(knowledge), event.step
                 with mock.patch.object(adversary, "closure", counted):
-                    verdict = judged(knowledge, bundle_id)
-                assert verdict == judged_on_all_knowledge(knowledge, bundle_id), event.step
-                spent += verdict[0]
-                judgments += 1
-    return spent, judgments - len(calls), len(calls)
+                    decisions.append(can_spend(knowledge, bundle_id))
+                expected.append(judged_on_all_knowledge(knowledge, bundle_id))
+                assert decisions[-1].possible == expected[-1][0], event.step
+    assert [(d.possible, d.witness) for d in decisions] == expected
+    spent = sum(d.possible for d in decisions)
+    return spent, len(decisions) - len(calls), len(calls)
 
 
 def sealed_key_chain(links):
@@ -410,13 +413,72 @@ class TestLegRefusal:
                     coalitions[f"{party}+slots"] = rec.knowledge[party] | slots
             coalitions["server+USER_A+slots"] = server | rec.knowledge["USER_A"] | slots
             coalitions["wiretap"] = wiretap_knowledge(sim, upto=rec.transcript_len)
-            for name, knowledge in coalitions.items():
-                judged[name] += 1
-                positive[name] += can_spend(knowledge, bundle_id).possible
+            with mock.patch.object(adversary, "_explain") as explain:  # audit reads no witness
+                for name, knowledge in coalitions.items():
+                    judged[name] += 1
+                    positive[name] += can_spend(knowledge, bundle_id).possible
+            explain.assert_not_called()
         assert len(sim.step_records) == 1277
         assert set(judged) == {"server", "server+slots", "USER_A+slots", "USER_B+slots",
                                "server+USER_A+slots", "wiretap"}
         assert +positive == {"server+USER_A+slots": 217}
+
+
+class TestVerdictCost:
+    def test_judging_one_bundle_again_builds_no_leg(self):
+        legs = SigningKeyTerm("memo1", "user"), SigningKeyTerm("memo1", "server")
+        knowledge = {EncTerm(SYM, "k1", TupleTerm(legs)), SymKeyTerm("k1")}
+        with mock.patch.object(adversary, "SigningKeyTerm", wraps=SigningKeyTerm) as built:
+            decisions = [can_spend(knowledge, "memo1") for _ in range(100)]
+            assert not can_spend(knowledge, "memo2").possible  # each bundle its own legs
+        assert built.call_args_list == [mock.call(bundle_id, leg) for bundle_id in ("memo1", "memo2")
+                                        for leg in ("user", "server")]
+        assert all(d.possible and (d.sig_user_term, d.sig_server_term) == legs for d in decisions)
+
+    def test_a_reused_bundle_id_is_judged_as_a_fresh_one(self):
+        # in a fresh interpreter, where nothing else keeps `ms1`'s legs alive
+        in_a_fresh_interpreter("""
+            import gc
+            from cryptocubic import adversary
+            from cryptocubic.protocol import Simulation
+            from cryptocubic.terms import SigningKeyTerm
+
+            def judged_run():
+                sim = Simulation(mode="cryptocubic", seed=5)
+                sim.setup("a")
+                sim.fund("a", 1000)
+                sim.transfer("a", "b")
+                verdicts = []
+                for record in sim.step_records:
+                    slots = set(filter(None, record.slot_terms.values()))
+                    everyone = set().union(*record.knowledge.values())
+                    for party in (*record.knowledge.values(), everyone):
+                        decision = adversary.can_spend(party | slots, "ms1")
+                        if decision.possible:
+                            assert decision.sig_user_term is SigningKeyTerm("ms1", "user")
+                        verdicts.append((decision.possible, decision.witness))
+                return verdicts
+
+            first = judged_run()
+            gc.collect()
+            assert [leg() for leg in adversary._legs["ms1"]] == [None, None]
+            again = judged_run()
+            adversary._legs.clear()
+            assert again == judged_run() == first
+            assert any(possible for possible, _ in first)
+        """)
+
+    def test_an_unread_witness_is_never_built(self):
+        knowledge = {EncTerm(ASYM, "pa", SIG_U), PrivateKeyTerm("pa"), SIG_S}
+        with mock.patch.object(adversary, "_explain", wraps=adversary._explain) as explain:
+            decision, refused = can_spend(knowledge, "ms1"), can_spend({SIG_U}, "ms1")
+            assert decision == adversary.SpendDecision(True, SIG_U, SIG_S)
+            assert "closed" not in repr(decision) and refused.witness == []
+            explain.assert_not_called()
+            witness = decision.witness
+            assert decision.witness is witness
+            explain.assert_called_once_with(decision.closed, (SIG_U, SIG_S))
+        assert witness == judged_on_all_knowledge(knowledge, "ms1")[1]
 
 
 class TestCanSpend:

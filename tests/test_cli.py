@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from cryptocubic import cli
 from cryptocubic.cli import build_parser, main
+from cryptocubic.scenario import run_scenario
 from cryptocubic.store import OP_GRANT, OP_INSERT, OP_TAKE, replay_journal
 
 SCENARIOS_DIR = pathlib.Path("scenarios")
@@ -139,6 +141,32 @@ class TestOutputs:
         symbolic = capsys.readouterr().out
         assert main([path, "--backend", "concrete"]) == 0
         assert capsys.readouterr().out == symbolic
+
+
+class TestQuietRunsRecordNothing:
+    @pytest.mark.parametrize("backend", ["symbolic", "concrete"])
+    @pytest.mark.parametrize("mode", ["baseline3", "bare4", "cryptocubic"])
+    @pytest.mark.parametrize("name", ["baseline3", "bare4", "cryptocubic"])
+    def test_a_quiet_run_writes_the_same_bytes_unrecorded(self, name, mode, backend, tmp_path,
+                                                          monkeypatch, capsys):
+        # --trace makes a quiet run record its tables; without it none is kept
+        sims, outputs = {}, {}
+
+        def run(script, **kwargs):
+            result = run_scenario(script, **kwargs)
+            sims[kwargs["record"]] = result.sim
+            return result
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        for traced in (True, False):
+            ledger, journal = tmp_path / f"{traced}.ledger", tmp_path / f"{traced}.journal"
+            argv = [str(SCENARIOS_DIR / f"{name}.scen"), "--mode", mode, "--backend", backend,
+                    "--quiet", "--ledger", str(ledger), "--journal", str(journal)]
+            code = main(argv + (["--trace", str(tmp_path / "trace.txt")] if traced else []))
+            outputs[traced] = code, capsys.readouterr(), ledger.read_bytes(), journal.read_bytes()
+        assert outputs[False] == outputs[True]
+        assert sims[True].events and sims[True].step_records
+        assert sims[False].events == sims[False].step_records == []
 
 
 class TestGoldenTranscripts:

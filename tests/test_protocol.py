@@ -27,7 +27,14 @@ from cryptocubic.protocol import (
     TransferSession,
     UnknownSquare,
 )
-from cryptocubic.store import OP_REINSERT, OP_TAKE, SlotEmpty, StoreError, replay_journal
+from cryptocubic.store import (
+    OP_REINSERT,
+    OP_TAKE,
+    PermitUsed,
+    SlotEmpty,
+    StoreError,
+    replay_journal,
+)
 from cryptocubic.terms import SigningKeyTerm
 
 MODES = ["baseline3", "bare4", "cryptocubic"]
@@ -269,6 +276,25 @@ class TestFaultInjection:
         assert sim.store.ping(square.slot_id)
         sim.redeem("a", "ext", 1000)
         assert sim.ledger.balance("ext") == 1000
+
+    @pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])
+    def test_a_foreign_cypher_in_the_slot_aborts_the_completion(self, mode, backend):
+        # the slot holds another square's user leg, sealed to this square's owner
+        sim = Simulation(mode=mode, backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        sim.setup("c")
+        sq1, sq2 = sim.squares["sq1"], sim.squares["sq2"]
+        sim.store.take(sq1.slot_id)
+        foreign = sim.backend.asym_encrypt(sq1.owner_pub, sq2.bundle.sig_user, sim.rng)
+        sim.store.insert(sq1.cap, sq1.slot_id, foreign)
+        session = sim.transfer("a", "b")
+        assert session.phase == "aborted"
+        assert session.abort_reason == "foreign cypher"
+        assert sim.events[-1].label == (
+            "the decrypted key is not this square's; the cypher returns to the store")
+        assert sim.store.ping(sq1.slot_id)
+        assert sq1.owner_party == "USER_A"
 
     def test_counterfeit_handover_sails_through_without_hash_check(self):
         # the unauthenticated variant accepts the fake; this is the gap the
@@ -716,6 +742,61 @@ class TestRedemption:
         assert sim.server.recall("Token_B'2") is stale
         assert sim.transport.interposer is None
         assert sim.events[-1].label == "a stale token comes back and the challenge is refused"
+
+
+class TestFinishedSessions:
+    @pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])
+    def test_a_completed_transfer_retires_its_permit(self, mode, backend):
+        # a caller that kept the withdrawal's permit cannot refill the slot
+        # once the new owner has drained it
+        sim = Simulation(mode=mode, backend=backend, seed=1)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        session = sim.begin_transfer("a", "b")
+        sim.withdraw_for_transfer(session)
+        if mode == "cryptocubic":
+            sim.authenticate_parties(session)
+        value, permit = session.taken
+        sim.complete_transfer(session)
+        assert session.phase == "completed" and session.taken is None
+        sim.redeem("b", "ext", 1000)
+        with pytest.raises(PermitUsed):
+            sim.store.reinsert(permit, value)
+        assert not sim.store.ping(session.square.slot_id)
+        with pytest.raises(SquareDrained):
+            sim.fund("b", 700)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_full_redemption_retires_its_permit(self, mode, journal):
+        sim = canonical_run(mode, redeem=False, journal=journal)
+        taken, take = [], sim.store.take
+        sim.store.take = lambda slot_id: taken.append(take(slot_id)) or taken[-1]
+        sim.redeem("b", "ext", 1000)
+        ((value, permit),) = taken
+        records = replay_journal(journal)
+        with pytest.raises(PermitUsed):
+            sim.store.reinsert(permit, value)
+        assert replay_journal(journal) == records  # retiring a permit writes no record
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_ended_session_holds_nothing(self, mode):
+        # completed, aborted, and partial and full redemptions alike
+        sim = Simulation(mode=mode)
+        sessions = recorded_sessions(sim)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        returned = [sim.transfer("a", "b"), sim.transfer("b", "a")] if mode != "baseline3" else []
+        if mode != "baseline3":
+            with wrong_private_key(sim):
+                returned.append(sim.transfer("a", "b"))
+            assert returned[-1].phase == "aborted"
+        returned.append(sim.transfer("a", "c"))
+        sim.redeem("c", "ext", 400)
+        sim.redeem("c", "ext", 600)
+        assert sim.ledger.balance("ext") == 1000
+        assert len(sessions) == len(returned) + 2
+        assert [s.taken for s in sessions] == [None] * len(sessions)
+        assert {s.phase for s in sessions} <= {"completed", "aborted"}
 
 
 class TestScopeHygiene:

@@ -130,6 +130,21 @@ def test_reinsert_twice_one_permit(store):
         store.reinsert(permit, value)
 
 
+def test_a_retired_permit_puts_nothing_back(tmp_path):
+    path = str(tmp_path / "journal.bin")
+    store = DestructiveStore(digest, journal_path=path)
+    cap = store.grant_source(["s1"])
+    store.insert(cap, "s1", b"v")
+    value, permit = store.take("s1")
+    before = replay_journal(path)
+    store.retire(permit)
+    # retiring writes no journal record
+    assert replay_journal(path) == before
+    with pytest.raises(PermitUsed):
+        store.reinsert(permit, value)
+    assert not store.ping("s1")
+
+
 def test_reinsert_mutated_value_rejected(store):
     cap = store.grant_source(["s1"])
     store.insert(cap, "s1", b"genuine value")

@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from conftest import in_a_fresh_interpreter
 from cryptocubic import terms
 from cryptocubic.protocol import Simulation
 from cryptocubic.terms import (
@@ -116,13 +117,35 @@ def test_the_table_holds_its_terms_weakly():
 
 
 def test_a_finished_run_frees_its_terms():
-    gc.collect()
-    before = len(terms._table)
-    sim = run(11)
-    assert len(terms._table) > before
-    del sim
-    gc.collect()
-    assert len(terms._table) == before
+    # in a fresh interpreter, as ids are counters: every run names its first
+    # square `ms1`, so terms another test left alive would be counted alike.
+    # The run is judged first, so neither the judge's memo of legs nor the
+    # closure a positive decision keeps may hold a term once both are dropped
+    in_a_fresh_interpreter("""
+        import gc
+        from cryptocubic import adversary, terms
+        from cryptocubic.protocol import SERVER, Simulation
+
+        gc.collect()
+        before = len(terms._table)
+        sim = Simulation(mode="cryptocubic", seed=11)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        sim.transfer("a", "b")
+        bundle_id = sim.squares["sq1"].bundle.bundle_id
+        record = sim.step_records[-1]
+        server = record.knowledge[SERVER]
+        with_owner = server | record.knowledge["USER_B"] | set(record.slot_terms.values())
+        refused = adversary.can_spend(server, bundle_id)
+        read, unread = (adversary.can_spend(with_owner, bundle_id) for _ in range(2))
+        assert not refused.possible and read.possible and unread.possible
+        assert read.witness and "witness" not in vars(unread)
+        assert len(terms._table) > before
+        del sim, record, server, with_owner, refused, read, unread
+        gc.collect()
+        assert len(terms._table) == before, (len(terms._table), before)
+        assert [leg() for leg in adversary._legs[bundle_id]] == [None, None]
+    """)
 
 
 @pytest.mark.parametrize("scheme", [ASYM, SYM])
