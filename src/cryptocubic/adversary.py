@@ -4,18 +4,16 @@ Knowledge is a set of structured terms.  `closure` saturates a knowledge
 set under the decomposition rules an attacker can apply mechanically:
 
 1. open an asymmetric cypher with the matching private key,
-2. open a symmetric cypher with its key,
-3. split tuples into their parts.
+2. open a symmetric cypher with its key.
 
-It runs as a worklist (semi-naive evaluation) over the compound terms
-only: atoms are never visited, as terms are interned (`terms`) and a
-cypher knows the key term that opens it, so "is its key known" is one
-identity lookup.  A cypher whose key is not known waits in one plain list,
-which is indexed by key only once a first key is derived; most inputs
-derive nothing, and the index keeps a long chain of sealed keys linear.
+It runs as a worklist (semi-naive evaluation) over the cyphers only: atoms
+and digests are never visited, as terms are interned (`terms`) and a cypher
+knows the key term that opens it, so "is its key known" is one identity
+lookup.  A cypher whose key is not known waits in one index keyed by that
+key, so a long chain of sealed keys stays linear.
 
-Constructive rules (hashing known values, encrypting under known keys,
-tupling) never yield an atom, so the spend check needs only the closure.
+Constructive rules (hashing known values, encrypting under known keys)
+never yield an atom, so the spend check needs only the closure.
 
 An attack is a spend: `can_spend` asks whether both signing-key atoms of a
 square are derivable, and when they are it returns a step-by-step witness
@@ -42,11 +40,8 @@ from .protocol import SERVER, Message, Simulation
 from .terms import (
     ASYM,
     EncTerm,
-    PrivateKeyTerm,
     SigningKeyTerm,
-    SymKeyTerm,
     Term,
-    TupleTerm,
 )
 
 SCENARIOS = (
@@ -69,53 +64,32 @@ class Derivation:
     premises: tuple[Term, ...]
 
 
-_COMPOUND = frozenset({TupleTerm, EncTerm})
-
-
 def closure(knowledge) -> dict[Term, Derivation | None]:
     """Least fixed point of the decomposition rules, saturated by a worklist.
 
     Returns every reachable term mapped to how it was derived (None for the
-    initial terms).  Only compound terms are walked, each once: a tuple
-    yields its parts, and a cypher yields its inner term when its key is
-    known.  A cypher whose key is not known is shut; the shut cyphers are
-    indexed by key once a first key is derived, and each derived key
-    releases the cyphers it opens.  Every derived term is a subterm of the
-    input, so the cost is linear in the compound terms reached.
-    Deterministic, monotone in its input, and idempotent.
+    initial terms).  Only cyphers are walked: a cypher yields its inner term
+    when its key is known.  A cypher whose key is not known is shut, indexed
+    by that key, and each derived key releases the cyphers it opens.  Every
+    derived term is a subterm of the input, so the cost is linear in the
+    cyphers reached.  Deterministic, monotone in its input, and idempotent.
     """
     # fromkeys reuses the hashes a set or frozenset input already stores
     known: dict[Term, Derivation | None] = dict.fromkeys(knowledge)
-    queue = [term for term in known if type(term) in _COMPOUND]
-    shut: list[EncTerm] = []
-    waiting: dict[Term, list[EncTerm]] | None = None  # shut cyphers by key
+    queue = [term for term in known if type(term) is EncTerm]
+    shut: dict[Term, list[EncTerm]] = {}  # cyphers whose key is not known, by key
 
-    def learn(term: Term, how: Derivation) -> None:
-        nonlocal waiting
-        known[term] = how
-        kind = type(term)
-        if kind in _COMPOUND:
-            queue.append(term)
-        elif kind is PrivateKeyTerm or kind is SymKeyTerm:  # may open shut cyphers
-            if waiting is None:
-                waiting = {}
-                for cypher in shut:
-                    waiting.setdefault(cypher.key, []).append(cypher)
-            queue.extend(waiting.pop(term, ()))
-
-    for term in queue:  # grows while it is walked
-        if type(term) is TupleTerm:
-            for part in term.items:
-                if part not in known:
-                    learn(part, Derivation("open-tuple", (term,)))
-        elif term.key in known:
-            if term.inner not in known:
-                rule = "asym-decrypt" if term.scheme == ASYM else "sym-decrypt"
-                learn(term.inner, Derivation(rule, (term, term.key)))
-        elif waiting is None:
-            shut.append(term)
-        else:
-            waiting.setdefault(term.key, []).append(term)
+    for cypher in queue:  # grows while it is walked
+        key, inner = cypher.key, cypher.inner
+        if key not in known:
+            shut.setdefault(key, []).append(cypher)
+        elif inner not in known:
+            rule = "asym-decrypt" if cypher.scheme == ASYM else "sym-decrypt"
+            known[inner] = Derivation(rule, (cypher, key))
+            if type(inner) is EncTerm:
+                queue.append(inner)
+            elif inner in shut:  # a derived key opens the cyphers it shut
+                queue.extend(shut.pop(inner))
     return known
 
 

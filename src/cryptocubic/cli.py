@@ -42,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.script, encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")  # a leading byte-order mark is no command
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.script}: {exc}", file=sys.stderr)
         return 2

@@ -650,6 +650,10 @@ class Simulation:
         proc.bind(eb_name, eb)
         self._emit(f"the procedure re-encrypts the signing key to user {tu}")
 
+        # the new owner keeps the address the server names, not the one handed
+        # over, and learns it while a lost notice still aborts the transfer
+        msg = self._send("transfer_notice", s, b, (square.bundle.address,), session)
+        b.remember("ADD", msg.payload[0])
         self.store.insert(square.cap, square.slot_id, eb)
         square.slot_display = eb_name
         self._emit("the new owner cypher drops into the destructive store", (proc, eb_name))
@@ -660,9 +664,6 @@ class Simulation:
         self.store.retire(session.taken[1])  # the old owner cypher is spent
         session.phase, session.taken = "completed", None
         self._send("transfer_notice", s, a, (b"done",), session)
-        # the new owner keeps the address the server names, not the one handed over
-        msg = self._send("transfer_notice", s, b, (square.bundle.address,), session)
-        b.remember("ADD", msg.payload[0])
         self._emit("the procedure terminates; both users are notified")
         self._emit(f"the transfer is complete; the square now belongs to user {tu}")
 

@@ -3,7 +3,8 @@
 Every value that moves through a simulation carries one of these terms as
 instrumentation metadata.  The attacker oracle reasons over terms only, so
 its verdicts are independent of whether the run used symbolic or concrete
-cryptography.
+cryptography.  The classes are the terms the protocol builds; a payload
+crosses the transport item by item, so no term groups values.
 
 Terms are hash-consed: every class is built through one intern table keyed
 by class and field values, so there is one live object per distinct term
@@ -11,12 +12,14 @@ and equality and hashing are object identity (C-level, never recursive).
 The table holds its terms weakly, and their term fields by id, so the terms
 of a finished run are freed with it (a signing key and its holders, which
 refer to each other, by the cyclic collector).  Copies and pickles rebuild
-through the table and so return the interned object.  The `repr` is the
+through the table and so return the interned object.  A term is built
+from its field values in order, never by keyword, and a cypher under a
+scheme with no opening key is refused when it is built.  The `repr` is the
 dataclass one, which witness lines and symbolic signatures are built from.
 
-`holds_key`, set once per term, says whether it is or holds (in cyphers and
-tuples) a private, symmetric or signing key; no rule opens a digest.  By the
-same rule, `signing_keys` lists the signing keys it is or holds, and each
+`holds_key`, set once per term, says whether it is or holds (in cyphers) a
+private, symmetric or signing key; no rule opens a digest.  By the same
+rule, `signing_keys` lists the signing keys it is or holds, and each
 `SigningKeyTerm` keeps the inverse, `holders`.
 """
 from __future__ import annotations
@@ -40,8 +43,6 @@ class Term:
 
     def __new__(cls, *args, **kwargs):
         names = cls.__match_args__
-        if kwargs:
-            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
         if kwargs or len(args) != len(names):
             raise TypeError(f"{cls.__name__} takes exactly the fields {', '.join(names)}")
         key = (cls, *map(_by_id, args)) if cls in _HAS_TERM_FIELDS else (cls, *args)
@@ -112,12 +113,11 @@ class EncTerm(Term):
     scheme: str  # ASYM or SYM
     key_id: str  # pair_id for ASYM, key_id for SYM
     inner: Term
-    # the term that opens this cypher; None for an unknown scheme
-    key: Term | None = field(init=False, repr=False)
+    # the term that opens this cypher; an unknown scheme raises KeyError
+    key: Term = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        opener = _OPENERS.get(self.scheme)
-        self.__dict__["key"] = opener and opener(self.key_id)
+        self.__dict__["key"] = _OPENERS[self.scheme](self.key_id)
         self.__dict__.update(holds_key=self.inner.holds_key, signing_keys=self.inner.signing_keys)
 
 
@@ -126,22 +126,11 @@ class DigestTerm(Term):
     inner: Term
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class TupleTerm(Term):
-    items: tuple[Term, ...]
-
-    def __post_init__(self) -> None:
-        self.__dict__["holds_key"] = any(item.holds_key for item in self.items)
-        self.__dict__["signing_keys"] = tuple({k: None for item in self.items for k in item.signing_keys})
-
-
 _OPENERS = {ASYM: PrivateKeyTerm, SYM: SymKeyTerm}
-_HAS_TERM_FIELDS = frozenset({EncTerm, DigestTerm, TupleTerm})
+_HAS_TERM_FIELDS = frozenset({EncTerm, DigestTerm})
 
 
 def _by_id(value):  # held by the table, a signing key would outlive its holders
-    if type(value) is tuple:
-        return tuple(map(id, value))
     return id(value) if isinstance(value, Term) else value
 
 

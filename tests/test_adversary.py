@@ -39,7 +39,6 @@ from cryptocubic.terms import (
     SigningKeyTerm,
     SymKeyTerm,
     TokenTerm,
-    TupleTerm,
 )
 
 SIG_U = SigningKeyTerm("ms1", "user")
@@ -50,7 +49,7 @@ def random_term(rng, depth=3):
     # ids drawn from a small pool so keys and cyphers actually line up
     kinds = ["priv", "pub", "sym", "sig", "token", "blob"]
     if depth > 0:
-        kinds += ["enc", "enc", "tuple", "digest"]
+        kinds += ["enc", "enc", "digest"]
     kind = rng.choice(kinds)
     if kind == "priv":
         return PrivateKeyTerm(f"p{rng.randrange(6)}")
@@ -66,9 +65,6 @@ def random_term(rng, depth=3):
         return BlobTerm(f"{rng.randrange(16):02x}")
     if kind == "digest":
         return DigestTerm(random_term(rng, depth - 1))
-    if kind == "tuple":
-        parts = tuple(random_term(rng, depth - 1) for _ in range(rng.randint(1, 3)))
-        return TupleTerm(parts)
     scheme = rng.choice([ASYM, SYM])
     key_id = f"p{rng.randrange(6)}" if scheme == ASYM else f"k{rng.randrange(6)}"
     return EncTerm(scheme, key_id, random_term(rng, depth - 1))
@@ -85,12 +81,7 @@ def reference_closure(knowledge):
     while changed:
         changed = False
         for term in list(known):
-            if isinstance(term, TupleTerm):
-                for part in term.items:
-                    if part not in known:
-                        known[part] = Derivation("open-tuple", (term,))
-                        changed = True
-            elif isinstance(term, EncTerm) and term.inner not in known:
+            if isinstance(term, EncTerm) and term.inner not in known:
                 if term.scheme == ASYM and PrivateKeyTerm(term.key_id) in known:
                     known[term.inner] = Derivation(
                         "asym-decrypt", (term, PrivateKeyTerm(term.key_id))
@@ -112,15 +103,11 @@ def assert_derivations_hold(closed, knowledge):
             assert term in knowledge, term
             continue
         assert all(order[p] < order[term] for p in how.premises), (term, how)
-        if how.rule == "open-tuple":
-            (whole,) = how.premises
-            assert isinstance(whole, TupleTerm) and term in whole.items, (term, how)
-        else:
-            cypher, key = how.premises
-            assert isinstance(cypher, EncTerm) and cypher.inner == term, (term, how)
-            opener = PrivateKeyTerm if cypher.scheme == ASYM else SymKeyTerm
-            assert how.rule == f"{cypher.scheme}-decrypt", (term, how)
-            assert key == opener(cypher.key_id), (term, how)
+        cypher, key = how.premises
+        assert isinstance(cypher, EncTerm) and cypher.inner == term, (term, how)
+        opener = PrivateKeyTerm if cypher.scheme == ASYM else SymKeyTerm
+        assert how.rule == f"{cypher.scheme}-decrypt", (term, how)
+        assert key == opener(cypher.key_id), (term, how)
 
 
 SIGN_LINE = "sign and submit the dual-signature transaction"
@@ -172,7 +159,6 @@ TERMS = st.recursive(
     ATOMS,
     lambda inner: st.one_of(
         st.builds(EncTerm, st.sampled_from([ASYM, SYM]), KEY_IDS, inner),
-        st.lists(inner, min_size=1, max_size=3).map(lambda parts: TupleTerm(tuple(parts))),
         inner.map(DigestTerm),
     ),
     max_leaves=6,
@@ -211,11 +197,6 @@ class TestClosure:
     def test_wrong_key_stays_shut(self):
         ea = EncTerm(ASYM, "pa", SIG_U)
         assert SIG_U not in frozenset(closure({ea, PrivateKeyTerm("pb")}))
-
-    def test_tuple_opens(self):
-        t = TupleTerm((SIG_U, TokenTerm("t1")))
-        reached = frozenset(closure({t}))
-        assert SIG_U in reached and TokenTerm("t1") in reached
 
     def test_multi_hop_chain(self):
         # a symmetric cypher yields a private key which opens the asym cypher
@@ -388,8 +369,10 @@ class TestLegRefusal:
         assert inputs == []
 
     def test_a_leg_held_at_any_depth_is_not_refused(self):
-        nested = EncTerm(SYM, "k1", TupleTerm((TokenTerm("t0"), TupleTerm((SIG_U,)))))
-        for knowledge in ({TupleTerm((SIG_U, SIG_S))}, {nested, SymKeyTerm("k1"), SIG_S}):
+        nested = EncTerm(SYM, "k1", EncTerm(ASYM, "k2", EncTerm(SYM, "k3", SIG_U)))
+        keys = {SymKeyTerm("k1"), PrivateKeyTerm("k2"), SymKeyTerm("k3")}
+        sealed_server_leg = EncTerm(SYM, "k1", EncTerm(SYM, "k3", SIG_S))
+        for knowledge in ({nested, SIG_S} | keys, {nested, sealed_server_leg} | keys):
             decision, inputs = closure_inputs(knowledge, "ms1")
             assert decision.possible and len(inputs) == 1
 
@@ -427,7 +410,8 @@ class TestLegRefusal:
 class TestVerdictCost:
     def test_judging_one_bundle_again_builds_no_leg(self):
         legs = SigningKeyTerm("memo1", "user"), SigningKeyTerm("memo1", "server")
-        knowledge = {EncTerm(SYM, "k1", TupleTerm(legs)), SymKeyTerm("k1")}
+        knowledge = {EncTerm(SYM, "k1", legs[0]), EncTerm(SYM, "k1", EncTerm(SYM, "k2", legs[1])),
+                     SymKeyTerm("k1"), SymKeyTerm("k2")}
         with mock.patch.object(adversary, "SigningKeyTerm", wraps=SigningKeyTerm) as built:
             decisions = [can_spend(knowledge, "memo1") for _ in range(100)]
             assert not can_spend(knowledge, "memo2").possible  # each bundle its own legs

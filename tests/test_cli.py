@@ -76,7 +76,8 @@ class TestExitCodes:
         assert position in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("content", [None, b"setup a\xff\n"], ids=["absent", "not-utf8"])
+    @pytest.mark.parametrize("content", [None, b"setup a\xff\n", b"\xef\xbb\xbfsetup a\xff\n"],
+                             ids=["absent", "not-utf8", "marked-not-utf8"])
     def test_missing_file_exits_two(self, content, tmp_path, capsys):
         path = tmp_path / "bad.scen"
         if content is not None:
@@ -85,6 +86,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"cannot read {path}: ")
         assert err.count("\n") == 1
+
+    def test_a_utf8_byte_order_mark_is_read_past(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.scen", tmp_path / "marked.scen"
+        plain.write_text(CORE, encoding="utf-8")
+        marked.write_text(CORE, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfsetup")
+        assert main([str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert main([str(marked)]) == 0
+        assert capsys.readouterr() == expected
 
     @pytest.mark.parametrize("flag", ["--journal", "--trace", "--ledger"])
     def test_unwritable_output_path_exits_two(self, flag, script, tmp_path, capsys):

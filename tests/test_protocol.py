@@ -1,6 +1,7 @@
 """Full protocol runs checked step by step against hand-written holdings
 tables, plus fault injection, abort recovery, races, and mode contrasts."""
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -174,6 +175,32 @@ class TestFaultInjection:
         handed = next(msg for msg in sim.transport.transcript if msg.msg_type == "handover")
         assert handed.payload[1] == decoy
         sim.redeem("b", "ext", 1000)
+        assert sim.ledger.balance("ext") == 1000
+
+    @pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])
+    def test_swapped_address_and_a_lost_notice_do_not_strand_the_funds(self, mode, backend):
+        # the notice naming the address is sent while the transfer can still
+        # abort, so losing it puts the old cypher back with its owner
+        sim = Simulation(mode=mode, backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        decoy = sim.backend.gen_multisig(sim.rng).address
+
+        def swap_and_drop(msg):
+            if msg.msg_type == "handover":
+                return replace(msg, payload=(msg.payload[0], decoy))
+            if (msg.msg_type, msg.receiver) == ("transfer_notice", "USER_B"):
+                raise TransportFailure("link dropped while sending transfer_notice")
+            return msg
+
+        sessions = recorded_sessions(sim)
+        with interposed(sim, swap_and_drop), pytest.raises(TransportFailure):
+            sim.transfer("a", "b")
+        (session,) = sessions
+        assert (session.phase, session.abort_reason) == ("aborted", "link dropped")
+        square = next(iter(sim.squares.values()))
+        assert square.owner_party == "USER_A" and sim.store.ping(square.slot_id)
+        sim.redeem("a", "ext", 1000)
         assert sim.ledger.balance("ext") == 1000
 
     def test_receiver_timeout_aborts_during_challenge(self, journal):
@@ -418,7 +445,7 @@ class TestFaultInjection:
                 ends[label] += 1
                 assert sim.transfer("a", "b").phase == "completed"
             else:
-                # the drop hit a notice sent after the handover was done
+                # the drop hit the sender's notice, sent once the transfer is done
                 assert session.phase == "completed", position
                 ends["completed"] += 1
             sim.redeem(square.owner_party[-1], "ext", 1000)
@@ -428,10 +455,11 @@ class TestFaultInjection:
         assert ends == Counter({
             # the messages sent before the withdrawal
             stayed: {"baseline3": 1, "bare4": 3, "cryptocubic": 4}[mode],
-            # the messages sent while the server holds the withdrawn cypher
+            # the messages sent while the server holds the withdrawn cypher,
+            # the receiver's notice among them
             "the link drops; the owner cypher returns to the store":
-                {"baseline3": 0, "bare4": 2, "cryptocubic": 7}[mode],
-            "completed": {"baseline3": 0, "bare4": 2, "cryptocubic": 2}[mode],
+                {"baseline3": 0, "bare4": 3, "cryptocubic": 8}[mode],
+            "completed": {"baseline3": 0, "bare4": 1, "cryptocubic": 1}[mode],
         })
 
 

@@ -13,6 +13,7 @@ it.  Test files are not read, and neither are the package's re-exports in
 """
 import ast
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -21,6 +22,21 @@ ALLOWED = {
     "replay_journal": "item 4: the `inspect` command reads --journal files",
     "verdict_report": "item 3: the sweep report prints the verdict matrix",
 }
+
+
+def open_roadmap_items():
+    """The numbers of the items under ROADMAP.md's "Open items" heading."""
+    text = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    section = text.split("\n## Open items\n", 1)[1].split("\n## ", 1)[0]
+    return {int(number) for number in re.findall(r"^- \*\*(\d+)\. ", section, re.MULTILINE)}
+
+
+def test_each_allowed_name_cites_an_open_roadmap_item():
+    items = open_roadmap_items()
+    assert items  # the heading and the item format were found
+    for name, reason in ALLOWED.items():
+        cited = re.match(r"item (\d+): ", reason)
+        assert cited and int(cited[1]) in items, (name, reason)
 
 
 def program_files():

@@ -2,14 +2,17 @@
 import copy
 import dataclasses
 import gc
+import pathlib
 import pickle
 import weakref
+from unittest import mock
 
 import pytest
 
 from conftest import in_a_fresh_interpreter
 from cryptocubic import terms
-from cryptocubic.protocol import Simulation
+from cryptocubic.protocol import MODES, Simulation
+from cryptocubic.scenario import parse_scenario, run_scenario
 from cryptocubic.terms import (
     ASYM,
     SYM,
@@ -21,8 +24,8 @@ from cryptocubic.terms import (
     PublicKeyTerm,
     SigningKeyTerm,
     SymKeyTerm,
+    Term,
     TokenTerm,
-    TupleTerm,
 )
 
 SIG_U = SigningKeyTerm("b1", "user")
@@ -40,8 +43,6 @@ KINDS = [
     (EncTerm(ASYM, "p1", SIG_U),
      "EncTerm(scheme='asym', key_id='p1', inner=SigningKeyTerm(bundle_id='b1', leg='user'))"),
     (DigestTerm(TokenTerm("t1")), "DigestTerm(inner=TokenTerm(token_id='t1'))"),
-    (TupleTerm((SIG_U, BlobTerm("ab"))),
-     "TupleTerm(items=(SigningKeyTerm(bundle_id='b1', leg='user'), BlobTerm(digest_hex='ab')))"),
 ]
 TERMS = [term for term, _ in KINDS]
 IDS = [type(term).__name__ for term in TERMS]
@@ -65,12 +66,14 @@ def test_repr_is_the_dataclass_format(term, text):
 
 
 @pytest.mark.parametrize("term", TERMS, ids=IDS)
-def test_keyword_and_positional_give_one_object(term):
+def test_positional_fields_give_one_object_and_keywords_are_refused(term):
     fields = fields_of(term)
-    assert type(term)(**fields) is term
     assert type(term)(*fields.values()) is term
-    first, *rest = fields
-    assert type(term)(fields[first], **{name: fields[name] for name in rest}) is term
+    with pytest.raises(TypeError):
+        type(term)(**fields)
+    *rest, last = fields
+    with pytest.raises(TypeError):
+        type(term)(*[fields[name] for name in rest], **{last: fields[last]})
 
 
 @pytest.mark.parametrize("term", TERMS, ids=IDS)
@@ -96,6 +99,8 @@ def test_bad_fields_are_refused():
         SymKeyTerm("s1", key_id="s1")
     with pytest.raises(TypeError):
         SymKeyTerm(pair_id="s1")
+    with pytest.raises(TypeError):
+        PrivateKeyTerm(pair_id="p1")
 
 
 def test_two_runs_with_one_seed_share_their_terms():
@@ -160,11 +165,15 @@ def test_a_cypher_carries_the_key_that_opens_it(backend, rng, scheme):
     assert cypher.term.key is opener.term
 
 
-def test_an_unknown_scheme_has_no_key():
-    assert EncTerm("rot13", "k1", SIG_U).key is None
+def test_an_unknown_scheme_is_refused_when_built():
+    leg = SigningKeyTerm("sealed under rot13", "user")
+    with pytest.raises(KeyError):
+        EncTerm("rot13", "k1", leg)
+    assert (EncTerm, "rot13", "k1", id(leg)) not in terms._table
+    assert leg.holders == {leg}
 
 
-# whether a term is, or holds in cyphers and tuples, a key the closure can derive
+# whether a term is, or holds in cyphers, a key the closure can derive
 HOLDS_KEY = [
     (PrivateKeyTerm("p1"), True),
     (SymKeyTerm("s1"), True),
@@ -177,13 +186,11 @@ HOLDS_KEY = [
     (EncTerm(SYM, "s1", TokenTerm("t1")), False),
     (EncTerm(SYM, "s1", EncTerm(ASYM, "p1", SymKeyTerm("s2"))), True),
     (EncTerm(SYM, "s1", EncTerm(ASYM, "p1", PublicKeyTerm("p2"))), False),
-    (TupleTerm((TokenTerm("t1"), TokenTerm("t2"))), False),
-    (TupleTerm((TokenTerm("t1"), EncTerm(SYM, "s1", PrivateKeyTerm("p2")))), True),
-    (TupleTerm((TupleTerm((SIG_U,)),)), True),
+    (EncTerm(ASYM, "p1", EncTerm(SYM, "s1", EncTerm(SYM, "s2", SIG_U))), True),
     # the closure never opens a digest, so a digest of a key yields none
     (DigestTerm(SymKeyTerm("s1")), False),
     (EncTerm(SYM, "s1", DigestTerm(SIG_U)), False),
-    (TupleTerm((DigestTerm(PrivateKeyTerm("p1")),)), False),
+    (EncTerm(ASYM, "p1", EncTerm(SYM, "s1", DigestTerm(PrivateKeyTerm("p1")))), False),
 ]
 
 
@@ -197,7 +204,7 @@ def test_holds_key_marks_keys_and_what_holds_them(term, holds):
 
 
 # which legs list each term among their holders: by the rule of `holds_key`,
-# the terms that are the leg or hold it in cyphers and tuples, at any depth
+# the terms that are the leg or hold it in cyphers, at any depth
 HOLDERS = [
     (SIG_U, {SIG_U}),
     (SIG_S, {SIG_S}),
@@ -208,13 +215,11 @@ HOLDERS = [
     (EncTerm(ASYM, "p1", SIG_U), {SIG_U}),
     (EncTerm(SYM, "s1", EncTerm(ASYM, "p1", SIG_S)), {SIG_S}),
     (EncTerm(SYM, "s1", PrivateKeyTerm("p2")), set()),
-    (TupleTerm((SIG_U, TokenTerm("t1"))), {SIG_U}),
-    (TupleTerm((SIG_U, EncTerm(SYM, "s1", SIG_U))), {SIG_U}),
-    (TupleTerm((TupleTerm((SIG_S,)), EncTerm(ASYM, "p1", SIG_U))), {SIG_U, SIG_S}),
+    (EncTerm(ASYM, "p1", EncTerm(SYM, "s1", EncTerm(SYM, "s2", SIG_U))), {SIG_U}),
     # digests, and cyphers that seal a digest, hold no leg
     (DigestTerm(SIG_U), set()),
     (EncTerm(SYM, "s1", DigestTerm(SIG_U)), set()),
-    (TupleTerm((DigestTerm(SIG_S), TokenTerm("t1"))), set()),
+    (EncTerm(ASYM, "p1", EncTerm(SYM, "s1", DigestTerm(SIG_S))), set()),
 ]
 
 
@@ -232,16 +237,38 @@ def test_holders_holds_only_terms_that_are_or_hold_the_leg():
 
 
 def test_a_signing_key_and_its_holders_are_freed_by_the_collector():
-    # the key, the digest, the tuple, the cypher and the key that opens it;
+    # the key, its digest, two nested cyphers and the keys that open them;
     # the table keys each by its term fields' ids, so it keeps none alive
     gc.collect()
     before = len(terms._table)
     key = SigningKeyTerm("held by this test only", "user")
-    cypher = EncTerm(ASYM, "p9", TupleTerm((key, DigestTerm(key))))
+    digest = DigestTerm(key)
+    cypher = EncTerm(ASYM, "p9", EncTerm(SYM, "s9", key))
     assert key.holders == {key, cypher, cypher.inner}
-    assert len(terms._table) == before + 5
-    refs = [weakref.ref(key), weakref.ref(cypher)]
-    del key, cypher
+    assert len(terms._table) == before + 6
+    refs = [weakref.ref(key), weakref.ref(digest), weakref.ref(cypher)]
+    del key, digest, cypher
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None, None, None]
     assert len(terms._table) == before
+
+
+@pytest.mark.parametrize("backend", ["symbolic", "concrete"])
+def test_every_term_class_is_built_by_a_program_run(backend):
+    # a class no bundled script builds in any mode is code no program path
+    # reaches on this backend; each build looks its key up in the intern table
+    built, lookup = set(), terms._table.get
+
+    def spy(key, default=None):
+        built.add(key[0])
+        return lookup(key, default)
+
+    scripts = sorted(pathlib.Path(__file__).resolve().parent.parent.glob("scenarios/*.scen"))
+    assert len(scripts) == 3
+    with mock.patch.object(terms._table, "get", spy):
+        for script in scripts:
+            for mode in MODES:
+                parsed = parse_scenario(script.read_text(), mode=mode, backend=backend)
+                run_scenario(parsed, quiet=True, record=False)
+    assert built == set(Term.__subclasses__())
+    assert "get" not in vars(terms._table)
