@@ -170,7 +170,6 @@ class Token:
 
 @dataclass(frozen=True)
 class Cypher:
-    scheme: str  # ASYM or SYM
     payload: object  # bytes under concrete crypto, wrapped value otherwise
     term: EncTerm
 
@@ -274,7 +273,7 @@ class CryptoBackend:
     def asym_encrypt(self, public: AsymPublicKey, value: object, rng: random.Random) -> Cypher:
         self._check_plaintext(value)
         payload = self._asym_seal(public, value, rng)
-        return Cypher(ASYM, payload, EncTerm(ASYM, public.pair_id, term_of(value)))
+        return Cypher(payload, EncTerm(ASYM, public.pair_id, term_of(value)))
 
     def asym_decrypt(self, private: AsymPrivateKey, cypher: Cypher) -> object:
         self._check_scheme(cypher, ASYM)
@@ -283,7 +282,7 @@ class CryptoBackend:
     def sym_encrypt(self, key: SymKey, value: object, rng: random.Random) -> Cypher:
         self._check_plaintext(value)
         payload = self._sym_seal(key, value, rng)
-        return Cypher(SYM, payload, EncTerm(SYM, key.key_id, term_of(value)))
+        return Cypher(payload, EncTerm(SYM, key.key_id, term_of(value)))
 
     def sym_decrypt(self, key: SymKey, cypher: Cypher) -> object:
         self._check_scheme(cypher, SYM)
@@ -302,8 +301,8 @@ class CryptoBackend:
             raise EmptyPlaintext("refusing to encrypt an empty message")
 
     def _check_scheme(self, cypher: Cypher, scheme: str) -> None:
-        if cypher.scheme != scheme:
-            raise SchemeMismatch(f"expected {scheme} cypher, got {cypher.scheme}")
+        if cypher.term.scheme != scheme:
+            raise SchemeMismatch(f"expected {scheme} cypher, got {cypher.term.scheme}")
 
 
 class SymbolicBackend(CryptoBackend):

@@ -5,8 +5,8 @@ procedures: transient scopes whose bindings never touch memory, are
 invisible to knowledge snapshots, and are erased when the scope terminates.
 
 Memory changes only through `Party.remember`, `forget` and `restore`, which
-keep the count of names per knowledge term, the count of names holding a
-signing key, and the party's snapshot in step with it.
+keep the count of names per knowledge term and per term class, the party's
+snapshot and its version in step with it.
 
 Messages travel through one in-process transport that records what it
 delivers and indexes the terms heard on user-user links by first hearing
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .backend import term_of
-from .terms import SigningKeyTerm, Term
+from .terms import Term
 
 
 class TransportFailure(Exception):
@@ -57,10 +57,8 @@ class Party:
         self.memory: dict[str, object] = {}
         self._term_counts: dict[Term, int] = {}  # names holding each term
         self._snapshot: frozenset[Term] | None = frozenset()
-        self.signing_keys = 0  # names holding a signing key
-        # names changed since the last take_changes(), mapped to True when the
-        # name left memory meanwhile (it now sits at the end, or is gone)
-        self._changes: dict[str, bool] = {}
+        self.kinds: dict[type[Term], int] = {}  # names holding a term of each class
+        self.version = 0  # bumped by every change to memory
         self.procedures: list[DynamicProcedure] = []
 
     def remember(self, name: str, value: object) -> None:
@@ -69,20 +67,18 @@ class Party:
         term = term_of(value)
         if name in self.memory:
             self._release(name)
-            self._changes.setdefault(name, False)
-        else:
-            self._moved(name)
         self.memory[name] = value
         self._term_counts[term] = self._term_counts.get(term, 0) + 1
-        self.signing_keys += type(term) is SigningKeyTerm
+        self.kinds[type(term)] = self.kinds.get(type(term), 0) + 1
         self._snapshot = None
+        self.version += 1
 
     def forget(self, name: str) -> None:
         if name in self.memory:
             self._release(name)
-            self._moved(name)
             del self.memory[name]
             self._snapshot = None
+            self.version += 1
 
     def restore(self, memory: dict[str, object]) -> None:
         """Replace the whole memory, as a rollback does."""
@@ -94,18 +90,9 @@ class Party:
     def _release(self, name: str) -> None:
         term = term_of(self.memory[name])
         self._term_counts[term] -= 1
-        self.signing_keys -= type(term) is SigningKeyTerm
+        self.kinds[type(term)] -= 1
         if not self._term_counts[term]:
             del self._term_counts[term]
-
-    def _moved(self, name: str) -> None:
-        self._changes.pop(name, None)
-        self._changes[name] = True
-
-    def take_changes(self) -> dict[str, bool]:
-        """Names changed since the last call, in the order they last moved."""
-        changes, self._changes = self._changes, {}
-        return changes
 
     def recall(self, name: str) -> object:
         return self.memory[name]

@@ -41,7 +41,7 @@ from .backend import (
 from .ledger import ChainTx, Ledger, LedgerError, UnknownAddress
 from .parties import DynamicProcedure, Message, Party, Transport, TransportFailure
 from .store import DestructiveStore, ReinsertPermit, SlotEmpty, SourceCapability
-from .terms import Term
+from .terms import AddressTerm, SigningKeyTerm, Term
 from .trace import TraceEvent, format_money, render_run
 
 MODES = ("baseline3", "bare4", "cryptocubic")
@@ -122,15 +122,6 @@ class StepRecord:
     transcript_len: int
 
 
-class _MemoryColumn:
-    """One party's annotated memory items, kept in step with its memory."""
-
-    def __init__(self) -> None:
-        self.items: dict[str, str] = {}
-        self.ledger_version = 0
-        self.rendered: list[str] = []  # never mutated once handed out
-
-
 class Simulation:
     def __init__(
         self,
@@ -154,7 +145,9 @@ class Simulation:
         self.value_of: dict[Term, object] = {}  # each square's two signing keys
         self.events: list[TraceEvent] = []
         self.step_records: list[StepRecord] = []
-        self._memory_columns: dict[str, _MemoryColumn] = {}
+        # each party's memory items, with the party and ledger versions they
+        # were built at; a list is never mutated once handed out
+        self._memory_columns: dict[Party, tuple[int, int, list[str]]] = {}
         self._challenge_counts: dict[str, int] = {}
         self._session_seq = 0
 
@@ -176,14 +169,13 @@ class Simulation:
         server, *users = self.parties
         return [*users[:1], server, *users[1:]]
 
-    def _annotate(self, name: str, value: object) -> str:
-        if isinstance(value, Address):
-            try:
-                balance = self.ledger.balance(value.value)
-            except UnknownAddress:
-                balance = 0
-            if balance > 0:
-                return f"{name} ({format_money(balance)})"
+    def _annotate(self, name: str, address: Address) -> str:
+        try:
+            balance = self.ledger.balance(address.value)
+        except UnknownAddress:
+            balance = 0
+        if balance > 0:
+            return f"{name} ({format_money(balance)})"
         return name
 
     def _column_items(self, party: Party, handoff: tuple[DynamicProcedure, str] | None = None) -> list[str]:
@@ -206,27 +198,18 @@ class Simulation:
         return items + memory_items if items else memory_items
 
     def _memory_items(self, party: Party) -> list[str]:
-        """Annotated memory items, re-annotating only the names the party
-        changed, and its addresses once the ledger has moved a balance."""
-        column = self._memory_columns.get(party.name)
-        if column is None:
-            column = self._memory_columns[party.name] = _MemoryColumn()
-        changes = party.take_changes()
-        if column.ledger_version != self.ledger.version:
-            column.ledger_version = self.ledger.version
-            for name, value in party.memory.items():
-                if isinstance(value, Address):
-                    changes.setdefault(name, False)
-        if not changes:
-            return column.rendered
-        memory, items = party.memory, column.items
-        for name, moved in changes.items():
-            if moved:
-                items.pop(name, None)
-            if name in memory:
-                items[name] = self._annotate(name, memory[name])
-        column.rendered = list(items.values())
-        return column.rendered
+        """The party's memory names in order, each funded address annotated
+        with its balance; rebuilt only once the party or the ledger moved."""
+        memo = self._memory_columns.get(party)
+        if memo is not None and memo[0] == party.version and memo[1] == self.ledger.version:
+            return memo[2]
+        if party.kinds.get(AddressTerm):
+            items = [self._annotate(name, value) if type(value) is Address else name
+                     for name, value in party.memory.items()]
+        else:
+            items = list(party.memory)
+        self._memory_columns[party] = (party.version, self.ledger.version, items)
+        return items
 
     def holdings(self, party_name: str) -> list[str]:
         """Current rendered holdings of one party, without transient scope
@@ -256,7 +239,8 @@ class Simulation:
             )
         if self.mode != "baseline3":
             for party in self.parties.values():
-                leaked = party.signing_keys and [n for n, v in party.memory.items() if isinstance(v, SigningKey)]
+                leaked = party.kinds.get(SigningKeyTerm) and [
+                    n for n, v in party.memory.items() if isinstance(v, SigningKey)]
                 assert not leaked, f"signing key in {party.name} memory: {leaked}"
 
     def _send(
@@ -651,9 +635,10 @@ class Simulation:
         self._emit(f"the procedure re-encrypts the signing key to user {tu}")
 
         # the new owner keeps the address the server names, not the one handed
-        # over, and learns it while a lost notice still aborts the transfer
+        # over; both notices go out while a lost one still aborts the transfer
         msg = self._send("transfer_notice", s, b, (square.bundle.address,), session)
         b.remember("ADD", msg.payload[0])
+        self._send("transfer_notice", s, a, (b"done",), session)
         self.store.insert(square.cap, square.slot_id, eb)
         square.slot_display = eb_name
         self._emit("the new owner cypher drops into the destructive store", (proc, eb_name))
@@ -663,7 +648,6 @@ class Simulation:
         square.owner_pub = kb_pub
         self.store.retire(session.taken[1])  # the old owner cypher is spent
         session.phase, session.taken = "completed", None
-        self._send("transfer_notice", s, a, (b"done",), session)
         self._emit("the procedure terminates; both users are notified")
         self._emit(f"the transfer is complete; the square now belongs to user {tu}")
 

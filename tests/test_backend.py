@@ -82,7 +82,7 @@ def _replay_calls(name, seed, calls):
                 record.append(cypher.term)
         elif cyphers:  # decrypt a cypher made earlier, with a key that may not fit
             cypher = cyphers[i % len(cyphers)]
-            if cypher.scheme == ASYM:
+            if cypher.term.scheme == ASYM:
                 decrypt, key = be.asym_decrypt, pairs[j % len(pairs)].private
             else:
                 decrypt, key = be.sym_decrypt, sym_keys[j % len(sym_keys)]

@@ -1,12 +1,15 @@
 """Per-step emission reuses what did not change.
 
-`Simulation._emit` keeps each party's annotated memory items and knowledge
-snapshot between steps and redoes only what changed.  These tests compare
-every emitted table and step record with a from-scratch recomputation over
-random operation sequences, check that emitted columns and snapshots are
-never mutated afterwards, and bound how the per-step work grows with the
-length of a run.
+`Simulation._emit` reuses each party's memory items while neither the party
+nor the ledger has moved since they were built, and its knowledge snapshot
+while its memory is unchanged.  These tests compare every emitted table and
+step record with a from-scratch recomputation over random operation
+sequences, check each party's count of memory terms per class against its
+memory at every step, check that emitted columns and snapshots are never
+mutated afterwards, and bound how the per-step work grows with the length of
+a run.
 """
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -93,6 +96,9 @@ class CheckedSimulation(Simulation):
         assert event.columns == columns, label
         assert record.knowledge == knowledge, label
         assert record.slot_terms == slot_terms, label
+        for party in self.parties.values():
+            kinds = Counter(type(term_of(value)) for value in party.memory.values())
+            assert {kind: n for kind, n in party.kinds.items() if n} == kinds, (label, party.name)
         self.emitted.append(
             ({name: list(items) for name, items in columns.items()}, dict(knowledge))
         )

@@ -1,9 +1,6 @@
 """Ledger behavior: registration, funding, dual-signature spends, conservation."""
-import random
-
 import pytest
 
-from cryptocubic.backend import get_backend
 from cryptocubic.ledger import (
     BadSignature,
     ChainTx,

@@ -438,16 +438,14 @@ class TestFaultInjection:
             assert all(not p.procedures for p in sim.parties.values()), position
             square = next(iter(sim.squares.values()))
             assert sim.store.ping(square.slot_id), position
+            # every message of a transfer precedes its commit, so a drop
+            # anywhere aborts it and puts the old cypher back
             session, label = sessions[-1], sim.events[-1].label
-            if session.phase == "aborted":
-                assert session.abort_reason == "link dropped", position
-                assert [e.label for e in sim.events].count(label) == 1, position
-                ends[label] += 1
-                assert sim.transfer("a", "b").phase == "completed"
-            else:
-                # the drop hit the sender's notice, sent once the transfer is done
-                assert session.phase == "completed", position
-                ends["completed"] += 1
+            assert session.phase == "aborted", position
+            assert session.abort_reason == "link dropped", position
+            assert [e.label for e in sim.events].count(label) == 1, position
+            ends[label] += 1
+            assert sim.transfer("a", "b").phase == "completed"
             sim.redeem(square.owner_party[-1], "ext", 1000)
             assert sim.ledger.balance("ext") == 1000
             assert sim.ledger.total_supply() == supply
@@ -456,10 +454,9 @@ class TestFaultInjection:
             # the messages sent before the withdrawal
             stayed: {"baseline3": 1, "bare4": 3, "cryptocubic": 4}[mode],
             # the messages sent while the server holds the withdrawn cypher,
-            # the receiver's notice among them
+            # both notices among them
             "the link drops; the owner cypher returns to the store":
-                {"baseline3": 0, "bare4": 3, "cryptocubic": 8}[mode],
-            "completed": {"baseline3": 0, "bare4": 1, "cryptocubic": 1}[mode],
+                {"baseline3": 0, "bare4": 4, "cryptocubic": 9}[mode],
         })
 
 
