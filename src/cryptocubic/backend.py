@@ -25,8 +25,10 @@ no knowledge term and shows in no table.
 `CryptoBackend` draws every id from one counter sequence and builds every
 value record, cypher term and guard; a backend supplies only key material and
 payloads, so both produce the same terms and the emitted traces are identical
-across backends.  Both draw all randomness from the seeded generator they are
-handed, so a run is reproducible bit-for-bit.
+across backends.  A value record names its term class once (`TERM`), and the
+concrete codec's one tag table, `_TAGS`, encodes a record as that class's
+fields and the record's material.  Both draw all randomness from the seeded
+generator they are handed, so a run is reproducible bit-for-bit.
 """
 from __future__ import annotations
 
@@ -83,24 +85,29 @@ class EmptyPlaintext(CryptoError):
     """Encryption of an empty message is refused."""
 
 
-@dataclass(frozen=True)
-class AsymPrivateKey:
-    pair_id: str
-    material: bytes | None = None
+class _Value:
+    """A value record whose knowledge term is its class's `TERM`, built from
+    the record's leading fields, those the term class names."""
+
+    TERM: type[Term]
 
     @cached_property
     def term(self) -> Term:
-        return PrivateKeyTerm(self.pair_id)
+        return self.TERM(*[getattr(self, name) for name in self.TERM.__match_args__])
 
 
 @dataclass(frozen=True)
-class AsymPublicKey:
+class AsymPrivateKey(_Value):
+    TERM = PrivateKeyTerm
     pair_id: str
     material: bytes | None = None
 
-    @cached_property
-    def term(self) -> Term:
-        return PublicKeyTerm(self.pair_id)
+
+@dataclass(frozen=True)
+class AsymPublicKey(_Value):
+    TERM = PublicKeyTerm
+    pair_id: str
+    material: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -111,24 +118,18 @@ class AsymKeyPair:
 
 
 @dataclass(frozen=True)
-class SymKey:
+class SymKey(_Value):
+    TERM = SymKeyTerm
     key_id: str
     material: bytes | None = None
 
-    @cached_property
-    def term(self) -> Term:
-        return SymKeyTerm(self.key_id)
-
 
 @dataclass(frozen=True)
-class SigningKey:
+class SigningKey(_Value):
+    TERM = SigningKeyTerm
     bundle_id: str
     leg: str  # "user" or "server"
     material: bytes | None = None
-
-    @cached_property
-    def term(self) -> Term:
-        return SigningKeyTerm(self.bundle_id, self.leg)
 
 
 @dataclass(frozen=True)
@@ -139,13 +140,10 @@ class VerifyKey:
 
 
 @dataclass(frozen=True)
-class Address:
+class Address(_Value):
+    TERM = AddressTerm
     bundle_id: str
     value: str
-
-    @cached_property
-    def term(self) -> Term:
-        return AddressTerm(self.bundle_id)
 
 
 @dataclass(frozen=True)
@@ -158,23 +156,17 @@ class MultiSigBundle:
     address: Address
 
 
-@dataclass
-class Token:
+@dataclass(frozen=True)
+class Token(_Value):
+    TERM = TokenTerm
     token_id: str
     material: bytes
-
-    @cached_property
-    def term(self) -> Term:
-        return TokenTerm(self.token_id)
 
 
 @dataclass(frozen=True)
 class Cypher:
     payload: object  # bytes under concrete crypto, wrapped value otherwise
     term: EncTerm
-
-    def __hash__(self) -> int:
-        return hash(self.term)
 
 
 @dataclass(frozen=True)
@@ -202,10 +194,8 @@ def term_of(value: object) -> Term:
 # tags for the canonical byte encoding used by hashing, store digests and
 # concrete encryption payloads
 _TAG_RAW = b"RAW"
-_TAG_SIG = b"SIG"
-_TAG_TOK = b"TOK"
-_TAG_SYM = b"SYM"
-_TAG_PRV = b"PRV"
+_TAGS = {SigningKey: b"SIG", Token: b"TOK", SymKey: b"SYM", AsymPrivateKey: b"PRV"}
+_TAGGED = {tag: cls for cls, tag in _TAGS.items()}
 
 
 def _pack(*fields: bytes) -> bytes:
@@ -434,14 +424,10 @@ class ConcreteBackend(CryptoBackend):
     def export_bytes(self, value: object) -> bytes:
         if isinstance(value, (bytes, bytearray)):
             return _pack(_TAG_RAW, bytes(value))
-        if isinstance(value, SigningKey):
-            return _pack(_TAG_SIG, value.bundle_id.encode(), value.leg.encode(), value.material)
-        if isinstance(value, Token):
-            return _pack(_TAG_TOK, value.token_id.encode(), value.material)
-        if isinstance(value, SymKey):
-            return _pack(_TAG_SYM, value.key_id.encode(), value.material)
-        if isinstance(value, AsymPrivateKey):
-            return _pack(_TAG_PRV, value.pair_id.encode(), value.material)
+        tag = _TAGS.get(type(value))
+        if tag is not None:
+            ids = [getattr(value, name).encode() for name in value.TERM.__match_args__]
+            return _pack(tag, *ids, value.material)
         if isinstance(value, Cypher):
             return _pack(_TAG_RAW, bytes(value.payload))
         if isinstance(value, (Digest, Address)):
@@ -454,15 +440,11 @@ class ConcreteBackend(CryptoBackend):
         tag = fields[0]
         if tag == _TAG_RAW:
             return fields[1]
-        if tag == _TAG_SIG:
-            return SigningKey(fields[1].decode(), fields[2].decode(), fields[3])
-        if tag == _TAG_TOK:
-            return Token(fields[1].decode(), fields[2])
-        if tag == _TAG_SYM:
-            return SymKey(fields[1].decode(), fields[2])
-        if tag == _TAG_PRV:
-            return AsymPrivateKey(fields[1].decode(), fields[2])
-        raise ValueError(f"unknown value tag {tag!r}")
+        if tag not in _TAGGED:
+            raise ValueError(f"unknown value tag {tag!r}")
+        cls = _TAGGED[tag]
+        n = len(cls.TERM.__match_args__)
+        return cls(*[f.decode() for f in fields[1 : n + 1]], fields[n + 1])
 
     def sign(self, key: SigningKey, message: bytes) -> Signature:
         sig = _ed25519_private(key.material).sign(message)

@@ -33,6 +33,8 @@ class TransportFailure(Exception):
 # the requests whose senders wait for an answer, and time out when they are lost
 AWAITED = ("request_private_key", "challenge")
 
+SERVER = "SERVER_S"
+
 
 class DynamicProcedure:
     """Transient scope; bindings live only until termination."""
@@ -125,7 +127,7 @@ class Message:
 
     @property
     def channel(self) -> str:
-        return "user-server" if "SERVER_S" in (self.sender, self.receiver) else "user-user"
+        return "user-server" if SERVER in (self.sender, self.receiver) else "user-user"
 
 
 @dataclass

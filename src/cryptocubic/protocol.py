@@ -39,14 +39,12 @@ from .backend import (
     term_of,
 )
 from .ledger import ChainTx, Ledger, LedgerError, UnknownAddress
-from .parties import DynamicProcedure, Message, Party, Transport, TransportFailure
+from .parties import SERVER, DynamicProcedure, Message, Party, Transport, TransportFailure
 from .store import DestructiveStore, ReinsertPermit, SlotEmpty, SourceCapability
 from .terms import AddressTerm, SigningKeyTerm, Term
 from .trace import TraceEvent, format_money, render_run
 
 MODES = ("baseline3", "bare4", "cryptocubic")
-
-SERVER = "SERVER_S"
 
 
 class ProtocolError(Exception):
@@ -149,6 +147,7 @@ class Simulation:
         # were built at; a list is never mutated once handed out
         self._memory_columns: dict[Party, tuple[int, int, list[str]]] = {}
         self._challenge_counts: dict[str, int] = {}
+        self._issued: set[bytes] = set()  # the material of each token the server issued
         self._session_seq = 0
 
     # ------------------------------------------------------------------
@@ -526,6 +525,7 @@ class Simulation:
         letter = target.letter
         token_name, et_name, reply_name = self._challenge_names(letter)
         token = self.backend.gen_token(self.rng)
+        self._issued.add(token.material)
         s.remember(token_name, token)
         if not single_table:
             self._emit(f"server creates a challenge token for user {letter.upper()}")
@@ -548,11 +548,8 @@ class Simulation:
                 target.remember(reply_name, reply)
                 reply = self._send("challenge_reply", target, s, (reply,), session).payload[0]
                 s.remember(reply_name, reply)
-                # the server keeps every token it issued, each under its own
-                # name; the reply it just stored is no evidence of issue
-                issued = (v.material for n, v in s.memory.items() if n != reply_name and isinstance(v, Token))
                 why = ("" if isinstance(reply, Token) and reply.material == token.material
-                       else "token replay" if isinstance(reply, Token) and reply.material in issued
+                       else "token replay" if isinstance(reply, Token) and reply.material in self._issued
                        else "token mismatch")
         if why:
             self._abort(session, f"{failed}: {why}", label)
@@ -710,18 +707,10 @@ class Simulation:
         return tx_id
 
     def _submit_spend(self, square: CryptoSquareRecord, sig_u, sig_s, dest: str, cents: int) -> int:
-        nonce = self.ledger.fresh_nonce()
-        tx = ChainTx(square.address_value, dest, cents, nonce)
+        tx = ChainTx(square.address_value, dest, cents, self.ledger.fresh_nonce())
         message = tx.signing_message()
-        signed = ChainTx(
-            square.address_value,
-            dest,
-            cents,
-            nonce,
-            sig_user=self.backend.sign(sig_u, message),
-            sig_server=self.backend.sign(sig_s, message),
-        )
-        return self.ledger.spend(signed)
+        return self.ledger.spend(replace(
+            tx, sig_user=self.backend.sign(sig_u, message), sig_server=self.backend.sign(sig_s, message)))
 
     # ------------------------------------------------------------------
     # attack support

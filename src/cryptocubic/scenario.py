@@ -108,7 +108,7 @@ def _check_user(token: str, lineno: int, col: int) -> str:
 
 def _check_party(token: str, lineno: int, col: int) -> str:
     t = token.upper()
-    if t == "SERVER_S":
+    if t == SERVER:
         return "S"
     if t.startswith("USER_") and len(t) == 6 and t != "USER_S":  # S is the server
         t = t[5]

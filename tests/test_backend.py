@@ -1,5 +1,6 @@
 """Cryptography layer: both backends against one contract."""
 import dataclasses
+import hashlib
 import pickle
 import random
 from collections import Counter
@@ -309,11 +310,37 @@ def test_concrete_round_trip_property(msg):
 def test_export_import_round_trip(msg):
     be = get_backend("concrete")
     rng = random.Random(10)
-    for value in (be.gen_sym_key(rng), be.gen_token(rng), be.gen_multisig(rng).sig_user):
+    values = (be.gen_sym_key(rng), be.gen_token(rng), be.gen_multisig(rng).sig_user,
+              be.gen_asym_pair(rng).private)
+    assert {type(value) for value in values} == set(backend_module._TAGS)
+    for value in values:
         encoded = be.export_bytes(value)
         back = be._import_value(encoded)
         assert term_of(back) == term_of(value)
         assert be.export_bytes(back) == encoded
+
+
+def test_export_bytes_are_pinned():
+    # sha256 of each tagged record's encoding, recorded before the codec became one table
+    be, rng = get_backend("concrete"), random.Random(2024)
+    values = [be.gen_multisig(rng).sig_user, be.gen_token(rng), be.gen_sym_key(rng),
+              be.gen_asym_pair(rng).private]
+    assert {type(value).__name__: hashlib.sha256(be.export_bytes(value)).hexdigest()
+            for value in values} == {
+        "SigningKey": "09f840c782fa3659395e64ee32ede9f1f1306701050f8405cb0e2a76cbf393a4",
+        "Token": "be94cc2a838223de13985d4c2be3e23a25999684e99c8965e97ecf4075b72e8e",
+        "SymKey": "23cb98a40350b217e1a72ba00322478d7deefe0386df1454bd9005653b916b67",
+        "AsymPrivateKey": "429c1c402c0ff23f6a40945a247b74a69eb38bdaec45a7685dae067ab968ba91",
+    }
+
+
+def test_each_value_term_is_built_from_the_leading_fields():
+    classes = backend_module._Value.__subclasses__()
+    assert sorted(cls.__name__ for cls in classes) == [
+        "Address", "AsymPrivateKey", "AsymPublicKey", "SigningKey", "SymKey", "Token"]
+    for cls in classes:
+        names = cls.TERM.__match_args__
+        assert tuple(field.name for field in dataclasses.fields(cls))[:len(names)] == names, cls
 
 
 class _CountedKey:

@@ -396,6 +396,19 @@ class TestFaultInjection:
         sim.redeem("b", "ext", 1000)
         assert sim.ledger.balance("ext") == 1000
 
+    def test_a_forged_reply_sent_again_is_still_a_mismatch(self, backend):
+        # the server stored the forgery under a reply name; it never issued it
+        sim = Simulation(mode="cryptocubic", backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        forged = sim.backend.gen_token(sim.rng)
+        with swapped(sim, "challenge_reply", lambda msg: (forged,)):
+            for _ in range(2):
+                with pytest.raises(AuthFailure, match="^redemption challenge failed: token mismatch$"):
+                    sim.redeem("a", "ext", 100)
+        sim.redeem("a", "ext", 100)
+        assert sim.ledger.balance("ext") == 100
+
     def test_plaintext_handover_ignores_a_counterfeit(self):
         sim = Simulation(mode="baseline3")
         sim.setup("a")
