@@ -311,6 +311,14 @@ class Simulation:
     # ------------------------------------------------------------------
     # establishment
 
+    def _key_pair(self, user: Party) -> AsymPublicKey:
+        """Give `user` a fresh encryption key pair; returns its public key."""
+        pair = self.backend.gen_asym_pair(self.rng)
+        user.remember(f"K{user.letter}", pair.private)
+        user.remember(f"K{user.letter}_Public", pair.public)
+        self._emit(f"user {user.letter.upper()} generates an encryption key pair")
+        return pair.public
+
     def setup(self, user_letter: str) -> str:
         new_user = f"USER_{user_letter.upper()}" not in self.parties
         a = self.user(user_letter)
@@ -321,12 +329,7 @@ class Simulation:
         pub = ks = es_hash = fingerprint = proc = None
         try:
             if not plain:
-                pair = self.backend.gen_asym_pair(self.rng)
-                a.remember(f"K{u}", pair.private)
-                a.remember(f"K{u}_Public", pair.public)
-                self._emit(f"user {u.upper()} generates an encryption key pair")
-
-                pub = self._send("share_public_key", a, s, (pair.public,)).payload[0]
+                pub = self._send("share_public_key", a, s, (self._key_pair(a),)).payload[0]
                 ks = self.backend.gen_sym_key(self.rng)
                 s.remember("Ks", ks)
                 s.remember(f"K{u}_Public", pub)
@@ -455,22 +458,18 @@ class Simulation:
             return session
         self._emit(f"user {fu} hands Es and the address to user {tu}")
 
-        pair = self.backend.gen_asym_pair(self.rng)
-        t = to_letter.lower()
-        b.remember(f"K{t}", pair.private)
-        b.remember(f"K{t}_Public", pair.public)
-        self._emit(f"user {tu} generates an encryption key pair")
-
+        public = self._key_pair(b)
+        t = b.letter
         if self.mode == "cryptocubic":
             # receiver's key travels through the current owner
-            msg = self._send("share_public_key", b, a, (pair.public,), session)
+            msg = self._send("share_public_key", b, a, (public,), session)
             a.remember(f"K{t}_Public", msg.payload[0])
             self._emit(f"user {tu} sends the public key to user {fu}")
             msg = self._send("share_public_key", a, self.server, msg.payload, session)
             self.server.remember(f"K{t}_Public", msg.payload[0])
             self._emit(f"user {fu} forwards user {tu}'s public key to the server")
         else:
-            msg = self._send("share_public_key", b, self.server, (pair.public,), session)
+            msg = self._send("share_public_key", b, self.server, (public,), session)
             self.server.remember(f"K{t}_Public", msg.payload[0])
             self._emit(f"user {tu} sends the public key to the server")
         return session

@@ -10,13 +10,15 @@ One command per line, ``#`` starts a comment:
     expect-holdings <party> <var,...>
     expect-verdict <scenario> <true|false>
 
-Users and parties are single letters (``S`` is the server).  Parsing then
-pretty-printing then parsing again is a fixed point.
+Users and parties are single letters (``S`` is the server).  A command is
+its head word and its checked values, ``("redeem", "B", "ext", 1000)``, and
+`pretty` prints it back as its line.  Parsing then pretty-printing then
+parsing again is a fixed point.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .adversary import SCENARIOS, Verdict, run_attack
 from .backend import CryptoError
@@ -34,74 +36,19 @@ class ScenarioSyntaxError(ValueError):
         self.message = message
 
 
-class Command:
-    """A script command: its head word, then each field in order, as one line."""
-
-    def pretty(self) -> str:
-        words = [_HEADS[type(self)]]
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                words.append(",".join(value))
-            elif isinstance(value, bool):
-                words.append(str(value).lower())
-            else:
-                words.append(str(value))
-        return " ".join(words)
-
-
-@dataclass(frozen=True)
-class Setup(Command):
-    user: str
-
-
-@dataclass(frozen=True)
-class Fund(Command):
-    user: str
-    cents: int
-
-
-@dataclass(frozen=True)
-class Transfer(Command):
-    sender: str
-    receiver: str
-
-
-@dataclass(frozen=True)
-class Redeem(Command):
-    user: str
-    dest: str
-    cents: int
-
-
-@dataclass(frozen=True)
-class Attack(Command):
-    scenario: str
-
-
-@dataclass(frozen=True)
-class ExpectHoldings(Command):
-    party: str  # single letter, S for the server
-    items: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ExpectVerdict(Command):
-    scenario: str
-    expected: bool
-
-
 @dataclass
 class ScenarioScript:
-    commands: list[Command]
+    commands: list[tuple]
     seed: int = 0
     mode: str = "cryptocubic"
     backend: str = "symbolic"
 
 
 def _check_user(token: str, lineno: int, col: int) -> str:
-    t = token.upper()  # as printed, so "ß" (upper "SS") is refused
-    if len(t) == 1 and t.isalpha() and t != "S":
+    # key names use the lower case, so it must upper-case back to the letter:
+    # "ß" upper-cases to "SS", the Kelvin sign lower-cases to ASCII "k"
+    t = token.upper()
+    if len(t) == 1 and t.isalpha() and t.lower().upper() == t and t != "S":
         return t
     raise ScenarioSyntaxError(lineno, col, f"expected a user letter, got {token!r}")
 
@@ -112,7 +59,7 @@ def _check_party(token: str, lineno: int, col: int) -> str:
         return "S"
     if t.startswith("USER_") and len(t) == 6 and t != "USER_S":  # S is the server
         t = t[5]
-    if len(t) == 1 and t.isalpha():
+    if len(t) == 1 and t.isalpha() and t.lower().upper() == t:  # as in _check_user
         return t
     raise ScenarioSyntaxError(lineno, col, f"expected a party, got {token!r}")
 
@@ -147,17 +94,28 @@ def _check_flag(token: str, lineno: int, col: int) -> bool:
     return flag == "true"
 
 
-# the script grammar: each command head, its class and a checker per argument
+# the script grammar: each command head and a checker per argument
 GRAMMAR = {
-    "setup": (Setup, (_check_user,)),
-    "fund": (Fund, (_check_user, _check_cents)),
-    "transfer": (Transfer, (_check_user, _check_user)),
-    "redeem": (Redeem, (_check_user, _check_dest, _check_cents)),
-    "attack": (Attack, (_check_scenario,)),
-    "expect-holdings": (ExpectHoldings, (_check_party, _check_items)),
-    "expect-verdict": (ExpectVerdict, (_check_scenario, _check_flag)),
+    "setup": (_check_user,),
+    "fund": (_check_user, _check_cents),
+    "transfer": (_check_user, _check_user),
+    "redeem": (_check_user, _check_dest, _check_cents),
+    "attack": (_check_scenario,),
+    "expect-holdings": (_check_party, _check_items),
+    "expect-verdict": (_check_scenario, _check_flag),
 }
-_HEADS = {cls: head for head, (cls, _) in GRAMMAR.items()}
+
+
+def pretty(command: tuple) -> str:
+    """A command as one script line: its head word, then each value."""
+    words = []
+    for value in command:
+        if isinstance(value, tuple):
+            value = ",".join(value)
+        elif isinstance(value, bool):
+            value = str(value).lower()
+        words.append(str(value))
+    return " ".join(words)
 
 
 def parse_scenario(
@@ -165,7 +123,7 @@ def parse_scenario(
 ) -> ScenarioScript:
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
-    commands: list[Command] = []
+    commands: list[tuple] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         # each token with its 1-based column
@@ -175,7 +133,7 @@ def parse_scenario(
         (head, _), *args = tokens
         if head not in GRAMMAR:
             raise ScenarioSyntaxError(lineno, 1, f"unknown command {head!r}")
-        cls, checkers = GRAMMAR[head]
+        checkers = GRAMMAR[head]
         n = len(checkers)
         if len(args) != n:
             # the first extra token, or the end of a line that stops short
@@ -183,8 +141,8 @@ def parse_scenario(
             raise ScenarioSyntaxError(
                 lineno, column, f"{head} takes {n} argument{'s' if n != 1 else ''}"
             )
-        commands.append(cls(*(check(arg, lineno, column)
-                              for check, (arg, column) in zip(checkers, args))))
+        commands.append((head, *(check(arg, lineno, column)
+                                 for check, (arg, column) in zip(checkers, args))))
     return ScenarioScript(commands, seed=seed, mode=mode, backend=backend)
 
 
@@ -231,31 +189,33 @@ def run_scenario(
         return result.verdicts[name]
 
     for cmd in script.commands:
+        head, *values = cmd
         try:
-            if isinstance(cmd, (Setup, Fund, Transfer, Redeem)):
-                # the Simulation method of the same name, fields in order
-                getattr(sim, _HEADS[type(cmd)])(*astuple(cmd))
-            elif isinstance(cmd, Attack):
-                verdict = verdict_for(cmd.scenario)
+            if head == "attack":
+                verdict = verdict_for(*values)
                 flush_trace()
                 chunks.append(f"verdict: {verdict.report_line()}\n")
                 for note in verdict.notes:
                     chunks.append(f"  note: {note}\n")
-            elif isinstance(cmd, ExpectHoldings):
-                actual = _base_names(sim.holdings(_party_name(cmd.party)))
-                expected = frozenset(cmd.items)
+            elif head == "expect-holdings":
+                party, items = values
+                actual = _base_names(sim.holdings(_party_name(party)))
+                expected = frozenset(items)
                 if actual != expected:
                     result.failures.append(
-                        f"{cmd.pretty()}: holdings are {sorted(actual)}"
+                        f"{pretty(cmd)}: holdings are {sorted(actual)}"
                     )
-            elif isinstance(cmd, ExpectVerdict):
-                verdict = verdict_for(cmd.scenario)
-                if verdict.can_spend != cmd.expected:
+            elif head == "expect-verdict":
+                name, expected = values
+                verdict = verdict_for(name)
+                if verdict.can_spend != expected:
                     result.failures.append(
-                        f"{cmd.pretty()}: verdict is {str(verdict.can_spend).lower()}"
+                        f"{pretty(cmd)}: verdict is {str(verdict.can_spend).lower()}"
                     )
+            else:  # setup, fund, transfer, redeem: the Simulation method of the same name
+                getattr(sim, head)(*values)
         except (ProtocolError, StoreError, LedgerError, CryptoError) as exc:
-            result.failures.append(f"{cmd.pretty()}: {type(exc).__name__}: {exc}")
+            result.failures.append(f"{pretty(cmd)}: {type(exc).__name__}: {exc}")
             break
         flush_trace()
     flush_trace()

@@ -305,11 +305,12 @@ def test_concrete_round_trip_property(msg):
     assert be.sym_decrypt(k, be.sym_encrypt(k, msg, rng)) == msg
 
 
-@given(msg=st.binary(min_size=1, max_size=256))
+@given(msg=st.binary(min_size=1, max_size=256), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
-def test_export_import_round_trip(msg):
+def test_export_import_round_trip(msg, seed):
     be = get_backend("concrete")
-    rng = random.Random(10)
+    assert be._import_value(be.export_bytes(msg)) == msg
+    rng = random.Random(seed)
     values = (be.gen_sym_key(rng), be.gen_token(rng), be.gen_multisig(rng).sig_user,
               be.gen_asym_pair(rng).private)
     assert {type(value) for value in values} == set(backend_module._TAGS)
