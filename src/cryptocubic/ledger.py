@@ -26,7 +26,7 @@ class UnknownAddress(LedgerError):
 
 
 class NonPositiveAmount(LedgerError):
-    pass
+    """An amount that is not a positive int of cents."""
 
 
 class InsufficientFunds(LedgerError):
@@ -43,6 +43,11 @@ class BadSignature(LedgerError):
 
 class NonceReplay(LedgerError):
     pass
+
+
+def check_amount(amount_cents: object) -> None:
+    if type(amount_cents) is not int or amount_cents <= 0:  # a bool is no amount
+        raise NonPositiveAmount(f"amount must be a positive int of cents, got {amount_cents!r}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,7 @@ class Ledger:
 
     def fund(self, address: str, amount_cents: int) -> None:
         """Credit from an exterior wallet; models an on-chain deposit."""
-        if amount_cents <= 0:
-            raise NonPositiveAmount(f"amount must be positive, got {amount_cents}")
+        check_amount(amount_cents)
         account = self._accounts.get(address)
         if account is None:
             raise UnknownAddress(f"no account {address!r}")
@@ -111,8 +115,7 @@ class Ledger:
         account = self._accounts.get(tx.source)
         if account is None:
             raise UnknownAddress(f"no account {tx.source!r}")
-        if tx.amount_cents <= 0:
-            raise NonPositiveAmount(f"amount must be positive, got {tx.amount_cents}")
+        check_amount(tx.amount_cents)
         if account.verify_user is None or account.verify_server is None:
             raise MissingSignature(f"account {tx.source!r} has no spend keys")
         if tx.sig_user is None or tx.sig_server is None:

@@ -18,6 +18,9 @@ funding, ownership transfer and redemption, in one of three modes:
 Every step emits one holdings table and one `StepRecord` (per-party
 knowledge, slot contents, transcript position), which the tests and the
 `audit` benchmark read; a staged attack's run (`record=False`) keeps neither.
+
+A user is one letter.  `user_letter` alone says which, and the script parser
+checks users with it, so a call refuses what a script refuses (`BadLetter`).
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from .backend import (
     get_backend,
     term_of,
 )
-from .ledger import ChainTx, Ledger, LedgerError, UnknownAddress
+from .ledger import ChainTx, Ledger, LedgerError, UnknownAddress, check_amount
 from .parties import SERVER, DynamicProcedure, Message, Party, Transport, TransportFailure
 from .store import DestructiveStore, ReinsertPermit, SlotEmpty, SourceCapability
 from .terms import AddressTerm, SigningKeyTerm, Term
@@ -65,6 +68,23 @@ class AuthFailure(ProtocolError):
 
 class SquareDrained(ProtocolError):
     pass
+
+
+class BadLetter(ProtocolError):
+    pass
+
+
+def user_letter(token: object) -> str:
+    """The upper-case letter of the user `token` names.  Key names use its lower
+    case, which must upper-case back to it (not so "ß" or the Kelvin sign)."""
+    letter = token.upper() if isinstance(token, str) else ""
+    if len(letter) == 1 and letter.isalpha() and letter.lower().upper() == letter and letter != "S":
+        return letter
+    raise BadLetter(f"expected a user letter, got {token!r}")
+
+
+def user_name(token: object) -> str:
+    return f"USER_{user_letter(token)}"
 
 
 @dataclass
@@ -154,7 +174,7 @@ class Simulation:
     # parties and bookkeeping
 
     def user(self, letter: str) -> Party:
-        name = f"USER_{letter.upper()}"
+        name = user_name(letter)
         if name not in self.parties:
             self.parties[name] = Party(name)
         return self.parties[name]
@@ -319,11 +339,11 @@ class Simulation:
         self._emit(f"user {user.letter.upper()} generates an encryption key pair")
         return pair.public
 
-    def setup(self, user_letter: str) -> str:
-        new_user = f"USER_{user_letter.upper()}" not in self.parties
-        a = self.user(user_letter)
+    def setup(self, letter: str) -> str:
+        new_user = user_name(letter) not in self.parties
+        a = self.user(letter)
         s = self.server
-        u = user_letter.lower()
+        u = a.letter
         plain = self.mode == "baseline3"
         memory_before = {party: dict(party.memory) for party in (a, s)}  # the only parties setup changes
         pub = ks = es_hash = fingerprint = proc = None
@@ -404,14 +424,14 @@ class Simulation:
     # ------------------------------------------------------------------
     # funding
 
-    def fund(self, user_letter: str, cents: int) -> None:
-        square = self._square_for(f"USER_{user_letter.upper()}")
+    def fund(self, letter: str, cents: int) -> None:
+        square = self._square_for(user_name(letter))
         if not self.store.ping(square.slot_id):
             # a full redemption (or a transfer holding the cypher) emptied
             # the slot; money sent now could be stranded on the address
             raise SquareDrained(f"square {square.square_id} has an empty slot")
         self.ledger.fund(square.address_value, cents)
-        self._emit(f"user {user_letter.upper()} funds the address from an exterior wallet")
+        self._emit(f"user {letter.upper()} funds the address from an exterior wallet")
 
     # ------------------------------------------------------------------
     # transfer
@@ -432,15 +452,15 @@ class Simulation:
         return TransferSession(self._session_seq, square, sender, receiver)
 
     def begin_transfer(self, from_letter: str, to_letter: str) -> TransferSession:
-        fu, tu = from_letter.upper(), to_letter.upper()
+        fu, tu = user_letter(from_letter), user_letter(to_letter)
         if fu == tu:
             # the receiver's fresh key pair would overwrite the owner's own
             raise ProtocolError(f"sender and receiver are both user {fu}")
         # look the square up first, so a refused transfer adds no party
-        square = self._owned_square(f"USER_{fu}")
-        a = self.user(from_letter)
-        newcomer = f"USER_{tu}" not in self.parties
-        b = self.user(to_letter)
+        square = self._owned_square(user_name(fu))
+        a = self.user(fu)
+        newcomer = user_name(tu) not in self.parties
+        b = self.user(tu)
         if newcomer:
             self._emit(f"user {fu} encounters user {tu}")
         session = self._new_session(square, a, b)
@@ -650,12 +670,13 @@ class Simulation:
     # ------------------------------------------------------------------
     # redemption
 
-    def redeem(self, user_letter: str, dest: str, cents: int) -> int:
-        square = self._square_for(f"USER_{user_letter.upper()}")
+    def redeem(self, letter: str, dest: str, cents: int) -> int:
+        square = self._square_for(user_name(letter))
+        check_amount(cents)
         if not self.store.ping(square.slot_id):
             # a drained square is refused before any message goes out
             raise SlotEmpty(f"slot {square.slot_id!r} is empty")
-        x, s = self.user(user_letter), self.server
+        x, s = self.user(letter), self.server
         letter = x.letter.upper()
         plain = self.mode == "baseline3"
         session = self._new_session(square, x, x)

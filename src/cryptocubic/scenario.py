@@ -10,10 +10,11 @@ One command per line, ``#`` starts a comment:
     expect-holdings <party> <var,...>
     expect-verdict <scenario> <true|false>
 
-Users and parties are single letters (``S`` is the server).  A command is
-its head word and its checked values, ``("redeem", "B", "ext", 1000)``, and
-`pretty` prints it back as its line.  Parsing then pretty-printing then
-parsing again is a fixed point.
+Users and parties are single letters (``S`` is the server).  A user argument
+is checked by `protocol.user_letter`, so `Simulation` refuses, with
+`BadLetter`, the same letters.  A command is its head word and its checked
+values, ``("redeem", "B", "ext", 1000)``, and `pretty` prints it back as its
+line.  Parsing then pretty-printing then parsing again is a fixed point.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from .adversary import SCENARIOS, Verdict, run_attack
 from .backend import CryptoError
 from .ledger import LedgerError
-from .protocol import MODES, SERVER, ProtocolError, Simulation
+from .protocol import MODES, SERVER, BadLetter, ProtocolError, Simulation, user_letter, user_name
 from .store import StoreError
 from .trace import render_table
 
@@ -44,62 +45,48 @@ class ScenarioScript:
     backend: str = "symbolic"
 
 
-def _check_user(token: str, lineno: int, col: int) -> str:
-    # key names use the lower case, so it must upper-case back to the letter:
-    # "ß" upper-cases to "SS", the Kelvin sign lower-cases to ASCII "k"
+def _check_party(token: str) -> str:
     t = token.upper()
-    if len(t) == 1 and t.isalpha() and t.lower().upper() == t and t != "S":
-        return t
-    raise ScenarioSyntaxError(lineno, col, f"expected a user letter, got {token!r}")
+    try:
+        return "S" if t in (SERVER, "S") else user_letter(t.removeprefix("USER_"))
+    except BadLetter:
+        raise ValueError(f"expected a party, got {token!r}") from None
 
 
-def _check_party(token: str, lineno: int, col: int) -> str:
-    t = token.upper()
-    if t == SERVER:
-        return "S"
-    if t.startswith("USER_") and len(t) == 6 and t != "USER_S":  # S is the server
-        t = t[5]
-    if len(t) == 1 and t.isalpha() and t.lower().upper() == t:  # as in _check_user
-        return t
-    raise ScenarioSyntaxError(lineno, col, f"expected a party, got {token!r}")
-
-
-def _check_cents(token: str, lineno: int, col: int) -> int:
+def _check_cents(token: str) -> int:
     if not token.isdecimal() or int(token) <= 0:  # isdigit also takes "²", which int refuses
-        raise ScenarioSyntaxError(lineno, col, f"expected a positive cent amount, got {token!r}")
+        raise ValueError(f"expected a positive cent amount, got {token!r}")
     return int(token)
 
 
-def _check_scenario(token: str, lineno: int, col: int) -> str:
+def _check_scenario(token: str) -> str:
     if token not in SCENARIOS:
-        raise ScenarioSyntaxError(lineno, col, f"unknown attack scenario {token!r}")
+        raise ValueError(f"unknown attack scenario {token!r}")
     return token
 
 
-def _check_dest(token: str, lineno: int, col: int) -> str:
-    return token  # any account name
-
-
-def _check_items(token: str, lineno: int, col: int) -> tuple[str, ...]:
+def _check_items(token: str) -> tuple[str, ...]:
     items = tuple(i for i in token.split(",") if i)
     if not items:
-        raise ScenarioSyntaxError(lineno, col, "expected a comma-separated variable list")
+        raise ValueError("expected a comma-separated variable list")
     return items
 
 
-def _check_flag(token: str, lineno: int, col: int) -> bool:
+def _check_flag(token: str) -> bool:
     flag = token.lower()
     if flag not in ("true", "false"):
-        raise ScenarioSyntaxError(lineno, col, f"expected true or false, got {token!r}")
+        raise ValueError(f"expected true or false, got {token!r}")
     return flag == "true"
 
 
-# the script grammar: each command head and a checker per argument
+# the script grammar: each command head and a checker per argument, which takes
+# the token and returns its value or raises with its message (`parse_scenario`
+# adds the line and column); a destination is any account name
 GRAMMAR = {
-    "setup": (_check_user,),
-    "fund": (_check_user, _check_cents),
-    "transfer": (_check_user, _check_user),
-    "redeem": (_check_user, _check_dest, _check_cents),
+    "setup": (user_letter,),
+    "fund": (user_letter, _check_cents),
+    "transfer": (user_letter, user_letter),
+    "redeem": (user_letter, str, _check_cents),
     "attack": (_check_scenario,),
     "expect-holdings": (_check_party, _check_items),
     "expect-verdict": (_check_scenario, _check_flag),
@@ -141,8 +128,13 @@ def parse_scenario(
             raise ScenarioSyntaxError(
                 lineno, column, f"{head} takes {n} argument{'s' if n != 1 else ''}"
             )
-        commands.append((head, *(check(arg, lineno, column)
-                                 for check, (arg, column) in zip(checkers, args))))
+        values = []
+        for check, (arg, column) in zip(checkers, args):
+            try:
+                values.append(check(arg))
+            except (ValueError, BadLetter) as exc:
+                raise ScenarioSyntaxError(lineno, column, str(exc)) from None
+        commands.append((head, *values))
     return ScenarioScript(commands, seed=seed, mode=mode, backend=backend)
 
 
@@ -153,10 +145,6 @@ class RunResult:
     output: str = ""
     sim: Simulation | None = None
     verdicts: dict[str, Verdict] = field(default_factory=dict)
-
-
-def _party_name(letter: str) -> str:
-    return SERVER if letter == "S" else f"USER_{letter}"
 
 
 def _base_names(items) -> frozenset[str]:
@@ -199,7 +187,8 @@ def run_scenario(
                     chunks.append(f"  note: {note}\n")
             elif head == "expect-holdings":
                 party, items = values
-                actual = _base_names(sim.holdings(_party_name(party)))
+                name = SERVER if party == "S" else user_name(party)
+                actual = _base_names(sim.holdings(name))
                 expected = frozenset(items)
                 if actual != expected:
                     result.failures.append(

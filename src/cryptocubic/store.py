@@ -50,7 +50,8 @@ class ValueMismatch(StoreError):
 
 
 class TornJournal(StoreError):
-    """A journal record is cut short or its lengths do not add up."""
+    """A journal record is cut short, its lengths do not add up, or it holds an
+    op or a slot id that the store does not write."""
 
 
 OP_GRANT = 1
@@ -196,7 +197,7 @@ class DestructiveStore:
         body = (
             self._seq.to_bytes(8, "big")
             + bytes([op])
-            + len(slot_id).to_bytes(2, "big")
+            + len(slot_id.encode()).to_bytes(2, "big")  # in bytes, as the reader counts
             + slot_id.encode()
             + digest
         )
@@ -212,11 +213,13 @@ def replay_journal(path) -> list[JournalRecord]:
             length = int.from_bytes(head, "big")
             body = fh.read(length)
             name_len = int.from_bytes(body[9:11], "big")
-            if len(head) < 4 or len(body) < length or length != 11 + name_len + 32:
+            name = body[11 : 11 + name_len]
+            slot_id = name.decode(errors="replace")  # bytes that are not UTF-8 do not encode back
+            if (len(head) < 4 or len(body) < length or length != 11 + name_len + 32
+                    or not OP_GRANT <= body[8] <= OP_REINSERT or slot_id.encode() != name):
                 raise TornJournal(f"journal record {len(records) + 1} is cut short or malformed")
             seq = int.from_bytes(body[:8], "big")
             op = body[8]
-            slot_id = body[11 : 11 + name_len].decode()
             digest = body[11 + name_len : 11 + name_len + 32]
             records.append(JournalRecord(seq, op, slot_id, digest))
     return records

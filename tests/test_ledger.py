@@ -72,6 +72,16 @@ class TestFunding:
         with pytest.raises(NonPositiveAmount):
             ledger.fund(account.address.value, amount)
 
+    # only an int counts cents: a float, a bool or a numeral string is refused
+    # before any balance moves
+    @pytest.mark.parametrize("amount", [1.5, 1000.0, True, "5", None])
+    def test_amount_that_is_not_an_int_is_refused(self, ledger, account, amount):
+        version = ledger.version
+        with pytest.raises(NonPositiveAmount):
+            ledger.fund(account.address.value, amount)
+        assert ledger.balance(account.address.value) == 0
+        assert ledger.version == version
+
 
 class TestSpending:
     def test_dual_signed_spend_clears(self, backend, ledger, account):
@@ -148,7 +158,7 @@ class TestSpending:
         with pytest.raises(MissingSignature):
             ledger.spend(hijack)
 
-    @pytest.mark.parametrize("amount", [0, -5])
+    @pytest.mark.parametrize("amount", [0, -5, 1.5, True, "5"])
     def test_non_positive_spend_rejected(self, backend, ledger, account, amount):
         ledger.fund(account.address.value, 100)
         tx = signed_tx(backend, account, "ext", amount, ledger.fresh_nonce())

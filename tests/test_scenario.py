@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cryptocubic import scenario
+from cryptocubic import protocol, scenario
 from cryptocubic.adversary import SCENARIOS, run_attack
 from cryptocubic.protocol import Simulation
 from cryptocubic.scenario import GRAMMAR, ScenarioSyntaxError, parse_scenario, pretty, run_scenario
@@ -188,6 +188,23 @@ class TestGrammarReaders:
         readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
         block = readme.split("## Scenario scripts", 1)[1].split("```", 2)[1]
         assert {cmd[0] for cmd in parse_scenario(block).commands} == set(GRAMMAR)
+
+    def test_each_user_argument_is_the_librarys_letter_rule(self):
+        # the rule lives in protocol alone, so a script and a library call
+        # refuse the same letters; a copy of it here would drift
+        for line in scenario.__doc__.splitlines():
+            words = line.split()
+            if words and words[0] in GRAMMAR:
+                for word, check in zip(words[1:], GRAMMAR[words[0]]):
+                    assert (check is protocol.user_letter) == (word in ("<user>", "<from>", "<to>"))
+        source = inspect.getsource(scenario)
+        assert "isalpha" not in source and ".lower().upper()" not in source
+
+    def test_each_checker_takes_only_its_token(self):
+        # parse_scenario alone adds the line and column to a checker's message
+        for checkers in GRAMMAR.values():
+            for check in checkers:
+                assert check is str or len(inspect.signature(check).parameters) == 1, check
 
     @pytest.mark.parametrize(
         "head", [h for h in GRAMMAR if h != "attack" and not h.startswith("expect-")]

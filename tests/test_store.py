@@ -260,3 +260,30 @@ def test_torn_journal_tail_raises(tmp_path):
         else:
             with pytest.raises(TornJournal):
                 replay_journal(str(torn))
+
+
+def journal_record(seq, op, slot_id_bytes):
+    body = seq.to_bytes(8, "big") + bytes([op]) + len(slot_id_bytes).to_bytes(2, "big")
+    body += slot_id_bytes + b"\x07" * 32
+    return len(body).to_bytes(4, "big") + body
+
+
+@pytest.mark.parametrize(
+    "op,slot_id_bytes", [(9, b"s1"), (0, b"s1"), (OP_TAKE, b"s\xff1"), (OP_TAKE, b"s\xed\xa0\x801")],
+    ids=["op-9", "op-0", "not-utf8", "surrogate"],
+)
+def test_journal_record_the_store_never_writes_is_torn(tmp_path, op, slot_id_bytes):
+    # its lengths add up, but its op or its slot id is not one the store writes
+    path = tmp_path / "journal.bin"
+    path.write_bytes(journal_record(1, OP_GRANT, b"s1") + journal_record(2, op, slot_id_bytes))
+    with pytest.raises(TornJournal):
+        replay_journal(str(path))
+
+
+def test_journal_counts_a_slot_id_in_bytes(tmp_path):
+    path = tmp_path / "journal.bin"
+    store = DestructiveStore(digest, journal_path=str(path))
+    cap = store.grant_source(["sq→K"])
+    store.insert(cap, "sq→K", b"v1")
+    assert [(r.op, r.slot_id) for r in replay_journal(str(path))] == [
+        (OP_GRANT, "sq→K"), (OP_INSERT, "sq→K")]
