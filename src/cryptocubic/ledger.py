@@ -29,6 +29,10 @@ class NonPositiveAmount(LedgerError):
     """An amount that is not a positive int of cents."""
 
 
+class BadDestination(LedgerError):
+    """A destination no script token could be: not a str, empty, or with whitespace."""
+
+
 class InsufficientFunds(LedgerError):
     pass
 
@@ -48,6 +52,11 @@ class NonceReplay(LedgerError):
 def check_amount(amount_cents: object) -> None:
     if type(amount_cents) is not int or amount_cents <= 0:  # a bool is no amount
         raise NonPositiveAmount(f"amount must be a positive int of cents, got {amount_cents!r}")
+
+
+def check_destination(destination: object) -> None:
+    if not isinstance(destination, str) or destination.split() != [destination]:
+        raise BadDestination(f"destination must be one word with no whitespace, got {destination!r}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,7 @@ class Ledger:
         if account is None:
             raise UnknownAddress(f"no account {tx.source!r}")
         check_amount(tx.amount_cents)
+        check_destination(tx.destination)
         if account.verify_user is None or account.verify_server is None:
             raise MissingSignature(f"account {tx.source!r} has no spend keys")
         if tx.sig_user is None or tx.sig_server is None:

@@ -6,7 +6,7 @@ invisible to knowledge snapshots, and are erased when the scope terminates.
 
 Memory changes only through `Party.remember`, `forget` and `restore`, which
 keep the count of names per knowledge term and per term class, the party's
-snapshot and its version in step with it.
+snapshot and its version in step with it.  `holds` asks the term count.
 
 Messages travel through one in-process transport that records what it
 delivers and indexes the terms heard on user-user links by first hearing
@@ -95,6 +95,9 @@ class Party:
         self.kinds[type(term)] -= 1
         if not self._term_counts[term]:
             del self._term_counts[term]
+
+    def holds(self, term: Term) -> bool:
+        return term in self._term_counts
 
     def recall(self, name: str) -> object:
         return self.memory[name]

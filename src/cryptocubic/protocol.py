@@ -41,7 +41,7 @@ from .backend import (
     get_backend,
     term_of,
 )
-from .ledger import ChainTx, Ledger, LedgerError, UnknownAddress, check_amount
+from .ledger import ChainTx, Ledger, LedgerError, UnknownAddress, check_amount, check_destination
 from .parties import SERVER, DynamicProcedure, Message, Party, Transport, TransportFailure
 from .store import DestructiveStore, ReinsertPermit, SlotEmpty, SourceCapability
 from .terms import AddressTerm, SigningKeyTerm, Term
@@ -313,20 +313,12 @@ class Simulation:
     # square lookup
 
     def _square_for(self, party_name: str) -> CryptoSquareRecord:
-        """The earliest-established square whose address the party holds.  A
-        party the run has not met holds none."""
-        memory = self.parties[party_name].memory if party_name in self.parties else {}
-        held = {v.value for v in memory.values() if isinstance(v, Address)}
+        """The earliest-established square whose address term the party holds, asked by `Party.holds`."""
+        party = self.parties.get(party_name)
         for square in self.squares.values():
-            if square.address_value in held:
+            if party is not None and party.holds(square.bundle.address.term):
                 return square
         raise UnknownSquare(f"{party_name} holds no square address")
-
-    def _owned_square(self, party_name: str) -> CryptoSquareRecord:
-        square = self._square_for(party_name)
-        if square.owner_party != party_name:
-            raise NotOwner(f"{party_name} does not own square {square.square_id}")
-        return square
 
     # ------------------------------------------------------------------
     # establishment
@@ -457,8 +449,10 @@ class Simulation:
             # the receiver's fresh key pair would overwrite the owner's own
             raise ProtocolError(f"sender and receiver are both user {fu}")
         # look the square up first, so a refused transfer adds no party
-        square = self._owned_square(user_name(fu))
-        a = self.user(fu)
+        square = self._square_for(user_name(fu))
+        a = self.user(fu)  # met already, as it holds the square's address
+        if square.owner_party != a.name:
+            raise NotOwner(f"{a.name} does not own square {square.square_id}")
         newcomer = user_name(tu) not in self.parties
         b = self.user(tu)
         if newcomer:
@@ -673,6 +667,7 @@ class Simulation:
     def redeem(self, letter: str, dest: str, cents: int) -> int:
         square = self._square_for(user_name(letter))
         check_amount(cents)
+        check_destination(dest)
         if not self.store.ping(square.slot_id):
             # a drained square is refused before any message goes out
             raise SlotEmpty(f"slot {square.slot_id!r} is empty")

@@ -1,15 +1,16 @@
 """The library boundary: `Simulation` refuses what a script refuses.
 
-A token that names no user, or an amount that is not a positive int of
-cents, is refused with a domain error before the call sends, takes or emits
-anything, and only domain errors escape any call.
+A token that names no user, an amount that is not a positive int of cents,
+or a destination that no script token could be, is refused with a domain
+error before the call sends, takes or emits anything, and only domain errors
+escape any call.
 """
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryptocubic.backend import CryptoError, term_of
-from cryptocubic.ledger import LedgerError, NonPositiveAmount
+from cryptocubic.ledger import BadDestination, LedgerError, NonPositiveAmount
 from cryptocubic.parties import SERVER
 from cryptocubic.protocol import BadLetter, ProtocolError, Simulation
 from cryptocubic.store import StoreError
@@ -42,7 +43,8 @@ def funded(mode="cryptocubic", backend="symbolic", record=True):
 # calls act on a live run.  Those draw text of any code points (built without
 # the unicode table that `st.text` makes on first use, which costs seconds),
 # letters that case-map oddly, and bytes, which upper-case and compare like a
-# one-letter string but name no user.
+# one-letter string but name no user.  Destinations are text of any code
+# points, text rich in whitespace, or an int; an owner redeems to them often.
 _honest = st.sampled_from([
     ("transfer", "a", "b"), ("transfer", "b", "a"), ("fund", "a", 100), ("fund", "b", 100),
     ("redeem", "a", "ext", 100), ("redeem", "b", "ext", 100), ("setup", "c"),
@@ -52,12 +54,15 @@ _odd = st.sampled_from(["", "s", "S", "ß", "\u1e9e", "\u0130", "\u01c5", "\u03c
 _letters = st.one_of(st.sampled_from("abcAB"), _text, _odd, st.just(b"a"))
 _amounts = st.one_of(
     st.integers(-2, 1500), st.floats(), st.booleans(), st.integers(0, 1500).map(str), _text)
+_spaced = st.lists(st.sampled_from("ex \n\t\u3000"), max_size=3).map("".join)
+_dests = st.one_of(st.just("ext"), _text, _spaced, st.integers(-2, 9))
 _calls = st.one_of(
     _honest,
     st.tuples(st.just("setup"), _letters),
     st.tuples(st.just("fund"), _letters, _amounts),
     st.tuples(st.just("transfer"), _letters, _letters),
-    st.tuples(st.just("redeem"), _letters, st.just("ext"), _amounts),
+    st.tuples(st.just("redeem"), _letters, _dests, _amounts),
+    st.tuples(st.just("redeem"), st.sampled_from("ab"), _dests, st.integers(1, 300)),
     st.tuples(st.just("holdings"), st.one_of(st.sampled_from(["USER_A", SERVER]), _letters)),
 )
 
@@ -73,12 +78,16 @@ def test_only_domain_errors_escape_and_a_refused_call_changes_nothing(mode, back
         before = state(sim)
         try:
             getattr(sim, head)(*args)
-        except (BadLetter, NonPositiveAmount):
+        except (BadLetter, NonPositiveAmount, BadDestination):
             assert state(sim) == before, (head, args)
         except DOMAIN_ERRORS:
             pass
         else:
             assert type(amount) is int and amount > 0, (head, args)
+            if head == "redeem":
+                assert isinstance(args[1], str) and args[1].split() == [args[1]], args
+        # the dump never raises, and each of its lines reads back as `address balance`
+        assert all(len(line.split()) == 2 for line in sim.ledger.dump().splitlines())
     # one letter per user, never the server's, so no two parties share key names
     assert all(name == SERVER or (len(name) == 6 and name != "USER_S") for name in sim.parties)
     letters = [party.letter for party in sim.parties.values()]
@@ -131,3 +140,14 @@ def test_an_amount_that_is_not_cents_is_refused_before_any_message(record, amoun
         with pytest.raises(NonPositiveAmount):
             call()
         assert state(sim) == before
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("dest", [5, "", "a b", "ext\n1"])
+def test_a_destination_that_is_no_token_is_refused_before_any_message(record, dest):
+    # an int would break the dump's sort, and text with whitespace its lines
+    sim = funded(record=record)
+    before = state(sim)
+    with pytest.raises(BadDestination):
+        sim.redeem("a", dest, 100)
+    assert state(sim) == before

@@ -6,9 +6,10 @@ while its memory is unchanged.  These tests compare every emitted table and
 step record with a from-scratch recomputation over random operation
 sequences, check each party's count of memory terms per class against its
 memory at every step, check that emitted columns and snapshots are never
-mutated afterwards, and bound how the per-step work grows with the length of
-a run.
+mutated afterwards, and bound how the per-step work, the square lookup's
+included, grows with the length of a run, recorded or not.
 """
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -347,8 +348,8 @@ def bounce_script(n):
     return "\n".join(lines) + "\n"
 
 
-def count_emit_work(n, monkeypatch):
-    counts = {"term_of": 0, "annotate": 0}
+def count_emit_work(n, monkeypatch, record=True):
+    counts = {"term_of": 0, "annotate": 0, "lookup": 0}
 
     def counting_term_of(value):
         counts["term_of"] += 1
@@ -358,19 +359,35 @@ def count_emit_work(n, monkeypatch):
         counts["annotate"] += 1
         return annotate(self, name, value)
 
-    annotate = Simulation._annotate
+    def count_lines(frame, event, arg):
+        counts["lookup"] += event == "line"
+        return count_lines
+
+    def traced_square_for(self, party_name):
+        # every line run inside the square lookup and what it calls
+        previous = sys.gettrace()
+        sys.settrace(count_lines)
+        try:
+            return square_for(self, party_name)
+        finally:
+            sys.settrace(previous)
+
+    annotate, square_for = Simulation._annotate, Simulation._square_for
     with monkeypatch.context() as patch:
         for module in (backend, parties, protocol):
             patch.setattr(module, "term_of", counting_term_of)
         patch.setattr(Simulation, "_annotate", counting_annotate)
+        patch.setattr(Simulation, "_square_for", traced_square_for)
         script = parse_scenario(bounce_script(n), mode="cryptocubic", backend="symbolic")
-        result = run_scenario(script, quiet=True)
+        result = run_scenario(script, quiet=True, record=record)
     assert result.ok, result.failures
     return counts
 
 
-def test_per_step_work_is_linear_in_run_length(monkeypatch):
-    short = count_emit_work(20, monkeypatch)
-    long = count_emit_work(80, monkeypatch)
+@pytest.mark.parametrize("record", [True, False])
+def test_per_step_work_is_linear_in_run_length(monkeypatch, record):
+    # an unrecorded run is what a staged attack or a quiet CLI run does
+    short = count_emit_work(20, monkeypatch, record)
+    long = count_emit_work(80, monkeypatch, record)
     for what in short:
         assert long[what] <= 5 * short[what], (what, short[what], long[what])

@@ -2,6 +2,7 @@
 import pytest
 
 from cryptocubic.ledger import (
+    BadDestination,
     BadSignature,
     ChainTx,
     DuplicateAddress,
@@ -164,6 +165,16 @@ class TestSpending:
         tx = signed_tx(backend, account, "ext", amount, ledger.fresh_nonce())
         with pytest.raises(NonPositiveAmount):
             ledger.spend(tx)
+
+    @pytest.mark.parametrize("dest", [5, "", "a b", "ext\n1", "\u3000", None])
+    def test_destination_that_is_no_token_is_refused(self, backend, ledger, account, dest):
+        # a dump line is `address balance`, so a destination is one word
+        ledger.fund(account.address.value, 100)
+        dump = ledger.dump()
+        tx = signed_tx(backend, account, dest, 100, ledger.fresh_nonce())
+        with pytest.raises(BadDestination):
+            ledger.spend(tx)
+        assert ledger.dump() == dump
 
 
 class TestConservation:
