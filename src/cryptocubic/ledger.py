@@ -57,6 +57,10 @@ def check_amount(amount_cents: object) -> None:
 def check_destination(destination: object) -> None:
     if not isinstance(destination, str) or destination.split() != [destination]:
         raise BadDestination(f"destination must be one word with no whitespace, got {destination!r}")
+    try:  # a signature covers the destination's UTF-8, which a lone surrogate has none of
+        destination.encode()
+    except UnicodeEncodeError:
+        raise BadDestination(f"destination must be encodable as UTF-8, got {destination!r}") from None
 
 
 @dataclass(frozen=True)

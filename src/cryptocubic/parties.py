@@ -120,7 +120,7 @@ class Party:
         return self._snapshot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     msg_type: str
     sender: str

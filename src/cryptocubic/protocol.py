@@ -131,7 +131,7 @@ class TransferSession:
         return self.square.square_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """Everything the attacker oracle may know as of one emitted step."""
 

@@ -9,18 +9,25 @@ Tables are derived from live party state at emission time and never edited
 afterwards; golden-file comparisons are byte-exact.
 
 Consecutive tables mostly repeat each other, so `render_table` keeps the
-last table's padded columns, each with a copy of its items, and its body.
-A column whose items equal the copy under its header reuses its cells; when
-all columns are reused, in the same order, so is the body.  Comparing by
-value, never by identity, means a list changed in place is rendered afresh.
+last table: each column's padded header and items with a copy of the items,
+and the table's rows, header row first.  A column whose items equal the copy
+under its header reuses its cells.  Otherwise the first and the last item
+that differ bound the span it re-pads, as long as its width holds.  Only the
+rows from the earliest changed row to the latest are rebuilt, down to the
+end of the longer copy where a column's length changed; every other row is
+reused.  A new width, header set or header order rebuilds every row.  The
+output stays O(state) bytes per step; the rows built are the changed spans.
+Comparing by value, never by identity, means a list changed in place is
+rendered afresh.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, count, islice, repeat
+from operator import ne
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     step: int
     label: str
@@ -34,34 +41,60 @@ def format_money(cents: int) -> str:
 
 
 # the last table rendered, replaced whole by each call: its columns, header
-# -> (copy of the items, padded header and items, blank cell), and its body
-_last: tuple[dict[str, tuple[list[str], list[str], str]], str] = ({}, "")
+# -> (copy of the items, padded header and items, blank cell), and its rows
+_last: tuple[dict[str, tuple[list[str], list[str], str]], list[str]] = ({}, [])
+
+
+def _agreeing(old, new, most: int) -> int:
+    """How many leading items of `old` and `new` are equal, at most `most`."""
+    return next(compress(count(), map(ne, old, new)), most)
 
 
 def render_table(event: TraceEvent) -> str:
     global _last
-    previous, body = _last
+    head = f"== {event.step}. {event.label} =="
+    if not event.columns:
+        _last = ({}, [])
+        # an event with no columns still ends its step line with a newline
+        return head + "\n"
+    previous, rows = _last
     columns = {}
-    reused = 0
+    depth = 1 + max(map(len, event.columns.values()))
+    # rows first:end change, row 0 being the header row; first is 0 when
+    # every row does
+    first, end = len(rows), 0
     for header, items in event.columns.items():
         column = previous.get(header)
         if column is not None and column[0] == items:
-            reused += 1
+            columns[header] = column
+            continue
+        cells = [header, *items]
+        width = max(map(len, cells))
+        if column is None or width != len(column[2]):
+            cells = [*map(str.ljust, cells, repeat(width))]
+            first = 0
         else:
-            cells = [header, *items]
-            width = max(map(len, cells))
-            column = (list(items), [*map(str.ljust, cells, repeat(width))], " " * width)
-        columns[header] = column
-    if reused < len(columns) or list(columns) != list(previous):
-        depth = max((len(items) for items, _, _ in columns.values()), default=0)
-        padded = [
-            chain(cells, repeat(blank, depth - len(items)))
-            for items, cells, blank in columns.values()
-        ]
-        body = "\n".join(map(str.rstrip, map(" | ".join, zip(*padded))))
-    _last = (columns, body)
-    # an event with no columns still ends its step line with a newline
-    return f"== {event.step}. {event.label} ==\n{body}"
+            old, cells, _ = column
+            shorter = min(len(old), len(items))
+            lo = _agreeing(old, items, shorter)
+            kept = _agreeing(reversed(old[lo:]), reversed(items[lo:]), shorter - lo)
+            added = map(str.ljust, items[lo:len(items) - kept], repeat(width))
+            cells = [*cells[:1 + lo], *added, *cells[len(cells) - kept:]]
+            first = min(first, 1 + lo)
+            # where the length changed, every cell below the change moved
+            end = max(end, 1 + (len(items) - kept if len(old) == len(items) else max(len(old), len(items))))
+        columns[header] = (list(items), cells, " " * width)
+    if first and list(columns) != list(previous):  # a header came, went or moved
+        first = 0
+    # rows past the new depth are gone, however far a shortened column reached
+    end = depth if first == 0 else min(end, depth)
+    if first < end or depth != len(rows):  # else the last table's rows all hold
+        first = min(first, end)
+        spans = [chain(cells[first:end], repeat(blank)) for _, cells, blank in columns.values()]
+        built = map(str.rstrip, map(" | ".join, islice(zip(*spans), end - first)))
+        rows = [*rows[:first], *built, *rows[end:depth]]
+    _last = (columns, rows)
+    return "\n".join([head, *rows])
 
 
 def render_run(events) -> str:

@@ -143,9 +143,10 @@ def test_an_amount_that_is_not_cents_is_refused_before_any_message(record, amoun
 
 
 @pytest.mark.parametrize("record", [True, False])
-@pytest.mark.parametrize("dest", [5, "", "a b", "ext\n1"])
+@pytest.mark.parametrize("dest", [5, "", "a b", "ext\n1", "\ud800"])
 def test_a_destination_that_is_no_token_is_refused_before_any_message(record, dest):
-    # an int would break the dump's sort, and text with whitespace its lines
+    # an int would break the dump's sort, text with whitespace its lines, and
+    # a lone surrogate the signed message
     sim = funded(record=record)
     before = state(sim)
     with pytest.raises(BadDestination):

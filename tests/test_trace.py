@@ -1,4 +1,5 @@
 """Rendering of per-step holdings tables."""
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -100,7 +101,7 @@ def test_render_table_without_columns_keeps_an_empty_header_line():
 
 # -- reuse of the previous table ------------------------------------------
 
-EDITS = ("same", "copy", "append", "set", "pop", "add", "drop")
+EDITS = ("same", "copy", "append", "set", "pop", "push", "shift", "swap", "add", "drop")
 
 
 def edit(columns, op, index, text):
@@ -119,6 +120,13 @@ def edit(columns, op, index, text):
         items[index % len(items)] = text
     elif op == "pop" and items:
         items.pop()
+    elif op == "push":  # a scope opening above a party's memory moves every row below it
+        items.insert(0, text)
+    elif op == "shift" and items:  # ...and closing
+        del items[0]
+    elif op == "swap" and items:  # an item in the middle, replaced by one as wide
+        middle = len(items) // 2
+        items[middle] = (text + "x" * len(items[middle]))[:len(items[middle])]
     elif op == "drop":
         del columns[header]
 
@@ -146,6 +154,25 @@ def edit(columns, op, index, text):
         (0, "same", 0, ""),
     ],
 )
+@example(
+    start={"A": ["a", "bb", "c", "d"], "B": ["e"]},
+    steps=[
+        (0, "set", 4, "a much wider cell"),  # the longest column widens...
+        (0, "set", 4, "a"),  # ...and narrows
+        (0, "push", 0, "f"),
+        (0, "swap", 0, "g"),
+        (0, "shift", 0, ""),
+    ],
+)
+@example(
+    start={"A": ["x", "y"], "B": ["zz"]},
+    steps=[
+        (0, "shift", 0, ""),
+        (0, "pop", 0, ""),  # the longest column empties
+        (0, "same", 0, ""),
+        (0, "append", 0, "w"),
+    ],
+)
 def test_a_sequence_of_tables_matches_the_reference(start, steps):
     runs = [{header: list(items) for header, items in start.items()} for _ in range(2)]
     for step, (run, op, index, text) in enumerate(steps, 1):
@@ -166,10 +193,42 @@ def test_the_memo_holds_only_the_last_table():
     text = render_run(short_run.events)
     last = short_run.events[-1]
     assert text.endswith(render_table(last) + "\n")
-    # one padded column per header of the last table, and its body
-    columns, body = trace._last
+    # one padded column per header of the last table, and its rows
+    columns, rows = trace._last
     assert list(columns) == list(last.columns)
     for header, (items, cells, blank) in columns.items():
         assert items == last.columns[header]
         assert len(cells) == len(items) + 1 and len(blank) == len(cells[0])
-    assert render_table(last) == f"== {last.step}. {last.label} ==\n{body}"
+    assert len(rows) == max(len(cells) for _, cells, _ in columns.values())
+    assert render_table(last) == "\n".join([f"== {last.step}. {last.label} ==", *rows])
+
+
+@pytest.fixture(scope="module")
+def long_bounce():
+    """The tables of one square handed back and forth by 40 transfers."""
+    sim = Simulation(mode="cryptocubic")
+    sim.setup("A")
+    sim.fund("A", 1000)
+    for sender, receiver in ["AB", "BA"] * 20:
+        sim.transfer(sender, receiver)
+    return sim.events
+
+
+def test_a_long_bounce_renders_every_table_as_the_reference(long_bounce):
+    # its columns widen and narrow, and a scope opens and closes above the
+    # server's memory on every transfer
+    for event in long_bounce:
+        assert render_table(event) == reference_render_table(event)
+
+
+def test_a_long_bounce_builds_only_the_rows_its_steps_changed(long_bounce):
+    built = 0
+    previous = []  # kept alive, so that no new row takes the id of an old one
+    for event in long_bounce:
+        render_table(event)
+        rows = trace._last[1]
+        shared = set(map(id, previous))
+        built += sum(id(row) not in shared for row in rows)
+        previous = rows
+    # every row of every table would be 100,000 and more
+    assert built <= 20_000
