@@ -18,11 +18,15 @@ never yield an atom, so the spend check needs only the closure.
 An attack is a spend: `can_spend` asks whether both signing-key atoms of a
 square are derivable, and when they are it returns a step-by-step witness
 that `replay_witness` turns into a real accepted ledger transaction.  It
-saturates only the terms that hold a key (`Term.holds_key`), in input order:
-no other term helps derive a key, so the worklist meets these in the same
-order, and verdict and witness are those of the closure of all knowledge.
-It first refuses, without the closure, a coalition (a collection: it is read
-twice) with no term that is or holds a leg (`SigningKeyTerm.holders`).
+searches backward from the legs, as magic sets do, through each key's
+`holders` (`terms`).  It refuses, without the closure, a coalition that holds
+no holder of the leg with fewer holders, then of the other.  Otherwise it
+keeps each wanted key the coalition holds and the held cyphers that seal
+it, and wants the opener of every layer of those.  No other term leads to a
+leg, so only these reach the closure: the verdict is that of all knowledge
+(where a key has two usable holders, the witness may open either), and
+the cost follows the terms reached, not the coalition.  A collection that
+is not a set is made one first, so each probe is one lookup.
 A verdict costs what its caller reads: a bundle's legs are kept by weak
 reference, so judging it again interns nothing, and a positive `SpendDecision`
 keeps its closure and builds the witness from it when `witness` is first read.
@@ -32,7 +36,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import attrgetter
 from weakref import ref
 
 from .backend import Cypher, term_of
@@ -140,10 +143,28 @@ def can_spend(knowledge, bundle_id: str) -> SpendDecision:
     if sig_u is None or sig_s is None:
         sig_u, sig_s = SigningKeyTerm(bundle_id, "user"), SigningKeyTerm(bundle_id, "server")
         _legs[bundle_id] = ref(sig_u), ref(sig_s)
-    if sig_u.holders.isdisjoint(knowledge) or sig_s.holders.isdisjoint(knowledge):
-        return SpendDecision(False)  # only subterms of the knowledge are derived
-    # a list: tuple(filter(...)) grows by resizing and fills the tuple free lists
-    closed = closure(list(filter(attrgetter("holds_key"), knowledge)))
+    if not isinstance(knowledge, (set, frozenset)):
+        knowledge = set(knowledge)  # once, so that every probe below is one lookup
+    few, many = (sig_u, sig_s) if len(sig_u.holders) < len(sig_s.holders) else (sig_s, sig_u)
+    # a set probe walks the smaller set; only subterms of the knowledge are derived
+    if few.holders.isdisjoint(knowledge) or not (held := many.holders & knowledge):
+        return SpendDecision(False)
+    # backward from the legs: each wanted key, if held, and the held cyphers
+    # that seal it, whose every layer's opener is wanted in turn
+    given: list[Term] = []
+    wanted = {few, many}
+    found = [few.holders & knowledge, held]
+    for holders in found:  # grows while it is walked
+        given += holders
+        for term in holders:
+            while type(term) is EncTerm:
+                key, term = term.key, term.inner
+                if key not in wanted:
+                    wanted.add(key)
+                    found.append(key.holders & knowledge)
+                    if key in knowledge:
+                        given.append(key)
+    closed = closure(given)
     if sig_u not in closed or sig_s not in closed:
         return SpendDecision(False)
     return SpendDecision(True, sig_u, sig_s, closed)

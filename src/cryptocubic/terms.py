@@ -10,17 +10,20 @@ Terms are hash-consed: every class is built through one intern table keyed
 by class and field values, so there is one live object per distinct term
 and equality and hashing are object identity (C-level, never recursive).
 The table holds its terms weakly, and their term fields by id, so the terms
-of a finished run are freed with it (a signing key and its holders, which
-refer to each other, by the cyclic collector).  Copies and pickles rebuild
+of a finished run are freed with it (a key and its holders, which refer to
+each other, by the cyclic collector).  Copies and pickles rebuild
 through the table and so return the interned object.  A term is built
 from its field values in order, never by keyword, and a cypher under a
 scheme with no opening key is refused when it is built.  The `repr` is the
 dataclass one, which witness lines and symbolic signatures are built from.
 
-`holds_key`, set once per term, says whether it is or holds (in cyphers) a
-private, symmetric or signing key; no rule opens a digest.  By the same
-rule, `signing_keys` lists the signing keys it is or holds, and each
-`SigningKeyTerm` keeps the inverse, `holders`.
+One key index serves the attacker oracle.  `seals`, set once per term,
+names the private, symmetric or signing key a cypher holds at any depth (no
+rule opens a digest), and a signing key names itself.  Each key keeps the
+inverse, `holders`, filled as each term is interned: the cyphers that seal
+it, and a signing key itself.  A private or symmetric key is not its own
+holder, so one that no cypher seals is freed at its last reference, and it
+builds no set.
 """
 from __future__ import annotations
 
@@ -38,8 +41,8 @@ _table: WeakValueDictionary[tuple, Term] = WeakValueDictionary()
 class Term:
     """Base class for knowledge terms: calling a term class returns the live
     term with those field values, and builds one only when there is none."""
-    holds_key = False
-    signing_keys: tuple[SigningKeyTerm, ...] = ()
+    seals: tuple[Term, ...] = ()  # the key it holds in cyphers, if any
+    holders: set[Term] | frozenset[Term] = frozenset()  # of a key: what seals it
 
     def __new__(cls, *args, **kwargs):
         names = cls.__match_args__
@@ -51,8 +54,8 @@ class Term:
             term = object.__new__(cls)
             term.__dict__.update(zip(names, args))
             term.__post_init__()
-            for signing_key in term.signing_keys:
-                signing_key.holders.add(term)
+            for sealed in term.seals:  # a key no cypher seals builds no set
+                sealed.__dict__.setdefault("holders", set()).add(term)
             _table[key] = term
         return term
 
@@ -65,7 +68,6 @@ class Term:
 
 @dataclass(frozen=True, eq=False, init=False)
 class PrivateKeyTerm(Term):
-    holds_key = True
     pair_id: str
 
 
@@ -76,19 +78,17 @@ class PublicKeyTerm(Term):
 
 @dataclass(frozen=True, eq=False, init=False)
 class SymKeyTerm(Term):
-    holds_key = True
     key_id: str
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class SigningKeyTerm(Term):
-    holds_key = True
     # leg is "user" or "server"; bundle_id ties the two legs together
     bundle_id: str
     leg: str
 
     def __post_init__(self) -> None:
-        self.__dict__.update(holders=set(), signing_keys=(self,))
+        self.__dict__["seals"] = (self,)  # so a bare leg is among its holders
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -117,8 +117,9 @@ class EncTerm(Term):
     key: Term = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.__dict__["key"] = _OPENERS[self.scheme](self.key_id)
-        self.__dict__.update(holds_key=self.inner.holds_key, signing_keys=self.inner.signing_keys)
+        inner = self.inner
+        seals = (inner,) if type(inner) in _OPENERS.values() else inner.seals
+        self.__dict__.update(key=_OPENERS[self.scheme](self.key_id), seals=seals)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -130,7 +131,7 @@ _OPENERS = {ASYM: PrivateKeyTerm, SYM: SymKeyTerm}
 _HAS_TERM_FIELDS = frozenset({EncTerm, DigestTerm})
 
 
-def _by_id(value):  # held by the table, a signing key would outlive its holders
+def _by_id(value):  # held by the table, a key would outlive its holders
     return id(value) if isinstance(value, Term) else value
 
 

@@ -15,8 +15,10 @@ under its header reuses its cells.  Otherwise the first and the last item
 that differ bound the span it re-pads, as long as its width holds.  Only the
 rows from the earliest changed row to the latest are rebuilt, down to the
 end of the longer copy where a column's length changed; every other row is
-reused.  A new width, header set or header order rebuilds every row.  The
-output stays O(state) bytes per step; the rows built are the changed spans.
+reused.  A new width, header set or header order rebuilds every row, except
+a new width of the last column alone: `rstrip` drops that column's padding,
+so it re-pads the column and rebuilds only its changed span.  The output
+stays O(state) bytes per step; the rows built are the changed spans.
 Comparing by value, never by identity, means a list changed in place is
 rendered afresh.
 """
@@ -63,6 +65,7 @@ def render_table(event: TraceEvent) -> str:
     # rows first:end change, row 0 being the header row; first is 0 when
     # every row does
     first, end = len(rows), 0
+    last = next(reversed(event.columns))
     for header, items in event.columns.items():
         column = previous.get(header)
         if column is not None and column[0] == items:
@@ -70,16 +73,19 @@ def render_table(event: TraceEvent) -> str:
             continue
         cells = [header, *items]
         width = max(map(len, cells))
-        if column is None or width != len(column[2]):
+        if column is None or width != len(column[2]) and header != last:
             cells = [*map(str.ljust, cells, repeat(width))]
             first = 0
         else:
-            old, cells, _ = column
+            old, padded, _ = column
             shorter = min(len(old), len(items))
             lo = _agreeing(old, items, shorter)
             kept = _agreeing(reversed(old[lo:]), reversed(items[lo:]), shorter - lo)
-            added = map(str.ljust, items[lo:len(items) - kept], repeat(width))
-            cells = [*cells[:1 + lo], *added, *cells[len(cells) - kept:]]
+            if width != len(column[2]):  # the last column: rstrip drops its padding
+                cells = [*map(str.ljust, cells, repeat(width))]
+            else:
+                added = map(str.ljust, items[lo:len(items) - kept], repeat(width))
+                cells = [*padded[:1 + lo], *added, *padded[len(padded) - kept:]]
             first = min(first, 1 + lo)
             # where the length changed, every cell below the change moved
             end = max(end, 1 + (len(items) - kept if len(old) == len(items) else max(len(old), len(items))))

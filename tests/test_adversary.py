@@ -5,7 +5,7 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dropped_link, in_a_fresh_interpreter, interposed
@@ -236,7 +236,7 @@ class TestWorklistClosure:
         closed, reference = closure(knowledge), reference_closure(knowledge)
         assert closed.keys() == reference.keys()
         assert_derivations_hold(closed, knowledge)
-        # can_spend sees only the terms that hold a key, and judges alike
+        # can_spend sees only the terms reached backward from the legs, and judges alike
         for bundle_id in ("ms1", "ms2"):
             assert judged(knowledge, bundle_id) == judged_on_all_knowledge(knowledge, bundle_id)
 
@@ -291,17 +291,23 @@ def sealed_key_chain(links):
     return [SymKeyTerm("k0")] + chain
 
 
-def count_sym_key_hashes(closure_fn, links, monkeypatch):
+def count_sym_key_probes(closure_fn, links, monkeypatch):
+    """The hash and equality calls on symmetric keys that `closure_fn` makes
+    on a sealed-key chain passed as a list: a set or dict probe hashes, and
+    a probe of a list compares."""
     chain = sealed_key_chain(links)
     calls = [0]
-    original = SymKeyTerm.__hash__
+    hashed, compared = SymKeyTerm.__hash__, SymKeyTerm.__eq__
 
-    def counting(term):
-        calls[0] += 1
-        return original(term)
+    def counting(call):
+        def counted(*args):
+            calls[0] += 1
+            return call(*args)
+        return counted
 
     with monkeypatch.context() as patch:
-        patch.setattr(SymKeyTerm, "__hash__", counting)
+        patch.setattr(SymKeyTerm, "__hash__", counting(hashed))
+        patch.setattr(SymKeyTerm, "__eq__", counting(compared))
         closed = closure_fn(chain)
     assert all(SymKeyTerm(f"k{i}") in closed for i in range(links + 1))
     return calls[0]
@@ -309,14 +315,14 @@ def count_sym_key_hashes(closure_fn, links, monkeypatch):
 
 class TestClosureScaling:
     def test_work_grows_linearly_with_the_chain(self, monkeypatch):
-        short = count_sym_key_hashes(closure, 500, monkeypatch)
-        long = count_sym_key_hashes(closure, 2000, monkeypatch)
+        short = count_sym_key_probes(closure, 500, monkeypatch)
+        long = count_sym_key_probes(closure, 2000, monkeypatch)
         assert long <= 5 * short, (short, long)
 
     def test_the_guard_catches_the_fixpoint(self, monkeypatch):
         # the same bound fails the replaced fixpoint, at sizes it can afford
-        short = count_sym_key_hashes(reference_closure, 100, monkeypatch)
-        long = count_sym_key_hashes(reference_closure, 400, monkeypatch)
+        short = count_sym_key_probes(reference_closure, 100, monkeypatch)
+        long = count_sym_key_probes(reference_closure, 400, monkeypatch)
         assert long > 5 * short, (short, long)
 
 
@@ -343,18 +349,175 @@ def closure_inputs(knowledge, bundle_id):
     return decision, inputs
 
 
-class TestKeyBearingRestriction:
-    def test_closure_receives_only_terms_that_hold_a_key(self):
-        # the owner and the slot take hold a user-leg cypher, so the closure runs
-        sim = bounce_sim(60, record=False)
-        knowledge = sim.parties["USER_A"].snapshot() | take_all_slots(sim)
-        decision, inputs = closure_inputs(knowledge, next(iter(sim.squares.values())).bundle.bundle_id)
-        assert not decision.possible
+def bears_key(term):
+    """Whether a term is a key, or holds one in cyphers, that the closure can derive."""
+    return type(term) in (PrivateKeyTerm, SymKeyTerm) or bool(term.seals)
+
+
+def opener_of(cypher):
+    return (PrivateKeyTerm if cypher.scheme == ASYM else SymKeyTerm)(cypher.key_id)
+
+
+def reached_backward(knowledge, bundle_id):
+    """The terms a search backward from both legs reaches, as a naive fixpoint
+    that reads no index: each wanted key that is held, and each held cypher
+    whose innermost term is a wanted key, which wants the opener of every
+    layer it has."""
+    wanted = {SigningKeyTerm(bundle_id, "user"), SigningKeyTerm(bundle_id, "server")}
+    reached = set()
+    while True:
+        before = len(wanted), len(reached)
+        for term in knowledge:
+            openers, inner = [], term
+            while isinstance(inner, EncTerm):
+                openers.append(opener_of(inner))
+                inner = inner.inner
+            if inner in wanted:
+                reached.add(term)
+                wanted.update(openers)
+        if (len(wanted), len(reached)) == before:
+            return reached
+
+
+def assert_witness_derives(decision, knowledge):
+    """A positive witness lists only derivable terms, each premise before its
+    conclusion, and ends by signing with both legs."""
+    derivable = {repr(term): term for term in closure(knowledge)}
+    *steps, last = decision.witness
+    assert last == SIGN_LINE
+    listed = set()
+    for line in steps:
+        rule, _, text = line.partition(" ")
+        term = derivable[text]
+        if rule == "have":
+            assert term in knowledge, line
+        else:
+            cypher, key = decision.closed[term].premises
+            assert rule == f"{cypher.scheme}-decrypt:" and cypher.inner is term, line
+            assert key is opener_of(cypher) and {cypher, key} <= listed, line
+        listed.add(term)
+    assert {decision.sig_user_term, decision.sig_server_term} <= listed
+
+
+def owner_and_server_coalition():
+    # after a 60-transfer bounce: the owner, the server and the slot take
+    # hold both legs' cyphers, and keys that lead to neither leg
+    sim = bounce_sim(60, record=False)
+    bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
+    return snapshot_knowledge(sim, "USER_A", SERVER) | take_all_slots(sim), bundle_id
+
+
+# coalitions over two bundles' legs, drawn so that a leg is often derived:
+# a few keys from a small pool, cyphers up to 3 layers deep, sealed-key
+# chains, and legs, tokens and digests besides
+SMALL_IDS = st.sampled_from(["k0", "k1"])
+SCHEMES = st.sampled_from([ASYM, SYM])
+KEYS = st.one_of(SMALL_IDS.map(PrivateKeyTerm), SMALL_IDS.map(SymKeyTerm))
+LEGS = st.builds(SigningKeyTerm, st.sampled_from(["ms1", "ms2"]), st.sampled_from(["user", "server"]))
+TOKENS = st.sampled_from(["t0", "t1"]).map(TokenTerm)
+LAYER = st.tuples(SCHEMES, SMALL_IDS)
+LAYERS = st.integers(1, 3).flatmap(lambda depth: st.lists(LAYER, min_size=depth, max_size=depth))
+
+
+def sealed_in(inner, layers):
+    for scheme, key_id in layers:
+        inner = EncTerm(scheme, key_id, inner)
+    return inner
+
+
+CYPHERS = st.builds(sealed_in, st.one_of(LEGS, LEGS, KEYS, TOKENS, st.one_of(LEGS, KEYS).map(DigestTerm)),
+                    LAYERS)
+CHAIN_LINKS = st.builds(lambda key, layer: sealed_in(key, [layer]), KEYS, LAYER)
+COALITIONS = st.builds(
+    lambda parts, container: container([term for part in parts for term in part]),
+    st.tuples(
+        st.lists(KEYS, min_size=1, max_size=4),
+        st.lists(CYPHERS, max_size=8),
+        st.lists(CHAIN_LINKS, max_size=6),
+        st.lists(st.one_of(LEGS, TOKENS, KEYS.map(DigestTerm), CYPHERS.map(DigestTerm)), max_size=4),
+    ),
+    st.sampled_from([set, frozenset, list]),
+)
+
+
+class TestBackwardSelection:
+    def test_closure_receives_only_the_terms_reached_backward_from_the_legs(self):
+        knowledge, bundle_id = owner_and_server_coalition()
+        decision, inputs = closure_inputs(knowledge, bundle_id)
         (given,) = inputs
         assert type(given) is list  # a collection a caller may read again
-        assert given and all(term.holds_key for term in given)
-        assert given == [term for term in knowledge if term.holds_key]  # input order kept
-        assert len(given) < len(knowledge)
+        assert len(set(given)) == len(given)
+        assert set(given) == reached_backward(knowledge, bundle_id)
+        assert set(given) < {term for term in knowledge if bears_key(term)}
+        assert decision.possible == judged_on_all_knowledge(knowledge, bundle_id)[0]
+
+    @pytest.mark.parametrize("container", [set, list])
+    def test_unrelated_key_bearing_terms_change_nothing_the_closure_receives(self, container):
+        knowledge, bundle_id = owner_and_server_coalition()
+        padding = [SymKeyTerm(f"pad{i}") for i in range(5000)]
+        padding += [EncTerm(SYM, f"pad{i}", PrivateKeyTerm(f"pad{i + 1}")) for i in range(5000)]
+        decision, inputs = closure_inputs(container(knowledge), bundle_id)
+        padded, padded_inputs = closure_inputs(container([*knowledge, *padding]), bundle_id)
+        assert padded_inputs == inputs and len(inputs) == 1
+        assert padded.possible == decision.possible
+
+    def test_work_grows_linearly_with_a_chain_passed_as_a_list(self, monkeypatch):
+        def spend_closure(chain):
+            last = f"k{len(chain) - 1}"
+            decision = can_spend([*chain, EncTerm(SYM, last, SIG_U), SIG_S], "ms1")
+            assert decision.possible
+            return decision.closed
+
+        short = count_sym_key_probes(spend_closure, 500, monkeypatch)
+        long = count_sym_key_probes(spend_closure, 2000, monkeypatch)
+        assert long <= 5 * short, (short, long)
+
+    @settings(max_examples=400, deadline=None)
+    @given(COALITIONS)
+    # a leg under two layers, the inner one opened by a key held bare...
+    @example({SymKeyTerm("k0"), PrivateKeyTerm("k1"), SIG_S,
+              EncTerm(SYM, "k0", EncTerm(ASYM, "k1", SIG_U))})
+    # ...and by a key a chain yields, under a cypher passed as a list
+    @example([SymKeyTerm("k0"), EncTerm(SYM, "k0", PrivateKeyTerm("k1")), EncTerm(SYM, "k0", SIG_U),
+              EncTerm(ASYM, "k1", EncTerm(SYM, "k0", SIG_S))])
+    def test_verdicts_are_those_of_the_whole_coalition(self, knowledge):
+        closed = closure(knowledge)
+        for bundle_id in ("ms1", "ms2"):
+            decision = can_spend(knowledge, bundle_id)
+            legs = {SigningKeyTerm(bundle_id, "user"), SigningKeyTerm(bundle_id, "server")}
+            assert decision.possible == (legs <= closed.keys())
+            if decision.possible:
+                assert_witness_derives(decision, knowledge)
+
+    def test_every_audit_judgment_is_that_of_the_whole_coalition(self, audit_run):
+        sim, bundle_id = audit_run
+        legs = {SigningKeyTerm(bundle_id, "user"), SigningKeyTerm(bundle_id, "server")}
+        verdicts = [(can_spend(knowledge, bundle_id).possible, legs <= closure(knowledge).keys())
+                    for coalitions in audit_coalitions(sim) for knowledge in coalitions.values()]
+        assert len(verdicts) == 7651
+        assert all(possible == expected for possible, expected in verdicts)
+        assert sum(possible for possible, _ in verdicts) == 217
+
+
+@pytest.fixture(scope="module")
+def audit_run():
+    """`bench/`'s audit input: a 60-transfer bounce, then a full redemption."""
+    sim = bounce_sim(60)
+    sim.redeem("a", "ext", 1000)
+    return sim, next(iter(sim.squares.values())).bundle.bundle_id
+
+
+def audit_coalitions(sim):
+    """The audit workload's six coalitions at each recorded step, by name."""
+    for rec in sim.step_records:
+        server, slots = rec.knowledge[SERVER], slot_terms_at(rec)
+        coalitions = {"server": server, "server+slots": server | slots}
+        for party in sorted(rec.knowledge):
+            if party.startswith("USER_"):
+                coalitions[f"{party}+slots"] = rec.knowledge[party] | slots
+        coalitions["server+USER_A+slots"] = server | rec.knowledge["USER_A"] | slots
+        coalitions["wiretap"] = wiretap_knowledge(sim, upto=rec.transcript_len)
+        yield coalitions
 
 
 class TestLegRefusal:
@@ -362,7 +525,7 @@ class TestLegRefusal:
         sim = bounce_sim(60, record=False)
         bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
         knowledge = sim.server.snapshot()
-        assert any(term.holds_key for term in knowledge)  # the filter would keep some
+        assert any(bears_key(term) for term in knowledge)  # keys, but none leads to a leg
         assert SigningKeyTerm(bundle_id, "user").holders.isdisjoint(knowledge)
         decision, inputs = closure_inputs(knowledge, bundle_id)
         assert decision == adversary.SpendDecision(False)
@@ -381,21 +544,12 @@ class TestLegRefusal:
         decision, inputs = closure_inputs(knowledge, "ms1")
         assert not decision.possible and inputs == []
 
-    def test_the_audit_counts_hold(self):
+    def test_the_audit_counts_hold(self, audit_run):
         # `bench/`'s audit workload: six coalitions at every step of a
         # 60-transfer bounce, with the counts recorded when it was added
-        sim = bounce_sim(60)
-        sim.redeem("a", "ext", 1000)
-        bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
+        sim, bundle_id = audit_run
         judged, positive = Counter(), Counter()
-        for rec in sim.step_records:
-            server, slots = rec.knowledge[SERVER], slot_terms_at(rec)
-            coalitions = {"server": server, "server+slots": server | slots}
-            for party in sorted(rec.knowledge):
-                if party.startswith("USER_"):
-                    coalitions[f"{party}+slots"] = rec.knowledge[party] | slots
-            coalitions["server+USER_A+slots"] = server | rec.knowledge["USER_A"] | slots
-            coalitions["wiretap"] = wiretap_knowledge(sim, upto=rec.transcript_len)
+        for coalitions in audit_coalitions(sim):
             with mock.patch.object(adversary, "_explain") as explain:  # audit reads no witness
                 for name, knowledge in coalitions.items():
                     judged[name] += 1

@@ -173,37 +173,40 @@ def test_an_unknown_scheme_is_refused_when_built():
     assert leg.holders == {leg}
 
 
-# whether a term is, or holds in cyphers, a key the closure can derive
-HOLDS_KEY = [
-    (PrivateKeyTerm("p1"), True),
-    (SymKeyTerm("s1"), True),
-    (SIG_U, True),
-    (PublicKeyTerm("p1"), False),
-    (AddressTerm("b1"), False),
-    (TokenTerm("t1"), False),
-    (BlobTerm("ab"), False),
-    (EncTerm(ASYM, "p1", SIG_U), True),
-    (EncTerm(SYM, "s1", TokenTerm("t1")), False),
-    (EncTerm(SYM, "s1", EncTerm(ASYM, "p1", SymKeyTerm("s2"))), True),
-    (EncTerm(SYM, "s1", EncTerm(ASYM, "p1", PublicKeyTerm("p2"))), False),
-    (EncTerm(ASYM, "p1", EncTerm(SYM, "s1", EncTerm(SYM, "s2", SIG_U))), True),
+# the key each term holds in cyphers, at any depth, that the closure can
+# derive; a signing key counts as holding itself, a private or symmetric key not
+SEALS = [
+    (PrivateKeyTerm("p1"), ()),
+    (SymKeyTerm("s1"), ()),
+    (SIG_U, (SIG_U,)),
+    (PublicKeyTerm("p1"), ()),
+    (AddressTerm("b1"), ()),
+    (TokenTerm("t1"), ()),
+    (BlobTerm("ab"), ()),
+    (EncTerm(ASYM, "p1", SIG_U), (SIG_U,)),
+    (EncTerm(SYM, "s1", TokenTerm("t1")), ()),
+    (EncTerm(SYM, "s1", EncTerm(ASYM, "p1", SymKeyTerm("s2"))), (SymKeyTerm("s2"),)),
+    (EncTerm(SYM, "s1", EncTerm(ASYM, "p1", PublicKeyTerm("p2"))), ()),
+    (EncTerm(ASYM, "p1", EncTerm(SYM, "s1", EncTerm(SYM, "s2", SIG_U))), (SIG_U,)),
+    (EncTerm(SYM, "s1", PrivateKeyTerm("p1")), (PrivateKeyTerm("p1"),)),
     # the closure never opens a digest, so a digest of a key yields none
-    (DigestTerm(SymKeyTerm("s1")), False),
-    (EncTerm(SYM, "s1", DigestTerm(SIG_U)), False),
-    (EncTerm(ASYM, "p1", EncTerm(SYM, "s1", DigestTerm(PrivateKeyTerm("p1")))), False),
+    (DigestTerm(SymKeyTerm("s1")), ()),
+    (EncTerm(SYM, "s1", DigestTerm(SIG_U)), ()),
+    (EncTerm(ASYM, "p1", EncTerm(SYM, "s1", DigestTerm(PrivateKeyTerm("p1")))), ()),
 ]
 
 
-@pytest.mark.parametrize("term, holds", HOLDS_KEY)
-def test_holds_key_marks_keys_and_what_holds_them(term, holds):
-    assert term.holds_key is holds
+@pytest.mark.parametrize("term, sealed", SEALS)
+def test_seals_names_the_key_a_term_holds_and_its_holders_name_the_term(term, sealed):
+    assert term.seals == sealed
+    assert all(term in key.holders for key in sealed)
     # derived attributes: repr builds witness lines and symbolic signatures
     names = {f.name for f in dataclasses.fields(term)} | set(fields_of(term))
-    for derived in ("holds_key", "signing_keys", "holders"):
+    for derived in ("seals", "holders"):
         assert derived not in names and derived not in repr(term)
 
 
-# which legs list each term among their holders: by the rule of `holds_key`,
+# which legs list each term among their holders: by the rule of `seals`,
 # the terms that are the leg or hold it in cyphers, at any depth
 HOLDERS = [
     (SIG_U, {SIG_U}),
@@ -226,14 +229,30 @@ HOLDERS = [
 @pytest.mark.parametrize("term, legs", HOLDERS)
 def test_holders_lists_the_terms_that_are_or_hold_a_leg(term, legs):
     assert {leg for leg in (SIG_U, SIG_S) if term in leg.holders} == legs
-    assert set(term.signing_keys) == legs
-    assert len(term.signing_keys) == len(legs)
+    assert {SIG_U, SIG_S}.intersection(term.seals) == legs
 
 
 def test_holders_holds_only_terms_that_are_or_hold_the_leg():
     for leg in (SIG_U, SIG_S):
         assert leg in leg.holders
-        assert all(term.holds_key and leg in term.signing_keys for term in leg.holders)
+        assert all(term.seals == (leg,) for term in leg.holders)
+
+
+@pytest.mark.parametrize("opener", [PrivateKeyTerm, SymKeyTerm])
+def test_a_private_or_symmetric_key_lists_the_cyphers_that_seal_it_and_never_itself(opener):
+    gc.collect()
+    before = len(terms._table)
+    key = opener("held by this test only")
+    assert key.holders == frozenset() and "holders" not in vars(key)  # no set of its own
+    outer = EncTerm(ASYM, "p8", EncTerm(SYM, "s8", key))
+    assert key.holders == {outer, outer.inner}
+    # a self-entry would be a cycle, so the key would outlive its last reference
+    assert key not in key.holders and key.seals == ()
+    refs = [weakref.ref(key), weakref.ref(outer)]
+    del key, outer
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert len(terms._table) == before
 
 
 def test_a_signing_key_and_its_holders_are_freed_by_the_collector():
