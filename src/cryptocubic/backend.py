@@ -12,15 +12,18 @@ Only the concrete backend needs the third-party ``cryptography`` package:
 without it the module still loads, and building a `ConcreteBackend` raises
 ModuleNotFoundError.
 
-The concrete backend builds each X25519 and Ed25519 private-key object
-through a bounded, process-wide memo keyed by the 32-byte seed, because
-building one is a full Curve25519 scalar multiplication.  Seeds repeat:
-every attack staging replays the script with the script's own seed, so it
-draws the same key seeds the main run drew.  Only the key object is cached;
-every exchange, AES-GCM operation, signature, verification and key match
-still runs on every call, so outputs are byte-identical with or without the
-memo.  The memo belongs to the process, not to any simulated party: it adds
-no knowledge term and shows in no table.
+The concrete backend keeps three bounded, process-wide memos.  It builds
+each X25519 and Ed25519 private-key object once per 32-byte seed, because
+building one is a full Curve25519 scalar multiplication, and it derives each
+ECIES key once per (private seed, peer public key) pair, because an X25519
+shared secret depends on nothing else.  Seeds repeat: every attack staging
+replays the script with the script's own seed, so it draws the same key
+seeds, and makes the same exchanges, as the main run.  Only key objects and
+ECIES keys are cached; every AES-GCM seal and open (the authentication that
+refuses a wrong key or a tampered payload), signature, verification and key
+match still runs on every call, so outputs are byte-identical with or
+without the memos.  The memos belong to the process, not to any simulated
+party: they add no knowledge term and show in no table.
 
 `CryptoBackend` draws every id from one counter sequence and builds every
 value record, cypher term and guard; a backend supplies only key material and
@@ -75,6 +78,11 @@ class CryptoError(Exception):
 
 class KeyMismatch(CryptoError):
     """Decryption attempted with a key that does not fit the cypher."""
+
+
+class NotAValue(KeyMismatch):
+    """An authenticated plaintext that encodes no value: the sealer was not
+    this codec, so for the opener the key might as well not fit."""
 
 
 class SchemeMismatch(CryptoError):
@@ -355,11 +363,17 @@ def _ed25519_private(seed: bytes) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(seed)
 
 
+@lru_cache(maxsize=1024)
+def _ecies_key(seed: bytes, peer: bytes) -> bytes:
+    """The AES key that X25519 private key `seed` shares with public key `peer`."""
+    shared = _x25519_private(seed).exchange(X25519PublicKey.from_public_bytes(peer))
+    return hashlib.sha256(b"cryptocubic.ecies.v1" + shared).digest()
+
+
 class ConcreteBackend(CryptoBackend):
     """Real primitives: X25519+AES-GCM, AES-GCM, Ed25519, SHA-256."""
 
     name = "concrete"
-    _HKDF_INFO = b"cryptocubic.ecies.v1"
 
     def __init__(self) -> None:
         if _missing:
@@ -380,10 +394,6 @@ class ConcreteBackend(CryptoBackend):
     def _address_input(self, verify_key: VerifyKey) -> bytes:
         return verify_key.material
 
-    def _ecies_key(self, private: X25519PrivateKey, peer: bytes) -> bytes:
-        shared = private.exchange(X25519PublicKey.from_public_bytes(peer))
-        return hashlib.sha256(self._HKDF_INFO + shared).digest()
-
     def _aes_seal(self, key: bytes, plaintext: bytes, rng: random.Random) -> bytes:
         nonce = rng.randbytes(12)
         return nonce + AESGCM(key).encrypt(nonce, plaintext, None)
@@ -400,15 +410,18 @@ class ConcreteBackend(CryptoBackend):
 
     def _asym_seal(self, public: AsymPublicKey, value: object, rng: random.Random) -> bytes:
         plaintext = self.export_bytes(value)
-        eph = _x25519_private(rng.randbytes(32))
-        sealed = self._aes_seal(self._ecies_key(eph, public.material), plaintext, rng)
-        return eph.public_key().public_bytes_raw() + sealed
+        eph = rng.randbytes(32)
+        sealed = self._aes_seal(_ecies_key(eph, public.material), plaintext, rng)
+        return _x25519_private(eph).public_key().public_bytes_raw() + sealed
 
     def _asym_open(self, private: AsymPrivateKey, cypher: Cypher) -> object:
         payload = cypher.payload
         if len(payload) < 32 + 12 + 16:  # ephemeral key, nonce, tag
             raise KeyMismatch("cypher payload is cut short")
-        key = self._ecies_key(_x25519_private(private.material), payload[:32])
+        try:
+            key = _ecies_key(private.material, payload[:32])
+        except ValueError as exc:  # a low-order ephemeral key shares no secret
+            raise KeyMismatch("the cypher's ephemeral key shares no secret") from exc
         return self._aes_open(key, payload[32:])
 
     def _sym_seal(self, key: SymKey, value: object, rng: random.Random) -> bytes:
@@ -436,15 +449,21 @@ class ConcreteBackend(CryptoBackend):
         raise TypeError(f"cannot encode {type(value).__name__} for transport")
 
     def _import_value(self, data: bytes) -> object:
+        """The value `data` encodes; raises NotAValue for any other bytes."""
         fields = _unpack(data)
-        tag = fields[0]
-        if tag == _TAG_RAW:
-            return fields[1]
-        if tag not in _TAGGED:
-            raise ValueError(f"unknown value tag {tag!r}")
-        cls = _TAGGED[tag]
-        n = len(cls.TERM.__match_args__)
-        return cls(*[f.decode() for f in fields[1 : n + 1]], fields[n + 1])
+        if not fields or _pack(*fields) != data:
+            raise NotAValue("the plaintext is cut short")
+        tag, *fields = fields
+        if tag == _TAG_RAW and len(fields) == 1:
+            return fields[0]
+        cls = _TAGGED.get(tag)
+        if cls is None or len(fields) != len(cls.TERM.__match_args__) + 1:
+            raise NotAValue(f"the plaintext encodes no value (tag {tag[:8]!r})")
+        *ids, material = fields
+        try:
+            return cls(*[f.decode() for f in ids], material)
+        except UnicodeDecodeError as exc:
+            raise NotAValue(f"a {cls.__name__} id is not UTF-8") from exc
 
     def sign(self, key: SigningKey, message: bytes) -> Signature:
         sig = _ed25519_private(key.material).sign(message)

@@ -557,13 +557,17 @@ class Simulation:
             except KeyMismatch:
                 why = "cannot decrypt challenge"
             else:
-                target.remember(et_name, msg.payload[0])
-                target.remember(reply_name, reply)
-                reply = self._send("challenge_reply", target, s, (reply,), session).payload[0]
-                s.remember(reply_name, reply)
-                why = ("" if isinstance(reply, Token) and reply.material == token.material
-                       else "token replay" if isinstance(reply, Token) and reply.material in self._issued
-                       else "token mismatch")
+                # neither party remembers, under a token's name, what is no token
+                why = "token mismatch"
+                if isinstance(reply, Token):
+                    target.remember(et_name, msg.payload[0])
+                    target.remember(reply_name, reply)
+                    reply = self._send("challenge_reply", target, s, (reply,), session).payload[0]
+                    if isinstance(reply, Token):
+                        s.remember(reply_name, reply)
+                        why = ("" if reply.material == token.material
+                               else "token replay" if reply.material in self._issued
+                               else "token mismatch")
         if why:
             self._abort(session, f"{failed}: {why}", label)
         return why

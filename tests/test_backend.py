@@ -1,4 +1,5 @@
 """Cryptography layer: both backends against one contract."""
+import ast
 import dataclasses
 import hashlib
 import pickle
@@ -21,6 +22,7 @@ from cryptocubic.backend import (
     get_backend,
     term_of,
 )
+from cryptocubic.cli import main
 from cryptocubic.scenario import parse_scenario, run_scenario
 from cryptocubic.terms import ASYM, DigestTerm, EncTerm, Term
 
@@ -362,6 +364,17 @@ class _CountedKey:
         return self._key.sign(message)
 
 
+# every memo in backend.py: the counting fixture clears each before and after
+# its test, so no count depends on what ran before
+MEMOS = (backend_module._x25519_private, backend_module._ed25519_private,
+         backend_module._ecies_key)
+
+
+def clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
 @pytest.fixture
 def counted_derivations(monkeypatch):
     """Seeds passed to each key derivation, and calls made on the keys."""
@@ -383,12 +396,9 @@ def counted_derivations(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(ConcreteBackend, method, counted)
-    memos = (backend_module._x25519_private, backend_module._ed25519_private)
-    for memo in memos:
-        memo.cache_clear()
+    clear_memos()
     yield seeds, calls
-    for memo in memos:  # drop the counting keys before other tests see them
-        memo.cache_clear()
+    clear_memos()  # drop the counting keys before other tests see them
 
 
 def test_concrete_run_derives_each_key_once(counted_derivations):
@@ -404,11 +414,75 @@ def test_concrete_run_derives_each_key_once(counted_derivations):
     # run derives 82 X25519 and 18 Ed25519 keys from these few seeds
     assert len(seeds["x25519"]) == len(set(seeds["x25519"])) == 10
     assert len(seeds["ed25519"]) == len(set(seeds["ed25519"])) == 2
-    # every primitive still runs on every call
-    assert calls == {"asym_encrypt": 30, "asym_decrypt": 25, "exchange": 55,
+    # one X25519 exchange per distinct (private, peer) pair, where the run
+    # without the ECIES-key memo makes 55; every other primitive still runs
+    # on every call
+    assert calls == {"asym_encrypt": 30, "asym_decrypt": 25, "exchange": 15,
                      "matches": 13, "sign": 4, "ed25519 sign": 4, "verify": 4}
-    backend_module._x25519_private.cache_clear()
-    backend_module._ed25519_private.cache_clear()
+    clear_memos()
     assert run() == golden
-    for memo in (backend_module._x25519_private, backend_module._ed25519_private):
-        assert memo.cache_info().maxsize is not None  # bounded
+
+
+def test_every_memo_is_bounded_and_cleared_by_the_counting_fixture():
+    owners = [backend_module, *(value for value in vars(backend_module).values()
+                                if isinstance(value, type) and value.__module__ == backend_module.__name__)]
+    found = [value for owner in owners for value in vars(owner).values() if hasattr(value, "cache_clear")]
+    # a memo made anywhere else (inside a function, say) is one the scan misses
+    tree = ast.parse(Path(backend_module.__file__).read_text())
+    uses = [node for node in ast.walk(tree)
+            if getattr(node, "id", getattr(node, "attr", None)) in ("lru_cache", "cache")]
+    assert len(found) == len(uses) == 3
+    for memo in found:
+        assert memo.cache_info().maxsize is not None, memo
+        assert memo in MEMOS, memo
+
+
+class TestEciesKeyMemo:
+    """With the right pair's key already derived, every refusal still holds:
+    AES-GCM authenticates each open."""
+
+    @pytest.fixture
+    def sealed(self):
+        be, rng = get_backend("concrete"), random.Random(5)
+        pair, other = be.gen_asym_pair(rng), be.gen_asym_pair(rng)
+        cypher = be.asym_encrypt(pair.public, be.gen_token(rng), rng)
+        clear_memos()
+        opened = be.asym_decrypt(pair.private, cypher)
+        assert backend_module._ecies_key.cache_info().currsize == 1
+        yield be, pair, other, cypher, opened
+        clear_memos()
+
+    def test_another_pairs_private_key_is_refused(self, sealed):
+        be, pair, other, cypher, opened = sealed
+        with pytest.raises(KeyMismatch):
+            be.asym_decrypt(other.private, cypher)
+        assert be.asym_decrypt(pair.private, cypher) == opened
+
+    def test_a_payload_with_one_flipped_byte_is_refused(self, sealed):
+        be, pair, _, cypher, opened = sealed
+        for i in range(len(cypher.payload)):
+            flipped = bytearray(cypher.payload)
+            flipped[i] ^= 1
+            with pytest.raises(KeyMismatch):
+                be.asym_decrypt(pair.private, dataclasses.replace(cypher, payload=bytes(flipped)))
+        assert be.asym_decrypt(pair.private, cypher) == opened
+
+    def test_a_low_order_ephemeral_key_is_refused(self, sealed):
+        # X25519 with the zero point shares no secret: the exchange refuses it
+        be, pair, _, cypher, _ = sealed
+        zero = dataclasses.replace(cypher, payload=bytes(32) + cypher.payload[32:])
+        with pytest.raises(KeyMismatch, match="shares no secret"):
+            be.asym_decrypt(pair.private, zero)
+
+
+@pytest.mark.parametrize("name", ["baseline3", "bare4", "cryptocubic"])
+def test_warm_and_cold_cli_runs_write_the_same_bytes(name, tmp_path, capsys):
+    outputs = []
+    clear_memos()  # the first run is cold, the next two warm
+    for n in range(3):
+        ledger, journal = tmp_path / f"{n}.ledger", tmp_path / f"{n}.journal"
+        code = main([str(SCENARIOS_DIR / f"{name}.scen"), "--mode", name, "--backend", "concrete",
+                     "--ledger", str(ledger), "--journal", str(journal)])
+        outputs.append((code, capsys.readouterr(), ledger.read_bytes(), journal.read_bytes()))
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1] == outputs[2]

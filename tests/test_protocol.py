@@ -15,7 +15,7 @@ from conftest import (
     wrong_private_key,
 )
 from cryptocubic.adversary import counterfeit_handover
-from cryptocubic.backend import CryptoError, KeyMismatch
+from cryptocubic.backend import CryptoError, Cypher, KeyMismatch, Token, term_of
 from cryptocubic.ledger import InsufficientFunds, LedgerError
 from cryptocubic.parties import TransportFailure
 from cryptocubic.protocol import (
@@ -36,7 +36,7 @@ from cryptocubic.store import (
     StoreError,
     replay_journal,
 )
-from cryptocubic.terms import SigningKeyTerm
+from cryptocubic.terms import ASYM, EncTerm, SigningKeyTerm
 
 MODES = ["baseline3", "bare4", "cryptocubic"]
 DOMAIN_ERRORS = (ProtocolError, StoreError, LedgerError, CryptoError, TransportFailure)
@@ -408,6 +408,61 @@ class TestFaultInjection:
                     sim.redeem("a", "ext", 100)
         sim.redeem("a", "ext", 100)
         assert sim.ledger.balance("ext") == 100
+
+    @staticmethod
+    def _owner_can_still_redeem(sim):
+        # no party remembers what is no token under a token's name, and the
+        # slot is refilled
+        assert "Token_A2" not in sim.server.memory
+        for party in sim.parties.values():
+            assert all(isinstance(value, Token) for name, value in party.memory.items()
+                       if name.startswith("Token_")), party.name
+        sim.redeem("a", "ext", 1000)
+        assert sim.ledger.balance("ext") == 1000
+
+    @pytest.mark.parametrize("plaintext", [
+        b"\x00\x00\x00\x03TOK\x00\x00\x00\x03tk9",  # the token's material is missing
+        b"\x00\x00\x00\x03TOK\x00\x00\x00\x01\xff\x00\x00\x00\x01m",  # its id is not UTF-8
+        b"\x00\x00\x00\x03XYZ\x00\x00\x00\x01m",  # no value has this tag
+        b"\x00\x00\x00\x03RAW\x00\x00\x00\x09cut",  # cut short
+    ])
+    def test_a_challenge_encoding_no_value_aborts(self, plaintext, monkeypatch):
+        sim = Simulation(mode="cryptocubic", backend="concrete")
+        sim.setup("a")
+        sim.fund("a", 1000)
+        ka_public = sim.server.recall("Ka_Public")
+        with monkeypatch.context() as patch:
+            patch.setattr(sim.backend, "export_bytes", lambda value: plaintext)
+            cypher = sim.backend.asym_encrypt(ka_public, b"x", sim.rng)
+        with swapped(sim, "challenge", lambda msg: (cypher,)):
+            session = sim.transfer("a", "b")
+        assert (session.phase, session.abort_reason) == (
+            "aborted", "sender auth failed: cannot decrypt challenge")
+        self._owner_can_still_redeem(sim)
+
+    def test_a_symbolic_challenge_holding_no_token_aborts(self):
+        sim = Simulation(mode="cryptocubic", backend="symbolic")
+        sim.setup("a")
+        sim.fund("a", 1000)
+        ka_public = sim.server.recall("Ka_Public")
+        cypher = Cypher(b"junk", EncTerm(ASYM, ka_public.pair_id, term_of(b"junk")))
+        with swapped(sim, "challenge", lambda msg: (cypher,)):
+            session = sim.transfer("a", "b")
+        assert (session.phase, session.abort_reason) == ("aborted", "sender auth failed: token mismatch")
+        self._owner_can_still_redeem(sim)
+
+    @pytest.mark.parametrize("msg_type", ["challenge", "challenge_reply"])
+    def test_a_signing_key_in_place_of_a_token_aborts(self, backend, msg_type):
+        sim = Simulation(mode="cryptocubic", backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        key = sim.backend.gen_multisig(sim.rng).sig_user
+        if msg_type == "challenge":
+            key = sim.backend.asym_encrypt(sim.server.recall("Ka_Public"), key, sim.rng)
+        with swapped(sim, msg_type, lambda msg: (key,)):
+            session = sim.transfer("a", "b")
+        assert (session.phase, session.abort_reason) == ("aborted", "sender auth failed: token mismatch")
+        self._owner_can_still_redeem(sim)
 
     def test_plaintext_handover_ignores_a_counterfeit(self):
         sim = Simulation(mode="baseline3")
