@@ -365,8 +365,12 @@ def _ed25519_private(seed: bytes) -> Ed25519PrivateKey:
 
 @lru_cache(maxsize=1024)
 def _ecies_key(seed: bytes, peer: bytes) -> bytes:
-    """The AES key that X25519 private key `seed` shares with public key `peer`."""
-    shared = _x25519_private(seed).exchange(X25519PublicKey.from_public_bytes(peer))
+    """The AES key that X25519 private key `seed` shares with public key `peer`;
+    raises KeyMismatch for a low-order `peer`, which shares no secret."""
+    try:
+        shared = _x25519_private(seed).exchange(X25519PublicKey.from_public_bytes(peer))
+    except ValueError as exc:
+        raise KeyMismatch("the key shares no secret") from exc
     return hashlib.sha256(b"cryptocubic.ecies.v1" + shared).digest()
 
 
@@ -418,11 +422,7 @@ class ConcreteBackend(CryptoBackend):
         payload = cypher.payload
         if len(payload) < 32 + 12 + 16:  # ephemeral key, nonce, tag
             raise KeyMismatch("cypher payload is cut short")
-        try:
-            key = _ecies_key(private.material, payload[:32])
-        except ValueError as exc:  # a low-order ephemeral key shares no secret
-            raise KeyMismatch("the cypher's ephemeral key shares no secret") from exc
-        return self._aes_open(key, payload[32:])
+        return self._aes_open(_ecies_key(private.material, payload[:32]), payload[32:])
 
     def _sym_seal(self, key: SymKey, value: object, rng: random.Random) -> bytes:
         return self._aes_seal(key.material, self.export_bytes(value), rng)
@@ -431,8 +431,8 @@ class ConcreteBackend(CryptoBackend):
         return self._aes_open(key.material, cypher.payload)
 
     def matches(self, private: AsymPrivateKey, public: AsymPublicKey) -> bool:
-        derived = _x25519_private(private.material).public_key()
-        return derived.public_bytes_raw() == public.material
+        seed = private.material  # an X25519 private key is 32 bytes; no other fits
+        return len(seed) == 32 and _x25519_private(seed).public_key().public_bytes_raw() == public.material
 
     def export_bytes(self, value: object) -> bytes:
         if isinstance(value, (bytes, bytearray)):

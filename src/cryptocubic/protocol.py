@@ -19,6 +19,11 @@ Every step emits one holdings table and one `StepRecord` (per-party
 knowledge, slot contents, transcript position), which the tests and the
 `audit` benchmark read; a staged attack's run (`record=False`) keeps neither.
 
+Each transfer and redemption step runs in one `try`, whose handler hands any
+exception to the one exit, `Simulation._fail`, the only place a session ends
+aborted: it puts the cypher back, closes the scope and emits one table, then
+ends the step on a refusal (`_Refused`) and re-raises anything else.
+
 A user is one letter.  `user_letter` alone says which, and the script parser
 checks users with it, so a call refuses what a script refuses (`BadLetter`).
 """
@@ -41,7 +46,7 @@ from .backend import (
     get_backend,
     term_of,
 )
-from .ledger import ChainTx, Ledger, LedgerError, UnknownAddress, check_amount, check_destination
+from .ledger import ChainTx, Ledger, UnknownAddress, check_amount, check_destination
 from .parties import SERVER, DynamicProcedure, Message, Party, Transport, TransportFailure
 from .store import DestructiveStore, ReinsertPermit, SlotEmpty, SourceCapability
 from .terms import AddressTerm, SigningKeyTerm, Term
@@ -72,6 +77,14 @@ class SquareDrained(ProtocolError):
 
 class BadLetter(ProtocolError):
     pass
+
+
+class _Refused(Exception):
+    """A step's refusal (abort reason, table label): the session aborts, the step returns."""
+
+
+def _cause(exc: Exception) -> str:
+    return "the link drops" if isinstance(exc, TransportFailure) else f"the step fails with {type(exc).__name__}"
 
 
 def user_letter(token: object) -> str:
@@ -267,44 +280,42 @@ class Simulation:
         session: TransferSession | None = None,
     ) -> Message | None:
         session_id = session.session_id if session else 0
-        try:
-            return self.transport.send(Message(msg_type, sender.name, receiver.name, session_id, payload))
-        except TransportFailure:
-            if session and session.phase not in ("completed", "aborted"):
-                display = session.square.slot_display
-                if session.taken is None:
-                    label = f"the link drops; {display} stays in the store"
-                elif session.sender is session.receiver:  # a redemption
-                    label = f"user {session.sender.letter.upper()} cannot redeem; {display} returns to the store"
-                else:
-                    label = "the link drops; the owner cypher returns to the store"
-                self._abort(session, "link dropped", label)
-            raise
+        return self.transport.send(Message(msg_type, sender.name, receiver.name, session_id, payload))
 
-    def _abort(self, session: TransferSession, reason: str, label: str) -> None:
-        """End a failed transfer or redemption: put back what it took from the
-        store, close its scope, and emit one table."""
+    def _fail(self, session: TransferSession, exc: Exception) -> None:
+        """The one exit of a failed session step: abort the session (a finished
+        one only closes its scope) and raise `exc` again unless it is a refusal."""
+        if session.scope is not None:
+            session.scope.terminate()
+        if isinstance(exc, _Refused):
+            reason, label = exc.args
+        elif session.phase in ("completed", "aborted"):
+            raise exc
+        else:
+            reason = "link dropped" if isinstance(exc, TransportFailure) else type(exc).__name__
+            display = session.square.slot_display
+            if session.taken is None:
+                label = f"{_cause(exc)}; {display} stays in the store"
+            elif session.sender is session.receiver:  # a redemption
+                label = f"user {session.sender.letter.upper()} cannot redeem; {display} returns to the store"
+            else:
+                label = f"{_cause(exc)}; the owner cypher returns to the store"
         if session.taken is not None:
             value, permit = session.taken
             self.store.reinsert(permit, value)
-        if session.scope is not None:
-            session.scope.terminate()
         session.phase, session.abort_reason, session.taken = "aborted", reason, None
         self._emit(label)
+        if not isinstance(exc, _Refused):
+            raise exc
 
-    def _in_phase(self, session: TransferSession, phase: str | None) -> bool:
-        """Whether a step that needs `phase` may act on `session`.  A finished
-        session is refused before anything happens; a live one in another
-        phase is aborted."""
+    def _check_phase(self, session: TransferSession, phase: str | None) -> None:
+        """Refuse a step that needs `phase` on `session` in another phase: a
+        finished session before anything happens, a live one by aborting it."""
         if session.phase in ("completed", "aborted"):
             raise ProtocolError(f"session {session.session_id} is already {session.phase}")
-        if session.phase == phase:
-            return True
-        label = "a transfer step comes out of order; the transfer aborts"
-        if session.taken is not None:
-            label += " and the owner cypher returns to the store"
-        self._abort(session, "out of order", label)
-        return False
+        if session.phase != phase:
+            returns = " and the owner cypher returns to the store" if session.taken else ""
+            raise _Refused("out of order", f"a transfer step comes out of order; the transfer aborts{returns}")
 
     def render(self) -> str:
         return render_run(self.events)
@@ -383,13 +394,13 @@ class Simulation:
             a.remember(handed_name, msg.payload[0])
             a.remember("ADD", msg.payload[1])
             self._emit(f"{handed_name} and the address go to user {u.upper()}")
-        except TransportFailure:
+        except Exception as exc:
             # no partial square: scrub everything this attempt touched
             if proc is not None:
                 proc.terminate()
             for party, memory in memory_before.items():
                 party.restore(memory)
-            self._emit("the link drops; establishment rolls back")
+            self._emit(f"{_cause(exc)}; establishment rolls back")
             if new_user:  # the table above still shows the emptied column
                 del self.parties[a.name]
             raise
@@ -463,61 +474,59 @@ class Simulation:
         # handover is the whole transfer
         plain = self.mode == "baseline3"
         handed_name = "Sig_U" if plain else "Es"
-        msg = self._send("handover", a, b, (a.recall(handed_name), a.recall("ADD")), session)
-        b.remember(handed_name, msg.payload[0])
-        b.remember("ADD", msg.payload[1])
-        if plain:
-            self._emit(f"user {fu} hands the user signing key and the address to user {tu}")
-            session.phase = "completed"
-            return session
-        self._emit(f"user {fu} hands Es and the address to user {tu}")
+        try:
+            msg = self._send("handover", a, b, (a.recall(handed_name), a.recall("ADD")), session)
+            b.remember(handed_name, msg.payload[0])
+            b.remember("ADD", msg.payload[1])
+            if plain:
+                session.phase = "completed"
+                self._emit(f"user {fu} hands the user signing key and the address to user {tu}")
+                return session
+            self._emit(f"user {fu} hands Es and the address to user {tu}")
 
-        public = self._key_pair(b)
-        t = b.letter
-        if self.mode == "cryptocubic":
-            # receiver's key travels through the current owner
-            msg = self._send("share_public_key", b, a, (public,), session)
-            a.remember(f"K{t}_Public", msg.payload[0])
-            self._emit(f"user {tu} sends the public key to user {fu}")
-            msg = self._send("share_public_key", a, self.server, msg.payload, session)
-            self.server.remember(f"K{t}_Public", msg.payload[0])
-            self._emit(f"user {fu} forwards user {tu}'s public key to the server")
-        else:
-            msg = self._send("share_public_key", b, self.server, (public,), session)
-            self.server.remember(f"K{t}_Public", msg.payload[0])
-            self._emit(f"user {tu} sends the public key to the server")
+            public = self._key_pair(b)
+            t = b.letter
+            if self.mode == "cryptocubic":
+                # receiver's key travels through the current owner
+                msg = self._send("share_public_key", b, a, (public,), session)
+                a.remember(f"K{t}_Public", msg.payload[0])
+                self._emit(f"user {tu} sends the public key to user {fu}")
+                msg = self._send("share_public_key", a, self.server, msg.payload, session)
+                self.server.remember(f"K{t}_Public", msg.payload[0])
+                self._emit(f"user {fu} forwards user {tu}'s public key to the server")
+            else:
+                msg = self._send("share_public_key", b, self.server, (public,), session)
+                self.server.remember(f"K{t}_Public", msg.payload[0])
+                self._emit(f"user {tu} sends the public key to the server")
+        except Exception as exc:
+            self._fail(session, exc)
         return session
 
     def withdraw_for_transfer(self, session: TransferSession) -> None:
-        if not self._in_phase(session, "initiated"):
-            return
         square, a, s = session.square, session.sender, self.server
         fu = a.letter.upper()
-
-        self._send("approve", a, s, (b"approve", ), session)
-        session.scope = s.open_procedure()
         try:
+            self._check_phase(session, "initiated")
+            self._send("approve", a, s, (b"approve", ), session)
+            session.scope = s.open_procedure()
+            if not self.store.ping(square.slot_id):
+                raise _Refused("slot_empty", "the owner cypher is already gone; the transfer aborts")
             session.taken = self.store.take(square.slot_id)
-        except SlotEmpty:
-            self._abort(session, "slot_empty", "the owner cypher is already gone; the transfer aborts")
-            return
-        session.scope.bind(square.slot_display, session.taken[0])
-        session.phase = "ea_withdrawn"
-        self._emit(
-            f"with user {fu}'s approval the transfer procedure withdraws the owner cypher"
-        )
+            session.scope.bind(square.slot_display, session.taken[0])
+            session.phase = "ea_withdrawn"
+            self._emit(f"with user {fu}'s approval the transfer procedure withdraws the owner cypher")
 
-        if self._send("request_private_key", s, a, (), session) is None:
-            self._abort(session, "timeout",
-                        "the key request times out; the owner cypher returns to the store")
-            return
-        priv = self._send("private_key", a, s, (a.recall(f"K{a.letter}"),), session).payload[0]
-        if not self.backend.matches(priv, square.owner_pub):
-            self._abort(session, "ka_mismatch",
-                        "the offered private key does not match; the owner cypher returns to the store")
-            return
-        s.remember(f"K{a.letter}", priv)
-        self._emit(f"server requests and verifies user {fu}'s private key")
+            if self._send("request_private_key", s, a, (), session) is None:
+                raise _Refused("timeout", "the key request times out; the owner cypher returns to the store")
+            priv = self._send("private_key", a, s, (a.recall(f"K{a.letter}"),), session).payload[0]
+            if not self.backend.matches(priv, square.owner_pub):
+                raise _Refused(
+                    "ka_mismatch",
+                    "the offered private key does not match; the owner cypher returns to the store")
+            s.remember(f"K{a.letter}", priv)
+            self._emit(f"server requests and verifies user {fu}'s private key")
+        except Exception as exc:
+            self._fail(session, exc)
 
     # -- authentication --------------------------------------------------
 
@@ -531,9 +540,9 @@ class Simulation:
     def _challenge(
         self, target: Party, subject_pub: AsymPublicKey, session: TransferSession,
         failed: str, label: str, single_table: bool = True,
-    ) -> str:
-        """Token round trip with `target`.  On failure `session` aborts with
-        reason "<failed>: <why>" and table `label`; returns why, "" on success."""
+    ) -> None:
+        """Token round trip with `target`; a failure refuses the step with
+        reason "<failed>: <why>" and table `label`."""
         s = self.server
         letter = target.letter
         token_name, et_name, reply_name = self._challenge_names(letter)
@@ -554,7 +563,7 @@ class Simulation:
         if msg is not None:
             try:
                 reply = self.backend.asym_decrypt(target.recall(f"K{letter}"), msg.payload[0])
-            except KeyMismatch:
+            except CryptoError:
                 why = "cannot decrypt challenge"
             else:
                 # neither party remembers, under a token's name, what is no token
@@ -569,101 +578,93 @@ class Simulation:
                                else "token replay" if reply.material in self._issued
                                else "token mismatch")
         if why:
-            self._abort(session, f"{failed}: {why}", label)
-        return why
+            raise _Refused(f"{failed}: {why}", label)
 
     def authenticate_parties(self, session: TransferSession) -> None:
-        if not self._in_phase(session, "ea_withdrawn" if self.mode == "cryptocubic" else None):
-            return
         square, a, b = session.square, session.sender, session.receiver
         fu, tu = a.letter.upper(), b.letter.upper()
+        try:
+            self._check_phase(session, "ea_withdrawn" if self.mode == "cryptocubic" else None)
+            self._challenge(a, square.owner_pub, session, "sender auth failed",
+                            f"user {fu} fails the challenge; the owner cypher returns to the store",
+                            single_table=False)
+            self._emit(f"user {fu} returns the decrypted token and is confirmed")
 
-        if self._challenge(a, square.owner_pub, session, "sender auth failed",
-                           f"user {fu} fails the challenge; the owner cypher returns to the store",
-                           single_table=False):
-            return
-        self._emit(f"user {fu} returns the decrypted token and is confirmed")
+            # challenge under the key the completion will encrypt to
+            receiver_pub = self.server.recall(f"K{b.letter}_Public")
+            self._challenge(b, receiver_pub, session, "receiver auth failed",
+                            f"user {tu} fails the challenge; the owner cypher returns to the store")
+            self._emit(f"user {tu} returns the decrypted token and is confirmed")
 
-        # challenge under the key the completion will encrypt to
-        receiver_pub = self.server.recall(f"K{b.letter}_Public")
-        if self._challenge(b, receiver_pub, session, "receiver auth failed",
-                           f"user {tu} fails the challenge; the owner cypher returns to the store"):
-            return
-        self._emit(f"user {tu} returns the decrypted token and is confirmed")
+            es_hash = self._send("hash_share", self.server, b, (square.es_hash,), session).payload[0]
+            b.remember("Hash", es_hash)
+            self._emit(f"server shares the verification hash with user {tu}")
 
-        es_hash = self._send("hash_share", self.server, b, (square.es_hash,), session).payload[0]
-        b.remember("Hash", es_hash)
-        self._emit(f"server shares the verification hash with user {tu}")
+            hash2 = self.backend.hash_value(b.recall("Es"))
+            b.remember("Hash2", hash2)
+            self._emit(f"user {tu} hashes the cypher user {fu} handed over")
 
-        hash2 = self.backend.hash_value(b.recall("Es"))
-        b.remember("Hash2", hash2)
-        self._emit(f"user {tu} hashes the cypher user {fu} handed over")
-
-        if hash2.value != es_hash.value:
-            self._abort(
-                session, "counterfeit es",
-                "the hashes differ; the transfer aborts and the owner cypher returns to the store")
-            return
-        session.phase = "hash_verified"
-        self._emit(f"user {tu} confirms the hashes match; the cypher is genuine")
+            if hash2.value != es_hash.value:
+                raise _Refused(
+                    "counterfeit es",
+                    "the hashes differ; the transfer aborts and the owner cypher returns to the store")
+            session.phase = "hash_verified"
+            self._emit(f"user {tu} confirms the hashes match; the cypher is genuine")
+        except Exception as exc:
+            self._fail(session, exc)
 
     # -- completion ------------------------------------------------------
 
     def complete_transfer(self, session: TransferSession) -> None:
-        if not self._in_phase(session, "hash_verified" if self.mode == "cryptocubic" else "ea_withdrawn"):
-            return
         square, a, b = session.square, session.sender, session.receiver
         s, proc = self.server, session.scope
         tu = b.letter.upper()
         ka_name = f"K{a.letter}"
         kb_pub_name = f"K{b.letter}_Public"
-
-        ka = s.recall(ka_name)
-        proc.bind(ka_name, ka)
-        self._emit(f"the procedure loads user {a.letter.upper()}'s private key")
-
         try:
-            if not self.backend.matches(ka, square.owner_pub):
-                raise KeyMismatch("stored private key does not fit the owner's public key")
-            sig_u = self.backend.asym_decrypt(ka, session.taken[0])
-        except KeyMismatch:
-            self._abort(
-                session, "ka_mismatch",
-                "the private key cannot open the cypher; it returns to the store")
-            return
-        if self.backend.fingerprint(sig_u) != square.sig_user_fingerprint:
-            self._abort(
-                session, "foreign cypher",
-                "the decrypted key is not this square's; the cypher returns to the store")
-            return
-        proc.bind("Sig_U", sig_u)
-        self._emit("the procedure decrypts the user signing key")
+            self._check_phase(session, "hash_verified" if self.mode == "cryptocubic" else "ea_withdrawn")
+            ka = s.recall(ka_name)
+            proc.bind(ka_name, ka)
+            self._emit(f"the procedure loads user {a.letter.upper()}'s private key")
 
-        kb_pub = s.recall(kb_pub_name)
-        proc.bind(kb_pub_name, kb_pub)
-        self._emit(f"the procedure loads user {tu}'s public key")
+            try:
+                if not self.backend.matches(ka, square.owner_pub):
+                    raise KeyMismatch("stored private key does not fit the owner's public key")
+                sig_u = self.backend.asym_decrypt(ka, session.taken[0])
+            except KeyMismatch:
+                raise _Refused("ka_mismatch", "the private key cannot open the cypher; it returns to the store")
+            if self.backend.fingerprint(sig_u) != square.sig_user_fingerprint:
+                raise _Refused(
+                    "foreign cypher", "the decrypted key is not this square's; the cypher returns to the store")
+            proc.bind("Sig_U", sig_u)
+            self._emit("the procedure decrypts the user signing key")
 
-        eb = self.backend.asym_encrypt(kb_pub, sig_u, self.rng)
-        eb_name = f"E{b.letter}"
-        proc.bind(eb_name, eb)
-        self._emit(f"the procedure re-encrypts the signing key to user {tu}")
+            kb_pub = s.recall(kb_pub_name)
+            proc.bind(kb_pub_name, kb_pub)
+            self._emit(f"the procedure loads user {tu}'s public key")
 
-        # the new owner keeps the address the server names, not the one handed
-        # over; both notices go out while a lost one still aborts the transfer
-        msg = self._send("transfer_notice", s, b, (square.bundle.address,), session)
-        b.remember("ADD", msg.payload[0])
-        self._send("transfer_notice", s, a, (b"done",), session)
-        self.store.insert(square.cap, square.slot_id, eb)
-        square.slot_display = eb_name
-        self._emit("the new owner cypher drops into the destructive store", (proc, eb_name))
+            eb = self.backend.asym_encrypt(kb_pub, sig_u, self.rng)
+            eb_name = f"E{b.letter}"
+            proc.bind(eb_name, eb)
+            self._emit(f"the procedure re-encrypts the signing key to user {tu}")
 
-        proc.terminate()
-        square.owner_party = b.name
-        square.owner_pub = kb_pub
-        self.store.retire(session.taken[1])  # the old owner cypher is spent
-        session.phase, session.taken = "completed", None
-        self._emit("the procedure terminates; both users are notified")
-        self._emit(f"the transfer is complete; the square now belongs to user {tu}")
+            # the new owner keeps the address the server names, not the one handed
+            # over; both notices go out while a lost one still aborts the transfer
+            msg = self._send("transfer_notice", s, b, (square.bundle.address,), session)
+            b.remember("ADD", msg.payload[0])
+            self._send("transfer_notice", s, a, (b"done",), session)
+            # the insert commits the transfer: the old owner cypher is spent
+            self.store.insert(square.cap, square.slot_id, eb)
+            self.store.retire(session.taken[1])
+            square.slot_display, square.owner_party, square.owner_pub = eb_name, b.name, kb_pub
+            session.phase, session.taken = "completed", None
+            self._emit("the new owner cypher drops into the destructive store", (proc, eb_name))
+
+            proc.terminate()
+            self._emit("the procedure terminates; both users are notified")
+            self._emit(f"the transfer is complete; the square now belongs to user {tu}")
+        except Exception as exc:
+            self._fail(session, exc)
 
     # ------------------------------------------------------------------
     # redemption
@@ -679,17 +680,14 @@ class Simulation:
         letter = x.letter.upper()
         plain = self.mode == "baseline3"
         session = self._new_session(square, x, x)
-        self._send("take_request" if plain else "redeem_request", x, s, (), session)
-        if self.mode == "cryptocubic":
-            why = self._challenge(x, square.owner_pub, session, "auth failed",
-                                  f"user {letter} fails the redemption challenge; the slot stays shut")
-            if why:
-                raise AuthFailure(f"redemption challenge failed: {why}")
-            self._emit(f"user {letter} answers the redemption challenge and is confirmed")
-
-        taken, permit = session.taken = self.store.take(square.slot_id)
-        display = square.slot_display
         try:
+            self._send("take_request" if plain else "redeem_request", x, s, (), session)
+            if self.mode == "cryptocubic":
+                self._challenge(x, square.owner_pub, session, "auth failed",
+                                f"user {letter} fails the redemption challenge; the slot stays shut")
+                self._emit(f"user {letter} answers the redemption challenge and is confirmed")
+
+            taken, permit = session.taken = self.store.take(square.slot_id)
             if plain:
                 # the plaintext mode recovers the keys in memory, not in a scope
                 sig_s = self._send("take_payload", s, x, (taken,), session).payload[0]
@@ -699,7 +697,7 @@ class Simulation:
             else:
                 cypher, ks = self._send("redeem_payload", s, x, (taken, square.sym_key), session).payload
                 proc = session.scope = x.open_procedure()
-                proc.bind(display, cypher)
+                proc.bind(square.slot_display, cypher)
                 proc.bind("Ks", ks)
                 self._emit(f"server releases the owner cypher and symmetric key to user {letter}")
 
@@ -709,20 +707,19 @@ class Simulation:
                 proc.bind("Sig_S", sig_s)
                 self._emit(f"user {letter} recovers both signing keys inside a private scope")
             tx_id = self._submit_spend(square, sig_u, sig_s, dest, cents)
-        except (CryptoError, LedgerError) as exc:
-            # the permit puts the value back, so the owner can try again
-            self._abort(session, type(exc).__name__,
-                        f"user {letter} cannot redeem; {display} returns to the store")
-            raise
-        if session.scope is not None:
-            session.scope.terminate()
-        if self.ledger.balance(square.address_value):
-            # a partial redemption leaves the rest redeemable
-            self.store.reinsert(permit, taken)
-        else:
-            self.store.retire(permit)
-        session.phase, session.taken = "completed", None
-        self._emit(f"user {letter} signs the transfer and the chain accepts it")
+            session.phase, session.taken = "completed", None
+            if session.scope is not None:
+                session.scope.terminate()
+            if self.ledger.balance(square.address_value):
+                # a partial redemption leaves the rest redeemable
+                self.store.reinsert(permit, taken)
+            else:
+                self.store.retire(permit)
+            self._emit(f"user {letter} signs the transfer and the chain accepts it")
+        except Exception as exc:
+            self._fail(session, exc)  # returns only when the challenge refused
+            reason = session.abort_reason.replace("auth failed", "redemption challenge failed")
+            raise AuthFailure(reason) from None
         return tx_id
 
     def _submit_spend(self, square: CryptoSquareRecord, sig_u, sig_s, dest: str, cents: int) -> int:
@@ -744,10 +741,11 @@ class Simulation:
         self.transport.interposer = lambda msg: (
             replace(msg, payload=(stale_token,)) if msg.msg_type == "challenge_reply" else msg)
         try:
-            why = self._challenge(target, square.owner_pub, session, "auth failed",
-                                  "a stale token comes back and the challenge is refused")
+            self._challenge(target, square.owner_pub, session, "auth failed",
+                            "a stale token comes back and the challenge is refused")
+            self._emit("a stale token is accepted")
+        except Exception as exc:
+            self._fail(session, exc)
         finally:
             self.transport.interposer = previous
-        if not why:
-            self._emit("a stale token is accepted")
-        return not why
+        return session.phase != "aborted"

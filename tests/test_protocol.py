@@ -1,5 +1,7 @@
 """Full protocol runs checked step by step against hand-written holdings
 tables, plus fault injection, abort recovery, races, and mode contrasts."""
+import ast
+import inspect
 from collections import Counter
 from dataclasses import replace
 
@@ -14,8 +16,17 @@ from conftest import (
     swapped,
     wrong_private_key,
 )
+from cryptocubic import protocol
 from cryptocubic.adversary import counterfeit_handover
-from cryptocubic.backend import CryptoError, Cypher, KeyMismatch, Token, term_of
+from cryptocubic.backend import (
+    AsymPrivateKey,
+    AsymPublicKey,
+    CryptoError,
+    Cypher,
+    KeyMismatch,
+    Token,
+    term_of,
+)
 from cryptocubic.ledger import InsufficientFunds, LedgerError
 from cryptocubic.parties import TransportFailure
 from cryptocubic.protocol import (
@@ -25,7 +36,6 @@ from cryptocubic.protocol import (
     ProtocolError,
     Simulation,
     SquareDrained,
-    TransferSession,
     UnknownSquare,
 )
 from cryptocubic.store import (
@@ -363,17 +373,17 @@ class TestFaultInjection:
     def test_challenge_failure_reasons(self):
         sim = canonical_run("cryptocubic", redeem=False)
         square = next(iter(sim.squares.values()))
-        b = sim.user("b")
+        assert square.owner_party == "USER_B"
         finished = sim.server.recall("Token_B2")
+        sessions = recorded_sessions(sim)
         for reply, reason in [
             (finished, "token replay"),
             (sim.backend.gen_token(sim.rng), "token mismatch"),
         ]:
-            session = TransferSession(99, square, b, b)
-            with swapped(sim, "challenge_reply", lambda msg: (reply,)):
-                assert sim._challenge(b, square.owner_pub, session, "auth failed", "refused") == reason
-            assert (session.phase, session.abort_reason) == ("aborted", f"auth failed: {reason}")
-            assert sim.events[-1].label == "refused"
+            # the owner's challenge, its reply swapped for `reply`
+            assert not sim.attempt_replay_auth(reply)
+            assert (sessions[-1].phase, sessions[-1].abort_reason) == ("aborted", f"auth failed: {reason}")
+            assert sim.events[-1].label == "a stale token comes back and the challenge is refused"
 
     def test_an_unissued_token_is_a_mismatch_and_a_stale_one_a_replay(self, backend):
         # the reply the server just stored must not count as a token it issued
@@ -463,6 +473,70 @@ class TestFaultInjection:
             session = sim.transfer("a", "b")
         assert (session.phase, session.abort_reason) == ("aborted", "sender auth failed: token mismatch")
         self._owner_can_still_redeem(sim)
+
+    def test_a_symmetric_cypher_in_place_of_a_challenge_is_refused(self, backend):
+        # the asymmetric opener refuses it with SchemeMismatch, which is no
+        # KeyMismatch; the challenge refuses every CryptoError alike
+        sim = Simulation(mode="cryptocubic", backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        cypher = sim.backend.sym_encrypt(sim.backend.gen_sym_key(sim.rng), b"junk", sim.rng)
+        with swapped(sim, "challenge", lambda msg: (cypher,)):
+            session = sim.transfer("a", "b")
+            with pytest.raises(AuthFailure, match="^redemption challenge failed: cannot decrypt challenge$"):
+                sim.redeem("a", "ext", 1000)
+        assert (session.phase, session.abort_reason) == (
+            "aborted", "sender auth failed: cannot decrypt challenge")
+        assert all(not p.procedures for p in sim.parties.values())
+        self._owner_can_still_redeem(sim)
+
+    @pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])
+    def test_a_low_order_receiver_key_leaves_the_square_redeemable(self, mode):
+        # sealing to the zero point raises KeyMismatch, where the X25519
+        # exchange's ValueError escaped with the owner cypher still taken
+        sim = Simulation(mode=mode, backend="concrete")
+        sim.setup("a")
+        sim.fund("a", 1000)
+        sessions = recorded_sessions(sim)
+        low_order = lambda msg: (AsymPublicKey(msg.payload[0].pair_id, bytes(32)),)  # noqa: E731
+        with swapped(sim, "share_public_key", low_order, sender="USER_B"), pytest.raises(KeyMismatch):
+            sim.transfer("a", "b")
+        assert (sessions[-1].phase, sessions[-1].abort_reason) == ("aborted", "KeyMismatch")
+        assert sim.events[-1].label == (
+            "the step fails with KeyMismatch; the owner cypher returns to the store")
+        assert all(not p.procedures for p in sim.parties.values())
+        sim.redeem("a", "ext", 1000)
+        assert sim.ledger.balance("ext") == 1000
+
+    @pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])
+    def test_a_short_private_key_does_not_match(self, mode):
+        sim = Simulation(mode=mode, backend="concrete")
+        sim.setup("a")
+        sim.fund("a", 1000)
+        short = lambda msg: (AsymPrivateKey(msg.payload[0].pair_id, b"short"),)  # noqa: E731
+        with swapped(sim, "private_key", short):
+            session = sim.transfer("a", "b")
+        assert (session.phase, session.abort_reason) == ("aborted", "ka_mismatch")
+        assert all(not p.procedures for p in sim.parties.values())
+        self._owner_can_still_redeem(sim)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_any_failed_setup_rolls_back(self, mode, backend):
+        # a handed value that is no value at all: remembering it raises
+        # TypeError, and the rollback scrubs the attempt as a lost link would
+        sim = Simulation(mode=mode, backend=backend)
+        sim.setup("c")
+        memory = {name: dict(party.memory) for name, party in sim.parties.items()}
+        with swapped(sim, "square_payload", lambda msg: (None, msg.payload[1])), pytest.raises(TypeError):
+            sim.setup("a")
+        assert sim.events[-1].label == "the step fails with TypeError; establishment rolls back"
+        assert list(sim.squares) == ["sq1"]
+        assert {name: party.memory for name, party in sim.parties.items()} == memory
+        assert all(not p.procedures for p in sim.parties.values())
+        assert sim.setup("a") == "sq2"
+        sim.fund("a", 1000)
+        sim.redeem("a", "ext", 1000)
+        assert sim.ledger.balance("ext") == 1000
 
     def test_plaintext_handover_ignores_a_counterfeit(self):
         sim = Simulation(mode="baseline3")
@@ -932,3 +1006,39 @@ class TestDeterminism:
             symbolic = canonical_run(mode, "symbolic").render()
             concrete = canonical_run(mode, "concrete").render()
             assert symbolic == concrete
+
+
+class TestOneFailureExit:
+    """`Simulation._fail` is the one place a session ends aborted, and a step
+    reaches it only from its exception handler."""
+
+    @staticmethod
+    def functions():
+        tree = ast.parse(inspect.getsource(protocol))
+        return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def test_only_the_exit_aborts_a_session(self):
+        aborting = set()
+        for name, function in self.functions().items():
+            for node in ast.walk(function):
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(value, ast.Constant) and value.value == "aborted"
+                        for value in ast.walk(node.value)):
+                    aborting.add(name)
+                if isinstance(node, ast.Attribute) and node.attr == "_abort":
+                    aborting.add(f"{name} reaches _abort")
+        assert aborting == {"_fail"}
+        assert "_abort" not in self.functions()
+
+    def test_steps_reach_the_exit_only_from_their_handler(self):
+        calls, handled = set(), set()
+        for function in self.functions().values():
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "self._fail":
+                    calls.add(node)
+                elif isinstance(node, ast.ExceptHandler) and ast.unparse(node.type) == "Exception":
+                    first = node.body[0]
+                    if isinstance(first, ast.Expr) and ast.unparse(first) == "self._fail(session, exc)":
+                        handled.add(first.value)
+        assert calls == handled and len(calls) == 6
+        assert not [node for node in ast.walk(self.functions()["_send"]) if isinstance(node, ast.Try)]
