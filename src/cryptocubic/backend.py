@@ -406,9 +406,9 @@ class ConcreteBackend(CryptoBackend):
         """Open a nonce-prefixed AES-GCM payload and import the value inside."""
         if len(sealed) < 12 + 16:  # nonce, tag
             raise KeyMismatch("cypher payload is cut short")
-        try:
+        try:  # a key that is no AES key (wrong length, no bytes) opens nothing either
             plaintext = AESGCM(key).decrypt(sealed[:12], sealed[12:], None)
-        except InvalidTag as exc:
+        except (InvalidTag, ValueError, TypeError) as exc:
             raise KeyMismatch("authenticated decryption failed") from exc
         return self._import_value(plaintext)
 
@@ -466,8 +466,10 @@ class ConcreteBackend(CryptoBackend):
             raise NotAValue(f"a {cls.__name__} id is not UTF-8") from exc
 
     def sign(self, key: SigningKey, message: bytes) -> Signature:
-        sig = _ed25519_private(key.material).sign(message)
-        return Signature(key.bundle_id, key.leg, sig)
+        try:
+            return Signature(key.bundle_id, key.leg, _ed25519_private(key.material).sign(message))
+        except (ValueError, TypeError) as exc:  # material that is no 32-byte seed
+            raise KeyMismatch("the signing key is no Ed25519 key") from exc
 
     def verify(self, key: VerifyKey, message: bytes, signature: Signature) -> bool:
         try:

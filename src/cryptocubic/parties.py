@@ -15,7 +15,8 @@ delivers and indexes the terms heard on user-user links by first hearing
 first: it delivers it or a copy with another payload (`dataclasses.replace`),
 loses it by returning None, or drops the link by raising `TransportFailure`.
 Only a lost request in `AWAITED` reaches its sender as None, and the sender
-times out; losing any other message drops the link.
+times out; losing any other message drops the link, and so does a payload
+whose items differ in number or class from those sent.
 """
 from __future__ import annotations
 
@@ -150,6 +151,8 @@ class Transport:
             if msg.msg_type in AWAITED:
                 return None
             raise TransportFailure(f"{msg.msg_type} was lost")
+        if delivered is not msg and list(map(type, delivered.payload)) != list(map(type, msg.payload)):
+            raise TransportFailure(f"{msg.msg_type} arrived malformed")
         self.transcript.append(delivered)
         if delivered.channel == "user-user":
             for term in map(term_of, delivered.payload):

@@ -19,6 +19,11 @@ Every step emits one holdings table and one `StepRecord` (per-party
 knowledge, slot contents, transcript position), which the tests and the
 `audit` benchmark read; a staged attack's run (`record=False`) keeps neither.
 
+A receiver keeps what it is delivered in one place, `Simulation._send`, under
+the names passed as `keep`, once the transport has refused a payload of other
+classes than were sent.  Only the offered private key and the challenge cypher
+are kept by hand, each once a check of it passes.
+
 Each transfer and redemption step runs in one `try`, whose handler hands any
 exception to the one exit, `Simulation._fail`, the only place a session ends
 aborted: it puts the cypher back, closes the scope and emits one table, then
@@ -277,10 +282,14 @@ class Simulation:
 
     def _send(
         self, msg_type: str, sender: Party, receiver: Party, payload: tuple,
-        session: TransferSession | None = None,
+        session: TransferSession | None = None, keep: tuple[str, ...] = (),
     ) -> Message | None:
+        """Deliver one message; the receiver remembers its items under the names in `keep`."""
         session_id = session.session_id if session else 0
-        return self.transport.send(Message(msg_type, sender.name, receiver.name, session_id, payload))
+        msg = self.transport.send(Message(msg_type, sender.name, receiver.name, session_id, payload))
+        for name, value in zip(keep, msg.payload if keep else ()):  # a lost awaited request is None
+            receiver.remember(name, value)
+        return msg
 
     def _fail(self, session: TransferSession, exc: Exception) -> None:
         """The one exit of a failed session step: abort the session (a finished
@@ -352,10 +361,10 @@ class Simulation:
         pub = ks = es_hash = fingerprint = proc = None
         try:
             if not plain:
-                pub = self._send("share_public_key", a, s, (self._key_pair(a),)).payload[0]
+                public = self._key_pair(a)
                 ks = self.backend.gen_sym_key(self.rng)
                 s.remember("Ks", ks)
-                s.remember(f"K{u}_Public", pub)
+                pub = self._send("share_public_key", a, s, (public,), keep=(f"K{u}_Public",)).payload[0]
                 self._emit(f"user {u.upper()} shares the public key; server creates a symmetric key")
 
             proc = s.open_procedure()
@@ -390,9 +399,7 @@ class Simulation:
                 stored_label = "the user-leg cypher drops into the destructive store"
                 fingerprint = self.backend.fingerprint(bundle.sig_user)
 
-            msg = self._send("square_payload", s, a, (handed, bundle.address))
-            a.remember(handed_name, msg.payload[0])
-            a.remember("ADD", msg.payload[1])
+            self._send("square_payload", s, a, (handed, bundle.address), keep=(handed_name, "ADD"))
             self._emit(f"{handed_name} and the address go to user {u.upper()}")
         except Exception as exc:
             # no partial square: scrub everything this attempt touched
@@ -475,9 +482,8 @@ class Simulation:
         plain = self.mode == "baseline3"
         handed_name = "Sig_U" if plain else "Es"
         try:
-            msg = self._send("handover", a, b, (a.recall(handed_name), a.recall("ADD")), session)
-            b.remember(handed_name, msg.payload[0])
-            b.remember("ADD", msg.payload[1])
+            self._send("handover", a, b, (a.recall(handed_name), a.recall("ADD")), session,
+                       keep=(handed_name, "ADD"))
             if plain:
                 session.phase = "completed"
                 self._emit(f"user {fu} hands the user signing key and the address to user {tu}")
@@ -488,15 +494,12 @@ class Simulation:
             t = b.letter
             if self.mode == "cryptocubic":
                 # receiver's key travels through the current owner
-                msg = self._send("share_public_key", b, a, (public,), session)
-                a.remember(f"K{t}_Public", msg.payload[0])
+                msg = self._send("share_public_key", b, a, (public,), session, keep=(f"K{t}_Public",))
                 self._emit(f"user {tu} sends the public key to user {fu}")
-                msg = self._send("share_public_key", a, self.server, msg.payload, session)
-                self.server.remember(f"K{t}_Public", msg.payload[0])
+                self._send("share_public_key", a, self.server, msg.payload, session, keep=(f"K{t}_Public",))
                 self._emit(f"user {fu} forwards user {tu}'s public key to the server")
             else:
-                msg = self._send("share_public_key", b, self.server, (public,), session)
-                self.server.remember(f"K{t}_Public", msg.payload[0])
+                self._send("share_public_key", b, self.server, (public,), session, keep=(f"K{t}_Public",))
                 self._emit(f"user {tu} sends the public key to the server")
         except Exception as exc:
             self._fail(session, exc)
@@ -553,31 +556,24 @@ class Simulation:
             self._emit(f"server creates a challenge token for user {letter.upper()}")
         et = self.backend.asym_encrypt(subject_pub, token, self.rng)
         s.remember(et_name, et)
-        if single_table:
-            self._emit(f"server prepares an encrypted challenge for user {letter.upper()}")
-        else:
-            self._emit(f"the token is encrypted for user {letter.upper()}")
+        self._emit(f"server prepares an encrypted challenge for user {letter.upper()}" if single_table
+                   else f"the token is encrypted for user {letter.upper()}")
 
         msg = self._send("challenge", s, target, (et,), session)
-        why = "timeout"
-        if msg is not None:
-            try:
-                reply = self.backend.asym_decrypt(target.recall(f"K{letter}"), msg.payload[0])
-            except CryptoError:
-                why = "cannot decrypt challenge"
-            else:
-                # neither party remembers, under a token's name, what is no token
-                why = "token mismatch"
-                if isinstance(reply, Token):
-                    target.remember(et_name, msg.payload[0])
-                    target.remember(reply_name, reply)
-                    reply = self._send("challenge_reply", target, s, (reply,), session).payload[0]
-                    if isinstance(reply, Token):
-                        s.remember(reply_name, reply)
-                        why = ("" if reply.material == token.material
-                               else "token replay" if reply.material in self._issued
-                               else "token mismatch")
-        if why:
+        if msg is None:
+            raise _Refused(f"{failed}: timeout", label)
+        try:
+            reply = self.backend.asym_decrypt(target.recall(f"K{letter}"), msg.payload[0])
+        except CryptoError:
+            raise _Refused(f"{failed}: cannot decrypt challenge", label)
+        if not isinstance(reply, Token):  # no party remembers, under a token's name, what is no token
+            raise _Refused(f"{failed}: token mismatch", label)
+        target.remember(et_name, msg.payload[0])
+        target.remember(reply_name, reply)
+        # the transport refuses a reply of another class than the token sent
+        reply = self._send("challenge_reply", target, s, (reply,), session, keep=(reply_name,)).payload[0]
+        if reply.material != token.material:
+            why = "token replay" if reply.material in self._issued else "token mismatch"
             raise _Refused(f"{failed}: {why}", label)
 
     def authenticate_parties(self, session: TransferSession) -> None:
@@ -596,15 +592,14 @@ class Simulation:
                             f"user {tu} fails the challenge; the owner cypher returns to the store")
             self._emit(f"user {tu} returns the decrypted token and is confirmed")
 
-            es_hash = self._send("hash_share", self.server, b, (square.es_hash,), session).payload[0]
-            b.remember("Hash", es_hash)
+            self._send("hash_share", self.server, b, (square.es_hash,), session, keep=("Hash",))
             self._emit(f"server shares the verification hash with user {tu}")
 
             hash2 = self.backend.hash_value(b.recall("Es"))
             b.remember("Hash2", hash2)
             self._emit(f"user {tu} hashes the cypher user {fu} handed over")
 
-            if hash2.value != es_hash.value:
+            if hash2.value != b.recall("Hash").value:
                 raise _Refused(
                     "counterfeit es",
                     "the hashes differ; the transfer aborts and the owner cypher returns to the store")
@@ -650,8 +645,7 @@ class Simulation:
 
             # the new owner keeps the address the server names, not the one handed
             # over; both notices go out while a lost one still aborts the transfer
-            msg = self._send("transfer_notice", s, b, (square.bundle.address,), session)
-            b.remember("ADD", msg.payload[0])
+            self._send("transfer_notice", s, b, (square.bundle.address,), session, keep=("ADD",))
             self._send("transfer_notice", s, a, (b"done",), session)
             # the insert commits the transfer: the old owner cypher is spent
             self.store.insert(square.cap, square.slot_id, eb)
@@ -690,8 +684,7 @@ class Simulation:
             taken, permit = session.taken = self.store.take(square.slot_id)
             if plain:
                 # the plaintext mode recovers the keys in memory, not in a scope
-                sig_s = self._send("take_payload", s, x, (taken,), session).payload[0]
-                x.remember("Sig_S", sig_s)
+                sig_s = self._send("take_payload", s, x, (taken,), session, keep=("Sig_S",)).payload[0]
                 self._emit(f"user {letter} takes the server signing key from the store")
                 sig_u = x.recall("Sig_U")
             else:

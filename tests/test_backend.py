@@ -202,6 +202,20 @@ def test_concrete_truncated_cypher_raises_key_mismatch():
                 decrypt(cut)
 
 
+@pytest.mark.parametrize("material", [b"short", None], ids=["short", "none"])
+def test_concrete_key_material_of_the_wrong_length_raises_key_mismatch(material):
+    # the values keep their class, so the transport delivers them; cryptography's
+    # ValueError (or TypeError for no material) must not escape as such
+    be = get_backend("concrete")
+    rng = random.Random(12)
+    key, bundle = be.gen_sym_key(rng), be.gen_multisig(rng)
+    cypher = be.sym_encrypt(key, b"secret", rng)
+    with pytest.raises(KeyMismatch):
+        be.sym_decrypt(dataclasses.replace(key, material=material), cypher)
+    with pytest.raises(KeyMismatch):
+        be.sign(dataclasses.replace(bundle.sig_user, material=material), b"message")
+
+
 class TestHash:
     def test_deterministic(self, backend, rng):
         k = backend.gen_sym_key(rng)

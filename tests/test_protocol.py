@@ -463,15 +463,25 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("msg_type", ["challenge", "challenge_reply"])
     def test_a_signing_key_in_place_of_a_token_aborts(self, backend, msg_type):
+        # sealed in the challenge, the key decrypts to no token; as the bare
+        # reply, it is of another class than the token sent, and the link drops
         sim = Simulation(mode="cryptocubic", backend=backend)
         sim.setup("a")
         sim.fund("a", 1000)
+        sessions = recorded_sessions(sim)
         key = sim.backend.gen_multisig(sim.rng).sig_user
         if msg_type == "challenge":
             key = sim.backend.asym_encrypt(sim.server.recall("Ka_Public"), key, sim.rng)
-        with swapped(sim, msg_type, lambda msg: (key,)):
-            session = sim.transfer("a", "b")
-        assert (session.phase, session.abort_reason) == ("aborted", "sender auth failed: token mismatch")
+            with swapped(sim, msg_type, lambda msg: (key,)):
+                sim.transfer("a", "b")
+            reason = "sender auth failed: token mismatch"
+        else:
+            with swapped(sim, msg_type, lambda msg: (key,)), pytest.raises(
+                    TransportFailure, match="^challenge_reply arrived malformed$"):
+                sim.transfer("a", "b")
+            reason = "link dropped"
+        assert (sessions[-1].phase, sessions[-1].abort_reason) == ("aborted", reason)
+        assert not sim.server.holds(key.term)
         self._owner_can_still_redeem(sim)
 
     def test_a_symmetric_cypher_in_place_of_a_challenge_is_refused(self, backend):
@@ -521,15 +531,21 @@ class TestFaultInjection:
         self._owner_can_still_redeem(sim)
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_any_failed_setup_rolls_back(self, mode, backend):
-        # a handed value that is no value at all: remembering it raises
-        # TypeError, and the rollback scrubs the attempt as a lost link would
+    def test_any_failed_setup_rolls_back(self, mode, backend, monkeypatch):
+        # a backend call that fails with no domain error, once the server has
+        # opened its scope (and, encrypted, both parties remembered keys): the
+        # rollback scrubs the attempt as a lost link would
         sim = Simulation(mode=mode, backend=backend)
         sim.setup("c")
         memory = {name: dict(party.memory) for name, party in sim.parties.items()}
-        with swapped(sim, "square_payload", lambda msg: (None, msg.payload[1])), pytest.raises(TypeError):
+
+        def fails(rng):
+            raise RuntimeError("no entropy")
+
+        with monkeypatch.context() as patch, pytest.raises(RuntimeError):
+            patch.setattr(sim.backend, "gen_multisig", fails)
             sim.setup("a")
-        assert sim.events[-1].label == "the step fails with TypeError; establishment rolls back"
+        assert sim.events[-1].label == "the step fails with RuntimeError; establishment rolls back"
         assert list(sim.squares) == ["sq1"]
         assert {name: party.memory for name, party in sim.parties.items()} == memory
         assert all(not p.procedures for p in sim.parties.values())
@@ -1042,3 +1058,21 @@ class TestOneFailureExit:
                         handled.add(first.value)
         assert calls == handled and len(calls) == 6
         assert not [node for node in ast.walk(self.functions()["_send"]) if isinstance(node, ast.Try)]
+
+
+class TestOneDeliveryPoint:
+    """`Simulation._send` is where a receiver keeps what it is delivered."""
+
+    def test_only_send_remembers_a_delivered_payload(self):
+        by_hand = set()
+        for name, function in TestOneFailureExit.functions().items():
+            if name == "_send":
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".remember"):
+                    args = [*node.args, *(keyword.value for keyword in node.keywords)]
+                    if any(isinstance(part, ast.Attribute) and part.attr == "payload"
+                           for arg in args for part in ast.walk(arg)):
+                        by_hand.add((name, ast.unparse(node)))
+        # the one exception: the challenge cypher, kept only once it opens to a token
+        assert by_hand == {("_challenge", "target.remember(et_name, msg.payload[0])")}
