@@ -26,10 +26,11 @@ it, and wants the opener of every layer of those.  No other term leads to a
 leg, so only these reach the closure: the verdict is that of all knowledge
 (where a key has two usable holders, the witness may open either), and
 the cost follows the terms reached, not the coalition.  A collection that
-is not a set is made one first, so each probe is one lookup.
-A verdict costs what its caller reads: a bundle's legs are kept by weak
-reference, so judging it again interns nothing, and a positive `SpendDecision`
-keeps its closure and builds the witness from it when `witness` is first read.
+is not a set is made one first, so each probe is one lookup.  A verdict
+costs what its caller reads: judging a bundle again interns nothing, as its
+legs are kept by weak reference; a refusal builds nothing, as every one is
+one frozen negative `SpendDecision`; and a positive one keeps its closure
+of `(rule, premises)` tuples and explains it when `witness` is first read.
 """
 from __future__ import annotations
 
@@ -61,24 +62,18 @@ CHANNEL_ASSUMPTION = (
 )
 
 
-@dataclass(frozen=True)
-class Derivation:
-    rule: str
-    premises: tuple[Term, ...]
-
-
-def closure(knowledge) -> dict[Term, Derivation | None]:
+def closure(knowledge) -> dict[Term, tuple | None]:
     """Least fixed point of the decomposition rules, saturated by a worklist.
 
-    Returns every reachable term mapped to how it was derived (None for the
-    initial terms).  Only cyphers are walked: a cypher yields its inner term
-    when its key is known.  A cypher whose key is not known is shut, indexed
-    by that key, and each derived key releases the cyphers it opens.  Every
-    derived term is a subterm of the input, so the cost is linear in the
-    cyphers reached.  Deterministic, monotone in its input, and idempotent.
+    Returns every reachable term mapped to how it was derived, the tuple
+    `(rule, (cypher, key))`, or None for the initial terms.  Only cyphers are
+    walked: a cypher yields its inner term when its key is known, and one
+    whose key is not known is shut, indexed by that key, until a derived key
+    releases it.  Every derived term is a subterm of the input, so the cost is
+    linear in the cyphers reached.  Deterministic, monotone and idempotent.
     """
     # fromkeys reuses the hashes a set or frozenset input already stores
-    known: dict[Term, Derivation | None] = dict.fromkeys(knowledge)
+    known: dict[Term, tuple | None] = dict.fromkeys(knowledge)
     queue = [term for term in known if type(term) is EncTerm]
     shut: dict[Term, list[EncTerm]] = {}  # cyphers whose key is not known, by key
 
@@ -88,7 +83,7 @@ def closure(knowledge) -> dict[Term, Derivation | None]:
             shut.setdefault(key, []).append(cypher)
         elif inner not in known:
             rule = "asym-decrypt" if cypher.scheme == ASYM else "sym-decrypt"
-            known[inner] = Derivation(rule, (cypher, key))
+            known[inner] = rule, (cypher, key)
             if type(inner) is EncTerm:
                 queue.append(inner)
             elif inner in shut:  # a derived key opens the cyphers it shut
@@ -96,7 +91,7 @@ def closure(knowledge) -> dict[Term, Derivation | None]:
     return known
 
 
-def _explain(closed: dict[Term, Derivation | None], targets) -> list[str]:
+def _explain(closed: dict[Term, tuple | None], targets) -> list[str]:
     """How the targets are derived, each premise before its conclusion."""
     lines: list[str] = []
     seen: set[Term] = set()
@@ -105,34 +100,37 @@ def _explain(closed: dict[Term, Derivation | None], targets) -> list[str]:
         term, derived = stack.pop()
         how = closed.get(term)
         if derived:
-            lines.append(f"{how.rule}: {term!r}")
+            lines.append(f"{how[0]}: {term!r}")
         elif term not in seen:
             seen.add(term)
             if how is None:
                 lines.append(f"have {term!r}")
             else:
                 stack.append((term, True))
-                stack.extend((premise, False) for premise in reversed(how.premises))
+                stack.extend((premise, False) for premise in reversed(how[1]))
     return lines
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpendDecision:
     possible: bool
     sig_user_term: SigningKeyTerm | None = None
     sig_server_term: SigningKeyTerm | None = None
     # the closure a positive verdict was decided on, which its witness explains
-    closed: dict[Term, Derivation | None] | None = field(default=None, repr=False, compare=False)
+    closed: dict[Term, tuple | None] | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def witness(self) -> list[str]:
+        """How the coalition derives both legs; a refusal's is a new empty list."""
+        return self._witness if self.possible else []
 
     @cached_property
-    def witness(self) -> list[str]:
-        """How the coalition derives both legs, built the first time it is read."""
-        if not self.possible:
-            return []
+    def _witness(self) -> list[str]:  # built the first time a positive verdict's witness is read
         legs = (self.sig_user_term, self.sig_server_term)
         return [*_explain(self.closed, legs), "sign and submit the dual-signature transaction"]
 
 
+_REFUSED = SpendDecision(False)  # every negative verdict, so that a refusal builds nothing
 # bundle id -> weak references to its two legs; a live one is the interned term
 _legs: dict[str, tuple[ref, ref]] = {}
 
@@ -148,7 +146,7 @@ def can_spend(knowledge, bundle_id: str) -> SpendDecision:
     few, many = (sig_u, sig_s) if len(sig_u.holders) < len(sig_s.holders) else (sig_s, sig_u)
     # a set probe walks the smaller set; only subterms of the knowledge are derived
     if few.holders.isdisjoint(knowledge) or not (held := many.holders & knowledge):
-        return SpendDecision(False)
+        return _REFUSED
     # backward from the legs: each wanted key, if held, and the held cyphers
     # that seal it, whose every layer's opener is wanted in turn
     given: list[Term] = []
@@ -166,7 +164,7 @@ def can_spend(knowledge, bundle_id: str) -> SpendDecision:
                         given.append(key)
     closed = closure(given)
     if sig_u not in closed or sig_s not in closed:
-        return SpendDecision(False)
+        return _REFUSED
     return SpendDecision(True, sig_u, sig_s, closed)
 
 

@@ -16,7 +16,7 @@ first: it delivers it or a copy with another payload (`dataclasses.replace`),
 loses it by returning None, or drops the link by raising `TransportFailure`.
 Only a lost request in `AWAITED` reaches its sender as None, and the sender
 times out; losing any other message drops the link, and so does a payload
-whose items differ in number or class from those sent.
+that is no tuple or whose items differ in number or class from those sent.
 """
 from __future__ import annotations
 
@@ -151,7 +151,8 @@ class Transport:
             if msg.msg_type in AWAITED:
                 return None
             raise TransportFailure(f"{msg.msg_type} was lost")
-        if delivered is not msg and list(map(type, delivered.payload)) != list(map(type, msg.payload)):
+        if delivered is not msg and (type(delivered.payload) is not tuple
+                                     or list(map(type, delivered.payload)) != list(map(type, msg.payload))):
             raise TransportFailure(f"{msg.msg_type} arrived malformed")
         self.transcript.append(delivered)
         if delivered.channel == "user-user":

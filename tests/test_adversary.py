@@ -1,6 +1,7 @@
 """Attack oracle: term decomposition closure, spend verdicts, staged attacks."""
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 from unittest import mock
 
@@ -12,7 +13,6 @@ from conftest import dropped_link, in_a_fresh_interpreter, interposed
 from cryptocubic import adversary
 from cryptocubic.adversary import (
     SCENARIOS,
-    Derivation,
     can_spend,
     closure,
     counterfeit_handover,
@@ -83,14 +83,10 @@ def reference_closure(knowledge):
         for term in list(known):
             if isinstance(term, EncTerm) and term.inner not in known:
                 if term.scheme == ASYM and PrivateKeyTerm(term.key_id) in known:
-                    known[term.inner] = Derivation(
-                        "asym-decrypt", (term, PrivateKeyTerm(term.key_id))
-                    )
+                    known[term.inner] = ("asym-decrypt", (term, PrivateKeyTerm(term.key_id)))
                     changed = True
                 elif term.scheme == SYM and SymKeyTerm(term.key_id) in known:
-                    known[term.inner] = Derivation(
-                        "sym-decrypt", (term, SymKeyTerm(term.key_id))
-                    )
+                    known[term.inner] = ("sym-decrypt", (term, SymKeyTerm(term.key_id)))
                     changed = True
     return known
 
@@ -102,11 +98,12 @@ def assert_derivations_hold(closed, knowledge):
         if how is None:
             assert term in knowledge, term
             continue
-        assert all(order[p] < order[term] for p in how.premises), (term, how)
-        cypher, key = how.premises
+        rule, premises = how
+        assert all(order[p] < order[term] for p in premises), (term, how)
+        cypher, key = premises
         assert isinstance(cypher, EncTerm) and cypher.inner == term, (term, how)
         opener = PrivateKeyTerm if cypher.scheme == ASYM else SymKeyTerm
-        assert how.rule == f"{cypher.scheme}-decrypt", (term, how)
+        assert rule == f"{cypher.scheme}-decrypt", (term, how)
         assert key == opener(cypher.key_id), (term, how)
 
 
@@ -122,9 +119,10 @@ def recursive_explain(closed, target, lines, seen):
     if how is None:
         lines.append(f"have {target!r}")
         return
-    for premise in how.premises:
+    rule, premises = how
+    for premise in premises:
         recursive_explain(closed, premise, lines, seen)
-    lines.append(f"{how.rule}: {target!r}")
+    lines.append(f"{rule}: {target!r}")
 
 
 def judged_on_all_knowledge(knowledge, bundle_id):
@@ -225,7 +223,8 @@ class TestClosure:
             closed = closure(random_knowledge(rng))
             for term, how in closed.items():
                 if how is not None:
-                    assert all(p in closed for p in how.premises), term
+                    _, premises = how
+                    assert all(p in closed for p in premises), term
 
 
 class TestWorklistClosure:
@@ -392,7 +391,7 @@ def assert_witness_derives(decision, knowledge):
         if rule == "have":
             assert term in knowledge, line
         else:
-            cypher, key = decision.closed[term].premises
+            _, (cypher, key) = decision.closed[term]
             assert rule == f"{cypher.scheme}-decrypt:" and cypher.inner is term, line
             assert key is opener_of(cypher) and {cypher, key} <= listed, line
         listed.add(term)
@@ -618,6 +617,39 @@ class TestVerdictCost:
             explain.assert_called_once_with(decision.closed, (SIG_U, SIG_S))
         assert witness == judged_on_all_knowledge(knowledge, "ms1")[1]
 
+    def test_only_a_positive_verdict_builds_a_decision(self, audit_run):
+        # `bench/`'s audit judgments: 6375 refused by the leg probes, 1059
+        # after a closure, and 217 positive
+        sim, bundle_id = audit_run
+        with mock.patch.object(adversary, "SpendDecision", wraps=adversary.SpendDecision) as built:
+            verdicts = [can_spend(knowledge, bundle_id).possible
+                        for coalitions in audit_coalitions(sim) for knowledge in coalitions.values()]
+        assert len(verdicts) == 7651 and sum(verdicts) == 217
+        assert built.call_count == 217
+
+    # refused by the leg probes (no cypher holds the user leg), and after a
+    # closure (the key to the user leg's cypher is missing)
+    REFUSALS = [({SIG_S, EncTerm(SYM, "k1", SIG_S), SymKeyTerm("k1")}, 0),
+                ({SIG_S, EncTerm(SYM, "k1", SIG_U), SymKeyTerm("k2")}, 1)]
+
+    @pytest.mark.parametrize("knowledge, closures", REFUSALS)
+    def test_a_refusal_is_the_negative_decision(self, knowledge, closures):
+        decision, inputs = closure_inputs(knowledge, "ms1")
+        assert len(inputs) == closures
+        assert adversary.SpendDecision(False) == decision
+        assert decision is can_spend({SIG_U}, "ms1")  # shared, so built once
+        with pytest.raises(FrozenInstanceError):
+            decision.possible = True
+
+    def test_no_two_verdicts_share_a_witness_list(self):
+        spends = {SIG_U, SIG_S}
+        witnesses = [can_spend(knowledge, "ms1").witness for knowledge, _ in self.REFUSALS]
+        witnesses.append(can_spend(spends, "ms1").witness)
+        for witness in witnesses:
+            witness.append("tampered")
+        assert [can_spend(knowledge, "ms1").witness for knowledge, _ in self.REFUSALS] == [[], []]
+        assert can_spend(spends, "ms1").witness == judged_on_all_knowledge(spends, "ms1")[1]
+
 
 class TestCanSpend:
     def test_both_legs_spend(self):
@@ -669,7 +701,8 @@ class TestCanSpend:
         for term, how in closure(knowledge).items():
             if how is not None and repr(term) in line_of:
                 derived += 1
-                for premise in how.premises:
+                _, premises = how
+                for premise in premises:
                     assert line_of[repr(premise)] < line_of[repr(term)], term
         assert derived == links + 1  # every key of the chain, then the user leg
         assert steps[0] == f"have {EncTerm(SYM, f'k{links}', SIG_U)!r}"

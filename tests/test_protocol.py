@@ -484,6 +484,28 @@ class TestFaultInjection:
         assert not sim.server.holds(key.term)
         self._owner_can_still_redeem(sim)
 
+    # payloads that are no tuple: nothing, a number, and the sent items in a list
+    NOT_TUPLES = {"none": lambda msg: None, "int": lambda msg: 7, "list": lambda msg: list(msg.payload)}
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("payload", NOT_TUPLES)
+    def test_a_payload_that_is_no_tuple_drops_the_link(self, mode, backend, payload):
+        sim = Simulation(mode=mode, backend=backend)
+        with swapped(sim, "square_payload", self.NOT_TUPLES[payload]), pytest.raises(
+                TransportFailure, match="^square_payload arrived malformed$"):
+            sim.setup("a")
+        assert sim.events[-1].label == "the link drops; establishment rolls back"
+        assert not sim.squares and all(not p.procedures for p in sim.parties.values())
+        sim.setup("a")
+        sim.fund("a", 1000)
+        sessions = recorded_sessions(sim)
+        with swapped(sim, "handover", self.NOT_TUPLES[payload]), pytest.raises(
+                TransportFailure, match="^handover arrived malformed$"):
+            sim.transfer("a", "b")
+        assert (sessions[-1].phase, sessions[-1].abort_reason) == ("aborted", "link dropped")
+        assert "handover" not in [msg.msg_type for msg in sim.transport.transcript]
+        self._owner_can_still_redeem(sim)
+
     def test_a_symmetric_cypher_in_place_of_a_challenge_is_refused(self, backend):
         # the asymmetric opener refuses it with SchemeMismatch, which is no
         # KeyMismatch; the challenge refuses every CryptoError alike
