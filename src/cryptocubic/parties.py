@@ -6,7 +6,10 @@ invisible to knowledge snapshots, and are erased when the scope terminates.
 
 Memory changes only through `Party.remember`, `forget` and `restore`, which
 keep the count of names per knowledge term and per term class, the party's
-snapshot and its version in step with it.  `holds` asks the term count.
+snapshot, its version and its listing in step with it.  The version counts
+every change to memory; the listing counts only those a holdings column
+shows: a name added or forgotten, or an address replaced under a name.
+`holds` asks the term count.
 
 Messages travel through one in-process transport that records what it
 delivers and indexes the terms heard on user-user links by first hearing
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .backend import term_of
+from .backend import Address, term_of
 from .terms import Term
 
 
@@ -62,6 +65,7 @@ class Party:
         self._snapshot: frozenset[Term] | None = frozenset()
         self.kinds: dict[type[Term], int] = {}  # names holding a term of each class
         self.version = 0  # bumped by every change to memory
+        self.listing = 0  # bumped by every name added or forgotten and every address replaced
         self.procedures: list[DynamicProcedure] = []
 
     def remember(self, name: str, value: object) -> None:
@@ -69,7 +73,11 @@ class Party:
             return  # the name already holds this very object: nothing changes
         term = term_of(value)
         if name in self.memory:
+            # the name shows another balance if it held or now holds an address
+            self.listing += Address in (type(self.memory[name]), type(value))
             self._release(name)
+        else:
+            self.listing += 1
         self.memory[name] = value
         self._term_counts[term] = self._term_counts.get(term, 0) + 1
         self.kinds[type(term)] = self.kinds.get(type(term), 0) + 1
@@ -82,6 +90,7 @@ class Party:
             del self.memory[name]
             self._snapshot = None
             self.version += 1
+            self.listing += 1
 
     def restore(self, memory: dict[str, object]) -> None:
         """Replace the whole memory, as a rollback does."""

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from .backend import (
     Address,
@@ -54,7 +55,7 @@ from .backend import (
 from .ledger import ChainTx, Ledger, UnknownAddress, check_amount, check_destination
 from .parties import SERVER, DynamicProcedure, Message, Party, Transport, TransportFailure
 from .store import DestructiveStore, ReinsertPermit, SlotEmpty, SourceCapability
-from .terms import AddressTerm, SigningKeyTerm, Term
+from .terms import SigningKeyTerm, Term
 from .trace import TraceEvent, format_money, render_run
 
 MODES = ("baseline3", "bare4", "cryptocubic")
@@ -181,8 +182,8 @@ class Simulation:
         self.value_of: dict[Term, object] = {}  # each square's two signing keys
         self.events: list[TraceEvent] = []
         self.step_records: list[StepRecord] = []
-        # each party's memory items, with the party and ledger versions they
-        # were built at; a list is never mutated once handed out
+        # each party's memory items, with the party's listing and the ledger
+        # version they were built at; a list is never mutated once handed out
         self._memory_columns: dict[Party, tuple[int, int, list[str]]] = {}
         self._challenge_counts: dict[str, int] = {}
         self._issued: set[bytes] = set()  # the material of each token the server issued
@@ -236,16 +237,23 @@ class Simulation:
 
     def _memory_items(self, party: Party) -> list[str]:
         """The party's memory names in order, each funded address annotated
-        with its balance; rebuilt only once the party or the ledger moved."""
+        with its balance.  While the ledger holds still, a value replaced
+        under a name that shows no address reuses the list, and names added
+        at the end extend a copy of it; every other change to the party's
+        listing (`Party.listing`) rebuilds it."""
         memo = self._memory_columns.get(party)
-        if memo is not None and memo[0] == party.version and memo[1] == self.ledger.version:
+        if memo is not None and memo[0] == party.listing and memo[1] == self.ledger.version:
             return memo[2]
-        if party.kinds.get(AddressTerm):
-            items = [self._annotate(name, value) if type(value) is Address else name
-                     for name, value in party.memory.items()]
-        else:
-            items = list(party.memory)
-        self._memory_columns[party] = (party.version, self.ledger.version, items)
+        items, pairs = [], party.memory.items()
+        if memo is not None and memo[1] == self.ledger.version:
+            added = party.listing - memo[0]
+            # each change moves the listing by one, and only an added name
+            # lengthens memory: if both moved alike, names only came
+            if added == len(party.memory) - len(memo[2]):
+                items, pairs = memo[2], reversed([*islice(reversed(pairs), added)])
+        items = items + [self._annotate(name, value) if type(value) is Address else name
+                         for name, value in pairs]
+        self._memory_columns[party] = (party.listing, self.ledger.version, items)
         return items
 
     def holdings(self, party_name: str) -> list[str]:

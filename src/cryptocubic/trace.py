@@ -11,16 +11,21 @@ afterwards; golden-file comparisons are byte-exact.
 Consecutive tables mostly repeat each other, so `render_table` keeps the
 last table: each column's padded header and items with a copy of the items,
 and the table's rows, header row first.  A column whose items equal the copy
-under its header reuses its cells.  Otherwise the first and the last item
-that differ bound the span it re-pads, as long as its width holds.  Only the
-rows from the earliest changed row to the latest are rebuilt, down to the
-end of the longer copy where a column's length changed; every other row is
-reused.  A new width, header set or header order rebuilds every row, except
-a new width of the last column alone: `rstrip` drops that column's padding,
-so it re-pads the column and rebuilds only its changed span.  The output
-stays O(state) bytes per step; the rows built are the changed spans.
-Comparing by value, never by identity, means a list changed in place is
-rendered afresh.
+under its header reuses its cells.  Otherwise the items it shares with the
+copy at the top and at the bottom bound the span it re-pads, as long as its
+width holds.  Slice comparisons, which run in C, find them for the shapes
+steps make: names added or removed at the end, and one item replaced,
+inserted or removed at the top; any other change is scanned item by item.
+The new width is the wider of the old width and the changed span's items;
+the whole column is measured again only when an item as wide as the old
+width left it.  Only the rows from the earliest changed row to the latest
+are rebuilt, down to the end of the longer copy where a column's length
+changed; every other row is reused.  A new width, header set or header
+order rebuilds every row, except a new width of the last column alone:
+`rstrip` drops that column's padding, so it re-pads the column and rebuilds
+only its changed span.  The output stays O(state) bytes per step; the rows
+built and the items measured are the changed spans.  Comparing by value,
+never by identity, means a list changed in place is rendered afresh.
 """
 from __future__ import annotations
 
@@ -52,6 +57,23 @@ def _agreeing(old, new, most: int) -> int:
     return next(compress(count(), map(ne, old, new)), most)
 
 
+def _span(old, new) -> tuple[int, int]:
+    """How many leading and how many trailing items `old` and `new` share,
+    the two spans not overlapping.  Slice comparisons catch an end that grew
+    or shrank and a top item replaced, inserted or removed; only other
+    changes are scanned item by item."""
+    short, long = (old, new) if len(old) <= len(new) else (new, old)
+    n = len(short)
+    if short == long[:n]:
+        return n, 0
+    if short == long[len(long) - n:]:
+        return 0, n
+    if old[len(old) - n + 1:] == new[len(new) - n + 1:]:
+        return 0, n - 1
+    lo = _agreeing(old, new, n)
+    return lo, _agreeing(reversed(old[lo:]), reversed(new[lo:]), n - lo)
+
+
 def render_table(event: TraceEvent) -> str:
     global _last
     head = f"== {event.step}. {event.label} =="
@@ -68,27 +90,29 @@ def render_table(event: TraceEvent) -> str:
     last = next(reversed(event.columns))
     for header, items in event.columns.items():
         column = previous.get(header)
-        if column is not None and column[0] == items:
+        if column is None:  # a header came, so every row is rebuilt
+            cells = [header, *items]
+            width = max(map(len, cells))
+            columns[header] = (list(items), [*map(str.ljust, cells, repeat(width))], " " * width)
+            continue
+        old, padded, blank = column
+        if old == items:
             columns[header] = column
             continue
-        cells = [header, *items]
-        width = max(map(len, cells))
-        if column is None or width != len(column[2]) and header != last:
-            cells = [*map(str.ljust, cells, repeat(width))]
-            first = 0
-        else:
-            old, padded, _ = column
-            shorter = min(len(old), len(items))
-            lo = _agreeing(old, items, shorter)
-            kept = _agreeing(reversed(old[lo:]), reversed(items[lo:]), shorter - lo)
-            if width != len(column[2]):  # the last column: rstrip drops its padding
-                cells = [*map(str.ljust, cells, repeat(width))]
-            else:
-                added = map(str.ljust, items[lo:len(items) - kept], repeat(width))
-                cells = [*padded[:1 + lo], *added, *padded[len(padded) - kept:]]
-            first = min(first, 1 + lo)
-            # where the length changed, every cell below the change moved
-            end = max(end, 1 + (len(items) - kept if len(old) == len(items) else max(len(old), len(items))))
+        lo, kept = _span(old, items)
+        span = items[lo:len(items) - kept]
+        width = max([len(blank), *map(len, span)])
+        if width == len(blank) and width in map(len, old[lo:len(old) - kept]):
+            width = max([len(header), *map(len, items)])  # the widest item may have left
+        if width == len(blank):
+            cells = [*padded[:1 + lo], *map(str.ljust, span, repeat(width)), *padded[len(padded) - kept:]]
+        else:  # a new width re-pads the whole column
+            cells = [*map(str.ljust, [header, *items], repeat(width))]
+            if header != last:  # rstrip drops only the last column's padding
+                first = 0
+        first = min(first, 1 + lo)
+        # where the length changed, every cell below the change moved
+        end = max(end, 1 + (len(items) - kept if len(old) == len(items) else max(len(old), len(items))))
         columns[header] = (list(items), cells, " " * width)
     if first and list(columns) != list(previous):  # a header came, went or moved
         first = 0

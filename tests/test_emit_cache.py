@@ -391,3 +391,77 @@ def test_per_step_work_is_linear_in_run_length(monkeypatch, record):
     long = count_emit_work(80, monkeypatch, record)
     for what in short:
         assert long[what] <= 5 * short[what], (what, short[what], long[what])
+
+
+# ---------------------------------------------------------------------------
+# a memory column is rebuilt only when a name went, an address was replaced
+# or the ledger moved
+
+
+def funded_and_empty_addresses():
+    """User A holding a funded address and user B an empty one, in a run that
+    builds no column of its own."""
+    sim = Simulation(mode="cryptocubic", record=False)
+    sim.setup("a")
+    sim.fund("a", 1000)
+    sim.setup("b")
+    return sim, sim.user("a"), sim.user("b")
+
+
+def memory_column(sim, party):
+    """The party's memory column, and how many addresses building it annotated."""
+    with mock.patch.object(Simulation, "_annotate", autospec=True,
+                           side_effect=Simulation._annotate) as annotate:
+        items = sim._memory_items(party)
+    assert items == [reference_annotation(sim, name, value) for name, value in party.memory.items()]
+    return items, annotate.call_count
+
+
+def test_a_value_replaced_under_a_name_reuses_the_memory_column():
+    sim, a, b = funded_and_empty_addresses()
+    before, _ = memory_column(sim, a)
+    a.remember("Es", b.recall("Es"))
+    a.remember("Ka", b.recall("Kb"))
+    assert memory_column(sim, a) == (before, 0)
+    assert memory_column(sim, a)[0] is before
+
+
+def test_names_added_at_the_end_extend_a_copy_of_the_memory_column():
+    sim, a, b = funded_and_empty_addresses()
+    before, _ = memory_column(sim, a)
+    kept = list(before)
+    a.remember("Kb_Public", b.recall("Kb_Public"))
+    a.remember("ADD_B", b.recall("ADD"))
+    after, annotated = memory_column(sim, a)
+    assert after is not before and before == kept
+    assert after[-2:] == ["Kb_Public", "ADD_B"]
+    assert annotated == 1  # the added address alone
+
+
+@pytest.mark.parametrize("change", [
+    lambda sim, a, b: a.forget("Ka_Public"),
+    lambda sim, a, b: a.remember("ADD", b.recall("ADD")),
+    lambda sim, a, b: a.remember("Es", b.recall("ADD")),
+    lambda sim, a, b: sim.fund("b", 500),
+], ids=["forget", "address-replaced", "address-over-a-cypher", "ledger-move"])
+def test_any_other_change_rebuilds_the_memory_column(change):
+    sim, a, b = funded_and_empty_addresses()
+    before, _ = memory_column(sim, a)
+    kept = list(before)
+    change(sim, a, b)
+    after, annotated = memory_column(sim, a)
+    assert after is not before and before == kept
+    # every address the column shows is annotated again
+    assert annotated == sum(type(value) is Address for value in a.memory.values())
+
+
+def test_a_bounce_annotates_only_addresses_that_came_or_moved():
+    sim = Simulation(mode="cryptocubic")
+    with mock.patch.object(Simulation, "_annotate", autospec=True,
+                           side_effect=Simulation._annotate) as annotate:
+        sim.setup("A")
+        sim.fund("A", 1000)
+        for sender, receiver in ["AB", "BA"] * 20:
+            sim.transfer(sender, receiver)
+    # rebuilding each column at every memory change annotates 205 times
+    assert annotate.call_count == 3

@@ -101,7 +101,7 @@ def test_render_table_without_columns_keeps_an_empty_header_line():
 
 # -- reuse of the previous table ------------------------------------------
 
-EDITS = ("same", "copy", "append", "set", "pop", "push", "shift", "swap", "add", "drop")
+EDITS = ("same", "copy", "append", "set", "pop", "push", "shift", "swap", "top", "clear", "add", "drop")
 
 
 def edit(columns, op, index, text):
@@ -127,6 +127,10 @@ def edit(columns, op, index, text):
     elif op == "swap" and items:  # an item in the middle, replaced by one as wide
         middle = len(items) // 2
         items[middle] = (text + "x" * len(items[middle]))[:len(items[middle])]
+    elif op == "top" and items:  # a scope's bindings change above a party's memory
+        items[0] = text
+    elif op == "clear":
+        items.clear()
     elif op == "drop":
         del columns[header]
 
@@ -179,6 +183,38 @@ def edit(columns, op, index, text):
         (0, "set", 1, "a much wider cell"),  # only the last column widens...
         (0, "set", 1, "w"),  # ...and narrows, its one changed row in the middle
         (0, "append", 1, "a wider tail"),  # ...and widens as it grows
+    ],
+)
+@example(
+    start={"A": ["x", "y"], "B": ["<k>", "the widest", "n"], "C": ["z", "q"]},
+    steps=[
+        (0, "top", 1, "<k,t>"),  # one item replaced at the top of a middle column...
+        (0, "top", 1, "<a wider scope line>"),  # ...by a wider one...
+        (0, "top", 1, "<k>"),  # ...and the widest, at the top, by a shorter one
+        (0, "set", 4, "w"),  # the widest, in the middle, replaced by a shorter one
+        (0, "push", 1, "<p,q>"),  # one item inserted at the top...
+        (0, "shift", 1, ""),  # ...and removed
+        (0, "append", 1, "the widest again"),
+        (0, "shift", 1, ""),  # the top item removed while the widest stays
+        (0, "pop", 1, ""),  # the widest leaves from the end of a middle column
+        (0, "clear", 1, ""),  # a middle column becomes empty...
+        (0, "append", 1, "back"),  # ...and fills again
+    ],
+)
+@example(
+    start={"A": ["x"], "B": ["y", "the longest"]},
+    steps=[
+        (0, "append", 1, "t"),  # names appended to the end of the last column...
+        (0, "append", 1, "a tail wider than all"),  # ...widening it
+        (0, "pop", 1, ""),  # ...and removed from its end, the widest first
+        (0, "pop", 1, ""),
+        (0, "push", 1, "<s>"),  # one item inserted at the top of the last column...
+        (0, "shift", 1, ""),  # ...and removed
+        (0, "top", 1, "<a wide top item>"),
+        (0, "top", 1, "<s>"),
+        (0, "clear", 1, ""),  # the last column becomes empty...
+        (0, "clear", 0, ""),  # ...and then every column
+        (0, "append", 0, "x"),
     ],
 )
 def test_a_sequence_of_tables_matches_the_reference(start, steps):
@@ -240,3 +276,27 @@ def test_a_long_bounce_builds_only_the_rows_its_steps_changed(long_bounce):
         previous = rows
     # every row of every table would be 100,000 and more
     assert built <= 16_600
+
+
+def test_a_long_bounce_scans_and_measures_only_the_spans_its_steps_changed(long_bounce, monkeypatch):
+    scanned = measured = 0
+
+    def counting_ne(a, b):
+        nonlocal scanned
+        scanned += 1
+        return a != b
+
+    def counting_len(obj):
+        nonlocal measured
+        measured += type(obj) is str
+        return len(obj)
+
+    monkeypatch.setattr(trace, "ne", counting_ne)  # each item `_agreeing` walks
+    monkeypatch.setattr(trace, "len", counting_len, raising=False)  # each width measured
+    monkeypatch.setattr(trace, "_last", ({}, []))
+    for event in long_bounce:
+        render_table(event)
+    # scanning and measuring every changed column walks 51,834 items and
+    # measures 67,149 widths
+    assert scanned <= 1_000
+    assert measured <= 10_000
