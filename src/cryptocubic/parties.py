@@ -5,11 +5,11 @@ procedures: transient scopes whose bindings never touch memory, are
 invisible to knowledge snapshots, and are erased when the scope terminates.
 
 Memory changes only through `Party.remember`, `forget` and `restore`, which
-keep the count of names per knowledge term and per term class, the party's
-snapshot, its version and its listing in step with it.  The version counts
-every change to memory; the listing counts only those a holdings column
-shows: a name added or forgotten, or an address replaced under a name.
-`holds` asks the term count.
+keep the count of names per knowledge term, the count of names holding a
+signing key, the party's snapshot and its listing in step with it.  The
+snapshot is the same frozenset until memory changes; the listing counts the
+changes a holdings column shows: a name added or forgotten, or an address
+replaced under a name.  `holds` asks the term count.
 
 Messages travel through one in-process transport that records what it
 delivers and indexes the terms heard on user-user links by first hearing
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .backend import Address, term_of
-from .terms import Term
+from .terms import SigningKeyTerm, Term
 
 
 class TransportFailure(Exception):
@@ -63,8 +63,7 @@ class Party:
         self.memory: dict[str, object] = {}
         self._term_counts: dict[Term, int] = {}  # names holding each term
         self._snapshot: frozenset[Term] | None = frozenset()
-        self.kinds: dict[type[Term], int] = {}  # names holding a term of each class
-        self.version = 0  # bumped by every change to memory
+        self.signing_keys = 0  # names holding a signing key
         self.listing = 0  # bumped by every name added or forgotten and every address replaced
         self.procedures: list[DynamicProcedure] = []
 
@@ -80,16 +79,14 @@ class Party:
             self.listing += 1
         self.memory[name] = value
         self._term_counts[term] = self._term_counts.get(term, 0) + 1
-        self.kinds[type(term)] = self.kinds.get(type(term), 0) + 1
+        self.signing_keys += type(term) is SigningKeyTerm
         self._snapshot = None
-        self.version += 1
 
     def forget(self, name: str) -> None:
         if name in self.memory:
             self._release(name)
             del self.memory[name]
             self._snapshot = None
-            self.version += 1
             self.listing += 1
 
     def restore(self, memory: dict[str, object]) -> None:
@@ -102,7 +99,7 @@ class Party:
     def _release(self, name: str) -> None:
         term = term_of(self.memory[name])
         self._term_counts[term] -= 1
-        self.kinds[type(term)] -= 1
+        self.signing_keys -= type(term) is SigningKeyTerm
         if not self._term_counts[term]:
             del self._term_counts[term]
 

@@ -55,7 +55,7 @@ from .backend import (
 from .ledger import ChainTx, Ledger, UnknownAddress, check_amount, check_destination
 from .parties import SERVER, DynamicProcedure, Message, Party, Transport, TransportFailure
 from .store import DestructiveStore, ReinsertPermit, SlotEmpty, SourceCapability
-from .terms import SigningKeyTerm, Term
+from .terms import Term
 from .trace import TraceEvent, format_money, render_run
 
 MODES = ("baseline3", "bare4", "cryptocubic")
@@ -257,18 +257,20 @@ class Simulation:
         return items
 
     def holdings(self, party_name: str) -> list[str]:
-        """Current rendered holdings of one party, without transient scope
-        contents: what a state inspection would see.  A party the run has
-        not met holds nothing."""
+        """One party's names, without scopes or balances: for the server its
+        full slots, then its memory names.  A party the run has not met
+        holds nothing."""
         if party_name not in self.parties:
             return []
         party = self.parties[party_name]
-        return self._column_items(party)[len(party.procedures):]
+        items = self._column_items(party)
+        return [*items[len(party.procedures):len(items) - len(party.memory)], *party.memory]
 
     def _emit(self, label: str, handoff: tuple[DynamicProcedure, str] | None = None) -> None:
         """End one step: when recording, append its table and step record
         (`handoff` is a scope and the slot it just filled); in every run,
-        check that no signing key rests in memory outside baseline3."""
+        check that no signing key rests in memory outside baseline3, asking
+        `Party.signing_keys` before looking through memory."""
         if self.record:
             columns = {
                 name: self._column_items(self.parties[name], handoff) for name in self._columns_order()
@@ -284,7 +286,7 @@ class Simulation:
             )
         if self.mode != "baseline3":
             for party in self.parties.values():
-                leaked = party.kinds.get(SigningKeyTerm) and [
+                leaked = party.signing_keys and [
                     n for n, v in party.memory.items() if isinstance(v, SigningKey)]
                 assert not leaked, f"signing key in {party.name} memory: {leaked}"
 
@@ -685,7 +687,7 @@ class Simulation:
         try:
             self._send("take_request" if plain else "redeem_request", x, s, (), session)
             if self.mode == "cryptocubic":
-                self._challenge(x, square.owner_pub, session, "auth failed",
+                self._challenge(x, square.owner_pub, session, "redemption challenge failed",
                                 f"user {letter} fails the redemption challenge; the slot stays shut")
                 self._emit(f"user {letter} answers the redemption challenge and is confirmed")
 
@@ -719,8 +721,7 @@ class Simulation:
             self._emit(f"user {letter} signs the transfer and the chain accepts it")
         except Exception as exc:
             self._fail(session, exc)  # returns only when the challenge refused
-            reason = session.abort_reason.replace("auth failed", "redemption challenge failed")
-            raise AuthFailure(reason) from None
+            raise AuthFailure(session.abort_reason) from None
         return tx_id
 
     def _submit_spend(self, square: CryptoSquareRecord, sig_u, sig_s, dest: str, cents: int) -> int:

@@ -140,16 +140,14 @@ def parse_scenario(
 
 @dataclass
 class RunResult:
-    ok: bool
     failures: list[str] = field(default_factory=list)
     output: str = ""
     sim: Simulation | None = None
     verdicts: dict[str, Verdict] = field(default_factory=dict)
 
-
-def _base_names(items) -> frozenset[str]:
-    # balance annotations are display sugar, not part of the name
-    return frozenset(item.split(" (")[0] for item in items)
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def run_scenario(
@@ -158,7 +156,7 @@ def run_scenario(
     """Run a script; with `record=False` the run keeps no tables, for a quiet run nobody reads."""
     sim = Simulation(mode=script.mode, backend=script.backend, seed=script.seed,
                      journal_path=journal_path, record=record)
-    result = RunResult(ok=True, sim=sim)
+    result = RunResult(sim=sim)
     chunks: list[str] = []
     rendered = 0
 
@@ -188,7 +186,7 @@ def run_scenario(
             elif head == "expect-holdings":
                 party, items = values
                 name = SERVER if party == "S" else user_name(party)
-                actual = _base_names(sim.holdings(name))
+                actual = frozenset(sim.holdings(name))
                 expected = frozenset(items)
                 if actual != expected:
                     result.failures.append(
@@ -213,5 +211,4 @@ def run_scenario(
     if chunks:  # end on one newline; a table or verdict line holds more than newlines
         chunks[-1] = chunks[-1].rstrip("\n") + "\n"
     result.output = "".join(chunks)
-    result.ok = not result.failures
     return result

@@ -10,12 +10,14 @@ afterwards; golden-file comparisons are byte-exact.
 
 Consecutive tables mostly repeat each other, so `render_table` keeps the
 last table: each column's padded header and items with a copy of the items,
-and the table's rows, header row first.  A column whose items equal the copy
-under its header reuses its cells.  Otherwise the items it shares with the
-copy at the top and at the bottom bound the span it re-pads, as long as its
-width holds.  Slice comparisons, which run in C, find them for the shapes
-steps make: names added or removed at the end, and one item replaced,
-inserted or removed at the top; any other change is scanned item by item.
+and the table's rows, header row first.  A header new to the table comes as
+a column that held no items, so every column takes one path.  A column whose
+items equal the copy under its header reuses its cells.  Otherwise the items
+it shares with the copy at the top and at the bottom bound the span it
+re-pads, as long as its width holds.  Slice comparisons, which run in C,
+find them for the shapes steps make: names added or removed at the end, and
+one item replaced, inserted or removed at the top; any other change is
+scanned item by item.
 The new width is the wider of the old width and the changed span's items;
 the whole column is measured again only when an item as wide as the old
 width left it.  Only the rows from the earliest changed row to the latest
@@ -89,12 +91,7 @@ def render_table(event: TraceEvent) -> str:
     first, end = len(rows), 0
     last = next(reversed(event.columns))
     for header, items in event.columns.items():
-        column = previous.get(header)
-        if column is None:  # a header came, so every row is rebuilt
-            cells = [header, *items]
-            width = max(map(len, cells))
-            columns[header] = (list(items), [*map(str.ljust, cells, repeat(width))], " " * width)
-            continue
+        column = previous.get(header) or ([], [header], " " * len(header))
         old, padded, blank = column
         if old == items:
             columns[header] = column

@@ -4,8 +4,8 @@
 nor the ledger has moved since they were built, and its knowledge snapshot
 while its memory is unchanged.  These tests compare every emitted table and
 step record with a from-scratch recomputation over random operation
-sequences, check each party's count of memory terms per class against its
-memory at every step, check that emitted columns and snapshots are never
+sequences, check each party's count of names holding a signing key against
+its memory at every step, check that emitted columns and snapshots are never
 mutated afterwards, and bound how the per-step work, the square lookup's
 included, grows with the length of a run, recorded or not.
 """
@@ -26,6 +26,7 @@ from cryptocubic.parties import TransportFailure
 from cryptocubic.protocol import MODES, SERVER, ProtocolError, Simulation
 from cryptocubic.scenario import parse_scenario, run_scenario
 from cryptocubic.store import StoreError
+from cryptocubic.terms import SigningKeyTerm
 from cryptocubic.trace import format_money
 
 DOMAIN_ERRORS = (ProtocolError, StoreError, LedgerError, CryptoError, TransportFailure)
@@ -99,7 +100,7 @@ class CheckedSimulation(Simulation):
         assert record.slot_terms == slot_terms, label
         for party in self.parties.values():
             kinds = Counter(type(term_of(value)) for value in party.memory.values())
-            assert {kind: n for kind, n in party.kinds.items() if n} == kinds, (label, party.name)
+            assert party.signing_keys == kinds[SigningKeyTerm], (label, party.name)
         self.emitted.append(
             ({name: list(items) for name, items in columns.items()}, dict(knowledge))
         )

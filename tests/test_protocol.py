@@ -419,6 +419,17 @@ class TestFaultInjection:
         sim.redeem("a", "ext", 100)
         assert sim.ledger.balance("ext") == 100
 
+    def test_a_refused_redemption_records_the_reason_it_raises(self, backend):
+        sim = Simulation(mode="cryptocubic", backend=backend)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        sessions = recorded_sessions(sim)
+        forged = sim.backend.gen_token(sim.rng)
+        with swapped(sim, "challenge_reply", lambda msg: (forged,)), pytest.raises(AuthFailure) as refused:
+            sim.redeem("a", "ext", 100)
+        assert str(refused.value) == "redemption challenge failed: token mismatch"
+        assert (sessions[-1].phase, sessions[-1].abort_reason) == ("aborted", str(refused.value))
+
     @staticmethod
     def _owner_can_still_redeem(sim):
         # no party remembers what is no token under a token's name, and the
@@ -740,6 +751,16 @@ class TestOwnership:
         sim.redeem("a", "ext", 1000)
         assert sim.ledger.balance("ext") == 1000
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_holdings_are_names_without_balances(self, mode):
+        sim = Simulation(mode=mode)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        assert "ADD ($10)" in sim.events[-1].columns["USER_A"]  # the table shows the balance
+        assert "ADD" in sim.holdings("USER_A") and "ADD ($10)" not in sim.holdings("USER_A")
+        assert sim.holdings(SERVER)[0] == ("[Sig_S]" if mode == "baseline3" else "[Ea]")
+        assert sim.holdings("USER_B") == []
+
 
 class TestRace:
     def test_two_sessions_one_slot(self):
@@ -1019,6 +1040,14 @@ class TestScopeHygiene:
             for party, terms in rec.knowledge.items():
                 bare = [t for t in terms if isinstance(t, SigningKeyTerm)]
                 assert not bare, f"{party} holds {bare} at step {event.step}"
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_party_counts_only_its_signing_keys(self, mode):
+        # memory keeps no change count and no tally per term class
+        sim = canonical_run(mode)
+        for party in sim.parties.values():
+            assert not hasattr(party, "version") and not hasattr(party, "kinds")
+        assert sim.parties["USER_B"].signing_keys == (2 if mode == "baseline3" else 0)
 
     def test_plaintext_mode_exposes_bare_signing_keys(self):
         # the insecure variant ends with both signing keys resting in user

@@ -107,8 +107,8 @@ EDITS = ("same", "copy", "append", "set", "pop", "push", "shift", "swap", "top",
 def edit(columns, op, index, text):
     """Change one run's columns as a simulation step might: in place or not."""
     headers = list(columns)
-    if op == "add" or not headers:
-        columns[text] = [text]
+    if op == "add" or not headers:  # a header arrives with no items, or narrower or wider ones
+        columns[text] = ([], [text[1:]], [f"{text} <wider>"])[index % 3]
         return
     header = headers[index % len(headers)]
     items = columns[header]
@@ -215,6 +215,20 @@ def edit(columns, op, index, text):
         (0, "clear", 1, ""),  # the last column becomes empty...
         (0, "clear", 0, ""),  # ...and then every column
         (0, "append", 0, "x"),
+    ],
+)
+@example(
+    start={"A": ["x", "y"], "B": ["z"]},
+    steps=[
+        (0, "set", 0, "w"),
+        (0, "add", 0, "C"),  # a header arrives mid-run as the last column, with no items...
+        (0, "add", 1, "DD"),  # ...with items narrower than it...
+        (0, "add", 2, "E"),  # ...and wider than it
+        (0, "drop", 2, ""),  # a header in the middle leaves
+        (1, "add", 1, "G"),  # the other run's table: DD and E leave as G arrives in their place
+        (0, "same", 0, ""),  # ...and come back as G leaves
+        (0, "drop", 3, ""),  # the last column leaves...
+        (0, "add", 2, "H"),  # ...and a wider one arrives in its place
     ],
 )
 def test_a_sequence_of_tables_matches_the_reference(start, steps):
