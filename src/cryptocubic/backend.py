@@ -93,6 +93,13 @@ class EmptyPlaintext(CryptoError):
     """Encryption of an empty message is refused."""
 
 
+class UnsealablePlaintext(CryptoError):
+    """Encryption of a value the concrete codec could not give back as itself
+    (an address, a digest, a cypher, a public or verify key) is refused on
+    both backends, so that opening a cypher never yields a value on one
+    backend and raw bytes on the other."""
+
+
 class _Value:
     """A value record whose knowledge term is its class's `TERM`, built from
     the record's leading fields, those the term class names."""
@@ -295,8 +302,11 @@ class CryptoBackend:
 
     # shared guards
     def _check_plaintext(self, value: object) -> None:
-        if isinstance(value, (bytes, bytearray)) and len(value) == 0:
-            raise EmptyPlaintext("refusing to encrypt an empty message")
+        if isinstance(value, (bytes, bytearray)):
+            if not value:
+                raise EmptyPlaintext("refusing to encrypt an empty message")
+        elif type(value) not in _TAGS:
+            raise UnsealablePlaintext(f"refusing to encrypt a {type(value).__name__}")
 
     def _check_scheme(self, cypher: Cypher, scheme: str) -> None:
         if cypher.term.scheme != scheme:

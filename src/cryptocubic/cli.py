@@ -5,14 +5,18 @@
                        [--quiet]
 
 Runs a scenario script and prints the holdings tables plus any attack
-verdict lines.  Exit status 0 when every expectation in the script holds,
-1 when one fails or a command errors, 2 on a script syntax error, an
-unreadable script, an unwritable output path or a backend whose package is
-not installed.  Output is a pure function of (script, seed, mode, backend).
+verdict lines.  The output streams: each table is rendered once, printed
+(and written to the --trace file) once its command has run, and then
+dropped, so a long run keeps none of its output.  Exit status 0 when every
+expectation in the script holds, 1 when one fails or a command errors, 2 on
+a script syntax error, an unreadable script, an unwritable output path or a
+backend whose package is not installed.  Output is a pure function of
+(script, seed, mode, backend).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -52,26 +56,29 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.script}: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        # a quiet run without --trace reads no table, so it records none
-        result = run_scenario(script, quiet=args.quiet, journal_path=args.journal,
-                              record=not args.quiet or bool(args.trace))
+    try:  # opened before the run, so an unwritable path prints no table
+        trace = open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext()
     except OSError as exc:
-        print(f"cannot write {args.journal}: {exc.strerror}", file=sys.stderr)
+        print(f"cannot write {args.trace}: {exc.strerror}", file=sys.stderr)
+        return 2
+    try:
+        with trace:
+            # a quiet run without --trace reads no table, so it records none
+            result = run_scenario(script, quiet=args.quiet, journal_path=args.journal,
+                                  record=not args.quiet or bool(args.trace),
+                                  write=sys.stdout.write, trace=args.trace and trace.write)
+    except OSError as exc:  # the run opens only the journal; a trace write names no file
+        print(f"cannot write {exc.filename or args.trace}: {exc.strerror}", file=sys.stderr)
         return 2
     except ModuleNotFoundError as exc:  # the concrete backend without `cryptography`
         print(exc, file=sys.stderr)
         return 2
-    sim = result.sim
-    if result.output:
-        sys.stdout.write(result.output)
-    for path, dump in ((args.trace, sim.render), (args.ledger, sim.ledger.dump)):
+    if args.ledger:
         try:
-            if path:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(dump())
+            with open(args.ledger, "w", encoding="utf-8") as fh:
+                fh.write(result.sim.ledger.dump())
         except OSError as exc:
-            print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
+            print(f"cannot write {args.ledger}: {exc.strerror}", file=sys.stderr)
             return 2
     for failure in result.failures:
         print(f"FAIL {failure}", file=sys.stderr)

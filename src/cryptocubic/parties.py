@@ -7,9 +7,9 @@ invisible to knowledge snapshots, and are erased when the scope terminates.
 Memory changes only through `Party.remember`, `forget` and `restore`, which
 keep the count of names per knowledge term, the count of names holding a
 signing key, the party's snapshot and its listing in step with it.  The
-snapshot is the same frozenset until memory changes; the listing counts the
-changes a holdings column shows: a name added or forgotten, or an address
-replaced under a name.  `holds` asks the term count.
+snapshot is the same frozenset until the held terms change; the listing
+counts the changes a holdings column shows: a name added or forgotten, or an
+address replaced under a name.  `holds` asks the term count.
 
 Messages travel through one in-process transport that records what it
 delivers and indexes the terms heard on user-user links by first hearing
@@ -78,15 +78,16 @@ class Party:
         else:
             self.listing += 1
         self.memory[name] = value
-        self._term_counts[term] = self._term_counts.get(term, 0) + 1
+        held = self._term_counts.get(term, 0)
+        self._term_counts[term] = held + 1
         self.signing_keys += type(term) is SigningKeyTerm
-        self._snapshot = None
+        if not held:  # a term new to the party
+            self._snapshot = None
 
     def forget(self, name: str) -> None:
         if name in self.memory:
             self._release(name)
             del self.memory[name]
-            self._snapshot = None
             self.listing += 1
 
     def restore(self, memory: dict[str, object]) -> None:
@@ -100,8 +101,9 @@ class Party:
         term = term_of(self.memory[name])
         self._term_counts[term] -= 1
         self.signing_keys -= type(term) is SigningKeyTerm
-        if not self._term_counts[term]:
+        if not self._term_counts[term]:  # the last name holding the term
             del self._term_counts[term]
+            self._snapshot = None
 
     def holds(self, term: Term) -> bool:
         return term in self._term_counts
@@ -119,7 +121,8 @@ class Party:
 
         Dynamic-procedure bindings are deliberately absent; a snapshot taken
         mid-procedure must not see them.  The same frozenset comes back until
-        memory changes.
+        a term enters or leaves memory; a name that comes or goes while
+        another name holds its term changes nothing here.
         """
         if self._snapshot is None:
             # built from the dict, so the stored hashes are reused

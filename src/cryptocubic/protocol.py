@@ -18,6 +18,8 @@ funding, ownership transfer and redemption, in one of three modes:
 Every step emits one holdings table and one `StepRecord` (per-party
 knowledge, slot contents, transcript position), which the tests and the
 `audit` benchmark read; a staged attack's run (`record=False`) keeps neither.
+`Simulation.steps` counts every step, also once a streamed run
+(`scenario.run_scenario`) has dropped the tables it wrote.
 
 A receiver keeps what it is delivered in one place, `Simulation._send`, under
 the names passed as `keep`, once the transport has refused a payload of other
@@ -180,11 +182,15 @@ class Simulation:
         self.parties: dict[str, Party] = {SERVER: Party(SERVER)}
         self.squares: dict[str, CryptoSquareRecord] = {}
         self.value_of: dict[Term, object] = {}  # each square's two signing keys
+        self.steps = 0  # steps emitted, whether or not their tables are kept
         self.events: list[TraceEvent] = []
         self.step_records: list[StepRecord] = []
         # each party's memory items, with the party's listing and the ledger
         # version they were built at; a list is never mutated once handed out
         self._memory_columns: dict[Party, tuple[int, int, list[str]]] = {}
+        # each party's last column with scope or slot items: those items, the
+        # memory items it was built from and the column
+        self._columns: dict[Party, tuple[list[str], list[str], list[str]]] = {}
         self._challenge_counts: dict[str, int] = {}
         self._issued: set[bytes] = set()  # the material of each token the server issued
         self._session_seq = 0
@@ -233,7 +239,14 @@ class Simulation:
                 if display != handed and self.store.ping(square.slot_id):
                     items.append(f"[{display}]")
         memory_items = self._memory_items(party)
-        return items + memory_items if items else memory_items
+        if not items:
+            return memory_items
+        last = self._columns.get(party)
+        if last is not None and last[1] is memory_items and last[0] == items:
+            return last[2]  # an unchanged column is the last one
+        column = items + memory_items
+        self._columns[party] = (items, memory_items, column)
+        return column
 
     def _memory_items(self, party: Party) -> list[str]:
         """The party's memory names in order, each funded address annotated
@@ -270,17 +283,24 @@ class Simulation:
         """End one step: when recording, append its table and step record
         (`handoff` is a scope and the slot it just filled); in every run,
         check that no signing key rests in memory outside baseline3, asking
-        `Party.signing_keys` before looking through memory."""
+        `Party.signing_keys` before looking through memory.  A column, a
+        knowledge map or a slot map equal to the last step's is that step's
+        object, so a long run keeps one copy of what its steps left alone."""
+        self.steps += 1
         if self.record:
             columns = {
                 name: self._column_items(self.parties[name], handoff) for name in self._columns_order()
             }
-            self.events.append(TraceEvent(len(self.events) + 1, label, columns))
+            self.events.append(TraceEvent(self.steps, label, columns))
             knowledge = {name: p.snapshot() for name, p in self.parties.items()}
             slot_terms = {}
             for square in self.squares.values():
                 value = self.store._slots[square.slot_id].value
                 slot_terms[square.slot_id] = term_of(value) if value is not None else None
+            if self.step_records:
+                last = self.step_records[-1]
+                knowledge = last.knowledge if knowledge == last.knowledge else knowledge
+                slot_terms = last.slot_terms if slot_terms == last.slot_terms else slot_terms
             self.step_records.append(
                 StepRecord(knowledge, slot_terms, len(self.transport.transcript))
             )

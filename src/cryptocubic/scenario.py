@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .adversary import SCENARIOS, Verdict, run_attack
 from .backend import CryptoError
@@ -150,21 +151,58 @@ class RunResult:
         return not self.failures
 
 
+class _Stream:
+    """Writes each chunk, a table or a verdict or note line, as it comes.  The
+    blank line owed after a table goes out once another chunk comes; at the
+    end, one newline takes its place."""
+
+    def __init__(self, write: Callable[[str], object]) -> None:
+        self.write = write
+        self.owed = ""
+
+    def __call__(self, chunk: str, owed: str = "") -> None:
+        if self.owed:
+            self.write(self.owed)
+        self.write(chunk)
+        self.owed = owed
+
+    def close(self) -> None:
+        if self.owed:
+            self.write("\n")
+
+
 def run_scenario(
-    script: ScenarioScript, quiet: bool = False, journal_path: str | None = None, record: bool = True
+    script: ScenarioScript, quiet: bool = False, journal_path: str | None = None, record: bool = True,
+    write: Callable[[str], object] | None = None, trace: Callable[[str], object] | None = None,
 ) -> RunResult:
-    """Run a script; with `record=False` the run keeps no tables, for a quiet run nobody reads."""
+    """Run a script; with `record=False` the run keeps no tables, for a quiet run nobody reads.
+
+    The output is each table (none when `quiet`) and each verdict and note
+    line, in order, tables parted from what follows by a blank line.
+    Without `write` it is kept whole as `RunResult.output`.  Given `write`,
+    it streams: each table goes to `write`, and to `trace` when given, once
+    its command has run, and the run then drops it from `sim.events`, so
+    what it keeps does not grow with the run.  `trace` gets the tables
+    alone, as `Simulation.render` joins them.
+    """
     sim = Simulation(mode=script.mode, backend=script.backend, seed=script.seed,
                      journal_path=journal_path, record=record)
     result = RunResult(sim=sim)
     chunks: list[str] = []
+    out = _Stream(write or chunks.append)
+    tee = _Stream(trace) if trace else None
+    readers = [stream for stream in (None if quiet else out, tee) if stream]  # where each table goes
     rendered = 0
 
     def flush_trace() -> None:
         nonlocal rendered
-        if not quiet:
+        if readers:
             for event in sim.events[rendered:]:
-                chunks.extend((render_table(event), "\n\n"))
+                table = render_table(event)  # once, whoever reads it
+                for reader in readers:
+                    reader(table, "\n\n")
+        if write:
+            sim.events.clear()
         rendered = len(sim.events)
 
     def verdict_for(name: str) -> Verdict:
@@ -180,9 +218,9 @@ def run_scenario(
             if head == "attack":
                 verdict = verdict_for(*values)
                 flush_trace()
-                chunks.append(f"verdict: {verdict.report_line()}\n")
+                out(f"verdict: {verdict.report_line()}\n")
                 for note in verdict.notes:
-                    chunks.append(f"  note: {note}\n")
+                    out(f"  note: {note}\n")
             elif head == "expect-holdings":
                 party, items = values
                 name = SERVER if party == "S" else user_name(party)
@@ -206,9 +244,8 @@ def run_scenario(
             break
         flush_trace()
     flush_trace()
-    if chunks and chunks[-1] == "\n\n":  # the last table's separator
-        chunks.pop()
-    if chunks:  # end on one newline; a table or verdict line holds more than newlines
-        chunks[-1] = chunks[-1].rstrip("\n") + "\n"
+    for stream in (out, tee):
+        if stream:
+            stream.close()
     result.output = "".join(chunks)
     return result

@@ -19,6 +19,7 @@ from cryptocubic.backend import (
     EmptyPlaintext,
     KeyMismatch,
     SymbolicBackend,
+    UnsealablePlaintext,
     get_backend,
     term_of,
 )
@@ -55,13 +56,15 @@ def _replay_calls(name, seed, calls):
     """Run one call sequence on a fresh backend; record each call's ids and terms."""
     be, rng = get_backend(name), random.Random(seed)
     pairs, sym_keys, cyphers = [], [], []
-    plaintexts = [b"plain"]  # the kinds of value the protocol encrypts
+    # every kind of value a run holds: bytes, keys and tokens seal, and both
+    # backends refuse addresses, digests, cyphers and public keys alike
+    plaintexts = [b"plain"]
     record = []
     for call, i, j in calls:
         if call == "gen_asym_pair":
             pair = be.gen_asym_pair(rng)
             pairs.append(pair)
-            plaintexts.append(pair.private)
+            plaintexts += [pair.private, pair.public]
             record.append((pair.pair_id, pair.private.term, pair.public.term))
         elif call == "gen_sym_key":
             key = be.gen_sym_key(rng)
@@ -70,7 +73,7 @@ def _replay_calls(name, seed, calls):
             record.append((key.key_id, key.term))
         elif call == "gen_multisig":
             bundle = be.gen_multisig(rng)
-            plaintexts += [bundle.sig_user, bundle.sig_server]
+            plaintexts += [bundle.sig_user, bundle.sig_server, bundle.address]
             record.append((bundle.bundle_id, bundle.sig_user.term, bundle.sig_server.term,
                            bundle.address.term))
         elif call == "gen_token":
@@ -80,8 +83,13 @@ def _replay_calls(name, seed, calls):
         elif call.endswith("encrypt"):
             keys = [pair.public for pair in pairs] if call == "asym_encrypt" else sym_keys
             if keys:
-                cypher = getattr(be, call)(keys[i % len(keys)], plaintexts[j % len(plaintexts)], rng)
+                try:
+                    cypher = getattr(be, call)(keys[i % len(keys)], plaintexts[j % len(plaintexts)], rng)
+                except UnsealablePlaintext:
+                    record.append("UnsealablePlaintext")
+                    continue
                 cyphers.append(cypher)
+                plaintexts += [cypher, be.hash_value(cypher)]
                 record.append(cypher.term)
         elif cyphers:  # decrypt a cypher made earlier, with a key that may not fit
             cypher = cyphers[i % len(cyphers)]
@@ -141,6 +149,19 @@ class TestAsymmetric:
         pair = backend.gen_asym_pair(rng)
         with pytest.raises(EmptyPlaintext):
             backend.asym_encrypt(pair.public, b"", rng)
+
+    @pytest.mark.parametrize("kind", ["address", "digest", "cypher"])
+    def test_a_value_only_one_backend_opens_as_itself_is_refused(self, backend, rng, kind):
+        # the concrete codec would give these back as raw bytes, the symbolic one as the value
+        pair, key = backend.gen_asym_pair(rng), backend.gen_sym_key(rng)
+        cypher = backend.sym_encrypt(key, b"payload", rng)
+        value = {"address": backend.gen_multisig(rng).address,
+                 "digest": backend.hash_value(cypher), "cypher": cypher}[kind]
+        state = rng.getstate()
+        for seal, opener in ((backend.asym_encrypt, pair.public), (backend.sym_encrypt, key)):
+            with pytest.raises(UnsealablePlaintext):
+                seal(opener, value, rng)
+        assert rng.getstate() == state  # refused before any draw
 
     def test_matches_agrees_with_decrypt(self, backend):
         # the two ways of asking "is this the right private key" must agree

@@ -101,9 +101,19 @@ class TestExitCodes:
     def test_unwritable_output_path_exits_two(self, flag, script, tmp_path, capsys):
         target = tmp_path / "missing" / "out.txt"
         assert main([script(CORE), flag, str(target)]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith(f"cannot write {target}: ")
         assert err.count("\n") == 1
+        # the journal and trace files are opened before the run prints a table,
+        # the ledger only after it
+        assert (out == "") == (flag != "--ledger")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    @pytest.mark.parametrize("text", ["setup A\n", CORE * 3], ids=["on-close", "mid-run"])
+    def test_a_trace_file_that_fills_up_exits_two(self, text, script, capsys):
+        # a short trace fails as the file closes, a long one while the run writes it
+        assert main([script(text), "--trace", "/dev/full"]) == 2
+        assert capsys.readouterr().err.startswith("cannot write /dev/full: ")
 
 
 class TestOutputs:
@@ -176,7 +186,7 @@ class TestQuietRunsRecordNothing:
             code = main(argv + (["--trace", str(tmp_path / "trace.txt")] if traced else []))
             outputs[traced] = code, capsys.readouterr(), ledger.read_bytes(), journal.read_bytes()
         assert outputs[False] == outputs[True]
-        assert sims[True].events and sims[True].step_records
+        assert sims[True].steps and sims[True].step_records
         assert sims[False].events == sims[False].step_records == []
 
 

@@ -288,6 +288,30 @@ def test_unchanged_parties_share_their_snapshot_and_column():
     last, previous = sim.events[-1].columns, sim.events[-2].columns
     assert last["USER_A"] is previous["USER_A"]
     assert sim.user("a").snapshot() is sim.step_records[-1].knowledge["USER_A"]
+    # a server column, knowledge map or slot map the step left alone is the last step's
+    assert last[SERVER] is previous[SERVER]
+    record, earlier = sim.step_records[-1], sim.step_records[-2]
+    assert record.knowledge is earlier.knowledge and record.slot_terms is earlier.slot_terms
+    assert after.knowledge is before.knowledge and after.slot_terms is before.slot_terms
+
+
+def test_a_snapshot_changes_only_when_a_term_enters_or_leaves():
+    sim = Simulation(mode="cryptocubic")
+    sim.setup("a")
+    a = sim.user("a")
+    held = a.snapshot()
+    a.remember("ADD_again", a.recall("ADD"))  # a new name for a held term
+    assert a.snapshot() is held
+    a.forget("ADD_again")  # ADD still holds the term
+    assert a.snapshot() is held
+    a.remember("Note", b"fresh")
+    entered = a.snapshot()
+    assert entered is not held and entered == held | {term_of(b"fresh")}
+    a.forget("Note")
+    assert a.snapshot() is not entered and a.snapshot() == held
+    address = term_of(a.recall("ADD"))
+    a.remember("ADD", b"fresh")  # under one name, the address leaves and the blob enters
+    assert a.snapshot() == held - {address} | {term_of(b"fresh")}
 
 
 @pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])

@@ -305,15 +305,18 @@ def joined_then_stripped(script, quiet=False):
     return output.rstrip("\n") + "\n" if output else ""
 
 
+OUTPUT_CASES = pytest.mark.parametrize("text, quiet, ends_on", [
+    ("setup A\nfund A 1000\nattack store_raid\ntransfer A B\n", False, "table"),
+    (CORE + "attack post_transfer_grab\n", False, "verdict: "),
+    (CORE + "attack store_raid\n", False, "  note: "),
+    (CORE + "attack store_raid\n", True, "  note: "),
+    (CORE, True, None),
+    ("", False, None),
+], ids=["table", "verdict", "note", "quiet", "quiet-no-verdict", "empty"])
+
+
 class TestOutputAssembly:
-    @pytest.mark.parametrize("text, quiet, ends_on", [
-        ("setup A\nfund A 1000\nattack store_raid\ntransfer A B\n", False, "table"),
-        (CORE + "attack post_transfer_grab\n", False, "verdict: "),
-        (CORE + "attack store_raid\n", False, "  note: "),
-        (CORE + "attack store_raid\n", True, "  note: "),
-        (CORE, True, None),
-        ("", False, None),
-    ], ids=["table", "verdict", "note", "quiet", "quiet-no-verdict", "empty"])
+    @OUTPUT_CASES
     def test_bytes_equal_the_joined_then_stripped_output(self, text, quiet, ends_on):
         script = parse_scenario(text)
         output = run_scenario(script, quiet=quiet).output
@@ -324,3 +327,28 @@ class TestOutputAssembly:
             assert output.rsplit("\n\n", 1)[-1].startswith("== ")
         else:
             assert output.splitlines()[-1].startswith(ends_on)
+
+    @OUTPUT_CASES
+    def test_a_streamed_run_writes_each_table_before_the_next_command(self, text, quiet, ends_on,
+                                                                       monkeypatch):
+        script = parse_scenario(text)
+        kept = run_scenario(script, quiet=quiet)
+        written, traced, starts = [], [], []
+
+        def watched(head):
+            def command(sim, *args):
+                tables = [sum(chunk.startswith("== ") for chunk in out) for out in (written, traced)]
+                starts.append((sim.steps, *tables, len(sim.events)))
+                return getattr(Simulation, head)(sim, *args)
+            return command
+
+        watching = type("Watching", (Simulation,), {
+            head: watched(head) for head in ("setup", "fund", "transfer", "redeem")})
+        monkeypatch.setattr(scenario, "Simulation", watching)
+        streamed = run_scenario(script, quiet=quiet, write=written.append, trace=traced.append)
+        assert "".join(written) == kept.output and streamed.output == ""
+        assert "".join(traced) == kept.sim.render()
+        # as each command starts, every earlier step has gone out and none is kept
+        assert [(steps, 0 if quiet else steps, steps, 0) for steps, *_ in starts] == starts
+        assert len(starts) == sum(cmd[0] in ("setup", "fund", "transfer", "redeem") for cmd in script.commands)
+        assert streamed.sim.events == [] and streamed.sim.steps == len(kept.sim.events)
