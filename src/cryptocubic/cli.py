@@ -7,22 +7,34 @@
 Runs a scenario script and prints the holdings tables plus any attack
 verdict lines.  The output streams: each table is rendered once, printed
 (and written to the --trace file) once its command has run, and then
-dropped, so a long run keeps none of its output.  Exit status 0 when every
-expectation in the script holds, 1 when one fails or a command errors, 2 on
-a script syntax error, an unreadable script, an unwritable output path or a
-backend whose package is not installed.  Output is a pure function of
-(script, seed, mode, backend).
+dropped, and no step is recorded, so a long run keeps no history.  Exit
+status 0 when every expectation in the script holds, 1 when one fails or a
+command errors, 2 on a script syntax error, an unreadable script, an
+unwritable output path or standard output, or a missing backend package.
+Output is a pure function of (script, seed, mode, backend).
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import functools
+import os
 import sys
 
 from .backend import BACKENDS
 from .protocol import MODES
 from .scenario import ScenarioSyntaxError, parse_scenario, run_scenario
+
+
+def _stdout(call, *args) -> None:
+    """`call(*args)`, a write or flush of standard output.  A failure names it and points
+    it at the null device, so that what its buffer still holds cannot fail again at exit."""
+    try:
+        call(*args)
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        exc.filename = "standard output"
+        raise
 
 
 @functools.cache  # parsing leaves the parser as it was, so one serves every call
@@ -56,18 +68,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.script}: {exc}", file=sys.stderr)
         return 2
 
-    try:  # opened before the run, so an unwritable path prints no table
-        trace = open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext()
-    except OSError as exc:
-        print(f"cannot write {args.trace}: {exc.strerror}", file=sys.stderr)
-        return 2
-    try:
-        with trace:
-            # a quiet run without --trace reads no table, so it records none
+    try:  # the trace is opened before the run, so an unwritable path prints no table
+        with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as trace:
             result = run_scenario(script, quiet=args.quiet, journal_path=args.journal,
-                                  record=not args.quiet or bool(args.trace),
-                                  write=sys.stdout.write, trace=args.trace and trace.write)
-    except OSError as exc:  # the run opens only the journal; a trace write names no file
+                                  write=functools.partial(_stdout, sys.stdout.write),
+                                  trace=args.trace and trace.write)
+        _stdout(sys.stdout.flush)  # a full standard output fails here, not at the exit flush
+    except OSError as exc:  # an open and `_stdout` name the file; a trace write names none
         print(f"cannot write {exc.filename or args.trace}: {exc.strerror}", file=sys.stderr)
         return 2
     except ModuleNotFoundError as exc:  # the concrete backend without `cryptography`

@@ -15,11 +15,11 @@ funding, ownership transfer and redemption, in one of three modes:
   receiver prove the cypher it was handed is genuine, and receiver-key
   routing through the current owner.
 
-Every step emits one holdings table and one `StepRecord` (per-party
-knowledge, slot contents, transcript position), which the tests and the
-`audit` benchmark read; a staged attack's run (`record=False`) keeps neither.
-`Simulation.steps` counts every step, also once a streamed run
-(`scenario.run_scenario`) has dropped the tables it wrote.
+Every step ends in `Simulation._emit`, which builds the step's holdings table
+(`TraceEvent`) only for the callables in `Simulation.observers`, and calls
+each with the simulation and the table.  A recording run's list starts with
+`_record`, which keeps the table and a `StepRecord` (per-party knowledge, slot
+contents, transcript position); a staged attack or a streamed run keeps neither.
 
 A receiver keeps what it is delivered in one place, `Simulation._send`, under
 the names passed as `keep`, once the transport has refused a payload of other
@@ -173,7 +173,6 @@ class Simulation:
         if mode not in MODES:
             raise ValueError(f"unknown mode: {mode!r}")
         self.mode = mode
-        self.record = record  # whether steps keep their table and step record
         self.backend = get_backend(backend) if isinstance(backend, str) else backend
         self.rng = random.Random(seed)
         self.ledger = Ledger(self.backend)
@@ -185,6 +184,8 @@ class Simulation:
         self.steps = 0  # steps emitted, whether or not their tables are kept
         self.events: list[TraceEvent] = []
         self.step_records: list[StepRecord] = []
+        # each called as `observer(sim, event)` at every step; the unbound `_record` makes no cycle
+        self.observers = [Simulation._record] if record else []
         # each party's memory items, with the party's listing and the ledger
         # version they were built at; a list is never mutated once handed out
         self._memory_columns: dict[Party, tuple[int, int, list[str]]] = {}
@@ -280,35 +281,38 @@ class Simulation:
         return [*items[len(party.procedures):len(items) - len(party.memory)], *party.memory]
 
     def _emit(self, label: str, handoff: tuple[DynamicProcedure, str] | None = None) -> None:
-        """End one step: when recording, append its table and step record
-        (`handoff` is a scope and the slot it just filled); in every run,
-        check that no signing key rests in memory outside baseline3, asking
-        `Party.signing_keys` before looking through memory.  A column, a
-        knowledge map or a slot map equal to the last step's is that step's
-        object, so a long run keeps one copy of what its steps left alone."""
+        """End one step: build its table (`handoff` is a scope and the slot it
+        just filled) when an observer is registered, and hand it to each in
+        turn; in every run, check that no signing key rests in memory outside
+        baseline3, asking `Party.signing_keys` before looking through memory.
+        A column equal to the last step's is that step's object."""
         self.steps += 1
-        if self.record:
+        if self.observers:
             columns = {
                 name: self._column_items(self.parties[name], handoff) for name in self._columns_order()
             }
-            self.events.append(TraceEvent(self.steps, label, columns))
-            knowledge = {name: p.snapshot() for name, p in self.parties.items()}
-            slot_terms = {}
-            for square in self.squares.values():
-                value = self.store._slots[square.slot_id].value
-                slot_terms[square.slot_id] = term_of(value) if value is not None else None
-            if self.step_records:
-                last = self.step_records[-1]
-                knowledge = last.knowledge if knowledge == last.knowledge else knowledge
-                slot_terms = last.slot_terms if slot_terms == last.slot_terms else slot_terms
-            self.step_records.append(
-                StepRecord(knowledge, slot_terms, len(self.transport.transcript))
-            )
+            event = TraceEvent(self.steps, label, columns)
+            for observer in self.observers:
+                observer(self, event)
         if self.mode != "baseline3":
             for party in self.parties.values():
                 leaked = party.signing_keys and [
                     n for n, v in party.memory.items() if isinstance(v, SigningKey)]
                 assert not leaked, f"signing key in {party.name} memory: {leaked}"
+
+    def _record(self, event: TraceEvent) -> None:
+        """Keep the step's table and step record; a map equal to the last step's is that step's."""
+        self.events.append(event)
+        knowledge = {name: p.snapshot() for name, p in self.parties.items()}
+        slot_terms = {}
+        for square in self.squares.values():
+            value = self.store._slots[square.slot_id].value
+            slot_terms[square.slot_id] = term_of(value) if value is not None else None
+        if self.step_records:
+            last = self.step_records[-1]
+            knowledge = last.knowledge if knowledge == last.knowledge else knowledge
+            slot_terms = last.slot_terms if slot_terms == last.slot_terms else slot_terms
+        self.step_records.append(StepRecord(knowledge, slot_terms, len(self.transport.transcript)))
 
     def _send(
         self, msg_type: str, sender: Party, receiver: Party, payload: tuple,

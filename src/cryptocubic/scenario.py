@@ -27,7 +27,7 @@ from .backend import CryptoError
 from .ledger import LedgerError
 from .protocol import MODES, SERVER, BadLetter, ProtocolError, Simulation, user_letter, user_name
 from .store import StoreError
-from .trace import render_table
+from .trace import TraceEvent, render_table
 
 
 class ScenarioSyntaxError(ValueError):
@@ -172,38 +172,36 @@ class _Stream:
 
 
 def run_scenario(
-    script: ScenarioScript, quiet: bool = False, journal_path: str | None = None, record: bool = True,
+    script: ScenarioScript, quiet: bool = False, journal_path: str | None = None,
     write: Callable[[str], object] | None = None, trace: Callable[[str], object] | None = None,
 ) -> RunResult:
-    """Run a script; with `record=False` the run keeps no tables, for a quiet run nobody reads.
+    """Run a script.
 
     The output is each table (none when `quiet`) and each verdict and note
     line, in order, tables parted from what follows by a blank line.
-    Without `write` it is kept whole as `RunResult.output`.  Given `write`,
-    it streams: each table goes to `write`, and to `trace` when given, once
-    its command has run, and the run then drops it from `sim.events`, so
-    what it keeps does not grow with the run.  `trace` gets the tables
-    alone, as `Simulation.render` joins them.
+    Without `write` the run records every step and keeps its output whole as
+    `RunResult.output`.  Given `write`, it records nothing and streams: an
+    observer collects each command's steps, whose tables are rendered once
+    the command has run (never inside a step), written to `write` and to
+    `trace` when given, and dropped.  `trace` gets the tables alone.
     """
     sim = Simulation(mode=script.mode, backend=script.backend, seed=script.seed,
-                     journal_path=journal_path, record=record)
+                     journal_path=journal_path, record=write is None)
     result = RunResult(sim=sim)
     chunks: list[str] = []
     out = _Stream(write or chunks.append)
     tee = _Stream(trace) if trace else None
     readers = [stream for stream in (None if quiet else out, tee) if stream]  # where each table goes
-    rendered = 0
+    steps: list[TraceEvent] = []  # the running command's steps, when a reader wants their tables
+    if readers:
+        sim.observers.append(lambda _, event: steps.append(event))
 
     def flush_trace() -> None:
-        nonlocal rendered
-        if readers:
-            for event in sim.events[rendered:]:
-                table = render_table(event)  # once, whoever reads it
-                for reader in readers:
-                    reader(table, "\n\n")
-        if write:
-            sim.events.clear()
-        rendered = len(sim.events)
+        for event in steps:
+            table = render_table(event)  # once, whoever reads it
+            for reader in readers:
+                reader(table, "\n\n")
+        steps.clear()
 
     def verdict_for(name: str) -> Verdict:
         if name not in result.verdicts:
@@ -217,7 +215,6 @@ def run_scenario(
         try:
             if head == "attack":
                 verdict = verdict_for(*values)
-                flush_trace()
                 out(f"verdict: {verdict.report_line()}\n")
                 for note in verdict.notes:
                     out(f"  note: {note}\n")

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from cryptocubic import cli
+from cryptocubic import cli, protocol
 from cryptocubic.cli import build_parser, main
-from cryptocubic.scenario import run_scenario
+from cryptocubic.protocol import StepRecord
+from cryptocubic.scenario import parse_scenario, run_scenario
 from cryptocubic.store import OP_GRANT, OP_INSERT, OP_TAKE, replay_journal
 
 SCENARIOS_DIR = pathlib.Path("scenarios")
@@ -115,6 +116,29 @@ class TestExitCodes:
         assert main([script(text), "--trace", "/dev/full"]) == 2
         assert capsys.readouterr().err.startswith("cannot write /dev/full: ")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    @pytest.mark.parametrize("buffered", [False, True], ids=["as-set", "buffered"])
+    def test_a_full_standard_output_exits_two(self, buffered, script):
+        # without PYTHONUNBUFFERED a short run's output waits in the buffer
+        # for the flush at exit, which must find nothing left to write
+        env = {k: v for k, v in os.environ.items() if not (buffered and k == "PYTHONUNBUFFERED")}
+        path = script("setup a\n") if buffered else str(SCENARIOS_DIR / "cryptocubic.scen")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "cryptocubic.cli", path],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (
+            2, "cannot write standard output: No space left on device\n")
+
+    def test_a_standard_output_closed_mid_run_exits_two(self, script):
+        # the run prints far more than a pipe holds, so it writes after the reader has gone
+        path = script("setup A\nfund A 1000\n" + "transfer A B\ntransfer B A\n" * 5)
+        with subprocess.Popen([sys.executable, "-m", "cryptocubic.cli", path],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            assert proc.stdout.read(100).startswith("== 1. ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (2, "cannot write standard output: Broken pipe\n")
+
 
 class TestOutputs:
     def test_quiet_drops_tables_keeps_verdicts(self, script, capsys):
@@ -170,12 +194,12 @@ class TestQuietRunsRecordNothing:
     @pytest.mark.parametrize("name", ["baseline3", "bare4", "cryptocubic"])
     def test_a_quiet_run_writes_the_same_bytes_unrecorded(self, name, mode, backend, tmp_path,
                                                           monkeypatch, capsys):
-        # --trace makes a quiet run record its tables; without it none is kept
+        # --trace makes a quiet run render its tables; either way none is kept
         sims, outputs = {}, {}
 
         def run(script, **kwargs):
             result = run_scenario(script, **kwargs)
-            sims[kwargs["record"]] = result.sim
+            sims[bool(kwargs["trace"])] = result.sim
             return result
 
         monkeypatch.setattr(cli, "run_scenario", run)
@@ -186,8 +210,38 @@ class TestQuietRunsRecordNothing:
             code = main(argv + (["--trace", str(tmp_path / "trace.txt")] if traced else []))
             outputs[traced] = code, capsys.readouterr(), ledger.read_bytes(), journal.read_bytes()
         assert outputs[False] == outputs[True]
-        assert sims[True].steps and sims[True].step_records
+        assert sims[True].steps and sims[True].events == sims[True].step_records == []
         assert sims[False].events == sims[False].step_records == []
+
+
+class TestStreamedRunsRecordNothing:
+    @pytest.mark.parametrize("flags", [[], ["--quiet", "--trace"], ["--quiet"]],
+                             ids=["default", "quiet-traced", "quiet"])
+    def test_a_streamed_run_builds_no_step_record(self, flags, script, tmp_path, monkeypatch,
+                                                  capsys):
+        built, sims = [], []
+
+        def counted(*args):
+            built.append(args)
+            return StepRecord(*args)
+
+        def run(script, **kwargs):
+            result = run_scenario(script, **kwargs)
+            sims.append(result.sim)
+            return result
+
+        monkeypatch.setattr(protocol, "StepRecord", counted)
+        monkeypatch.setattr(cli, "run_scenario", run)
+        path = script(CORE + "attack store_raid\n")
+        argv = [path, *flags] + ([str(tmp_path / "trace.txt")] if "--trace" in flags else [])
+        assert main(argv) == 0
+        capsys.readouterr()
+        (sim,) = sims
+        assert sim.steps and built == []
+        assert sim.events == sim.step_records == []
+        # the same script unstreamed records a step record for every step
+        kept = run_scenario(parse_scenario(CORE + "attack store_raid\n")).sim
+        assert len(built) == len(kept.step_records) == kept.steps == sim.steps
 
 
 class TestGoldenTranscripts:

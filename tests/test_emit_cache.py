@@ -404,7 +404,7 @@ def count_emit_work(n, monkeypatch, record=True):
         patch.setattr(Simulation, "_annotate", counting_annotate)
         patch.setattr(Simulation, "_square_for", traced_square_for)
         script = parse_scenario(bounce_script(n), mode="cryptocubic", backend="symbolic")
-        result = run_scenario(script, quiet=True, record=record)
+        result = run_scenario(script, quiet=True, write=None if record else lambda chunk: None)
     assert result.ok, result.failures
     return counts
 

@@ -1,7 +1,10 @@
 """Full protocol runs checked step by step against hand-written holdings
 tables, plus fault injection, abort recovery, races, and mode contrasts."""
 import ast
+import gc
 import inspect
+import operator
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -1073,6 +1076,44 @@ class TestDeterminism:
             symbolic = canonical_run(mode, "symbolic").render()
             concrete = canonical_run(mode, "concrete").render()
             assert symbolic == concrete
+
+
+class TestObservers:
+    @pytest.mark.parametrize("record", [True, False], ids=["recorded", "unrecorded"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_an_observer_sees_every_step_once_in_order(self, mode, record):
+        sim = Simulation(mode=mode, seed=0, record=record)
+        seen = []
+        sim.observers.append(lambda observed, event: seen.append((observed, event)))
+        with dropped_link(sim, 0), pytest.raises(TransportFailure):
+            sim.setup("a")  # the step that rolls establishment back is a step too
+        assert seen[-1][1].label == "the link drops; establishment rolls back"
+        sim.setup("a")
+        sim.fund("a", 1000)
+        sim.transfer("a", "b")
+        assert all(observed is sim for observed, _ in seen)
+        seen = [event for _, event in seen]
+        assert [event.step for event in seen] == list(range(1, sim.steps + 1))
+        if record:  # the recorder keeps the very objects every observer gets
+            assert len(sim.events) == len(seen) and all(map(operator.is_, sim.events, seen))
+        else:
+            assert sim.events == sim.step_records == []
+
+    def test_a_recording_run_is_freed_without_a_collection(self):
+        # the recorder is kept unbound, so the list of observers makes no cycle
+        gc.disable()
+        try:
+            sim = canonical_run("cryptocubic")
+            freed = weakref.ref(sim)
+            del sim
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_recording_run_fills_both_lists(self, mode):
+        sim = canonical_run(mode)
+        assert len(sim.events) == len(sim.step_records) == sim.steps == len(EXPECTED[mode])
 
 
 class TestOneFailureExit:

@@ -224,6 +224,11 @@ class TestRunner:
         assert result.output.startswith("== 1. ")
         assert result.sim.ledger.balance("ext") == 1000
 
+    @pytest.mark.parametrize("quiet", [False, True], ids=["tables", "quiet"])
+    def test_a_run_without_a_writer_records_every_step(self, quiet):
+        sim = run_scenario(parse_scenario(CORE + "attack store_raid\n"), quiet=quiet).sim
+        assert sim.steps and len(sim.events) == len(sim.step_records) == sim.steps
+
     def test_quiet_run_keeps_verdict_lines(self):
         text = CORE + "attack store_raid\n"
         result = run_scenario(parse_scenario(text), quiet=True)
