@@ -31,10 +31,14 @@ costs what its caller reads: judging a bundle again interns nothing, as its
 legs are kept by weak reference; a refusal builds nothing, as every one is
 one frozen negative `SpendDecision`; and a positive one keeps its closure
 of `(rule, premises)` tuples and explains it when `witness` is first read.
+
+A wiretap knows what crossed a user-user link, and never forgets it:
+`wiretap_knowledge` hands back the transport's frozenset for the heard
+prefix, the same object while that prefix holds, so a per-step judge sees by
+identity that the wiretap learned nothing new.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from weakref import ref
@@ -190,16 +194,14 @@ def take_all_slots(sim: Simulation) -> set[Term]:
     return {term_of(store.take(slot_id)[0]) for slot_id in store.slot_ids() if store.ping(slot_id)}
 
 
-def wiretap_knowledge(sim: Simulation, upto: int | None = None) -> set[Term]:
+def wiretap_knowledge(sim: Simulation, upto: int | None = None) -> frozenset[Term]:
     """Terms a passive listener on the user-user links collects, optionally
     from the first `upto` messages of the transcript only.
 
     It reads a prefix of the transport's first-heard index, so it costs
-    time in the distinct terms heard, not in the transcript."""
-    heard = sim.transport.heard
-    if upto is not None:
-        heard = heard[:bisect_right(heard, upto, key=sim.transport.heard_at.__getitem__)]
-    return set(heard)
+    time in the distinct terms heard, not in the transcript, and the same
+    frozenset comes back while that prefix holds (`Transport.heard_by`)."""
+    return sim.transport.heard_by(upto)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +220,7 @@ class Verdict:
         return f"{self.scenario} {self.mode} {str(self.can_spend).lower()} [{len(self.witness)}]"
 
 
-Staged = tuple[set[Term], list[str], bool]  # knowledge, notes, won without a spend
+Staged = tuple[set[Term] | frozenset[Term], list[str], bool]  # knowledge, notes, won without a spend
 
 
 def run_attack(scenario: str, mode: str = "cryptocubic", backend: str = "symbolic", seed: int = 0) -> Verdict:

@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
                                   write=functools.partial(_stdout, sys.stdout.write),
                                   trace=args.trace and trace.write)
         _stdout(sys.stdout.flush)  # a full standard output fails here, not at the exit flush
-    except OSError as exc:  # an open and `_stdout` name the file; a trace write names none
+    except OSError as exc:  # an open, `_stdout` and the journal name the file; a trace write names none
         print(f"cannot write {exc.filename or args.trace}: {exc.strerror}", file=sys.stderr)
         return 2
     except ModuleNotFoundError as exc:  # the concrete backend without `cryptography`

@@ -13,16 +13,20 @@ address replaced under a name.  `holds` asks the term count.
 
 Messages travel through one in-process transport that records what it
 delivers and indexes the terms heard on user-user links by first hearing
-(`Transport.heard`).  Receivers act on what was delivered.  An optional
-`Transport.interposer`, where a Dolev-Yao attacker stands, sees each message
-first: it delivers it or a copy with another payload (`dataclasses.replace`),
-loses it by returning None, or drops the link by raising `TransportFailure`.
-Only a lost request in `AWAITED` reaches its sender as None, and the sender
-times out; losing any other message drops the link, and so does a payload
-that is no tuple or whose items differ in number or class from those sent.
+(`Transport.heard`).  `Transport.heard_by` answers which terms were heard by
+a transcript length with one frozenset, shared while the heard prefix holds:
+`heard` only grows, so a prefix's set never changes.  Receivers act on what
+was delivered.  An optional `Transport.interposer`, where a Dolev-Yao
+attacker stands, sees each message first: it delivers it or a copy with
+another payload (`dataclasses.replace`), loses it by returning None, or
+drops the link by raising `TransportFailure`.  Only a lost request in
+`AWAITED` reaches its sender as None, and the sender times out; losing any
+other message drops the link, and so does a payload that is no tuple or
+whose items differ in number or class from those sent.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -153,6 +157,20 @@ class Transport:
     heard: list[Term] = field(default_factory=list)
     heard_at: dict[Term, int] = field(default_factory=dict)
     interposer: Callable[[Message], Message | None] | None = None
+    # the last heard prefix asked for: its length and its terms
+    _prefix: tuple[int, frozenset[Term]] = field(
+        default=(0, frozenset()), init=False, repr=False, compare=False)
+
+    def heard_by(self, upto: int | None = None) -> frozenset[Term]:
+        """The terms first heard within the first `upto` messages (all, if None).
+
+        The same frozenset comes back until the heard prefix grows or shrinks;
+        a new one is built only for another prefix length."""
+        heard = self.heard
+        count = len(heard) if upto is None else bisect_right(heard, upto, key=self.heard_at.__getitem__)
+        if count != self._prefix[0]:
+            self._prefix = count, frozenset(heard[:count])
+        return self._prefix[1]
 
     def send(self, msg: Message) -> Message | None:
         delivered = msg if self.interposer is None else self.interposer(msg)

@@ -9,7 +9,8 @@ side effects via ``ping``.
 All mutations are serialized under one lock, so concurrent callers observe
 take/insert as atomic.  An optional journal appends a length-prefixed binary
 record per mutation for deterministic replay; each record opens the file,
-appends and closes it again, so a store holds no open file.
+appends and closes it again, so a store holds no open file, and a failed
+append raises its `OSError` naming the journal file.
 """
 from __future__ import annotations
 
@@ -201,8 +202,12 @@ class DestructiveStore:
             + slot_id.encode()
             + digest
         )
-        with open(self._journal_path, "ab") as fh:
-            fh.write(len(body).to_bytes(4, "big") + body)
+        try:
+            with open(self._journal_path, "ab") as fh:
+                fh.write(len(body).to_bytes(4, "big") + body)
+        except OSError as exc:  # an open names the file, a failed write or close does not
+            exc.filename = self._journal_path
+            raise
 
 
 def replay_journal(path) -> list[JournalRecord]:

@@ -13,6 +13,11 @@ import cryptocubic
 from cryptocubic.backend import get_backend
 from cryptocubic.parties import AWAITED, TransportFailure
 
+# a child interpreter (the CLI run as a program, a fresh process) imports the
+# package these tests import, whether or not it is installed
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(pathlib.Path(cryptocubic.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))))
+
 
 @pytest.fixture(params=["symbolic", "concrete"])
 def backend(request):
@@ -27,10 +32,7 @@ def rng():
 def in_a_fresh_interpreter(code):
     """Run `code` in a new Python process, where no term that another test
     left alive can count, and fail with its error output if it fails."""
-    src = str(pathlib.Path(cryptocubic.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -899,6 +899,11 @@ def scanned_user_user_terms(sim, upto=None):
     }
 
 
+def heard_count(sim, upto):
+    """How many distinct terms the wiretap had heard by transcript length `upto`."""
+    return sum(at <= upto for at in sim.transport.heard_at.values())
+
+
 class TestWiretapIndex:
     @pytest.mark.parametrize("mode", ["baseline3", "bare4", "cryptocubic"])
     @pytest.mark.parametrize("backend", ["symbolic", "concrete"])
@@ -945,6 +950,46 @@ class TestWiretapIndex:
         for event, rec in zip(sim.events, sim.step_records):
             heard = wiretap_knowledge(sim, upto=rec.transcript_len)
             assert heard == scanned_user_user_terms(sim, rec.transcript_len), event.step
+
+    def test_one_set_per_heard_prefix(self):
+        sim = bounce_sim(6)
+        previous = count = None
+        reused = 0
+        for rec in sim.step_records:
+            heard = wiretap_knowledge(sim, upto=rec.transcript_len)
+            assert type(heard) is frozenset
+            assert heard == scanned_user_user_terms(sim, rec.transcript_len)
+            now = heard_count(sim, rec.transcript_len)
+            # the very set of the previous step exactly when nothing new was heard
+            assert (heard is previous) == (now == count), rec.transcript_len
+            reused += heard is previous
+            previous, count = heard, now
+        assert 0 < reused < len(sim.step_records) - 1
+
+    def test_an_empty_prefix_and_one_past_the_end(self):
+        sim = bounce_sim(6)
+        end = len(sim.transport.transcript)
+        empty = wiretap_knowledge(sim, upto=0)
+        assert empty == frozenset() and wiretap_knowledge(sim, upto=0) is empty
+        whole = wiretap_knowledge(sim, upto=end + 10)
+        assert whole == scanned_user_user_terms(sim)
+        assert wiretap_knowledge(sim) is whole
+        assert wiretap_knowledge(sim, upto=end) is whole
+        assert wiretap_knowledge(sim, upto=0) == frozenset()
+
+    def test_two_simulations_judged_alternately_keep_their_own_sets(self):
+        sims = bounce_sim(6), bounce_sim(6, seed=1)
+        previous, counts = [None, None], [None, None]
+        for recs in zip(*(sim.step_records for sim in sims)):
+            heard = []
+            for i, (sim, rec) in enumerate(zip(sims, recs)):
+                got = wiretap_knowledge(sim, upto=rec.transcript_len)
+                assert got == scanned_user_user_terms(sim, rec.transcript_len)
+                now = heard_count(sim, rec.transcript_len)
+                assert (got is previous[i]) == (now == counts[i]), (i, rec.transcript_len)
+                previous[i], counts[i] = got, now
+                heard.append(got)
+            assert heard[0] is not heard[1] or not heard[0]
 
     @pytest.mark.parametrize("mode", ["bare4", "cryptocubic"])
     def test_a_counterfeit_is_heard_and_the_original_is_not(self, mode):

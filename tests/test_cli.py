@@ -117,7 +117,16 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("cannot write /dev/full: ")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
-    @pytest.mark.parametrize("buffered", [False, True], ids=["as-set", "buffered"])
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_a_journal_that_fills_up_names_the_journal(self, traced, script, tmp_path, capsys):
+        # the journal opens at set-up but fails on its first record, after the trace opened
+        trace = ["--trace", str(tmp_path / "trace.txt")] if traced else []
+        assert main([script(CORE), "--journal", "/dev/full", *trace]) == 2
+        err = capsys.readouterr().err
+        assert err == "cannot write /dev/full: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    @pytest.mark.parametrize("buffered",[False, True], ids=["as-set", "buffered"])
     def test_a_full_standard_output_exits_two(self, buffered, script):
         # without PYTHONUNBUFFERED a short run's output waits in the buffer
         # for the flush at exit, which must find nothing left to write
