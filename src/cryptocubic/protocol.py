@@ -444,6 +444,8 @@ class Simulation:
             self._emit(f"{_cause(exc)}; establishment rolls back")
             if new_user:  # the table above still shows the emptied column
                 del self.parties[a.name]
+                self._memory_columns.pop(a, None)
+                self._columns.pop(a, None)
             raise
 
         square_id = f"sq{len(self.squares) + 1}"

@@ -9,7 +9,9 @@ its memory at every step, check that emitted columns and snapshots are never
 mutated afterwards, and bound how the per-step work, the square lookup's
 included, grows with the length of a run, recorded or not.
 """
+import gc
 import sys
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -250,6 +252,25 @@ def test_failed_first_setup_leaves_no_column():
     sim.setup("c")
     assert list(sim.events[-1].columns) == ["USER_A", SERVER, "USER_B", "USER_C"]
     sim.check_unmutated()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_failed_first_setup_frees_its_user(mode):
+    # no per-party memo keeps alive the user that a rolled-back setup removed
+    sim = Simulation(mode=mode)
+    user = []
+
+    def drop_payload(msg):
+        if msg.msg_type != "square_payload":
+            return msg
+        user.append(weakref.ref(sim.parties["USER_A"]))
+        return None
+
+    with interposed(sim, drop_payload), pytest.raises(TransportFailure):
+        sim.setup("a")
+    assert list(sim.parties) == [SERVER]
+    gc.collect()
+    assert user[0]() is None
 
 
 def test_memory_changes_between_two_steps_keep_the_column_order():

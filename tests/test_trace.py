@@ -1,4 +1,7 @@
 """Rendering of per-step holdings tables."""
+import sys
+import threading
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -233,10 +236,14 @@ def edit(columns, op, index, text):
 )
 def test_a_sequence_of_tables_matches_the_reference(start, steps):
     runs = [{header: list(items) for header, items in start.items()} for _ in range(2)]
+    events = []
     for step, (run, op, index, text) in enumerate(steps, 1):
         edit(runs[run], op, index, text)
-        event = TraceEvent(step, "a label", dict(runs[run]))
-        assert render_table(event) == reference_render_table(event)
+        events.append(TraceEvent(step, "a label", dict(runs[run])))
+        before = [{header: list(items) for header, items in e.columns.items()} for e in events]
+        assert render_table(events[-1]) == reference_render_table(events[-1])
+        # the memo's lists, edited in place, are never the caller's
+        assert [e.columns for e in events] == before
 
 
 def test_the_memo_holds_only_the_last_table():
@@ -251,8 +258,10 @@ def test_the_memo_holds_only_the_last_table():
     text = render_run(short_run.events)
     last = short_run.events[-1]
     assert text.endswith(render_table(last) + "\n")
-    # one padded column per header of the last table, and its rows
-    columns, rows = trace._last
+    # one padded column per header of the last table, and its step line and rows
+    columns, lines = trace._last
+    assert lines[0] == f"== {last.step}. {last.label} =="
+    rows = lines[1:]
     assert list(columns) == list(last.columns)
     for header, (items, cells, blank) in columns.items():
         assert items == last.columns[header]
@@ -279,12 +288,39 @@ def test_a_long_bounce_renders_every_table_as_the_reference(long_bounce):
         assert render_table(event) == reference_render_table(event)
 
 
+def test_threads_rendering_interleaved_runs_each_get_the_reference(long_bounce):
+    # a call claims the memo on entry, so a call that runs meanwhile renders
+    # from scratch rather than edit the lists the first call is editing
+    expected = [reference_render_table(event) for event in long_bounce]
+    orders = [range(len(long_bounce)), range(len(long_bounce) - 1, -1, -1)]
+    rendered = [[], []]
+
+    def render(order, out):
+        for _ in range(3):
+            out += [(index, render_table(long_bounce[index])) for index in order]
+
+    threads = [threading.Thread(target=render, args=pair) for pair in zip(orders, rendered)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for out in rendered:
+        assert len(out) == 3 * len(long_bounce)
+        assert all(text == expected[index] for index, text in out)
+
+
 def test_a_long_bounce_builds_only_the_rows_its_steps_changed(long_bounce):
     built = 0
     previous = []  # kept alive, so that no new row takes the id of an old one
     for event in long_bounce:
         render_table(event)
-        rows = trace._last[1]
+        rows = trace._last[1][1:]  # a copy: the memo's lines are edited in place
         shared = set(map(id, previous))
         built += sum(id(row) not in shared for row in rows)
         previous = rows
