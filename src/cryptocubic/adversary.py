@@ -36,9 +36,14 @@ A wiretap knows what crossed a user-user link, and never forgets it:
 `wiretap_knowledge` hands back the transport's frozenset for the heard
 prefix, the same object while that prefix holds, so a per-step judge sees by
 identity that the wiretap learned nothing new.
+
+An attack is staged on a run in the state its prefix (`PREFIXES`) names.  A
+`Stager` builds each prefix once for a script's attacks and hands every
+attack but the last a `Simulation.fork` of it.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from weakref import ref
@@ -222,18 +227,73 @@ class Verdict:
 
 Staged = tuple[set[Term] | frozenset[Term], list[str], bool]  # knowledge, notes, won without a spend
 
+# the run each attack starts from: "funded" is `setup a` and `fund a 1000`,
+# "transferred" is "funded" and then `transfer a b`
+PREFIXES = {
+    "post_transfer_grab": "transferred",
+    "counterfeit_es": "funded",
+    "token_replay": "transferred",
+    "double_transfer": "funded",
+    "wiretap_passive": "transferred",
+    "store_raid": "transferred",
+}
 
-def run_attack(scenario: str, mode: str = "cryptocubic", backend: str = "symbolic", seed: int = 0) -> Verdict:
-    """Stage a fresh funded run, apply one attack, judge what the attack
-    leaves the attacker, and replay a positive verdict as a real spend.
 
-    A staging `_attack_<scenario>(sim)` only acts: it returns the attacker's
-    knowledge, its notes, and whether the attack won without a spend."""
+class Stager:
+    """Stages the prefix runs of one set of attacks, each prefix once.
+
+    It counts each prefix's consumers: the named attacks that start from it,
+    and "transferred" as one of "funded".  Every consumer but the last gets a
+    fork (`Simulation.fork`); the last takes the run itself, and the stager
+    lets go of it.  A consumer that was not counted gets a run built afresh,
+    so any order of any attacks judges as each attack alone would."""
+
+    def __init__(self, scenarios, mode: str, backend: str, seed: int) -> None:
+        self.settings = mode, backend, seed
+        # the consumers each prefix has still to serve; `run_attack` refuses unknown attacks
+        self._left = Counter(PREFIXES[name] for name in set(scenarios) & PREFIXES.keys())
+        self._left["funded"] += "transferred" in self._left
+        self._runs: dict[str, Simulation] = {}  # each prefix built and not yet taken
+
+    def take(self, prefix: str) -> Simulation:
+        """A run in the state `prefix` names, this consumer's own."""
+        sim = self._runs.pop(prefix, None)
+        if sim is None:
+            mode, backend, seed = self.settings
+            if prefix == "funded":
+                sim = Simulation(mode=mode, backend=backend, seed=seed, record=False)  # a verdict reads no table
+                sim.setup("a")
+                sim.fund("a", 1000)
+            else:
+                sim = self.take("funded")
+                sim.transfer("a", "b")
+        if self._left[prefix] > 1:
+            self._left[prefix] -= 1
+            self._runs[prefix] = sim
+            return sim.fork()
+        self._left[prefix] = 0
+        return sim
+
+
+def run_attack(
+    scenario: str, mode: str = "cryptocubic", backend: str = "symbolic", seed: int = 0,
+    stager: Stager | None = None,
+) -> Verdict:
+    """Take the attack's prefix run from `stager` (by default one staging
+    this attack alone), apply the attack, judge what the attack leaves the attacker, and replay a
+    positive verdict as a real spend.
+
+    A staging `_attack_<scenario>(sim)` only acts on the run its prefix
+    (`PREFIXES`) names: it returns the attacker's knowledge, its notes, and
+    whether the attack won without a spend."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown attack scenario: {scenario!r}")
-    sim = Simulation(mode=mode, backend=backend, seed=seed, record=False)  # a verdict reads no table
-    square_id = sim.setup("a")
-    sim.fund("a", 1000)
+    if stager is None:
+        stager = Stager((scenario,), mode, backend, seed)
+    elif stager.settings != (mode, backend, seed):
+        raise ValueError(f"the stager stages {stager.settings}, not {(mode, backend, seed)}")
+    sim = stager.take(PREFIXES[scenario])
+    square_id = next(iter(sim.squares))
     knowledge, notes, won = globals()[f"_attack_{scenario}"](sim)
     decision = can_spend(knowledge, sim.squares[square_id].bundle.bundle_id)
     if decision.possible:
@@ -243,7 +303,6 @@ def run_attack(scenario: str, mode: str = "cryptocubic", backend: str = "symboli
 
 
 def _attack_post_transfer_grab(sim: Simulation) -> Staged:
-    sim.transfer("a", "b")
     return snapshot_knowledge(sim, "USER_A", SERVER) | take_all_slots(sim), [], False
 
 
@@ -274,7 +333,6 @@ def _attack_counterfeit_es(sim: Simulation) -> Staged:
 
 
 def _attack_token_replay(sim: Simulation) -> Staged:
-    sim.transfer("a", "b")
     if sim.mode != "cryptocubic":
         return wiretap_knowledge(sim), ["mode issues no challenge tokens; nothing to replay"], False
     # the receiver's reply token from the finished session, replayed cold
@@ -307,13 +365,11 @@ def _attack_double_transfer(sim: Simulation) -> Staged:
 
 
 def _attack_wiretap_passive(sim: Simulation) -> Staged:
-    sim.transfer("a", "b")
     sim.redeem("b", "ext", 1000)
     return wiretap_knowledge(sim), [CHANNEL_ASSUMPTION], False
 
 
 def _attack_store_raid(sim: Simulation) -> Staged:
-    sim.transfer("a", "b")
     if sim.mode == "baseline3":
         notes = ["the slot held a bare signing key, but one leg alone cannot spend"]
     else:

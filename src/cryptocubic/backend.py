@@ -16,9 +16,9 @@ The concrete backend keeps three bounded, process-wide memos.  It builds
 each X25519 and Ed25519 private-key object once per 32-byte seed, because
 building one is a full Curve25519 scalar multiplication, and it derives each
 ECIES key once per (private seed, peer public key) pair, because an X25519
-shared secret depends on nothing else.  Seeds repeat: every attack staging
-replays the script with the script's own seed, so it draws the same key
-seeds, and makes the same exchanges, as the main run.  Only key objects and
+shared secret depends on nothing else.  Seeds repeat: the attack stagings
+go on from a prefix run staged with the script's own seed, so it draws the
+same key seeds, and makes the same exchanges, as the main run.  Only key objects and
 ECIES keys are cached; every AES-GCM seal and open (the authentication that
 refuses a wrong key or a tampered payload), signature, verification and key
 match still runs on every call, so outputs are byte-identical with or
@@ -245,6 +245,12 @@ class CryptoBackend:
 
     def __init__(self) -> None:
         self._counters: dict[str, int] = {}
+
+    def copy(self) -> CryptoBackend:
+        """A backend of this class that draws the ids this one draws next."""
+        twin = type(self)()
+        twin._counters.update(self._counters)
+        return twin
 
     def _next_id(self, prefix: str) -> str:
         n = self._counters.get(prefix, 0) + 1

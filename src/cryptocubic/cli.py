@@ -32,7 +32,9 @@ def _stdout(call, *args) -> None:
     try:
         call(*args)
     except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)  # the duplicate alone stays open
         exc.filename = "standard output"
         raise
 

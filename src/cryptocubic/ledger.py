@@ -8,7 +8,7 @@ cannot be spent from inside a simulation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .backend import CryptoBackend, Signature, VerifyKey
 
@@ -91,6 +91,15 @@ class Ledger:
         self._next_tx_id = 1
         self._next_nonce = 1
         self.version = 0  # bumped by every call that may move a balance
+
+    def copy(self, backend: CryptoBackend) -> Ledger:
+        """An independent ledger with this one's accounts, nonce sets and
+        counters, checking signatures with `backend`."""
+        twin = Ledger(backend)
+        twin._accounts = {address: replace(account, used_nonces=set(account.used_nonces))
+                          for address, account in self._accounts.items()}
+        twin._next_tx_id, twin._next_nonce, twin.version = self._next_tx_id, self._next_nonce, self.version
+        return twin
 
     # -- accounts --------------------------------------------------------
 

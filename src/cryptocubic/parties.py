@@ -109,6 +109,16 @@ class Party:
             del self._term_counts[term]
             self._snapshot = None
 
+    def copy(self) -> Party:
+        """An independent party with this one's memory, counts and snapshot;
+        a party with an open procedure cannot be copied."""
+        if self.procedures:
+            raise ValueError(f"{self.name} has an open procedure")
+        twin = Party.__new__(Party)
+        twin.__dict__.update(self.__dict__, memory=dict(self.memory),
+                             _term_counts=dict(self._term_counts), procedures=[])
+        return twin
+
     def holds(self, term: Term) -> bool:
         return term in self._term_counts
 
@@ -171,6 +181,15 @@ class Transport:
         if count != self._prefix[0]:
             self._prefix = count, frozenset(heard[:count])
         return self._prefix[1]
+
+    def copy(self) -> Transport:
+        """An independent transport with this one's transcript and heard index."""
+        if self.interposer is not None:
+            raise ValueError("a transport with an interposer cannot be copied")
+        twin = Transport.__new__(Transport)
+        twin.__dict__.update(self.__dict__, transcript=list(self.transcript), heard=list(self.heard),
+                             heard_at=dict(self.heard_at))
+        return twin
 
     def send(self, msg: Message) -> Message | None:
         delivered = msg if self.interposer is None else self.interposer(msg)

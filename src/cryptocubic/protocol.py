@@ -196,6 +196,34 @@ class Simulation:
         self._issued: set[bytes] = set()  # the material of each token the server issued
         self._session_seq = 0
 
+    def fork(self) -> Simulation:
+        """An independent run in this run's state, to go on as this one would.
+
+        It shares only what never changes (terms, value records, cyphers and
+        messages), copies every container a step mutates, and draws from a
+        copy of the generator and a new backend with the same id counters.
+        It records nothing: no observer, no table memo.  A run with an open
+        procedure, a journal or an interposer is refused with ValueError, as
+        no copy can carry them."""
+        twin = Simulation.__new__(Simulation)
+        twin.mode = self.mode
+        twin.backend = self.backend.copy()
+        twin.rng = random.Random.__new__(random.Random)  # seeding one costs more than its state
+        twin.rng.setstate(self.rng.getstate())
+        twin.ledger = self.ledger.copy(twin.backend)
+        twin.store = self.store.copy(twin.backend.fingerprint)
+        twin.transport = self.transport.copy()
+        twin.parties = {name: party.copy() for name, party in self.parties.items()}
+        twin.squares = {square_id: replace(square) for square_id, square in self.squares.items()}
+        twin.value_of = dict(self.value_of)
+        twin.steps = self.steps
+        twin.events, twin.step_records, twin.observers = [], [], []
+        twin._memory_columns, twin._columns = {}, {}
+        twin._challenge_counts = dict(self._challenge_counts)
+        twin._issued = set(self._issued)
+        twin._session_seq = self._session_seq
+        return twin
+
     # ------------------------------------------------------------------
     # parties and bookkeeping
 

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .adversary import SCENARIOS, Verdict, run_attack
+from .adversary import SCENARIOS, Stager, Verdict, run_attack
 from .backend import CryptoError
 from .ledger import LedgerError
 from .protocol import MODES, SERVER, BadLetter, ProtocolError, Simulation, user_letter, user_name
@@ -203,10 +203,14 @@ def run_scenario(
                 reader(table, "\n\n")
         steps.clear()
 
+    # each attack's prefix is staged once for every attack that starts from it
+    stager = Stager([cmd[1] for cmd in script.commands if cmd[0] in ("attack", "expect-verdict")],
+                    script.mode, script.backend, script.seed)
+
     def verdict_for(name: str) -> Verdict:
         if name not in result.verdicts:
             result.verdicts[name] = run_attack(
-                name, mode=script.mode, backend=script.backend, seed=script.seed
+                name, mode=script.mode, backend=script.backend, seed=script.seed, stager=stager
             )
         return result.verdicts[name]
 

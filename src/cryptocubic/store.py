@@ -106,6 +106,18 @@ class DestructiveStore:
         if journal_path:
             open(journal_path, "ab").close()  # an unwritable path fails here
 
+    def copy(self, digest_fn) -> DestructiveStore:
+        """An independent store with this one's slots, capabilities and
+        sequence number, digesting with `digest_fn`; it keeps no journal."""
+        with self._lock:
+            if self._journal_path:
+                raise ValueError("a journalled store cannot be copied")
+            twin = DestructiveStore(digest_fn)
+            twin._slots = {slot_id: _Slot(slot.value, slot.digest) for slot_id, slot in self._slots.items()}
+            twin._caps = dict(self._caps)
+            twin._seq = self._seq
+            return twin
+
     # -- capability management -------------------------------------------
 
     def grant_source(self, slot_ids) -> SourceCapability:

@@ -795,7 +795,7 @@ class TestStagedScenarios:
     def test_stagings_and_scenarios_name_the_same_attacks(self):
         prefix = "_attack_"
         stagings = {name[len(prefix):] for name in vars(adversary) if name.startswith(prefix)}
-        assert stagings == set(SCENARIOS)
+        assert stagings == set(SCENARIOS) == set(adversary.PREFIXES)
 
     def test_report_line_format(self):
         verdict = run_attack("store_raid", mode="cryptocubic")

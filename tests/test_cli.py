@@ -148,6 +148,20 @@ class TestExitCodes:
             err = proc.stderr.read()
         assert (proc.returncode, err) == (2, "cannot write standard output: Broken pipe\n")
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs a listing of open descriptors")
+    def test_a_failed_standard_output_leaves_no_descriptor_open(self, monkeypatch):
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe now fails
+        with open(write, "w") as broken:
+            monkeypatch.setattr(sys, "stdout", broken)
+            before = len(os.listdir("/proc/self/fd"))
+            broken.write("lost")
+            with pytest.raises(BrokenPipeError) as failed:
+                cli._stdout(broken.flush)
+            assert failed.value.filename == "standard output"
+            assert len(os.listdir("/proc/self/fd")) == before
+            monkeypatch.undo()
+
 
 class TestOutputs:
     def test_quiet_drops_tables_keeps_verdicts(self, script, capsys):
