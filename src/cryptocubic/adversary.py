@@ -37,9 +37,11 @@ A wiretap knows what crossed a user-user link, and never forgets it:
 prefix, the same object while that prefix holds, so a per-step judge sees by
 identity that the wiretap learned nothing new.
 
-An attack is staged on a run in the state its prefix (`PREFIXES`) names.  A
-`Stager` builds each prefix once for a script's attacks and hands every
-attack but the last a `Simulation.fork` of it.
+An attack is staged on a run in the state its prefix (`PREFIXES`) names: the
+script commands `setup A` and `fund A 1000`, then `transfer A B`, then `redeem
+B ext 1000`.  A `Stager` keeps a fork of the script's own run where the script
+passes through a prefix, builds any other prefix once from the one before it,
+and hands every attack but the last a `Simulation.fork` of it.
 """
 from __future__ import annotations
 
@@ -227,15 +229,18 @@ class Verdict:
 
 Staged = tuple[set[Term] | frozenset[Term], list[str], bool]  # knowledge, notes, won without a spend
 
-# the run each attack starts from: "funded" is `setup a` and `fund a 1000`,
-# "transferred" is "funded" and then `transfer a b`
+# the run each attack starts from, as the script commands that make it; each
+# prefix is the one before it and one command more
+_FUNDED = (("setup", "A"), ("fund", "A", 1000))
+_TRANSFERRED = (*_FUNDED, ("transfer", "A", "B"))
+_REDEEMED = (*_TRANSFERRED, ("redeem", "B", "ext", 1000))
 PREFIXES = {
-    "post_transfer_grab": "transferred",
-    "counterfeit_es": "funded",
-    "token_replay": "transferred",
-    "double_transfer": "funded",
-    "wiretap_passive": "transferred",
-    "store_raid": "transferred",
+    "post_transfer_grab": _TRANSFERRED,
+    "counterfeit_es": _FUNDED,
+    "token_replay": _TRANSFERRED,
+    "double_transfer": _FUNDED,
+    "wiretap_passive": _REDEEMED,
+    "store_raid": _TRANSFERRED,
 }
 
 
@@ -243,36 +248,52 @@ class Stager:
     """Stages the prefix runs of one set of attacks, each prefix once.
 
     It counts each prefix's consumers: the named attacks that start from it,
-    and "transferred" as one of "funded".  Every consumer but the last gets a
-    fork (`Simulation.fork`); the last takes the run itself, and the stager
-    lets go of it.  A consumer that was not counted gets a run built afresh,
-    so any order of any attacks judges as each attack alone would."""
+    and each prefix as one of its parent, the prefix one command shorter.
+    A prefix comes from the script's own run when the script passes through
+    it (`offer`), and is built from its parent otherwise.  Every consumer but
+    the last gets a fork (`Simulation.fork`); the last takes the run itself,
+    and the stager lets go of it.  A consumer that was not counted gets a run
+    built afresh, so any order of any attacks judges as each attack alone
+    would: a run is a function of its commands, seed, mode and backend."""
 
     def __init__(self, scenarios, mode: str, backend: str, seed: int) -> None:
         self.settings = mode, backend, seed
         # the consumers each prefix has still to serve; `run_attack` refuses unknown attacks
         self._left = Counter(PREFIXES[name] for name in set(scenarios) & PREFIXES.keys())
-        self._left["funded"] += "transferred" in self._left
-        self._runs: dict[str, Simulation] = {}  # each prefix built and not yet taken
+        for prefix in (_REDEEMED, _TRANSFERRED):  # longest first, so a parent counts a counted child
+            self._left[prefix[:-1]] += self._left[prefix] > 0
+        self._runs: dict[tuple, Simulation] = {}  # each prefix built or offered and not yet taken
 
-    def take(self, prefix: str) -> Simulation:
+    def take(self, prefix: tuple) -> Simulation:
         """A run in the state `prefix` names, this consumer's own."""
         sim = self._runs.pop(prefix, None)
-        if sim is None:
+        if sim is None and not prefix:
             mode, backend, seed = self.settings
-            if prefix == "funded":
-                sim = Simulation(mode=mode, backend=backend, seed=seed, record=False)  # a verdict reads no table
-                sim.setup("a")
-                sim.fund("a", 1000)
-            else:
-                sim = self.take("funded")
-                sim.transfer("a", "b")
+            return Simulation(mode=mode, backend=backend, seed=seed, record=False)  # a verdict reads no table
+        if sim is None:
+            sim = self.take(prefix[:-1])
+            head, *values = prefix[-1]
+            getattr(sim, head)(*values)  # as `run_scenario` runs the command
         if self._left[prefix] > 1:
             self._left[prefix] -= 1
             self._runs[prefix] = sim
             return sim.fork()
         self._left[prefix] = 0
         return sim
+
+    def offer(self, done: tuple, sim: Simulation) -> bool:
+        """Keep a fork of `sim`, the script's run after the state-changing
+        commands `done`, if `done` is a prefix that still has consumers and
+        that nothing has built or taken; its parent then has one consumer
+        fewer.  Returns whether a longer run may still match such a prefix."""
+        if self._left[done] and done not in self._runs:
+            self._runs[done] = sim.fork()
+            parent = done[:-1]
+            self._left[parent] -= self._left[parent] > 0
+            if not self._left[parent]:
+                self._runs.pop(parent, None)
+        n = len(done)
+        return any(left and len(prefix) > n and prefix[:n] == done for prefix, left in self._left.items())
 
 
 def run_attack(
@@ -335,8 +356,9 @@ def _attack_counterfeit_es(sim: Simulation) -> Staged:
 def _attack_token_replay(sim: Simulation) -> Staged:
     if sim.mode != "cryptocubic":
         return wiretap_knowledge(sim), ["mode issues no challenge tokens; nothing to replay"], False
-    # the receiver's reply token from the finished session, replayed cold
-    stale = sim.server.recall("Token_B2")
+    # the receiver's reply token from the finished session, as the impostor
+    # on the link heard it, replayed cold
+    stale = next(m for m in reversed(sim.transport.transcript) if m.msg_type == "challenge_reply").payload[0]
     accepted = sim.attempt_replay_auth(stale)
     notes = ["stale token accepted" if accepted else "stale token refused"]
     return {stale.term} | wiretap_knowledge(sim), notes, accepted
@@ -365,7 +387,6 @@ def _attack_double_transfer(sim: Simulation) -> Staged:
 
 
 def _attack_wiretap_passive(sim: Simulation) -> Staged:
-    sim.redeem("b", "ext", 1000)
     return wiretap_knowledge(sim), [CHANNEL_ASSUMPTION], False
 
 

@@ -184,6 +184,10 @@ def run_scenario(
     observer collects each command's steps, whose tables are rendered once
     the command has run (never inside a step), written to `write` and to
     `trace` when given, and dropped.  `trace` gets the tables alone.
+
+    Each verdict comes from a `Stager`, which is offered a fork of this run
+    after each state-changing command while those commands may still be an
+    attack's prefix, unless the run keeps a journal.
     """
     sim = Simulation(mode=script.mode, backend=script.backend, seed=script.seed,
                      journal_path=journal_path, record=write is None)
@@ -206,6 +210,7 @@ def run_scenario(
     # each attack's prefix is staged once for every attack that starts from it
     stager = Stager([cmd[1] for cmd in script.commands if cmd[0] in ("attack", "expect-verdict")],
                     script.mode, script.backend, script.seed)
+    done: tuple | None = None if journal_path else ()  # a journalled run is never forked
 
     def verdict_for(name: str) -> Verdict:
         if name not in result.verdicts:
@@ -240,6 +245,9 @@ def run_scenario(
                     )
             else:  # setup, fund, transfer, redeem: the Simulation method of the same name
                 getattr(sim, head)(*values)
+                if done is not None:  # the commands so far may yet be an attack's prefix
+                    done += (cmd,)
+                    done = done if stager.offer(done, sim) else None
         except (ProtocolError, StoreError, LedgerError, CryptoError) as exc:
             result.failures.append(f"{pretty(cmd)}: {type(exc).__name__}: {exc}")
             break

@@ -445,16 +445,16 @@ def test_concrete_run_derives_each_key_once(counted_derivations):
         return run_scenario(parse_scenario(text, backend="concrete")).output
 
     assert run() == golden
-    # the attack stagings go on from one staged prefix run, which draws the
-    # main run's seeds, so without the memos the run derives 62 X25519 and
-    # 8 Ed25519 keys from these few seeds
+    # the attack stagings go on from forks of the script's own run, which
+    # hold its seeds, so without the memos the run derives 43 X25519 and
+    # 4 Ed25519 keys from these few seeds
     assert len(seeds["x25519"]) == len(set(seeds["x25519"])) == 10
     assert len(seeds["ed25519"]) == len(set(seeds["ed25519"])) == 2
     # one X25519 exchange per distinct (private, peer) pair, where the run
-    # without the ECIES-key memo makes 32; every other primitive still runs
+    # without the ECIES-key memo makes 22; every other primitive still runs
     # on every call
-    assert calls == {"asym_encrypt": 16, "asym_decrypt": 16, "exchange": 15,
-                     "matches": 7, "sign": 4, "ed25519 sign": 4, "verify": 4}
+    assert calls == {"asym_encrypt": 11, "asym_decrypt": 11, "exchange": 15,
+                     "matches": 5, "sign": 2, "ed25519 sign": 2, "verify": 2}
     clear_memos()
     assert run() == golden
 

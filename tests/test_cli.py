@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from cryptocubic import cli, protocol
+from cryptocubic.adversary import Stager, run_attack
 from cryptocubic.cli import build_parser, main
 from cryptocubic.protocol import StepRecord
 from cryptocubic.scenario import parse_scenario, run_scenario
@@ -274,6 +275,23 @@ class TestGoldenTranscripts:
         out = capsys.readouterr().out
         golden = (GOLDEN_DIR / f"{mode}.txt").read_text()
         assert out == golden
+
+    @pytest.mark.parametrize("backend", ["symbolic", "concrete"])
+    @pytest.mark.parametrize("mode", ["baseline3", "bare4", "cryptocubic"])
+    def test_a_journalled_run_stages_every_prefix_itself(self, mode, backend, tmp_path, monkeypatch, capsys):
+        # a journalled run cannot be forked, so it offers the stager nothing
+        monkeypatch.setattr(Stager, "offer", lambda *args: pytest.fail("a journalled run was offered"))
+        path = SCENARIOS_DIR / f"{mode}.scen"
+        argv = [str(path), "--mode", mode, "--backend", backend, "--journal", str(tmp_path / "journal")]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN_DIR / f"{mode}.txt").read_text()
+        expected = []
+        for cmd in parse_scenario(path.read_text()).commands:
+            if cmd[0] == "attack":
+                verdict = run_attack(cmd[1], mode, backend)
+                expected += [f"verdict: {verdict.report_line()}", *(f"  note: {n}" for n in verdict.notes)]
+        assert [line for line in out.splitlines() if line.startswith(("verdict: ", "  note: "))] == expected
 
     @pytest.mark.parametrize("hash_seed", ["1", "4093"])
     def test_bundled_scenarios_do_not_depend_on_the_hash_seed(self, hash_seed):

@@ -65,6 +65,11 @@ def canonical_run(mode, backend="symbolic", redeem=True, journal=None):
     return sim
 
 
+def last_reply(sim):
+    """The token of the last challenge reply, as an impostor on the link heard it."""
+    return [m for m in sim.transport.transcript if m.msg_type == "challenge_reply"][-1].payload[0]
+
+
 @pytest.fixture
 def journal(tmp_path):
     return str(tmp_path / "store.journal")
@@ -377,7 +382,7 @@ class TestFaultInjection:
         sim = canonical_run("cryptocubic", redeem=False)
         square = next(iter(sim.squares.values()))
         assert square.owner_party == "USER_B"
-        finished = sim.server.recall("Token_B2")
+        finished = last_reply(sim)
         sessions = recorded_sessions(sim)
         for reply, reason in [
             (finished, "token replay"),
@@ -400,7 +405,7 @@ class TestFaultInjection:
         with swapped(sim, "challenge_reply", fresh):
             assert sim.transfer("a", "b").abort_reason == "sender auth failed: token mismatch"
         assert sim.transfer("a", "b").phase == "completed"
-        stale = sim.server.recall("Token_B2")
+        stale = last_reply(sim)
         for reply, reason in ((fresh, "token mismatch"), (lambda msg: (stale,), "token replay")):
             with swapped(sim, "challenge_reply", reply), pytest.raises(
                 AuthFailure, match=f"^redemption challenge failed: {reason}$"
@@ -965,7 +970,7 @@ class TestRedemption:
         sim.setup("a")
         sim.fund("a", 1000)
         sim.transfer("a", "b")
-        stale = sim.server.recall("Token_B2")
+        stale = last_reply(sim)
         assert sim.attempt_replay_auth(stale) is False
         assert sim.user("b").recall("Token_B'2").material == sim.server.recall("Token_B'").material
         assert sim.server.recall("Token_B'2") is stale

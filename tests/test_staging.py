@@ -3,9 +3,11 @@
 A fork must be a run of its own: nothing it does may reach the run it was
 forked from, or the other way round, and it must go on exactly as the run
 itself would.  A stager must judge every attack, in any order and any
-subset, as `run_attack` judges it alone.
+subset, as `run_attack` judges it alone, whether it builds a prefix or keeps
+a fork of the script's own run.
 """
 import random
+import weakref
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import is_dataclass
@@ -15,11 +17,13 @@ from unittest import mock
 
 import pytest
 
-from cryptocubic import adversary
-from cryptocubic.adversary import SCENARIOS, Stager, run_attack
+from cryptocubic import adversary, scenario
+from cryptocubic.adversary import PREFIXES, SCENARIOS, Stager, run_attack
 from cryptocubic.protocol import MODES, Simulation
 from cryptocubic.scenario import parse_scenario, run_scenario
 from cryptocubic.terms import Term
+from cryptocubic.trace import render_table
+from test_emit_cache import bounce_script
 
 SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 BACKENDS = ("symbolic", "concrete")
@@ -251,16 +255,17 @@ def test_an_expected_verdict_without_an_attack_line_shares_the_prefix():
     with counting("setup") as calls:
         result = run_scenario(parse_scenario(text, seed=4))
     assert result.ok
-    assert calls == {"setup": 2}  # the script's own, and one staged prefix
+    assert calls == {"setup": 1}  # the script's own, whose run is forked for the prefix
     assert result.verdicts == {name: run_attack(name, seed=4) for name in result.verdicts}
     assert set(result.verdicts) == {"store_raid", "post_transfer_grab", "double_transfer"}
 
 
-# each bundled script, run in its own mode: the calls its stagings now make
+# each bundled script, run in its own mode: the calls it and its stagings
+# now make, each prefix forked from the script's own run
 STAGED_CALLS = {
-    "baseline3": {"setup": 2, "transfer": 4, "begin_transfer": 4},
-    "bare4": {"setup": 2, "transfer": 2, "begin_transfer": 4},
-    "cryptocubic": {"setup": 2, "transfer": 3, "begin_transfer": 5},
+    "baseline3": {"setup": 1, "transfer": 3, "begin_transfer": 3},
+    "bare4": {"setup": 1, "transfer": 1, "begin_transfer": 3},
+    "cryptocubic": {"setup": 1, "transfer": 2, "begin_transfer": 4},
 }
 
 
@@ -280,3 +285,150 @@ def test_a_fork_shares_messages_and_heard_sets():
     twin = sim.fork()
     assert all(a is b for a, b in zip(twin.transport.transcript, sim.transport.transcript))
     assert twin.transport.heard_by() is sim.transport.heard_by()
+
+
+# ---------------------------------------------------------------------------
+# the script's own run as a prefix
+
+
+FUNDED, TRANSFERRED, REDEEMED = sorted(set(PREFIXES.values()), key=len)
+# one attack that starts from each prefix
+CONSUMER = {prefix: name for name, prefix in PREFIXES.items()}
+
+
+def run_commands(sim, commands):
+    for head, *values in commands:
+        getattr(sim, head)(*values)
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mode", MODES)
+def test_a_donated_fork_equals_the_prefix_built(mode, backend, record):
+    for prefix in (FUNDED, TRANSFERRED, REDEEMED):
+        sim = Simulation(mode=mode, backend=backend, seed=1, record=record)
+        stager = Stager([CONSUMER[prefix]], mode, backend, 1)
+        for n in range(1, len(prefix) + 1):
+            run_commands(sim, prefix[n - 1:n])
+            # tracking stops once the one wanted prefix is reached
+            assert stager.offer(prefix[:n], sim) is (n < len(prefix))
+        assert list(stager._runs) == [prefix]  # each shorter prefix let go once its child came
+        donated = stager.take(prefix)
+        built = Stager((), mode, backend, 1).take(prefix)
+        for run in (donated, built):  # a recording run has filled each party's snapshot memo
+            for party in run.parties.values():
+                party.snapshot()
+        assert structure(donated) == structure(built), prefix
+
+
+@contextmanager
+def donations():
+    """The prefixes each `Stager.offer` kept while the block runs, and the
+    number of offers made."""
+    kept, offers = [], Counter()
+    original = Stager.offer
+
+    def offer(self, done, sim):
+        offers["offers"] += 1
+        held = self._runs.get(done)
+        more = original(self, done, sim)
+        if self._runs.get(done) is not held:
+            kept.append(done)
+        return more
+
+    with mock.patch.object(Stager, "offer", offer):
+        yield kept, offers
+
+
+def judged_alone(result, seed=0):
+    return result.verdicts == {name: run_attack(name, seed=seed) for name in result.verdicts}
+
+
+def test_an_attack_before_the_prefix_builds_it_and_keeps_no_run():
+    # "funded" is built by the first attack and still held for `double_transfer`
+    # when the script passes through it
+    text = ("attack post_transfer_grab\nattack counterfeit_es\nsetup A\nfund A 1000\n"
+            "transfer A B\nexpect-verdict double_transfer false\nredeem B ext 1000\n")
+    made = []
+
+    def make(*args):
+        made.append(Stager(*args))
+        return made[-1]
+
+    with donations() as (kept, offers), mock.patch.object(scenario, "Stager", make):
+        result = run_scenario(parse_scenario(text, seed=5))
+    assert result.ok and judged_alone(result, seed=5)
+    assert kept == [] and offers["offers"] == 2  # nothing longer is wanted after `fund A 1000`
+    assert made[0]._runs == {}
+
+
+@pytest.mark.parametrize("diverging, kept_prefixes, offered", [
+    ("setup A\nfund A 500\ntransfer A B\nredeem B ext 500\n", [], 2),
+    ("setup A\nfund A 1000\ntransfer A C\nredeem C ext 1000\n", [FUNDED], 3),
+])
+def test_a_script_that_diverges_is_offered_no_further(diverging, kept_prefixes, offered):
+    attacks = "".join(f"attack {name}\n" for name in SCENARIOS)
+    with donations() as (kept, offers):
+        result = run_scenario(parse_scenario(diverging + attacks, seed=2))
+    assert result.ok and judged_alone(result, seed=2)
+    assert kept == kept_prefixes
+    assert offers["offers"] == offered  # none after the first command that matches no prefix
+
+
+def test_no_fork_outlives_the_script_run():
+    forks = []
+    original = Simulation.fork
+
+    def fork(self):
+        twin = original(self)
+        forks.append(weakref.ref(twin))
+        return twin
+
+    text = (SCENARIOS_DIR / "cryptocubic.scen").read_text(encoding="utf-8")
+    with donations() as (kept, _), mock.patch.object(Simulation, "fork", fork):
+        result = run_scenario(parse_scenario(text, backend="concrete"))
+    assert result.ok and kept == [FUNDED, TRANSFERRED, REDEEMED]
+    assert len(forks) == 6 and [alive() for alive in forks] == [None] * 6
+
+
+def test_a_script_with_no_attack_forks_nothing():
+    with counting("fork") as calls, donations() as (_, offers):
+        assert run_scenario(parse_scenario(bounce_script(40))).ok
+    assert calls == {} and offers["offers"] == 1
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["recording", "streaming"])
+@pytest.mark.parametrize("mode", MODES)
+def test_forking_an_observed_run_leaves_it_untouched(mode, record):
+    def observed():
+        """A run whose tables are rendered after each command, as `run_scenario` streams them."""
+        sim = Simulation(mode=mode, backend="concrete", seed=3, record=record)
+        steps, tables = [], []
+        sim.observers.append(lambda _, event: steps.append(event))
+
+        def run(*commands):
+            for command in commands:
+                run_commands(sim, [command])
+                tables.extend(map(render_table, steps))
+                steps.clear()
+
+        return sim, run, tables
+
+    forked, run, tables = observed()
+    run(*TRANSFERRED)
+    stager = Stager(["wiretap_passive", "post_transfer_grab"], mode, "concrete", 3)
+    assert stager.offer(TRANSFERRED, forked)
+    # a fork of the donated fork goes through the redemption, then the fork
+    # itself has its slots raided and, in baseline3, its square spent
+    for name in ("wiretap_passive", "post_transfer_grab"):
+        assert run_attack(name, mode, "concrete", 3, stager=stager) == run_attack(name, mode, "concrete", 3)
+    rest = [("redeem", "B", "ext", 600), ("redeem", "B", "ext", 400)]
+    run(*rest)
+    plain, run, plain_tables = observed()
+    run(*TRANSFERRED, *rest)
+    assert tables == plain_tables and len(tables) == plain.steps
+    assert forked.events == plain.events and forked.step_records == plain.step_records
+    assert bool(forked.events) is record
+    assert forked.ledger.dump() == plain.ledger.dump()
+    assert {name: party.memory for name, party in forked.parties.items()} == {
+        name: party.memory for name, party in plain.parties.items()}
