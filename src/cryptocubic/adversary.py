@@ -281,13 +281,15 @@ class Stager:
         self._left[prefix] = 0
         return sim
 
-    def offer(self, done: tuple, sim: Simulation) -> bool:
+    def offer(self, done: tuple, sim: Simulation, then: tuple | None) -> bool:
         """Keep a fork of `sim`, the script's run after the state-changing
-        commands `done`, if `done` is a prefix that still has consumers and
-        that nothing has built or taken; its parent then has one consumer
-        fewer.  Returns whether a longer run may still match such a prefix."""
+        commands `done`, if `done` is a prefix that nothing has built or taken
+        and that has consumers besides a counted child the script's next
+        command `then` makes; its parent then has one consumer fewer.
+        Returns whether a longer run may still match such a prefix."""
         if self._left[done] and done not in self._runs:
-            self._runs[done] = sim.fork()
+            if self._left[done] > (self._left[(*done, then)] > 0):  # the script's run serves that child
+                self._runs[done] = sim.fork()
             parent = done[:-1]
             self._left[parent] -= self._left[parent] > 0
             if not self._left[parent]:

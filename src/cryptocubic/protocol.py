@@ -15,11 +15,12 @@ funding, ownership transfer and redemption, in one of three modes:
   receiver prove the cypher it was handed is genuine, and receiver-key
   routing through the current owner.
 
-Every step ends in `Simulation._emit`, which builds the step's holdings table
-(`TraceEvent`) only for the callables in `Simulation.observers`, and calls
-each with the simulation and the table.  A recording run's list starts with
-`_record`, which keeps the table and a `StepRecord` (per-party knowledge, slot
-contents, transcript position); a staged attack or a streamed run keeps neither.
+Every step ends in `Simulation._emit`, which calls each of
+`Simulation.observers` as `observer(sim, label, handoff)` and builds nothing
+itself.  A recording run's list is a `trace.Tables`, which keeps each step's
+holdings table in `events`, and `_record`, which keeps a `StepRecord`
+(per-party knowledge, slot contents, transcript position); a staged attack
+or a streamed run keeps neither.
 
 A receiver keeps what it is delivered in one place, `Simulation._send`, under
 the names passed as `keep`, once the transport has refused a payload of other
@@ -38,10 +39,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import islice
 
 from .backend import (
-    Address,
     AsymPublicKey,
     CryptoBackend,
     CryptoError,
@@ -54,11 +53,11 @@ from .backend import (
     get_backend,
     term_of,
 )
-from .ledger import ChainTx, Ledger, UnknownAddress, check_amount, check_destination
+from .ledger import ChainTx, Ledger, check_amount, check_destination
 from .parties import SERVER, DynamicProcedure, Message, Party, Transport, TransportFailure
 from .store import DestructiveStore, ReinsertPermit, SlotEmpty, SourceCapability
 from .terms import Term
-from .trace import TraceEvent, format_money, render_run
+from .trace import Tables, TraceEvent, render_run
 
 MODES = ("baseline3", "bare4", "cryptocubic")
 
@@ -184,14 +183,8 @@ class Simulation:
         self.steps = 0  # steps emitted, whether or not their tables are kept
         self.events: list[TraceEvent] = []
         self.step_records: list[StepRecord] = []
-        # each called as `observer(sim, event)` at every step; the unbound `_record` makes no cycle
-        self.observers = [Simulation._record] if record else []
-        # each party's memory items, with the party's listing and the ledger
-        # version they were built at; a list is never mutated once handed out
-        self._memory_columns: dict[Party, tuple[int, int, list[str]]] = {}
-        # each party's last column with scope or slot items: those items, the
-        # memory items it was built from and the column
-        self._columns: dict[Party, tuple[list[str], list[str], list[str]]] = {}
+        # each called as `observer(sim, label, handoff)` at every step; the unbound `_record` makes no cycle
+        self.observers = [Tables(self.events), Simulation._record] if record else []
         self._challenge_counts: dict[str, int] = {}
         self._issued: set[bytes] = set()  # the material of each token the server issued
         self._session_seq = 0
@@ -202,7 +195,7 @@ class Simulation:
         It shares only what never changes (terms, value records, cyphers and
         messages), copies every container a step mutates, and draws from a
         copy of the generator and a new backend with the same id counters.
-        It records nothing: no observer, no table memo.  A run with an open
+        It records nothing, as it has no observer.  A run with an open
         procedure, a journal or an interposer is refused with ValueError, as
         no copy can carry them."""
         twin = Simulation.__new__(Simulation)
@@ -218,7 +211,6 @@ class Simulation:
         twin.value_of = dict(self.value_of)
         twin.steps = self.steps
         twin.events, twin.step_records, twin.observers = [], [], []
-        twin._memory_columns, twin._columns = {}, {}
         twin._challenge_counts = dict(self._challenge_counts)
         twin._issued = set(self._issued)
         twin._session_seq = self._session_seq
@@ -237,100 +229,32 @@ class Simulation:
     def server(self) -> Party:
         return self.parties[SERVER]
 
-    def _columns_order(self) -> list[str]:
-        # the server is the first party; users follow in order of arrival
-        server, *users = self.parties
-        return [*users[:1], server, *users[1:]]
-
-    def _annotate(self, name: str, address: Address) -> str:
-        try:
-            balance = self.ledger.balance(address.value)
-        except UnknownAddress:
-            balance = 0
-        if balance > 0:
-            return f"{name} ({format_money(balance)})"
-        return name
-
-    def _column_items(self, party: Party, handoff: tuple[DynamicProcedure, str] | None = None) -> list[str]:
-        # one item per open scope, then full slots, then memory; the scope in
-        # `handoff` shows the slot it just filled as "-- [x]", listed only there
-        items: list[str] = []
-        handed = None
-        for proc in party.procedures:
-            rendered = f"<{','.join(proc.bindings)}>"
-            if handoff is not None and proc is handoff[0]:
-                handed = handoff[1]
-                rendered += f" -- [{handed}]"
-            items.append(rendered)
-        if party is self.server:
-            for square in self.squares.values():
-                display = square.slot_display
-                if display != handed and self.store.ping(square.slot_id):
-                    items.append(f"[{display}]")
-        memory_items = self._memory_items(party)
-        if not items:
-            return memory_items
-        last = self._columns.get(party)
-        if last is not None and last[1] is memory_items and last[0] == items:
-            return last[2]  # an unchanged column is the last one
-        column = items + memory_items
-        self._columns[party] = (items, memory_items, column)
-        return column
-
-    def _memory_items(self, party: Party) -> list[str]:
-        """The party's memory names in order, each funded address annotated
-        with its balance.  While the ledger holds still, a value replaced
-        under a name that shows no address reuses the list, and names added
-        at the end extend a copy of it; every other change to the party's
-        listing (`Party.listing`) rebuilds it."""
-        memo = self._memory_columns.get(party)
-        if memo is not None and memo[0] == party.listing and memo[1] == self.ledger.version:
-            return memo[2]
-        items, pairs = [], party.memory.items()
-        if memo is not None and memo[1] == self.ledger.version:
-            added = party.listing - memo[0]
-            # each change moves the listing by one, and only an added name
-            # lengthens memory: if both moved alike, names only came
-            if added == len(party.memory) - len(memo[2]):
-                items, pairs = memo[2], reversed([*islice(reversed(pairs), added)])
-        items = items + [self._annotate(name, value) if type(value) is Address else name
-                         for name, value in pairs]
-        self._memory_columns[party] = (party.listing, self.ledger.version, items)
-        return items
-
     def holdings(self, party_name: str) -> list[str]:
         """One party's names, without scopes or balances: for the server its
         full slots, then its memory names.  A party the run has not met
         holds nothing."""
-        if party_name not in self.parties:
+        party = self.parties.get(party_name)
+        if party is None:
             return []
-        party = self.parties[party_name]
-        items = self._column_items(party)
-        return [*items[len(party.procedures):len(items) - len(party.memory)], *party.memory]
+        slots = self.squares.values() if party is self.server else ()
+        return [*(f"[{sq.slot_display}]" for sq in slots if self.store.ping(sq.slot_id)), *party.memory]
 
     def _emit(self, label: str, handoff: tuple[DynamicProcedure, str] | None = None) -> None:
-        """End one step: build its table (`handoff` is a scope and the slot it
-        just filled) when an observer is registered, and hand it to each in
-        turn; in every run, check that no signing key rests in memory outside
-        baseline3, asking `Party.signing_keys` before looking through memory.
-        A column equal to the last step's is that step's object."""
+        """End one step: hand its label and `handoff` (a scope and the slot it
+        just filled) to each observer in turn; in every run, check that no
+        signing key rests in memory outside baseline3, asking
+        `Party.signing_keys` before looking through memory."""
         self.steps += 1
-        if self.observers:
-            columns = {
-                name: self._column_items(self.parties[name], handoff) for name in self._columns_order()
-            }
-            event = TraceEvent(self.steps, label, columns)
-            for observer in self.observers:
-                observer(self, event)
+        for observer in self.observers:
+            observer(self, label, handoff)
         if self.mode != "baseline3":
             for party in self.parties.values():
                 leaked = party.signing_keys and [
                     n for n, v in party.memory.items() if isinstance(v, SigningKey)]
                 assert not leaked, f"signing key in {party.name} memory: {leaked}"
 
-    def _record(self, event: TraceEvent) -> None:
-        """Keep the step's table and step record; a map equal to the last step's is that step's."""
-        self.events.append(event)
+    def _record(self, label: str, handoff) -> None:
+        """Keep the step's record; a map equal to the last step's is that step's."""
         knowledge = {name: p.snapshot() for name, p in self.parties.items()}
         slot_terms = {}
         for square in self.squares.values():
@@ -472,8 +396,6 @@ class Simulation:
             self._emit(f"{_cause(exc)}; establishment rolls back")
             if new_user:  # the table above still shows the emptied column
                 del self.parties[a.name]
-                self._memory_columns.pop(a, None)
-                self._columns.pop(a, None)
             raise
 
         square_id = f"sq{len(self.squares) + 1}"

@@ -27,7 +27,7 @@ from .backend import CryptoError
 from .ledger import LedgerError
 from .protocol import MODES, SERVER, BadLetter, ProtocolError, Simulation, user_letter, user_name
 from .store import StoreError
-from .trace import TraceEvent, render_table
+from .trace import Tables, render_table
 
 
 class ScenarioSyntaxError(ValueError):
@@ -180,10 +180,12 @@ def run_scenario(
     The output is each table (none when `quiet`) and each verdict and note
     line, in order, tables parted from what follows by a blank line.
     Without `write` the run records every step and keeps its output whole as
-    `RunResult.output`.  Given `write`, it records nothing and streams: an
-    observer collects each command's steps, whose tables are rendered once
-    the command has run (never inside a step), written to `write` and to
-    `trace` when given, and dropped.  `trace` gets the tables alone.
+    `RunResult.output`.  Given `write`, it records nothing and streams.
+    Either way the tables come from the run's table observer (`Tables`): the
+    recording one, or one registered when a table is read.  Each command's
+    tables are rendered once the command has run (never inside a step),
+    written to `write` and to `trace` when given, and, when streamed,
+    dropped.  `trace` gets the tables alone.
 
     Each verdict comes from a `Stager`, which is offered a fork of this run
     after each state-changing command while those commands may still be an
@@ -196,16 +198,20 @@ def run_scenario(
     out = _Stream(write or chunks.append)
     tee = _Stream(trace) if trace else None
     readers = [stream for stream in (None if quiet else out, tee) if stream]  # where each table goes
-    steps: list[TraceEvent] = []  # the running command's steps, when a reader wants their tables
-    if readers:
-        sim.observers.append(lambda _, event: steps.append(event))
+    tables = sim.observers[0] if sim.observers else Tables()  # the recording run's, or one of its own
+    if readers and not sim.observers:
+        sim.observers.append(tables)
+    shown = 0  # the steps whose tables have gone out
 
     def flush_trace() -> None:
-        for event in steps:
-            table = render_table(event)  # once, whoever reads it
+        nonlocal shown
+        for event in tables.events[shown:] if readers else ():
+            table = render_table(event, tables.memo)  # once, whoever reads it
             for reader in readers:
                 reader(table, "\n\n")
-        steps.clear()
+        if write:
+            tables.events.clear()  # a streamed run keeps no table
+        shown = len(tables.events)
 
     # each attack's prefix is staged once for every attack that starts from it
     stager = Stager([cmd[1] for cmd in script.commands if cmd[0] in ("attack", "expect-verdict")],
@@ -214,12 +220,10 @@ def run_scenario(
 
     def verdict_for(name: str) -> Verdict:
         if name not in result.verdicts:
-            result.verdicts[name] = run_attack(
-                name, mode=script.mode, backend=script.backend, seed=script.seed, stager=stager
-            )
+            result.verdicts[name] = run_attack(name, script.mode, script.backend, script.seed, stager)
         return result.verdicts[name]
 
-    for cmd in script.commands:
+    for at, cmd in enumerate(script.commands):
         head, *values = cmd
         try:
             if head == "attack":
@@ -229,25 +233,20 @@ def run_scenario(
                     out(f"  note: {note}\n")
             elif head == "expect-holdings":
                 party, items = values
-                name = SERVER if party == "S" else user_name(party)
-                actual = frozenset(sim.holdings(name))
-                expected = frozenset(items)
-                if actual != expected:
-                    result.failures.append(
-                        f"{pretty(cmd)}: holdings are {sorted(actual)}"
-                    )
+                actual = frozenset(sim.holdings(SERVER if party == "S" else user_name(party)))
+                if actual != frozenset(items):
+                    result.failures.append(f"{pretty(cmd)}: holdings are {sorted(actual)}")
             elif head == "expect-verdict":
                 name, expected = values
                 verdict = verdict_for(name)
                 if verdict.can_spend != expected:
-                    result.failures.append(
-                        f"{pretty(cmd)}: verdict is {str(verdict.can_spend).lower()}"
-                    )
+                    result.failures.append(f"{pretty(cmd)}: verdict is {str(verdict.can_spend).lower()}")
             else:  # setup, fund, transfer, redeem: the Simulation method of the same name
                 getattr(sim, head)(*values)
                 if done is not None:  # the commands so far may yet be an attack's prefix
                     done += (cmd,)
-                    done = done if stager.offer(done, sim) else None
+                    then = next((c for c in script.commands[at + 1:] if c[0] != "expect-holdings"), None)
+                    done = done if stager.offer(done, sim, then) else None
         except (ProtocolError, StoreError, LedgerError, CryptoError) as exc:
             result.failures.append(f"{pretty(cmd)}: {type(exc).__name__}: {exc}")
             break

@@ -6,40 +6,43 @@ scope as ``<x,y>``, and a scope that just filled a slot as ``<x,y> -- [z]``.
 Funded addresses carry their balance, e.g. ``ADD ($10)``.
 
 Tables are derived from live party state at emission time and never edited
-afterwards; golden-file comparisons are byte-exact.
+afterwards; golden-file comparisons are byte-exact.  `Tables`, a step
+observer, alone builds them and keeps what they are built from; a run
+without one builds no table.
 
-Consecutive tables mostly repeat each other, so `render_table` keeps the
-last table and edits it in place: each column's padded header and items with
-a copy of the items, and the table's lines, its step line followed by its
-rows, header row first.  A header new to the table comes as a column that
-held no items, so every column takes one path.  A column whose items equal
-the copy under its header keeps its cells.  Otherwise the items it shares
-with the copy at the top and at the bottom bound the span it re-pads, by
-slice assignment into its cells and its copy, as long as its width holds.
-Slice comparisons, which run in C, find them for the shapes steps make:
-names added or removed at the end, and one item replaced, inserted or
-removed at the top; any other change is scanned item by item.  The new
-width is the wider of the old width and the changed span's items; the whole
-column is measured again only when an item as wide as the old width left
-it.  Only the rows from the earliest changed row to the latest are rebuilt,
-down to the end of the longer copy where a column's length changed, and
-they replace their slice of the lines; every other row is reused.  A new
-width, header set or header order rebuilds every row, except a new width of
-the last column alone: `rstrip` drops that column's padding, so it re-pads
-the column and rebuilds only its changed span.  The output stays O(state)
-bytes per step; the rows built and the items measured are the changed
-spans.  Comparing by value with the copy, never by identity, means a list
-changed in place is rendered afresh.
-
-A call claims the memo on entry by swapping in an empty one, so a second
-call that starts before the first returns, re-entrant or in another thread,
-renders from scratch instead of editing the first call's lists.
+Consecutive tables mostly repeat each other, so `render_table` edits in
+place the last table rendered with the same memo, a list its caller owns:
+each column's padded header and items with a copy of the items, and the
+table's lines, its step line followed by its rows, header row first.  A
+header new to the table comes as a column that held no items, so every
+column takes one path.  A column whose items equal the copy under its header
+keeps its cells.  Otherwise the items it shares with the copy at the top and
+at the bottom bound the span it re-pads, by slice assignment into its cells
+and its copy, as long as its width holds.  Slice comparisons, which run in
+C, find them for the shapes steps make: names added or removed at the end,
+and one item replaced, inserted or removed at the top; any other change is
+scanned item by item.  The new width is the wider of the old width and the
+changed span's items; the whole column is measured again only when an item
+as wide as the old width left it.  Only the rows from the earliest changed
+row to the latest are rebuilt, down to the end of the longer copy where a
+column's length changed, and they replace their slice of the lines; every
+other row is reused.  A new width, header set or header order rebuilds every
+row, except a new width of the last column alone: `rstrip` drops that
+column's padding, so it re-pads the column and rebuilds only its changed
+span.  The output stays O(state) bytes per step; the rows built and the
+items measured are the changed spans.  Comparing by value with the copy,
+never by identity, means a list changed in place is rendered afresh.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
 from operator import ne
+from weakref import ref
+
+from .backend import Address
+from .ledger import UnknownAddress
+from .parties import SERVER
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,10 +58,83 @@ def format_money(cents: int) -> str:
     return f"${cents // 100}.{cents % 100:02d}"
 
 
-# the last table rendered, edited in place by the next call: its columns,
-# header -> (copy of the items, padded header and items, blank cell), and its
-# lines, the step line followed by the rows, header row first
-_last: tuple[dict[str, tuple[list[str], list[str], str]], list[str]] = ({}, [])
+def _annotate(ledger, name: str, address: Address) -> str:
+    try:
+        balance = ledger.balance(address.value)
+    except UnknownAddress:
+        balance = 0
+    return f"{name} ({format_money(balance)})" if balance > 0 else name
+
+
+class Tables:
+    """The table observer.  Called as `observer(sim, label, handoff)` at each
+    step, where `handoff` is a scope and the slot it just filled, it appends
+    the step's table to `events`: a column per party, the first user's, the
+    server's, then the other users' in order of arrival.  `memo` is its
+    `render_table` memo.
+
+    A party's memory items, each funded address annotated with its balance,
+    are reused while its listing (`Party.listing`) and the ledger's version
+    hold.  While the ledger holds, a value replaced under a name that shows
+    no address reuses them, and names added at the end extend a copy; any
+    other change rebuilds them.  A column equal to the last step's is that
+    step's object, and no list is mutated once handed out.  Both memos are
+    keyed by party name; the memory memo holds its party by weak reference,
+    so a party the run let go is neither kept alive nor taken for a newcomer
+    of the same name."""
+
+    def __init__(self, events: list[TraceEvent] | None = None) -> None:
+        self.events = [] if events is None else events
+        self.memo: list = []
+        self._memory: dict[str, tuple[ref, int, int, list[str]]] = {}  # party, listing, ledger version, items
+        # the last column with scope or slot items: those items, the memory items and the column
+        self._columns: dict[str, tuple[list[str], list[str], list[str]]] = {}
+
+    def __call__(self, sim, label: str, handoff) -> None:
+        server, *users = sim.parties.values()
+        columns = {party.name: self._column(sim, party, handoff) for party in [*users[:1], server, *users[1:]]}
+        self.events.append(TraceEvent(sim.steps, label, columns))
+
+    def _column(self, sim, party, handoff) -> list[str]:
+        # one item per open scope, then full slots, then memory; the scope in
+        # `handoff` shows the slot it just filled as "-- [x]", listed only there
+        items, handed = [], None
+        for proc in party.procedures:
+            rendered = f"<{','.join(proc.bindings)}>"
+            if handoff is not None and proc is handoff[0]:
+                handed = handoff[1]
+                rendered += f" -- [{handed}]"
+            items.append(rendered)
+        if party.name == SERVER:
+            for square in sim.squares.values():
+                if square.slot_display != handed and sim.store.ping(square.slot_id):
+                    items.append(f"[{square.slot_display}]")
+        memory = self._memory_items(party, sim.ledger)
+        if not items:
+            return memory
+        last = self._columns.get(party.name)
+        if last is not None and last[1] is memory and last[0] == items:
+            return last[2]  # an unchanged column is the last one
+        column = items + memory
+        self._columns[party.name] = items, memory, column
+        return column
+
+    def _memory_items(self, party, ledger) -> list[str]:
+        listing, version = party.listing, ledger.version
+        memo = self._memory.get(party.name)
+        if memo is not None and memo[1] == listing and memo[2] == version and memo[0]() is party:
+            return memo[3]
+        items, pairs = [], party.memory.items()
+        if memo is not None and memo[2] == version and memo[0]() is party:
+            # each change moves the listing by one, and only an added name
+            # lengthens memory: if both moved alike, names only came
+            added = listing - memo[1]
+            if added == len(party.memory) - len(memo[3]):
+                items, pairs = memo[3], reversed([*islice(reversed(pairs), added)])
+        items = items + [_annotate(ledger, name, value) if type(value) is Address else name
+                         for name, value in pairs]
+        self._memory[party.name] = ref(party), listing, version, items
+        return items
 
 
 def _agreeing(old, new, most: int) -> int:
@@ -83,12 +159,13 @@ def _span(old, new) -> tuple[int, int]:
     return lo, _agreeing(reversed(old[lo:]), reversed(new[lo:]), n - lo)
 
 
-def render_table(event: TraceEvent) -> str:
-    global _last
+def render_table(event: TraceEvent, memo: list | None = None) -> str:
+    """The event's table.  `memo`, a list the caller owns, holds the last table
+    rendered with it as (header -> (copy of the items, padded header and
+    items, blank cell), lines), and this call edits it into its own."""
     head = f"== {event.step}. {event.label} =="
-    # built first, so that nothing runs between reading the memo and replacing it
-    empty = ({}, [])
-    (previous, lines), _last = _last, empty
+    memo = [] if memo is None else memo
+    previous, lines = memo.pop() if memo else ({}, [])
     if not event.columns:
         # an event with no columns still ends its step line with a newline
         return head + "\n"
@@ -136,11 +213,11 @@ def render_table(event: TraceEvent) -> str:
             spans.append(part)
         lines[1 + first:1 + end] = map(str.rstrip, map(" | ".join, zip(*spans)))
         del lines[1 + depth:]
-    _last = (columns, lines)
+    memo.append((columns, lines))
     return "\n".join(lines)
 
 
 def render_run(events) -> str:
     if not events:
         return ""
-    return "\n\n".join(render_table(e) for e in events) + "\n"
+    return "\n\n".join(map(render_table, events, repeat([]))) + "\n"  # one memo for the run

@@ -1,8 +1,9 @@
 """Per-step emission reuses what did not change.
 
-`Simulation._emit` reuses each party's memory items while neither the party
-nor the ledger has moved since they were built, and its knowledge snapshot
-while its memory is unchanged.  These tests compare every emitted table and
+The table observer (`trace.Tables`) reuses each party's memory items while
+neither the party nor the ledger has moved since they were built, and
+`Simulation._record` each party's knowledge snapshot while its memory is
+unchanged.  These tests compare every emitted table and
 step record with a from-scratch recomputation over random operation
 sequences, check each party's count of names holding a signing key against
 its memory at every step, check that emitted columns and snapshots are never
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import dropped_link, interposed, lost_requests, wrong_private_key
-from cryptocubic import adversary, backend, parties, protocol
+from cryptocubic import adversary, backend, parties, protocol, trace
 from cryptocubic.adversary import SCENARIOS, counterfeit_handover, run_attack
 from cryptocubic.backend import Address, CryptoError, term_of
 from cryptocubic.ledger import LedgerError
@@ -29,7 +30,7 @@ from cryptocubic.protocol import MODES, SERVER, ProtocolError, Simulation
 from cryptocubic.scenario import parse_scenario, run_scenario
 from cryptocubic.store import StoreError
 from cryptocubic.terms import SigningKeyTerm
-from cryptocubic.trace import format_money
+from cryptocubic.trace import Tables, format_money
 
 DOMAIN_ERRORS = (ProtocolError, StoreError, LedgerError, CryptoError, TransportFailure)
 USERS = "abc"
@@ -70,8 +71,9 @@ def reference_column(sim, party, handoff):
 
 
 def reference_step(sim, handoff):
+    server, *users = sim.parties  # the first user, then the server, then the other users
     columns = {
-        name: reference_column(sim, sim.parties[name], handoff) for name in sim._columns_order()
+        name: reference_column(sim, sim.parties[name], handoff) for name in [*users[:1], server, *users[1:]]
     }
     knowledge = {
         name: frozenset(term_of(v) for v in party.memory.values())
@@ -401,9 +403,9 @@ def count_emit_work(n, monkeypatch, record=True):
         counts["term_of"] += 1
         return term_of(value)
 
-    def counting_annotate(self, name, value):
+    def counting_annotate(ledger, name, value):
         counts["annotate"] += 1
-        return annotate(self, name, value)
+        return annotate(ledger, name, value)
 
     def count_lines(frame, event, arg):
         counts["lookup"] += event == "line"
@@ -418,11 +420,11 @@ def count_emit_work(n, monkeypatch, record=True):
         finally:
             sys.settrace(previous)
 
-    annotate, square_for = Simulation._annotate, Simulation._square_for
+    annotate, square_for = trace._annotate, Simulation._square_for
     with monkeypatch.context() as patch:
         for module in (backend, parties, protocol):
             patch.setattr(module, "term_of", counting_term_of)
-        patch.setattr(Simulation, "_annotate", counting_annotate)
+        patch.setattr(trace, "_annotate", counting_annotate)
         patch.setattr(Simulation, "_square_for", traced_square_for)
         script = parse_scenario(bounce_script(n), mode="cryptocubic", backend="symbolic")
         result = run_scenario(script, quiet=True, write=None if record else lambda chunk: None)
@@ -446,39 +448,38 @@ def test_per_step_work_is_linear_in_run_length(monkeypatch, record):
 
 def funded_and_empty_addresses():
     """User A holding a funded address and user B an empty one, in a run that
-    builds no column of its own."""
+    builds no column of its own, and a table observer of the test's own."""
     sim = Simulation(mode="cryptocubic", record=False)
     sim.setup("a")
     sim.fund("a", 1000)
     sim.setup("b")
-    return sim, sim.user("a"), sim.user("b")
+    return Tables(), sim, sim.user("a"), sim.user("b")
 
 
-def memory_column(sim, party):
+def memory_column(tables, sim, party):
     """The party's memory column, and how many addresses building it annotated."""
-    with mock.patch.object(Simulation, "_annotate", autospec=True,
-                           side_effect=Simulation._annotate) as annotate:
-        items = sim._memory_items(party)
+    with mock.patch.object(trace, "_annotate", side_effect=trace._annotate) as annotate:
+        items = tables._memory_items(party, sim.ledger)
     assert items == [reference_annotation(sim, name, value) for name, value in party.memory.items()]
     return items, annotate.call_count
 
 
 def test_a_value_replaced_under_a_name_reuses_the_memory_column():
-    sim, a, b = funded_and_empty_addresses()
-    before, _ = memory_column(sim, a)
+    tables, sim, a, b = funded_and_empty_addresses()
+    before, _ = memory_column(tables, sim, a)
     a.remember("Es", b.recall("Es"))
     a.remember("Ka", b.recall("Kb"))
-    assert memory_column(sim, a) == (before, 0)
-    assert memory_column(sim, a)[0] is before
+    assert memory_column(tables, sim, a) == (before, 0)
+    assert memory_column(tables, sim, a)[0] is before
 
 
 def test_names_added_at_the_end_extend_a_copy_of_the_memory_column():
-    sim, a, b = funded_and_empty_addresses()
-    before, _ = memory_column(sim, a)
+    tables, sim, a, b = funded_and_empty_addresses()
+    before, _ = memory_column(tables, sim, a)
     kept = list(before)
     a.remember("Kb_Public", b.recall("Kb_Public"))
     a.remember("ADD_B", b.recall("ADD"))
-    after, annotated = memory_column(sim, a)
+    after, annotated = memory_column(tables, sim, a)
     assert after is not before and before == kept
     assert after[-2:] == ["Kb_Public", "ADD_B"]
     assert annotated == 1  # the added address alone
@@ -491,11 +492,11 @@ def test_names_added_at_the_end_extend_a_copy_of_the_memory_column():
     lambda sim, a, b: sim.fund("b", 500),
 ], ids=["forget", "address-replaced", "address-over-a-cypher", "ledger-move"])
 def test_any_other_change_rebuilds_the_memory_column(change):
-    sim, a, b = funded_and_empty_addresses()
-    before, _ = memory_column(sim, a)
+    tables, sim, a, b = funded_and_empty_addresses()
+    before, _ = memory_column(tables, sim, a)
     kept = list(before)
     change(sim, a, b)
-    after, annotated = memory_column(sim, a)
+    after, annotated = memory_column(tables, sim, a)
     assert after is not before and before == kept
     # every address the column shows is annotated again
     assert annotated == sum(type(value) is Address for value in a.memory.values())
@@ -503,8 +504,7 @@ def test_any_other_change_rebuilds_the_memory_column(change):
 
 def test_a_bounce_annotates_only_addresses_that_came_or_moved():
     sim = Simulation(mode="cryptocubic")
-    with mock.patch.object(Simulation, "_annotate", autospec=True,
-                           side_effect=Simulation._annotate) as annotate:
+    with mock.patch.object(trace, "_annotate", side_effect=trace._annotate) as annotate:
         sim.setup("A")
         sim.fund("A", 1000)
         for sender, receiver in ["AB", "BA"] * 20:

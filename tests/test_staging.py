@@ -22,7 +22,7 @@ from cryptocubic.adversary import PREFIXES, SCENARIOS, Stager, run_attack
 from cryptocubic.protocol import MODES, Simulation
 from cryptocubic.scenario import parse_scenario, run_scenario
 from cryptocubic.terms import Term
-from cryptocubic.trace import render_table
+from cryptocubic.trace import Tables, render_table
 from test_emit_cache import bounce_script
 
 SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -159,7 +159,6 @@ def test_a_fork_records_nothing_of_a_recording_run():
     sim.setup("a")
     twin = sim.fork()
     assert sim.events and twin.events == [] and twin.observers == []
-    assert twin._memory_columns == {} and twin._columns == {}
     twin.fund("a", 1000)
     assert twin.events == [] and len(sim.events) == sim.steps == twin.steps - 1
 
@@ -311,7 +310,7 @@ def test_a_donated_fork_equals_the_prefix_built(mode, backend, record):
         for n in range(1, len(prefix) + 1):
             run_commands(sim, prefix[n - 1:n])
             # tracking stops once the one wanted prefix is reached
-            assert stager.offer(prefix[:n], sim) is (n < len(prefix))
+            assert stager.offer(prefix[:n], sim, prefix[n] if n < len(prefix) else None) is (n < len(prefix))
         assert list(stager._runs) == [prefix]  # each shorter prefix let go once its child came
         donated = stager.take(prefix)
         built = Stager((), mode, backend, 1).take(prefix)
@@ -328,10 +327,10 @@ def donations():
     kept, offers = [], Counter()
     original = Stager.offer
 
-    def offer(self, done, sim):
+    def offer(self, done, sim, then):
         offers["offers"] += 1
         held = self._runs.get(done)
-        more = original(self, done, sim)
+        more = original(self, done, sim, then)
         if self._runs.get(done) is not held:
             kept.append(done)
         return more
@@ -375,6 +374,20 @@ def test_a_script_that_diverges_is_offered_no_further(diverging, kept_prefixes, 
     assert offers["offers"] == offered  # none after the first command that matches no prefix
 
 
+@pytest.mark.parametrize("text, kept_prefixes", [
+    ("setup A\nfund A 1000\ntransfer A B\nattack store_raid\n", [TRANSFERRED]),
+    ("setup A\nfund A 1000\nexpect-holdings A ADD\ntransfer A B\nattack store_raid\n", [TRANSFERRED]),
+    # an attack before the child takes the parent to build the child
+    ("setup A\nfund A 1000\nattack store_raid\ntransfer A B\n", [FUNDED]),
+], ids=["child-next", "holdings-check-between", "attack-between"])
+def test_a_prefix_whose_only_consumer_the_script_makes_next_is_not_forked(text, kept_prefixes):
+    with counting("fork") as calls, donations() as (kept, _):
+        result = run_scenario(parse_scenario(text))
+    assert judged_alone(result)
+    assert kept == kept_prefixes
+    assert calls == {"fork": 1}
+
+
 def test_no_fork_outlives_the_script_run():
     forks = []
     original = Simulation.fork
@@ -403,21 +416,21 @@ def test_forking_an_observed_run_leaves_it_untouched(mode, record):
     def observed():
         """A run whose tables are rendered after each command, as `run_scenario` streams them."""
         sim = Simulation(mode=mode, backend="concrete", seed=3, record=record)
-        steps, tables = [], []
-        sim.observers.append(lambda _, event: steps.append(event))
+        steps, tables = Tables(), []
+        sim.observers.append(steps)
 
         def run(*commands):
             for command in commands:
                 run_commands(sim, [command])
-                tables.extend(map(render_table, steps))
-                steps.clear()
+                tables.extend(render_table(event, steps.memo) for event in steps.events)
+                steps.events.clear()
 
         return sim, run, tables
 
     forked, run, tables = observed()
     run(*TRANSFERRED)
     stager = Stager(["wiretap_passive", "post_transfer_grab"], mode, "concrete", 3)
-    assert stager.offer(TRANSFERRED, forked)
+    assert stager.offer(TRANSFERRED, forked, None)
     # a fork of the donated fork goes through the redemption, then the fork
     # itself has its slots raided and, in baseline3, its square spent
     for name in ("wiretap_passive", "post_transfer_grab"):

@@ -1,14 +1,19 @@
-"""Rendering of per-step holdings tables."""
+"""Rendering of per-step holdings tables, and the one owner of table state."""
+import ast
 import sys
 import threading
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cryptocubic import trace
+from cryptocubic.parties import Party
 from cryptocubic.protocol import Simulation
-from cryptocubic.trace import TraceEvent, format_money, render_run, render_table
+from cryptocubic.trace import Tables, TraceEvent, format_money, render_run, render_table
+from test_staging import mutables
 
 
 def reference_render_table(event: TraceEvent) -> str:
@@ -236,12 +241,12 @@ def edit(columns, op, index, text):
 )
 def test_a_sequence_of_tables_matches_the_reference(start, steps):
     runs = [{header: list(items) for header, items in start.items()} for _ in range(2)]
-    events = []
+    events, memo = [], []
     for step, (run, op, index, text) in enumerate(steps, 1):
         edit(runs[run], op, index, text)
         events.append(TraceEvent(step, "a label", dict(runs[run])))
         before = [{header: list(items) for header, items in e.columns.items()} for e in events]
-        assert render_table(events[-1]) == reference_render_table(events[-1])
+        assert render_table(events[-1], memo) == reference_render_table(events[-1])
         # the memo's lists, edited in place, are never the caller's
         assert [e.columns for e in events] == before
 
@@ -254,12 +259,14 @@ def test_the_memo_holds_only_the_last_table():
         long_run.transfer(sender, receiver)
     short_run = Simulation(mode="cryptocubic")
     short_run.setup("a")
-    render_run(long_run.events)
+    memo = []
+    for event in [*long_run.events, *short_run.events]:
+        render_table(event, memo)
     text = render_run(short_run.events)
     last = short_run.events[-1]
     assert text.endswith(render_table(last) + "\n")
     # one padded column per header of the last table, and its step line and rows
-    columns, lines = trace._last
+    (columns, lines), = memo
     assert lines[0] == f"== {last.step}. {last.label} =="
     rows = lines[1:]
     assert list(columns) == list(last.columns)
@@ -284,20 +291,22 @@ def long_bounce():
 def test_a_long_bounce_renders_every_table_as_the_reference(long_bounce):
     # its columns widen and narrow, and a scope opens and closes above the
     # server's memory on every transfer
+    memo = []
     for event in long_bounce:
-        assert render_table(event) == reference_render_table(event)
+        assert render_table(event, memo) == reference_render_table(event)
 
 
 def test_threads_rendering_interleaved_runs_each_get_the_reference(long_bounce):
-    # a call claims the memo on entry, so a call that runs meanwhile renders
-    # from scratch rather than edit the lists the first call is editing
+    # each thread edits its own memo, so neither edits the lists the other
+    # is editing, and each call renders the table the reference does
     expected = [reference_render_table(event) for event in long_bounce]
     orders = [range(len(long_bounce)), range(len(long_bounce) - 1, -1, -1)]
     rendered = [[], []]
 
     def render(order, out):
+        memo = []
         for _ in range(3):
-            out += [(index, render_table(long_bounce[index])) for index in order]
+            out += [(index, render_table(long_bounce[index], memo)) for index in order]
 
     threads = [threading.Thread(target=render, args=pair) for pair in zip(orders, rendered)]
     interval = sys.getswitchinterval()
@@ -318,9 +327,10 @@ def test_threads_rendering_interleaved_runs_each_get_the_reference(long_bounce):
 def test_a_long_bounce_builds_only_the_rows_its_steps_changed(long_bounce):
     built = 0
     previous = []  # kept alive, so that no new row takes the id of an old one
+    memo = []
     for event in long_bounce:
-        render_table(event)
-        rows = trace._last[1][1:]  # a copy: the memo's lines are edited in place
+        render_table(event, memo)
+        rows = memo[0][1][1:]  # a copy: the memo's lines are edited in place
         shared = set(map(id, previous))
         built += sum(id(row) not in shared for row in rows)
         previous = rows
@@ -343,10 +353,89 @@ def test_a_long_bounce_scans_and_measures_only_the_spans_its_steps_changed(long_
 
     monkeypatch.setattr(trace, "ne", counting_ne)  # each item `_agreeing` walks
     monkeypatch.setattr(trace, "len", counting_len, raising=False)  # each width measured
-    monkeypatch.setattr(trace, "_last", ({}, []))
+    memo = []
     for event in long_bounce:
-        render_table(event)
+        render_table(event, memo)
     # scanning and measuring every changed column walks 51,834 items and
     # measures 67,149 widths
     assert scanned <= 1_000
     assert measured <= 10_000
+
+
+# -- table state lives only in the table observer -----------------------------
+
+
+def test_a_run_whose_only_observer_reads_no_table_builds_none(monkeypatch):
+    built = Counter()
+
+    def counting(what, original):
+        def counted(*args, **kwargs):
+            built[what] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(TraceEvent, "__init__", counting("events", TraceEvent.__init__))
+    monkeypatch.setattr(Tables, "_column", counting("columns", Tables._column))
+    monkeypatch.setattr(trace, "_annotate", counting("annotations", trace._annotate))
+
+    def run(observer):
+        sim = Simulation(mode="cryptocubic", record=False)
+        sim.observers.append(observer)
+        sim.setup("a")
+        sim.fund("a", 1000)
+        sim.transfer("a", "b")
+        sim.redeem("b", "ext", 600)
+        return sim.steps
+
+    labels = []
+    assert run(lambda sim, label, handoff: labels.append(label)) == len(labels)
+    assert built == {}
+    # the counters count: a table observer builds a column per party and step
+    steps = run(Tables())
+    assert built["events"] == steps and built["columns"] > 2 * steps and built["annotations"]
+
+
+def test_the_trace_module_keeps_no_state():
+    tree = ast.parse(Path(trace.__file__).read_text(encoding="utf-8"))
+
+    def mutable(node):
+        comprehensions = (ast.ListComp, ast.DictComp, ast.SetComp)
+        return (isinstance(node, (ast.List, ast.Dict, ast.Set, ast.Call, *comprehensions))
+                or isinstance(node, ast.Tuple) and any(map(mutable, node.elts)))
+
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    bound = [node.lineno for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value and mutable(node.value)]
+    assert bound == []
+    # a mutable default value is module state too
+    defaults = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and any(map(mutable, [*node.args.defaults, *filter(None, node.args.kw_defaults)]))]
+    assert defaults == []
+
+
+def test_a_simulation_keeps_no_table_state():
+    sim = Simulation(mode="cryptocubic")
+    sim.setup("a")
+    sim.fund("a", 1000)
+    sim.transfer("a", "b")
+    tables, _ = sim.observers
+    assert isinstance(tables, Tables) and tables.events is sim.events
+    # nothing but the recorded events and the observer reaches a column or a memo
+    reached = mutables({name: value for name, value in vars(sim).items() if name not in ("events", "observers")})
+    columns = {id(column) for event in sim.events for column in event.columns.values()}
+    assert not columns & reached.keys()
+    assert not any(isinstance(value, Tables) for value in reached.values())
+    assert not any(isinstance(value, dict) and any(isinstance(key, Party) for key in value)
+                   for value in reached.values())
+
+
+def test_a_party_new_under_a_known_name_is_not_served_the_old_one_s_memo():
+    sim = Simulation(mode="cryptocubic", record=False)
+    sim.setup("a")
+    tables, first = Tables(), sim.user("a")
+    assert tables._memory_items(first, sim.ledger) == list(first.memory)
+    second = Party(first.name)  # as after a rolled-back setup: the same name, listing and ledger
+    for name, value in reversed(first.memory.items()):
+        second.remember(name, value)
+    assert second.listing == first.listing
+    assert tables._memory_items(second, sim.ledger) == list(reversed(first.memory))
