@@ -20,17 +20,20 @@ square are derivable, and when they are it returns a step-by-step witness
 that `replay_witness` turns into a real accepted ledger transaction.  It
 searches backward from the legs, as magic sets do, through each key's
 `holders` (`terms`).  It refuses, without the closure, a coalition that holds
-no holder of the leg with fewer holders, then of the other.  Otherwise it
-keeps each wanted key the coalition holds and the held cyphers that seal
-it, and wants the opener of every layer of those.  No other term leads to a
-leg, so only these reach the closure: the verdict is that of all knowledge
-(where a key has two usable holders, the witness may open either), and
-the cost follows the terms reached, not the coalition.  A collection that
-is not a set is made one first, so each probe is one lookup.  A verdict
-costs what its caller reads: judging a bundle again interns nothing, as its
-legs are kept by weak reference; a refusal builds nothing, as every one is
-one frozen negative `SpendDecision`; and a positive one keeps its closure
-of `(rule, premises)` tuples and explains it when `witness` is first read.
+no holder of the leg with fewer holders, then of the other, then one with a
+leg each of whose held holders has a layer key that is neither held nor
+sealed in a held term: decomposition yields only subterms, so that key is
+never derived.  Otherwise it keeps each wanted key the coalition holds and
+the held cyphers that seal it, and wants the opener of every layer of
+those.  No other term leads to a leg, so only these reach the closure: the
+verdict is that of all knowledge (where a key has two usable holders, the
+witness may open either), and the cost follows the terms reached, not the
+coalition.  A collection that is not a set is made one first, so each
+probe is one lookup.  A verdict costs what its caller reads: judging a
+bundle again interns nothing, as its legs are kept by weak reference; a
+refusal builds nothing, as every one is one frozen negative
+`SpendDecision`; and a positive one keeps its closure of `(rule, premises)`
+tuples and explains it when `witness` is first read.
 
 A wiretap knows what crossed a user-user link, and never forgets it:
 `wiretap_knowledge` hands back the transport's frozenset for the heard
@@ -156,13 +159,24 @@ def can_spend(knowledge, bundle_id: str) -> SpendDecision:
         knowledge = set(knowledge)  # once, so that every probe below is one lookup
     few, many = (sig_u, sig_s) if len(sig_u.holders) < len(sig_s.holders) else (sig_s, sig_u)
     # a set probe walks the smaller set; only subterms of the knowledge are derived
-    if few.holders.isdisjoint(knowledge) or not (held := many.holders & knowledge):
+    if few.holders.isdisjoint(knowledge) or many.holders.isdisjoint(knowledge):
         return _REFUSED
+    # a layer key neither held nor sealed in a held term is never derived, so
+    # refuse a leg each of whose held holders has one
+    found = [few.holders & knowledge, many.holders & knowledge]
+    for held in found:
+        for term in held:
+            while type(term) is EncTerm and (
+                    term.key in knowledge or not term.key.holders.isdisjoint(knowledge)):
+                term = term.inner
+            if type(term) is not EncTerm:
+                break
+        else:
+            return _REFUSED
     # backward from the legs: each wanted key, if held, and the held cyphers
     # that seal it, whose every layer's opener is wanted in turn
     given: list[Term] = []
     wanted = {few, many}
-    found = [few.holders & knowledge, held]
     for holders in found:  # grows while it is walked
         given += holders
         for term in holders:
