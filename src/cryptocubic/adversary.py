@@ -18,22 +18,22 @@ never yield an atom, so the spend check needs only the closure.
 An attack is a spend: `can_spend` asks whether both signing-key atoms of a
 square are derivable, and when they are it returns a step-by-step witness
 that `replay_witness` turns into a real accepted ledger transaction.  It
-searches backward from the legs, as magic sets do, through each key's
-`holders` (`terms`).  It refuses, without the closure, a coalition that holds
-no holder of the leg with fewer holders, then of the other, then one with a
-leg each of whose held holders has a layer key that is neither held nor
-sealed in a held term: decomposition yields only subterms, so that key is
-never derived.  Otherwise it keeps each wanted key the coalition holds and
-the held cyphers that seal it, and wants the opener of every layer of
-those.  No other term leads to a leg, so only these reach the closure: the
-verdict is that of all knowledge (where a key has two usable holders, the
-witness may open either), and the cost follows the terms reached, not the
-coalition.  A collection that is not a set is made one first, so each
-probe is one lookup.  A verdict costs what its caller reads: judging a
-bundle again interns nothing, as its legs are kept by weak reference; a
-refusal builds nothing, as every one is one frozen negative
-`SpendDecision`; and a positive one keeps its closure of `(rule, premises)`
-tuples and explains it when `witness` is first read.
+walks each leg's held holders (`terms`), the leg or held cyphers sealing it.
+It refuses a coalition that holds none, or whose every held holder of a leg
+has a layer key neither held nor sealed in a held term (decomposition yields
+only subterms, so that key is never derived); it accepts one that holds, for
+each leg, a holder whose every layer key it holds.  Only another coalition
+is saturated at once.  The search backward from the legs, as magic sets do,
+keeps each wanted key held and the held cyphers that seal it, and wants the
+opener of every layer of those; nothing else leads to a leg, so the closure
+of these gives the verdict of all knowledge (where a key has two usable
+holders, the witness may open either), at a cost that follows the terms
+reached.  A collection that is not a set is made one first, so each probe is
+one lookup.  A verdict costs what its caller reads: its legs are kept by
+weak reference, so judging a bundle again interns nothing; every refusal is
+one frozen negative `SpendDecision`; and a positive one keeps the closure it
+was decided on, or else its knowledge, frozen, and searches and saturates
+when `closed` or `witness` is first read.
 
 A wiretap knows what crossed a user-user link, and never forgets it:
 `wiretap_knowledge` hands back the transport's frozenset for the heard
@@ -130,8 +130,15 @@ class SpendDecision:
     possible: bool
     sig_user_term: SigningKeyTerm | None = None
     sig_server_term: SigningKeyTerm | None = None
-    # the closure a positive verdict was decided on, which its witness explains
-    closed: dict[Term, tuple | None] | None = field(default=None, repr=False, compare=False)
+    # a positive verdict's closure, or its knowledge, frozen, when held keys decided it
+    basis: frozenset[Term] | dict[Term, tuple | None] = field(default=frozenset(), repr=False, compare=False)
+
+    @cached_property
+    def closed(self) -> dict[Term, tuple | None] | None:
+        """What a positive verdict's witness explains; a refusal's is None."""
+        if type(self.basis) is dict or not self.possible:
+            return self.basis or None
+        return closure(_reached(self.basis, self.sig_user_term, self.sig_server_term))
 
     @property
     def witness(self) -> list[str]:
@@ -156,27 +163,42 @@ def can_spend(knowledge, bundle_id: str) -> SpendDecision:
         sig_u, sig_s = SigningKeyTerm(bundle_id, "user"), SigningKeyTerm(bundle_id, "server")
         _legs[bundle_id] = ref(sig_u), ref(sig_s)
     if not isinstance(knowledge, (set, frozenset)):
-        knowledge = set(knowledge)  # once, so that every probe below is one lookup
-    few, many = (sig_u, sig_s) if len(sig_u.holders) < len(sig_s.holders) else (sig_s, sig_u)
+        knowledge = frozenset(knowledge)  # once, so that every probe below is one lookup
     # a set probe walks the smaller set; only subterms of the knowledge are derived
-    if few.holders.isdisjoint(knowledge) or many.holders.isdisjoint(knowledge):
+    if sig_s.holders.isdisjoint(knowledge) or sig_u.holders.isdisjoint(knowledge):
         return _REFUSED
-    # a layer key neither held nor sealed in a held term is never derived, so
-    # refuse a leg each of whose held holders has one
-    found = [few.holders & knowledge, many.holders & knowledge]
-    for held in found:
-        for term in held:
-            while type(term) is EncTerm and (
-                    term.key in knowledge or not term.key.holders.isdisjoint(knowledge)):
-                term = term.inner
-            if type(term) is not EncTerm:
-                break
-        else:
+    # refuse a leg each of whose held holders has a layer key that is never
+    # derived; decomposition alone derives one with a holder that held keys open
+    decided = True
+    for leg in (sig_u, sig_s):
+        opens = None  # False once a holder may open, True once held keys open one
+        for term in leg.holders & knowledge:
+            held = True
+            while type(term) is EncTerm:
+                key, term = term.key, term.inner
+                if key not in knowledge:
+                    if key.holders.isdisjoint(knowledge):
+                        break
+                    held = False
+            else:
+                opens = held
+                if held:
+                    break
+        if opens is None:
             return _REFUSED
-    # backward from the legs: each wanted key, if held, and the held cyphers
-    # that seal it, whose every layer's opener is wanted in turn
+        decided &= opens
+    if decided:  # frozen, so that a caller changing its set changes no witness
+        return SpendDecision(True, sig_u, sig_s, frozenset(knowledge))
+    closed = closure(_reached(knowledge, sig_u, sig_s))
+    return SpendDecision(True, sig_u, sig_s, closed) if sig_u in closed and sig_s in closed else _REFUSED
+
+
+def _reached(knowledge, sig_u: SigningKeyTerm, sig_s: SigningKeyTerm) -> list[Term]:
+    """The held terms a search backward from the legs reaches, in the closure's order."""
+    few, many = (sig_u, sig_s) if len(sig_u.holders) < len(sig_s.holders) else (sig_s, sig_u)
     given: list[Term] = []
     wanted = {few, many}
+    found = [few.holders & knowledge, many.holders & knowledge]
     for holders in found:  # grows while it is walked
         given += holders
         for term in holders:
@@ -187,10 +209,7 @@ def can_spend(knowledge, bundle_id: str) -> SpendDecision:
                     found.append(key.holders & knowledge)
                     if key in knowledge:
                         given.append(key)
-    closed = closure(given)
-    if sig_u not in closed or sig_s not in closed:
-        return _REFUSED
-    return SpendDecision(True, sig_u, sig_s, closed)
+    return given
 
 
 def replay_witness(sim: Simulation, decision: SpendDecision, square_id: str, dest: str, cents: int) -> int:

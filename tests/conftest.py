@@ -31,9 +31,11 @@ def rng():
 
 def in_a_fresh_interpreter(code):
     """Run `code` in a new Python process, where no term that another test
-    left alive can count, and fail with its error output if it fails."""
+    left alive can count, and fail with its error output if it fails;
+    return its standard output."""
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ class TestWorklistClosure:
 
     @pytest.mark.parametrize("mode", ["baseline3", "bare4", "cryptocubic"])
     def test_every_coalition_of_the_canonical_run_derives_like_the_fixpoint(self, mode):
-        spent, _, _ = every_coalition_judged_like_the_fixpoint(canonical_sim(mode))
+        spent, _, _, _ = every_coalition_judged_like_the_fixpoint(canonical_sim(mode))
         assert spent  # some coalitions spend, so witnesses were compared
 
     # baseline3 cannot hand a square back yet (ROADMAP item 1)
@@ -250,17 +250,20 @@ class TestWorklistClosure:
         sim = bounce_sim(6, mode=mode)
         bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
         assert len(SigningKeyTerm(bundle_id, "user").holders) > 6  # one cypher per hand-over
-        spent, refused, saturated = every_coalition_judged_like_the_fixpoint(sim)
+        spent, refused, saturated, read = every_coalition_judged_like_the_fixpoint(sim)
         assert spent and refused  # both verdicts
-        assert saturated == spent  # and only a positive one ran the closure
+        # held keys decide every positive, so judging runs no closure and
+        # each first witness read runs one
+        assert (saturated, read) == (0, spent)
 
 
 def every_coalition_judged_like_the_fixpoint(sim):
     """Judge every coalition of parties, slots and wiretap at every step of a
     recorded run against the fixpoint; count the spends, the coalitions
-    refused without the closure, and those saturated.  Each witness is read
-    only once the whole run is judged, and must equal the one the fixpoint
-    explained at once."""
+    refused without the closure, those saturated while judged, and the
+    closures that reading the witnesses ran.  Each witness is read only once
+    the whole run is judged, and must equal the one the fixpoint explained
+    at once."""
     bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
     calls, decisions, expected = [], [], []
 
@@ -279,9 +282,10 @@ def every_coalition_judged_like_the_fixpoint(sim):
                     decisions.append(can_spend(knowledge, bundle_id))
                 expected.append(judged_on_all_knowledge(knowledge, bundle_id))
                 assert decisions[-1].possible == expected[-1][0], event.step
-    assert [(d.possible, d.witness) for d in decisions] == expected
+    with mock.patch.object(adversary, "closure", wraps=closure) as read:
+        assert [(d.possible, d.witness) for d in decisions] == expected
     spent = sum(d.possible for d in decisions)
-    return spent, len(decisions) - len(calls), len(calls)
+    return spent, len(decisions) - len(calls), len(calls), read.call_count
 
 
 def sealed_key_chain(links):
@@ -337,8 +341,10 @@ def bounce_sim(transfers, mode="cryptocubic", **kwargs):
 
 
 def closure_inputs(knowledge, bundle_id):
-    """The verdict of `can_spend`, and what it handed `closure`."""
-    inputs = []
+    """The verdict of `can_spend`, what it handed `closure` while judging,
+    and what the first read of its witness handed `closure`."""
+    judging, reading = [], []
+    inputs = judging
 
     def spy(terms):
         inputs.append(terms)
@@ -346,7 +352,9 @@ def closure_inputs(knowledge, bundle_id):
 
     with mock.patch.object(adversary, "closure", spy):
         decision = can_spend(knowledge, bundle_id)
-    return decision, inputs
+        inputs = reading
+        decision.witness
+    return decision, judging, reading
 
 
 def bears_key(term):
@@ -443,8 +451,9 @@ COALITIONS = st.builds(
 class TestBackwardSelection:
     def test_closure_receives_only_the_terms_reached_backward_from_the_legs(self):
         knowledge, bundle_id = owner_and_server_coalition()
-        decision, inputs = closure_inputs(knowledge, bundle_id)
-        (given,) = inputs
+        decision, judging, reading = closure_inputs(knowledge, bundle_id)
+        assert judging == []  # held keys decide it; the witness read saturates
+        (given,) = reading
         assert type(given) is list  # a collection a caller may read again
         assert len(set(given)) == len(given)
         assert set(given) == reached_backward(knowledge, bundle_id)
@@ -456,8 +465,9 @@ class TestBackwardSelection:
         knowledge, bundle_id = owner_and_server_coalition()
         padding = [SymKeyTerm(f"pad{i}") for i in range(5000)]
         padding += [EncTerm(SYM, f"pad{i}", PrivateKeyTerm(f"pad{i + 1}")) for i in range(5000)]
-        decision, inputs = closure_inputs(container(knowledge), bundle_id)
-        padded, padded_inputs = closure_inputs(container([*knowledge, *padding]), bundle_id)
+        decision, judging, inputs = closure_inputs(container(knowledge), bundle_id)
+        padded, padded_judging, padded_inputs = closure_inputs(container([*knowledge, *padding]), bundle_id)
+        assert judging == padded_judging == []
         assert padded_inputs == inputs and len(inputs) == 1
         assert padded.possible == decision.possible
 
@@ -527,22 +537,24 @@ class TestLegRefusal:
         knowledge = sim.server.snapshot()
         assert any(bears_key(term) for term in knowledge)  # keys, but none leads to a leg
         assert SigningKeyTerm(bundle_id, "user").holders.isdisjoint(knowledge)
-        decision, inputs = closure_inputs(knowledge, bundle_id)
+        decision, judging, reading = closure_inputs(knowledge, bundle_id)
         assert decision == adversary.SpendDecision(False)
-        assert inputs == []
+        assert judging == reading == []
 
     def test_a_leg_held_at_any_depth_is_not_refused(self):
         nested = EncTerm(SYM, "k1", EncTerm(ASYM, "k2", EncTerm(SYM, "k3", SIG_U)))
         keys = {SymKeyTerm("k1"), PrivateKeyTerm("k2"), SymKeyTerm("k3")}
         sealed_server_leg = EncTerm(SYM, "k1", EncTerm(SYM, "k3", SIG_S))
         for knowledge in ({nested, SIG_S} | keys, {nested, sealed_server_leg} | keys):
-            decision, inputs = closure_inputs(knowledge, "ms1")
-            assert decision.possible and len(inputs) == 1
+            decision, judging, reading = closure_inputs(knowledge, "ms1")
+            assert decision.possible and judging == []  # every layer key is held
+            (given,) = reading
+            assert set(given) == reached_backward(knowledge, "ms1")
 
     def test_a_leg_held_only_under_a_digest_is_refused(self):
         knowledge = {DigestTerm(SIG_U), EncTerm(SYM, "k1", DigestTerm(SIG_U)), SymKeyTerm("k1"), SIG_S}
-        decision, inputs = closure_inputs(knowledge, "ms1")
-        assert not decision.possible and inputs == []
+        decision, judging, reading = closure_inputs(knowledge, "ms1")
+        assert not decision.possible and judging == reading == []
 
     def test_the_audit_counts_hold(self, audit_run):
         # `bench/`'s audit workload: six coalitions at every step of a
@@ -581,10 +593,12 @@ def knowledge_around_the_legs(choose):
 
 def how_judged(knowledge):
     """How `can_spend` came to its verdict on `ms1`."""
-    decision, inputs = closure_inputs(knowledge, "ms1")
+    decision, judging, reading = closure_inputs(knowledge, "ms1")
     if decision.possible:
-        return "spent"
-    if inputs:
+        assert len(judging + reading) == 1  # one closure, while judging or at the witness read
+        return "accepted by the closure" if judging else "accepted by held keys"
+    assert reading == []
+    if judging:
         return "refused by the closure"
     if any(leg.holders.isdisjoint(knowledge) for leg in (SIG_U, SIG_S)):
         return "refused by the leg probes"
@@ -602,7 +616,7 @@ class TestLayerKeyRefusal:
     def test_verdicts_around_sealed_legs_are_those_of_the_fixpoint(self, knowledge):
         how = how_judged(knowledge)
         event(how)
-        assert (how == "spent") == ({SIG_U, SIG_S} <= reference_closure(knowledge).keys())
+        assert how.startswith("accepted") == ({SIG_U, SIG_S} <= reference_closure(knowledge).keys())
 
     def test_a_sweep_around_sealed_legs_meets_every_kind_of_verdict(self):
         rng = random.Random(11)
@@ -610,10 +624,10 @@ class TestLayerKeyRefusal:
         for _ in range(2000):
             knowledge = knowledge_around_the_legs(rng.choice)
             how = how_judged(knowledge)
-            assert (how == "spent") == ({SIG_U, SIG_S} <= reference_closure(knowledge).keys())
+            assert how.startswith("accepted") == ({SIG_U, SIG_S} <= reference_closure(knowledge).keys())
             seen[how] += 1
-        assert seen.keys() == {"spent", "refused by the closure", "refused by the leg probes",
-                               "refused by a layer key"}, seen
+        assert seen.keys() == {"accepted by held keys", "accepted by the closure", "refused by the closure",
+                               "refused by the leg probes", "refused by a layer key"}, seen
 
     def test_a_key_sealed_only_under_a_digest_is_refused(self):
         knowledge = {EncTerm(SYM, "k1", SIG_U), DigestTerm(SymKeyTerm("k1")),
@@ -689,15 +703,71 @@ class TestVerdictCost:
         assert len(verdicts) == 7651 and sum(verdicts) == 217
         assert built.call_count == 217
 
-    def test_the_closure_runs_once_per_positive_audit_verdict(self, audit_run):
+    def test_judging_the_audit_runs_no_closure_and_each_witness_read_runs_one(self, audit_run):
+        # held keys decide all 217 positives; a witness read saturates the
+        # terms reached backward from the legs
         sim, bundle_id = audit_run
         legs = SigningKeyTerm(bundle_id, "user"), SigningKeyTerm(bundle_id, "server")
         judgments = [knowledge for coalitions in audit_coalitions(sim) for knowledge in coalitions.values()]
         probed = sum(any(leg.holders.isdisjoint(knowledge) for leg in legs) for knowledge in judgments)
         with mock.patch.object(adversary, "closure", wraps=closure) as saturated:
-            positive = sum(can_spend(knowledge, bundle_id).possible for knowledge in judgments)
-        assert (len(judgments), probed, positive) == (7651, 6375, 217)
+            decisions = [(knowledge, can_spend(knowledge, bundle_id)) for knowledge in judgments]
+        positives = [(knowledge, d) for knowledge, d in decisions if d.possible]
+        assert (len(judgments), probed, len(positives)) == (7651, 6375, 217)
+        assert saturated.call_count == 0
+        with mock.patch.object(adversary, "closure", wraps=closure) as saturated:
+            for _, decision in positives:
+                assert decision.witness[-1] == SIGN_LINE
         assert saturated.call_count == 217
+        for (knowledge, _), call in zip(positives, saturated.call_args_list):
+            (given,), _ = call
+            assert len(set(given)) == len(given) and set(given) == reached_backward(knowledge, bundle_id)
+
+    def test_a_caller_changing_its_set_changes_no_witness(self):
+        knowledge = {EncTerm(SYM, "k1", EncTerm(ASYM, "k2", SIG_U)), SymKeyTerm("k1"), PrivateKeyTerm("k2"), SIG_S}
+        at_once = can_spend(knowledge, "ms1").witness
+        assert at_once == judged_on_all_knowledge(knowledge, "ms1")[1]
+        with mock.patch.object(adversary, "closure", wraps=closure) as saturated:
+            decision = can_spend(knowledge, "ms1")
+        assert decision.possible and saturated.call_count == 0  # held keys decide it
+        knowledge.discard(SymKeyTerm("k1"))  # the route the verdict was judged on...
+        knowledge.update({EncTerm(SYM, "k3", SIG_U), SymKeyTerm("k3")})  # ...and another
+        assert decision.witness == at_once
+
+    def test_the_audit_judges_alike_under_two_hash_seeds_and_saturates_only_when_read(self, monkeypatch):
+        # `bench/`'s audit input, judged in fresh interpreters; each prints
+        # the digest of its verdicts and witnesses, read after judging
+        code = """
+            import hashlib
+            from unittest import mock
+            from cryptocubic import adversary
+            from cryptocubic.protocol import SERVER, Simulation
+
+            sim = Simulation(mode="cryptocubic")
+            sim.setup("a")
+            sim.fund("a", 1000)
+            for i in range(60):
+                sim.transfer(*("ab" if i % 2 == 0 else "ba"))
+            sim.redeem("a", "ext", 1000)
+            bundle_id = next(iter(sim.squares.values())).bundle.bundle_id
+            decisions = []
+            with mock.patch.object(adversary, "closure", wraps=adversary.closure) as saturated:
+                for rec in sim.step_records:
+                    server, slots = rec.knowledge[SERVER], set(filter(None, rec.slot_terms.values()))
+                    users = [rec.knowledge[name] | slots for name in sorted(rec.knowledge) if name.startswith("USER_")]
+                    for knowledge in (server, server | slots, *users, server | rec.knowledge["USER_A"] | slots,
+                                      adversary.wiretap_knowledge(sim, upto=rec.transcript_len)):
+                        decisions.append(adversary.can_spend(knowledge, bundle_id))
+            assert (saturated.call_count, len(decisions)) == (0, 7651)
+            assert sum(decision.possible for decision in decisions) == 217
+            judged = repr([(decision.possible, decision.witness) for decision in decisions])
+            print(hashlib.sha256(judged.encode()).hexdigest())
+        """
+        digests = []
+        for seed in ("0", "5"):
+            monkeypatch.setenv("PYTHONHASHSEED", seed)
+            digests.append(in_a_fresh_interpreter(code))
+        assert digests[0] == digests[1] and len(digests[0].strip()) == 64
 
     # refused by the leg probes (no cypher holds the user leg), by the layer
     # keys (no term supplies `k1`, which the user leg's cypher is sealed to),
@@ -708,8 +778,8 @@ class TestVerdictCost:
 
     @pytest.mark.parametrize("knowledge, closures", REFUSALS)
     def test_a_refusal_is_the_negative_decision(self, knowledge, closures):
-        decision, inputs = closure_inputs(knowledge, "ms1")
-        assert len(inputs) == closures
+        decision, judging, reading = closure_inputs(knowledge, "ms1")
+        assert (len(judging), reading) == (closures, [])
         assert adversary.SpendDecision(False) == decision
         assert decision is can_spend({SIG_U}, "ms1")  # shared, so built once
         with pytest.raises(FrozenInstanceError):
