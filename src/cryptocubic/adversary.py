@@ -42,13 +42,12 @@ identity that the wiretap learned nothing new.
 
 An attack is staged on a run in the state its prefix (`PREFIXES`) names: the
 script commands `setup A` and `fund A 1000`, then `transfer A B`, then `redeem
-B ext 1000`.  A `Stager` keeps a fork of the script's own run where the script
-passes through a prefix, builds any other prefix once from the one before it,
-and hands every attack but the last a `Simulation.fork` of it.
+B ext 1000`.  `run_attack` builds that run afresh, or takes one it is given:
+`run_scenario` gives each attack a `Simulation.fork` of the script's own run
+where the script passes through the attack's prefix.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from weakref import ref
@@ -277,78 +276,26 @@ PREFIXES = {
 }
 
 
-class Stager:
-    """Stages the prefix runs of one set of attacks, each prefix once.
-
-    It counts each prefix's consumers: the named attacks that start from it,
-    and each prefix as one of its parent, the prefix one command shorter.
-    A prefix comes from the script's own run when the script passes through
-    it (`offer`), and is built from its parent otherwise.  Every consumer but
-    the last gets a fork (`Simulation.fork`); the last takes the run itself,
-    and the stager lets go of it.  A consumer that was not counted gets a run
-    built afresh, so any order of any attacks judges as each attack alone
-    would: a run is a function of its commands, seed, mode and backend."""
-
-    def __init__(self, scenarios, mode: str, backend: str, seed: int) -> None:
-        self.settings = mode, backend, seed
-        # the consumers each prefix has still to serve; `run_attack` refuses unknown attacks
-        self._left = Counter(PREFIXES[name] for name in set(scenarios) & PREFIXES.keys())
-        for prefix in (_REDEEMED, _TRANSFERRED):  # longest first, so a parent counts a counted child
-            self._left[prefix[:-1]] += self._left[prefix] > 0
-        self._runs: dict[tuple, Simulation] = {}  # each prefix built or offered and not yet taken
-
-    def take(self, prefix: tuple) -> Simulation:
-        """A run in the state `prefix` names, this consumer's own."""
-        sim = self._runs.pop(prefix, None)
-        if sim is None and not prefix:
-            mode, backend, seed = self.settings
-            return Simulation(mode=mode, backend=backend, seed=seed, record=False)  # a verdict reads no table
-        if sim is None:
-            sim = self.take(prefix[:-1])
-            head, *values = prefix[-1]
-            getattr(sim, head)(*values)  # as `run_scenario` runs the command
-        if self._left[prefix] > 1:
-            self._left[prefix] -= 1
-            self._runs[prefix] = sim
-            return sim.fork()
-        self._left[prefix] = 0
-        return sim
-
-    def offer(self, done: tuple, sim: Simulation, then: tuple | None) -> bool:
-        """Keep a fork of `sim`, the script's run after the state-changing
-        commands `done`, if `done` is a prefix that nothing has built or taken
-        and that has consumers besides a counted child the script's next
-        command `then` makes; its parent then has one consumer fewer.
-        Returns whether a longer run may still match such a prefix."""
-        if self._left[done] and done not in self._runs:
-            if self._left[done] > (self._left[(*done, then)] > 0):  # the script's run serves that child
-                self._runs[done] = sim.fork()
-            parent = done[:-1]
-            self._left[parent] -= self._left[parent] > 0
-            if not self._left[parent]:
-                self._runs.pop(parent, None)
-        n = len(done)
-        return any(left and len(prefix) > n and prefix[:n] == done for prefix, left in self._left.items())
-
-
 def run_attack(
     scenario: str, mode: str = "cryptocubic", backend: str = "symbolic", seed: int = 0,
-    stager: Stager | None = None,
+    sim: Simulation | None = None,
 ) -> Verdict:
-    """Take the attack's prefix run from `stager` (by default one staging
-    this attack alone), apply the attack, judge what the attack leaves the attacker, and replay a
-    positive verdict as a real spend.
+    """Apply the attack to `sim`, a run in the state its prefix (`PREFIXES`)
+    names (by default one built afresh), judge what the attack leaves the
+    attacker, and replay a positive verdict as a real spend.
 
-    A staging `_attack_<scenario>(sim)` only acts on the run its prefix
-    (`PREFIXES`) names: it returns the attacker's knowledge, its notes, and
-    whether the attack won without a spend."""
+    A staging `_attack_<scenario>(sim)` only acts on that run: it returns the
+    attacker's knowledge, its notes, and whether the attack won without a
+    spend.  A given run of another mode or backend is refused with
+    ValueError; the attack changes it."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown attack scenario: {scenario!r}")
-    if stager is None:
-        stager = Stager((scenario,), mode, backend, seed)
-    elif stager.settings != (mode, backend, seed):
-        raise ValueError(f"the stager stages {stager.settings}, not {(mode, backend, seed)}")
-    sim = stager.take(PREFIXES[scenario])
+    if sim is None:
+        sim = Simulation(mode=mode, backend=backend, seed=seed, record=False)  # a verdict reads no table
+        for head, *values in PREFIXES[scenario]:
+            getattr(sim, head)(*values)  # as `run_scenario` runs the command
+    elif (sim.mode, sim.backend.name) != (mode, backend):
+        raise ValueError(f"the run is {sim.mode} on {sim.backend.name}, not {mode} on {backend}")
     square_id = next(iter(sim.squares))
     knowledge, notes, won = globals()[f"_attack_{scenario}"](sim)
     decision = can_spend(knowledge, sim.squares[square_id].bundle.bundle_id)

@@ -195,9 +195,9 @@ class Simulation:
         It shares only what never changes (terms, value records, cyphers and
         messages), copies every container a step mutates, and draws from a
         copy of the generator and a new backend with the same id counters.
-        It records nothing, as it has no observer.  A run with an open
-        procedure, a journal or an interposer is refused with ValueError, as
-        no copy can carry them."""
+        It records nothing, as it has no observer, and journals nothing, as
+        its store keeps no journal.  A run with an open procedure or an
+        interposer is refused with ValueError, as no copy can carry them."""
         twin = Simulation.__new__(Simulation)
         twin.mode = self.mode
         twin.backend = self.backend.copy()

@@ -22,8 +22,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .adversary import SCENARIOS, Stager, Verdict, run_attack
-from .backend import CryptoError
+from .adversary import PREFIXES, SCENARIOS, Verdict, run_attack
+from .backend import BACKENDS, CryptoError
 from .ledger import LedgerError
 from .protocol import MODES, SERVER, BadLetter, ProtocolError, Simulation, user_letter, user_name
 from .store import StoreError
@@ -111,6 +111,8 @@ def parse_scenario(
 ) -> ScenarioScript:
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend: {backend!r}")
     commands: list[tuple] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -187,9 +189,12 @@ def run_scenario(
     written to `write` and to `trace` when given, and, when streamed,
     dropped.  `trace` gets the tables alone.
 
-    Each verdict comes from a `Stager`, which is offered a fork of this run
-    after each state-changing command while those commands may still be an
-    attack's prefix, unless the run keeps a journal.
+    Each attack a line names is judged on a fork of this run (`run_attack`)
+    as soon as the state-changing commands so far are its prefix, and its
+    verdict is kept until its line is reached; an attack whose line comes
+    first, or whose prefix the run never passes, is judged on a prefix built
+    afresh.  The commands are tracked only while they may still be a wanted
+    prefix.
     """
     sim = Simulation(mode=script.mode, backend=script.backend, seed=script.seed,
                      journal_path=journal_path, record=write is None)
@@ -213,17 +218,20 @@ def run_scenario(
             tables.events.clear()  # a streamed run keeps no table
         shown = len(tables.events)
 
-    # each attack's prefix is staged once for every attack that starts from it
-    stager = Stager([cmd[1] for cmd in script.commands if cmd[0] in ("attack", "expect-verdict")],
-                    script.mode, script.backend, script.seed)
-    done: tuple | None = None if journal_path else ()  # a journalled run is never forked
+    # each attack a line names, by the prefix it starts from
+    wanted: dict[tuple, list[str]] = {}
+    for name in dict.fromkeys(cmd[1] for cmd in script.commands if cmd[0] in ("attack", "expect-verdict")):
+        wanted.setdefault(PREFIXES[name], []).append(name)
+    judged: dict[str, Verdict] = {}  # judged where the run passed its prefix, its line not yet reached
+    done: tuple | None = () if wanted else None  # the state-changing commands so far
 
     def verdict_for(name: str) -> Verdict:
         if name not in result.verdicts:
-            result.verdicts[name] = run_attack(name, script.mode, script.backend, script.seed, stager)
+            result.verdicts[name] = judged.pop(name, None) or run_attack(
+                name, script.mode, script.backend, script.seed)
         return result.verdicts[name]
 
-    for at, cmd in enumerate(script.commands):
+    for cmd in script.commands:
         head, *values = cmd
         try:
             if head == "attack":
@@ -245,8 +253,10 @@ def run_scenario(
                 getattr(sim, head)(*values)
                 if done is not None:  # the commands so far may yet be an attack's prefix
                     done += (cmd,)
-                    then = next((c for c in script.commands[at + 1:] if c[0] != "expect-holdings"), None)
-                    done = done if stager.offer(done, sim, then) else None
+                    for name in wanted.pop(done, ()):
+                        if name not in result.verdicts:
+                            judged[name] = run_attack(name, script.mode, script.backend, script.seed, sim.fork())
+                    done = done if any(prefix[:len(done)] == done for prefix in wanted) else None
         except (ProtocolError, StoreError, LedgerError, CryptoError) as exc:
             result.failures.append(f"{pretty(cmd)}: {type(exc).__name__}: {exc}")
             break

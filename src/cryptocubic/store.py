@@ -110,8 +110,6 @@ class DestructiveStore:
         """An independent store with this one's slots, capabilities and
         sequence number, digesting with `digest_fn`; it keeps no journal."""
         with self._lock:
-            if self._journal_path:
-                raise ValueError("a journalled store cannot be copied")
             twin = DestructiveStore(digest_fn)
             twin._slots = {slot_id: _Slot(slot.value, slot.digest) for slot_id, slot in self._slots.items()}
             twin._caps = dict(self._caps)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from cryptocubic import cli, protocol
-from cryptocubic.adversary import Stager, run_attack
+from cryptocubic.adversary import run_attack
 from cryptocubic.cli import build_parser, main
 from cryptocubic.protocol import StepRecord
 from cryptocubic.scenario import parse_scenario, run_scenario
@@ -278,9 +278,8 @@ class TestGoldenTranscripts:
 
     @pytest.mark.parametrize("backend", ["symbolic", "concrete"])
     @pytest.mark.parametrize("mode", ["baseline3", "bare4", "cryptocubic"])
-    def test_a_journalled_run_stages_every_prefix_itself(self, mode, backend, tmp_path, monkeypatch, capsys):
-        # a journalled run cannot be forked, so it offers the stager nothing
-        monkeypatch.setattr(Stager, "offer", lambda *args: pytest.fail("a journalled run was offered"))
+    def test_a_journalled_run_judges_as_each_attack_alone(self, mode, backend, tmp_path, capsys):
+        # its attacks go on from forks of the journalled run, which journal nothing
         path = SCENARIOS_DIR / f"{mode}.scen"
         argv = [str(path), "--mode", mode, "--backend", backend, "--journal", str(tmp_path / "journal")]
         assert main(argv) == 0

@@ -124,6 +124,10 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_scenario(CORE, mode="quantum")
 
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            parse_scenario(CORE, backend="bogus")
+
 
 def _words(head, *args):
     return st.tuples(st.just(head), *args).map(" ".join)

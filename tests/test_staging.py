@@ -1,11 +1,12 @@
-"""Shared attack stagings: `Simulation.fork` and the per-run `Stager`.
+"""Attack stagings on forks: `Simulation.fork` and `run_scenario`'s judging.
 
 A fork must be a run of its own: nothing it does may reach the run it was
 forked from, or the other way round, and it must go on exactly as the run
-itself would.  A stager must judge every attack, in any order and any
-subset, as `run_attack` judges it alone, whether it builds a prefix or keeps
-a fork of the script's own run.
+itself would.  `run_scenario` must judge every attack a script names as
+`run_attack` judges it alone, whether it forks the script's own run where the
+run passes the attack's prefix or builds the prefix afresh.
 """
+import functools
 import random
 import weakref
 from collections import Counter
@@ -16,11 +17,15 @@ from types import FunctionType, MethodType
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cryptocubic import adversary, scenario
-from cryptocubic.adversary import PREFIXES, SCENARIOS, Stager, run_attack
-from cryptocubic.protocol import MODES, Simulation
+from cryptocubic.adversary import PREFIXES, SCENARIOS, run_attack, take_all_slots
+from cryptocubic.backend import CryptoError
+from cryptocubic.ledger import LedgerError
+from cryptocubic.protocol import MODES, ProtocolError, Simulation
 from cryptocubic.scenario import parse_scenario, run_scenario
+from cryptocubic.store import StoreError
 from cryptocubic.terms import Term
 from cryptocubic.trace import Tables, render_table
 from test_emit_cache import bounce_script
@@ -163,7 +168,7 @@ def test_a_fork_records_nothing_of_a_recording_run():
     assert twin.events == [] and len(sim.events) == sim.steps == twin.steps - 1
 
 
-def test_a_fork_is_refused_where_no_copy_can_carry_the_state(tmp_path):
+def test_a_fork_is_refused_where_no_copy_can_carry_the_state():
     sim = funded("cryptocubic", "symbolic")
     session = sim.begin_transfer("a", "b")
     sim.withdraw_for_transfer(session)  # the transfer's scope is open
@@ -173,32 +178,67 @@ def test_a_fork_is_refused_where_no_copy_can_carry_the_state(tmp_path):
     sim.transport.interposer = lambda msg: msg
     with pytest.raises(ValueError, match="interposer"):
         sim.fork()
-    journalled = Simulation(journal_path=str(tmp_path / "journal"), record=False)
-    journalled.setup("a")
-    with pytest.raises(ValueError, match="journal"):
-        journalled.fork()
+
+
+def test_a_fork_shares_messages_and_heard_sets():
+    sim = funded("bare4", "symbolic")
+    sim.transfer("a", "b")
+    sim.transport.heard_by()
+    twin = sim.fork()
+    assert all(a is b for a, b in zip(twin.transport.transcript, sim.transport.transcript))
+    assert twin.transport.heard_by() is sim.transport.heard_by()
 
 
 # ---------------------------------------------------------------------------
-# the stager
+# run_attack on a given run
+
+
+FUNDED, TRANSFERRED, REDEEMED = sorted(set(PREFIXES.values()), key=len)
+
+
+def run_commands(sim, commands):
+    for head, *values in commands:
+        getattr(sim, head)(*values)
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("mode", MODES)
+def test_a_fork_of_a_run_equals_the_prefix_built(mode, backend, record):
+    for prefix in (FUNDED, TRANSFERRED, REDEEMED):
+        sim = Simulation(mode=mode, backend=backend, seed=1, record=record)
+        run_commands(sim, prefix)
+        forked = sim.fork()
+        built = Simulation(mode=mode, backend=backend, seed=1, record=False)  # as `run_attack` builds it
+        run_commands(built, prefix)
+        for run in (forked, built):  # a recording run has filled each party's snapshot memo
+            for party in run.parties.values():
+                party.snapshot()
+        assert structure(forked) == structure(built), prefix
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("mode", MODES)
-def test_shared_stagings_judge_as_each_attack_alone(mode, backend, seed):
-    alone = {name: run_attack(name, mode, backend, seed) for name in SCENARIOS}
-    draw = random.Random(f"{mode} {backend} {seed}")
-    # the first order forks "funded" and then takes it to build "transferred"
-    orders = [["counterfeit_es", "post_transfer_grab", "store_raid"], list(SCENARIOS)]
-    orders += [draw.sample(SCENARIOS, draw.randint(1, len(SCENARIOS))) for _ in range(4)]
-    for order in orders:
-        # counted for every attack, and for every other one only
-        for counted in (order, order[::2]):
-            stager = Stager(counted, mode, backend, seed)
-            for name in order:
-                verdict = run_attack(name, mode, backend, seed, stager=stager)
-                assert verdict == alone[name], (order, counted, name)
+def test_an_attack_on_a_fork_judges_as_the_attack_alone(mode, backend, seed):
+    for prefix in (FUNDED, TRANSFERRED, REDEEMED):
+        sim = Simulation(mode=mode, backend=backend, seed=seed)
+        run_commands(sim, prefix)
+        for name in (name for name in SCENARIOS if PREFIXES[name] == prefix):
+            alone = run_attack(name, mode, backend, seed)
+            assert run_attack(name, mode, backend, seed, sim.fork()) == alone, name
+
+
+def test_run_attack_refuses_a_run_of_another_mode_or_backend_and_unknown_attacks():
+    sim = funded("bare4", "symbolic", seed=3)
+    sim.transfer("a", "b")
+    before = structure(sim)
+    for mode, backend in (("cryptocubic", "symbolic"), ("bare4", "concrete")):
+        with pytest.raises(ValueError):
+            run_attack("store_raid", mode, backend, 3, sim)
+    with pytest.raises(ValueError):
+        run_attack("teleport", "bare4", "symbolic", 3, sim)
+    assert structure(sim) == before  # nothing was staged on it
 
 
 @contextmanager
@@ -215,23 +255,6 @@ def counting(*methods):
         yield calls
 
 
-def test_a_stager_builds_each_prefix_once():
-    built = []
-
-    def build(*args, **kwargs):
-        built.append(Simulation(*args, **kwargs))
-        return built[-1]
-
-    with counting("setup", "transfer", "fork") as calls, mock.patch.object(adversary, "Simulation", build):
-        stager = Stager(SCENARIOS, "cryptocubic", "symbolic", 0)
-        for name in SCENARIOS:
-            run_attack(name, stager=stager)
-    assert len(built) == 1
-    # counterfeit_es makes the one transfer of its own
-    assert calls == {"setup": 1, "transfer": 2, "fork": 5}
-    assert stager._runs == {}  # each prefix is let go after its last consumer
-
-
 def test_a_standalone_attack_forks_nothing():
     with counting("setup", "fork") as calls:
         for name in SCENARIOS:
@@ -239,153 +262,149 @@ def test_a_standalone_attack_forks_nothing():
     assert calls == {"setup": len(SCENARIOS)}
 
 
-def test_a_stager_refuses_another_runs_attack_and_unknown_attacks():
-    stager = Stager(["store_raid"], "bare4", "symbolic", 3)
-    with pytest.raises(ValueError):
-        run_attack("store_raid", "cryptocubic", "symbolic", 3, stager=stager)
-    with pytest.raises(ValueError):
-        run_attack("teleport", "bare4", "symbolic", 3, stager=stager)
-    assert stager._runs == {}  # nothing was staged
-
-
-def test_an_expected_verdict_without_an_attack_line_shares_the_prefix():
-    text = ("setup A\nfund A 1000\nattack store_raid\n"
-            "expect-verdict post_transfer_grab false\nexpect-verdict double_transfer false\n")
-    with counting("setup") as calls:
-        result = run_scenario(parse_scenario(text, seed=4))
-    assert result.ok
-    assert calls == {"setup": 1}  # the script's own, whose run is forked for the prefix
-    assert result.verdicts == {name: run_attack(name, seed=4) for name in result.verdicts}
-    assert set(result.verdicts) == {"store_raid", "post_transfer_grab", "double_transfer"}
-
-
-# each bundled script, run in its own mode: the calls it and its stagings
-# now make, each prefix forked from the script's own run
-STAGED_CALLS = {
-    "baseline3": {"setup": 1, "transfer": 3, "begin_transfer": 3},
-    "bare4": {"setup": 1, "transfer": 1, "begin_transfer": 3},
-    "cryptocubic": {"setup": 1, "transfer": 2, "begin_transfer": 4},
-}
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_each_bundled_script_stages_its_prefixes_once(mode):
-    text = (SCENARIOS_DIR / f"{mode}.scen").read_text(encoding="utf-8")
-    with counting("setup", "transfer", "begin_transfer") as calls:
-        result = run_scenario(parse_scenario(text, mode=mode, backend="concrete"))
-    assert result.ok
-    assert calls == STAGED_CALLS[mode]
-
-
-def test_a_fork_shares_messages_and_heard_sets():
-    sim = funded("bare4", "symbolic")
-    sim.transfer("a", "b")
-    sim.transport.heard_by()
-    twin = sim.fork()
-    assert all(a is b for a, b in zip(twin.transport.transcript, sim.transport.transcript))
-    assert twin.transport.heard_by() is sim.transport.heard_by()
-
-
 # ---------------------------------------------------------------------------
-# the script's own run as a prefix
-
-
-FUNDED, TRANSFERRED, REDEEMED = sorted(set(PREFIXES.values()), key=len)
-# one attack that starts from each prefix
-CONSUMER = {prefix: name for name, prefix in PREFIXES.items()}
-
-
-def run_commands(sim, commands):
-    for head, *values in commands:
-        getattr(sim, head)(*values)
-
-
-@pytest.mark.parametrize("record", [True, False])
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("mode", MODES)
-def test_a_donated_fork_equals_the_prefix_built(mode, backend, record):
-    for prefix in (FUNDED, TRANSFERRED, REDEEMED):
-        sim = Simulation(mode=mode, backend=backend, seed=1, record=record)
-        stager = Stager([CONSUMER[prefix]], mode, backend, 1)
-        for n in range(1, len(prefix) + 1):
-            run_commands(sim, prefix[n - 1:n])
-            # tracking stops once the one wanted prefix is reached
-            assert stager.offer(prefix[:n], sim, prefix[n] if n < len(prefix) else None) is (n < len(prefix))
-        assert list(stager._runs) == [prefix]  # each shorter prefix let go once its child came
-        donated = stager.take(prefix)
-        built = Stager((), mode, backend, 1).take(prefix)
-        for run in (donated, built):  # a recording run has filled each party's snapshot memo
-            for party in run.parties.values():
-                party.snapshot()
-        assert structure(donated) == structure(built), prefix
-
-
-@contextmanager
-def donations():
-    """The prefixes each `Stager.offer` kept while the block runs, and the
-    number of offers made."""
-    kept, offers = [], Counter()
-    original = Stager.offer
-
-    def offer(self, done, sim, then):
-        offers["offers"] += 1
-        held = self._runs.get(done)
-        more = original(self, done, sim, then)
-        if self._runs.get(done) is not held:
-            kept.append(done)
-        return more
-
-    with mock.patch.object(Stager, "offer", offer):
-        yield kept, offers
+# run_scenario judges each attack where its run passes the attack's prefix
 
 
 def judged_alone(result, seed=0):
     return result.verdicts == {name: run_attack(name, seed=seed) for name in result.verdicts}
 
 
-def test_an_attack_before_the_prefix_builds_it_and_keeps_no_run():
-    # "funded" is built by the first attack and still held for `double_transfer`
-    # when the script passes through it
-    text = ("attack post_transfer_grab\nattack counterfeit_es\nsetup A\nfund A 1000\n"
-            "transfer A B\nexpect-verdict double_transfer false\nredeem B ext 1000\n")
-    made = []
+ALL_ATTACKS = "".join(f"attack {name}\n" for name in SCENARIOS)
 
-    def make(*args):
-        made.append(Stager(*args))
-        return made[-1]
 
-    with donations() as (kept, offers), mock.patch.object(scenario, "Stager", make):
+# each bundled script, run in its own mode: the calls it and its stagings
+# make, each prefix forked from the script's own run
+STAGED_CALLS = {
+    "baseline3": {"setup": 1, "transfer": 3, "begin_transfer": 3, "fork": 2},
+    "bare4": {"setup": 1, "transfer": 1, "begin_transfer": 3, "fork": 2},
+    "cryptocubic": {"setup": 1, "transfer": 2, "begin_transfer": 4, "fork": 6},
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_bundled_script_stages_its_prefixes_once(mode):
+    text = (SCENARIOS_DIR / f"{mode}.scen").read_text(encoding="utf-8")
+    with counting("setup", "transfer", "begin_transfer", "fork") as calls:
+        result = run_scenario(parse_scenario(text, mode=mode, backend="concrete"))
+    assert result.ok
+    assert calls == STAGED_CALLS[mode]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_journalled_run_forks_and_its_forks_journal_nothing(mode, tmp_path):
+    # each bundled script journals what the same script without its attack
+    # and expect-verdict lines journals, though its attacks go on from forks
+    text = (SCENARIOS_DIR / f"{mode}.scen").read_text(encoding="utf-8")
+    bare = "".join(f"{line}\n" for line in text.splitlines()
+                   if not line.startswith(("attack ", "expect-verdict ")))
+    journals, forks = [], []
+    for n, source in enumerate((text, bare)):
+        path = tmp_path / f"journal{n}"
+        with counting("fork") as calls:
+            assert run_scenario(parse_scenario(source, mode=mode), journal_path=str(path)).ok
+        journals.append(path.read_bytes())
+        forks.append(calls["fork"])
+    assert journals[0] and journals[0] == journals[1]
+    assert forks == [STAGED_CALLS[mode]["fork"], 0]
+    # what a fork of a journalled run does reaches no journal; the run's own steps still do
+    path = tmp_path / "journal"
+    sim = Simulation(mode=mode, journal_path=str(path), record=False)
+    run_commands(sim, TRANSFERRED)
+    kept = path.read_bytes()
+    twin = sim.fork()
+    twin.redeem("b", "ext", 600)
+    take_all_slots(twin)
+    assert path.read_bytes() == kept
+    sim.redeem("b", "ext", 600)
+    assert len(path.read_bytes()) > len(kept)
+
+
+def test_an_expected_verdict_without_an_attack_line_is_judged_alone():
+    # the run passes `funded` alone, so only `double_transfer` is judged on its fork
+    text = ("setup A\nfund A 1000\nattack store_raid\n"
+            "expect-verdict post_transfer_grab false\nexpect-verdict double_transfer false\n")
+    with counting("setup", "fork") as calls:
+        result = run_scenario(parse_scenario(text, seed=4))
+    assert result.ok and judged_alone(result, seed=4)
+    assert calls == {"setup": 3, "fork": 1}
+    assert set(result.verdicts) == {"store_raid", "post_transfer_grab", "double_transfer"}
+
+
+@pytest.mark.parametrize("text, setups, forks", [
+    # each attack whose line comes before its prefix builds the prefix afresh
+    ("attack post_transfer_grab\nattack counterfeit_es\nsetup A\nfund A 1000\n"
+     "transfer A B\nexpect-verdict double_transfer false\nredeem B ext 1000\n", 3, 1),
+    ("setup A\nfund A 1000\ntransfer A B\nattack store_raid\n", 1, 1),
+    ("setup A\nfund A 1000\nexpect-holdings A ADD,Es,Ka,Ka_Public\ntransfer A B\nattack store_raid\n", 1, 1),
+    ("setup A\nfund A 1000\nattack store_raid\ntransfer A B\n", 2, 0),
+    # a run that leaves every prefix stages the rest afresh
+    ("setup A\nfund A 500\ntransfer A B\nredeem B ext 500\n" + ALL_ATTACKS, 1 + 6, 0),
+    ("setup A\nfund A 1000\ntransfer A C\nredeem C ext 1000\n" + ALL_ATTACKS, 1 + 4, 2),
+], ids=["attack-first", "attack-after", "holdings-check-between", "attack-between",
+        "fund-500", "transfer-A-C"])
+def test_each_attack_is_forked_where_the_run_passes_its_prefix(text, setups, forks):
+    with counting("setup", "fork") as calls:
         result = run_scenario(parse_scenario(text, seed=5))
     assert result.ok and judged_alone(result, seed=5)
-    assert kept == [] and offers["offers"] == 2  # nothing longer is wanted after `fund A 1000`
-    assert made[0]._runs == {}
+    assert calls == {"setup": setups, **({"fork": forks} if forks else {})}
 
 
-@pytest.mark.parametrize("diverging, kept_prefixes, offered", [
-    ("setup A\nfund A 500\ntransfer A B\nredeem B ext 500\n", [], 2),
-    ("setup A\nfund A 1000\ntransfer A C\nredeem C ext 1000\n", [FUNDED], 3),
-])
-def test_a_script_that_diverges_is_offered_no_further(diverging, kept_prefixes, offered):
-    attacks = "".join(f"attack {name}\n" for name in SCENARIOS)
-    with donations() as (kept, offers):
-        result = run_scenario(parse_scenario(diverging + attacks, seed=2))
-    assert result.ok and judged_alone(result, seed=2)
-    assert kept == kept_prefixes
-    assert offers["offers"] == offered  # none after the first command that matches no prefix
-
-
-@pytest.mark.parametrize("text, kept_prefixes", [
-    ("setup A\nfund A 1000\ntransfer A B\nattack store_raid\n", [TRANSFERRED]),
-    ("setup A\nfund A 1000\nexpect-holdings A ADD\ntransfer A B\nattack store_raid\n", [TRANSFERRED]),
-    # an attack before the child takes the parent to build the child
-    ("setup A\nfund A 1000\nattack store_raid\ntransfer A B\n", [FUNDED]),
-], ids=["child-next", "holdings-check-between", "attack-between"])
-def test_a_prefix_whose_only_consumer_the_script_makes_next_is_not_forked(text, kept_prefixes):
-    with counting("fork") as calls, donations() as (kept, _):
+def test_a_run_that_fails_before_an_attack_line_has_no_verdict_for_it():
+    # the run passes `transferred`, so store_raid is judged, but its line is never reached
+    text = ("setup A\nfund A 1000\ntransfer A B\nattack token_replay\n"
+            "redeem B ext 1000\nredeem B ext 1000\nattack store_raid\n")
+    with counting("fork") as calls:
         result = run_scenario(parse_scenario(text))
-    assert judged_alone(result)
-    assert kept == kept_prefixes
-    assert calls == {"fork": 1}
+    assert not result.ok and calls == {"fork": 2}
+    assert list(result.verdicts) == ["token_replay"] and judged_alone(result)
+    assert "store_raid" not in result.output
+
+
+# the prefix commands and their diverging variants, and the lines that name an attack
+STEPS = ("setup A", "fund A 1000", "fund A 500", "transfer A B", "transfer A C", "redeem B ext 1000")
+ATTACK_LINES = st.sampled_from(SCENARIOS).flatmap(
+    lambda name: st.sampled_from([f"attack {name}", f"expect-verdict {name} true",
+                                  f"expect-verdict {name} false"]))
+@st.composite
+def placed_scripts(draw):
+    """Script lines: the prefix steps in order, each maybe its variant and cut
+    short anywhere, then a random tail that may fail; and attack lines at
+    random positions."""
+    steps = ["setup A", draw(st.sampled_from(STEPS[1:3])), draw(st.sampled_from(STEPS[3:5])), STEPS[5]]
+    lines = steps[:draw(st.integers(0, 4))] + draw(st.lists(st.sampled_from(STEPS), max_size=2))
+    for attack in draw(st.lists(ATTACK_LINES, max_size=6)):
+        lines.insert(draw(st.integers(0, len(lines))), attack)
+    return lines
+
+
+def reached(lines, mode, seed):
+    """The lines a run reaches: all, or those up to the step that fails."""
+    sim = Simulation(mode=mode, seed=seed, record=False)
+    for n, line in enumerate(lines):
+        if not line.startswith(("attack", "expect-verdict")):
+            try:
+                run_commands(sim, [parse_scenario(line).commands[0]])
+            except (ProtocolError, StoreError, LedgerError, CryptoError):
+                return lines[:n]
+    return lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=placed_scripts(), mode=st.sampled_from(MODES), seed=st.integers(0, 2))
+def test_every_verdict_wherever_its_line_sits_is_the_attack_alone(lines, mode, seed):
+    result = run_scenario(parse_scenario("".join(f"{line}\n" for line in lines), seed=seed, mode=mode),
+                          quiet=True)
+    names = {line.split()[1] for line in reached(lines, mode, seed)
+             if line.startswith(("attack", "expect-verdict"))}
+    assert set(result.verdicts) == names
+    for name, verdict in result.verdicts.items():
+        assert verdict == alone(name, mode, seed), name
+
+
+@functools.cache
+def alone(name, mode, seed):
+    return run_attack(name, mode, "symbolic", seed)
 
 
 def test_no_fork_outlives_the_script_run():
@@ -398,16 +417,36 @@ def test_no_fork_outlives_the_script_run():
         return twin
 
     text = (SCENARIOS_DIR / "cryptocubic.scen").read_text(encoding="utf-8")
-    with donations() as (kept, _), mock.patch.object(Simulation, "fork", fork):
+    with mock.patch.object(Simulation, "fork", fork):
         result = run_scenario(parse_scenario(text, backend="concrete"))
-    assert result.ok and kept == [FUNDED, TRANSFERRED, REDEEMED]
+    assert result.ok
     assert len(forks) == 6 and [alive() for alive in forks] == [None] * 6
 
 
+class Watched(tuple):
+    """A script command that counts the times it is compared."""
+    compared = Counter()
+
+    def __eq__(self, other):
+        Watched.compared[self] += 1
+        return tuple.__eq__(self, other)
+
+    __hash__ = tuple.__hash__
+
+
+def test_tracking_stops_at_the_first_command_that_leaves_every_prefix():
+    script = parse_scenario(bounce_script(40) + "attack wiretap_passive\n")
+    script.commands = [Watched(command) for command in script.commands]
+    Watched.compared.clear()
+    assert run_scenario(script).ok
+    # the second transfer, `transfer B A`, is no prefix's fourth command
+    assert set(Watched.compared) == set(script.commands[:4])
+
+
 def test_a_script_with_no_attack_forks_nothing():
-    with counting("fork") as calls, donations() as (_, offers):
+    with counting("fork") as calls:
         assert run_scenario(parse_scenario(bounce_script(40))).ok
-    assert calls == {} and offers["offers"] == 1
+    assert calls == {}
 
 
 @pytest.mark.parametrize("record", [True, False], ids=["recording", "streaming"])
@@ -429,12 +468,14 @@ def test_forking_an_observed_run_leaves_it_untouched(mode, record):
 
     forked, run, tables = observed()
     run(*TRANSFERRED)
-    stager = Stager(["wiretap_passive", "post_transfer_grab"], mode, "concrete", 3)
-    assert stager.offer(TRANSFERRED, forked, None)
-    # a fork of the donated fork goes through the redemption, then the fork
-    # itself has its slots raided and, in baseline3, its square spent
-    for name in ("wiretap_passive", "post_transfer_grab"):
-        assert run_attack(name, mode, "concrete", 3, stager=stager) == run_attack(name, mode, "concrete", 3)
+    # one fork has its slots raided and, in baseline3, its square spent;
+    # another goes through the redemption and is wiretapped
+    assert run_attack("post_transfer_grab", mode, "concrete", 3, forked.fork()) == run_attack(
+        "post_transfer_grab", mode, "concrete", 3)
+    twin = forked.fork()
+    run_commands(twin, REDEEMED[len(TRANSFERRED):])
+    assert run_attack("wiretap_passive", mode, "concrete", 3, twin) == run_attack(
+        "wiretap_passive", mode, "concrete", 3)
     rest = [("redeem", "B", "ext", 600), ("redeem", "B", "ext", 400)]
     run(*rest)
     plain, run, plain_tables = observed()
